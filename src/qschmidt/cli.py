@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import bases, jsonio, mixed, oracle, pairs, triples
-from .core import DEFAULT_TOL
+from .core import DEFAULT_TOL, check_tol
 from .errors import QuantumStateError
 from .schmidt import schmidt
 
@@ -211,6 +211,7 @@ def _construct(args):
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        check_tol(args.tol)
         if args.verb == "decompose":
             state = jsonio.state_from_obj(
                 _load_json(args.state, "--state"), normalize=not args.strict)
@@ -228,7 +229,12 @@ def main(argv=None) -> int:
             spec = oracle.SampleSpec(set_type=args.set_type, case_id=args.case,
                                      variant=args.variant, seed=args.seed,
                                      count=args.count)
-            payload = [jsonio.set_to_obj(s) for s in oracle.sample(spec, args.tol)]
+            # One set at a time: the same bytes as dumping the whole list,
+            # without holding every set's payload at once.
+            sets = [json.dumps(jsonio.set_to_obj(s))
+                    for s in oracle.sample(spec, args.tol)]
+            sys.stdout.write("[" + ", ".join(sets) + "]\n")
+            return 0
         else:  # mix
             states = jsonio.states_from_obj(_set_input(args), normalize=True)
             weights = _load_json(args.weights, "--weights")
@@ -242,12 +248,11 @@ def main(argv=None) -> int:
             else:
                 payload = {"system": "ab", "density": jsonio.matrix_to_obj(rho)}
     except QuantumStateError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)},
-                  sys.stderr)
-        sys.stderr.write("\n")
+        sys.stderr.write(json.dumps({"error": type(exc).__name__,
+                                     "message": str(exc)}) + "\n")
         return 1
-    json.dump(payload, sys.stdout)
-    sys.stdout.write("\n")
+    # json.dumps runs the C encoder; json.dump to a stream never does.
+    sys.stdout.write(json.dumps(payload) + "\n")
     return 0
 
 

@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from .errors import (
+    InvalidArgumentError,
     NotFiniteError,
     NotNormalizedError,
     NotUnitaryError,
@@ -44,6 +45,15 @@ PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 
 
+def check_tol(tol) -> float:
+    """Return ``tol`` as a float when it is finite and positive; raise
+    :class:`InvalidArgumentError` otherwise."""
+    tol = float(tol)
+    if not 0.0 < tol < math.inf:
+        raise InvalidArgumentError(f"tol must be finite and positive, got {tol!r}")
+    return tol
+
+
 def _checked_complex(value, name: str) -> complex:
     z = complex(value)
     if not (cmath.isfinite(z)):
@@ -54,7 +64,8 @@ def _checked_complex(value, name: str) -> complex:
 def amplitudes(state) -> tuple[complex, complex, complex, complex]:
     """Return the four amplitudes of ``state`` as finite Python complex numbers."""
     if len(state) != 4:
-        raise ValueError(f"a two-qubit state has 4 amplitudes, got {len(state)}")
+        raise InvalidArgumentError(
+            f"a two-qubit state has 4 amplitudes, got {len(state)}")
     c00 = _checked_complex(state[0], "c00")
     c01 = _checked_complex(state[1], "c01")
     c10 = _checked_complex(state[2], "c10")
@@ -138,9 +149,7 @@ def gram_offdiagonal(state) -> complex:
 
 def is_diagonal(state, tol: float = DEFAULT_TOL) -> bool:
     """True when the Gram matrix is diagonal within ``tol``."""
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    return abs(gram_offdiagonal(state)) <= tol
+    return abs(gram_offdiagonal(state)) <= check_tol(tol)
 
 
 def tensor(a, b) -> np.ndarray:

@@ -91,3 +91,9 @@ class InvalidDensityError(QuantumStateError):
 
 class UnknownTypeError(QuantumStateError):
     """The requested set type, case or variant is unknown or cannot exist."""
+
+
+class InvalidArgumentError(QuantumStateError):
+    """An argument lies outside its allowed values: a tolerance that is not
+    finite and positive, a state without 4 amplitudes, a set of other than
+    1..4 states, a sample count below 1, or a sign other than +1 or -1."""

@@ -9,6 +9,8 @@ shortest round-trip representation, so nothing is lost to formatting.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import make_state
@@ -18,6 +20,13 @@ from .errors import NotFiniteError, QuantumStateError
 def complex_to_pair(z) -> list:
     z = complex(z)
     return [z.real, z.imag]
+
+
+def complex_array_to_obj(a) -> list:
+    """Nested lists of the shape of ``a`` with each complex entry as
+    ``[re, im]``; one ``tolist`` call instead of a loop over entries."""
+    c = np.ascontiguousarray(a, dtype=complex)
+    return c.view(float).reshape(c.shape + (2,)).tolist()
 
 
 def pair_to_complex(obj) -> complex:
@@ -30,13 +39,12 @@ def pair_to_complex(obj) -> complex:
     else:
         raise QuantumStateError(
             f"expected a complex scalar as [re, im], got {obj!r}")
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise NotFiniteError(f"complex scalar must be finite, got {obj!r}")
     return z
 
 
-def state_to_obj(state) -> list:
-    return [complex_to_pair(z) for z in state]
+state_to_obj = vector2_to_obj = matrix_to_obj = complex_array_to_obj
 
 
 def state_from_obj(obj, *, normalize: bool = False) -> np.ndarray:
@@ -54,19 +62,11 @@ def qubit_from_obj(obj) -> np.ndarray:
     return np.array([pair_to_complex(x) for x in obj])
 
 
-def vector2_to_obj(v) -> list:
-    return [complex_to_pair(z) for z in v]
-
-
-def matrix_to_obj(m) -> list:
-    return [[complex_to_pair(z) for z in row] for row in np.asarray(m)]
-
-
 def schmidt_to_obj(d) -> dict:
     return {
         "coeffs": [float(d.coeffs[0]), float(d.coeffs[1])],
-        "basis_a": [vector2_to_obj(d.basis_a[0]), vector2_to_obj(d.basis_a[1])],
-        "basis_b": [vector2_to_obj(d.basis_b[0]), vector2_to_obj(d.basis_b[1])],
+        "basis_a": complex_array_to_obj(d.basis_a),
+        "basis_b": complex_array_to_obj(d.basis_b),
         "degenerate": bool(d.degenerate),
     }
 
@@ -101,7 +101,7 @@ def pair_to_obj(p) -> dict:
 def triple_to_obj(t) -> dict:
     out = {
         "type": t.type_label,
-        "states": [state_to_obj(s) for s in t.states],
+        "states": complex_array_to_obj(t.states),
         "schmidt_third": schmidt_to_obj(t.schmidt_third),
         "params": params_to_obj(t.params),
     }
@@ -115,7 +115,7 @@ def triple_to_obj(t) -> dict:
 def basis_to_obj(b) -> dict:
     out = {
         "type": b.type_label,
-        "states": [state_to_obj(s) for s in b.states],
+        "states": complex_array_to_obj(b.states),
         "schmidt": [schmidt_to_obj(d) for d in b.schmidt_all],
         "params": params_to_obj(b.params),
     }

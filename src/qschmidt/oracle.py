@@ -25,8 +25,8 @@ from .bases import (
     construct_ppee_case2,
     construct_ppee_case3,
 )
-from .core import DEFAULT_TOL, VERIFY_TOL, amplitudes
-from .errors import NotNormalizedError, UnknownTypeError
+from .core import DEFAULT_TOL, VERIFY_TOL, _ZERO_FLOOR, amplitudes
+from .errors import InvalidArgumentError, NotNormalizedError, UnknownTypeError
 from .pairs import (
     A_SIDE,
     B_SIDE,
@@ -44,8 +44,6 @@ from .triples import (
     construct_ppe_case3,
     construct_ppp,
 )
-
-_ZERO_FLOOR = 1e-300
 
 
 def _oracle_parts(c00, c01, c10, c11):
@@ -159,7 +157,7 @@ def verify_set(states, tol: float = DEFAULT_TOL,
     reconstruction errors and concurrence labels."""
     n = len(states)
     if not 1 <= n <= 4:
-        raise ValueError(f"verify_set takes 1..4 states, got {n}")
+        raise InvalidArgumentError(f"verify_set takes 1..4 states, got {n}")
     amps = [amplitudes(s) for s in states]
     max_ov = 0.0
     for i in range(n):
@@ -204,7 +202,7 @@ def classify(states, tol: float = DEFAULT_TOL, refine_m: bool = False) -> str:
     """
     n = len(states)
     if not 1 <= n <= 4:
-        raise ValueError(f"classify takes 1..4 states, got {n}")
+        raise InvalidArgumentError(f"classify takes 1..4 states, got {n}")
     out = []
     for i, s in enumerate(states):
         a = amplitudes(s)
@@ -478,7 +476,7 @@ def sample(spec: SampleSpec, tol: float = DEFAULT_TOL) -> list:
     particular a PPPE basis cannot exist, so asking for one is an error.
     """
     if spec.count < 1:
-        raise ValueError(f"count must be >= 1, got {spec.count!r}")
+        raise InvalidArgumentError(f"count must be >= 1, got {spec.count!r}")
     set_type = spec.set_type.strip().lower()
     variant = spec.variant.strip().lower() if spec.variant else None
     case_id = spec.case_id

@@ -22,7 +22,9 @@ from .errors import (
     ConditionViolatedError,
     DegenerateParametersError,
     GammaOutOfRangeError,
+    InvalidArgumentError,
     NotNormalizedError,
+    UnknownTypeError,
     ZeroParameterError,
     ZeroVectorError,
 )
@@ -74,7 +76,7 @@ def _rescale(values, weights, target, strict, what):
 
 def _check_variant(variant: str) -> str:
     if variant not in (A_SIDE, B_SIDE):
-        raise ValueError(f"variant must be '{A_SIDE}' or '{B_SIDE}', got {variant!r}")
+        raise UnknownTypeError(f"variant must be '{A_SIDE}' or '{B_SIDE}', got {variant!r}")
     return variant
 
 
@@ -186,7 +188,7 @@ def construct_ep(gamma: float, a, b, sign: int = 1, *,
     if a == 0 and b == 0:
         raise DegenerateParametersError("a and b must not both be zero")
     if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+        raise InvalidArgumentError(f"sign must be +1 or -1, got {sign!r}")
     sa = cmath.sqrt(a)
     sb = cmath.sqrt(b)
     ratio_ab = (gamma / (1.0 - gamma)) ** 0.25

@@ -86,8 +86,10 @@ def assert_valid_decomposition(dec, state=None, tol=1e-12):
 
 
 def numpy_schmidt_coeffs(state) -> np.ndarray:
-    """Independent route: square roots of the reduced-density eigenvalues."""
+    """Independent route: singular values of the coefficient matrix.
+
+    Not the square roots of the reduced-density eigenvalues: those lose
+    half their digits near rank 1, up to 1.8e-8 on product states.
+    """
     m = np.asarray(state, dtype=complex).reshape(2, 2)
-    ev = np.linalg.eigvalsh(m @ m.conj().T)
-    ev = np.clip(ev[::-1], 0.0, None)
-    return np.sqrt(ev)
+    return np.linalg.svd(m, compute_uv=False)

@@ -210,6 +210,38 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
+_STATE = "[[0.5,0],[0.5,0],[0.5,0],[0.5,0]]"
+_FIVE_STATES = "[" + ",".join([_STATE] * 5) + "]"
+
+
+class TestDomainErrorsNotTracebacks:
+    """Bad arguments that once escaped as tracebacks exit 1 with error JSON."""
+
+    @pytest.mark.parametrize("argv,error", [
+        (["sample", "--type", "pp", "--count", "0"], "InvalidArgumentError"),
+        (["sample", "--type", "pp", "--count", "-1"], "InvalidArgumentError"),
+        (["verify", "--set", _FIVE_STATES], "InvalidArgumentError"),
+        (["classify", "--set", _FIVE_STATES], "InvalidArgumentError"),
+        (["construct", "--type", "pp", "--variant", "diagonal",
+          "--params", '{"single":[[1,0],[0,0]]}'], "UnknownTypeError"),
+        (["decompose", "--tol", "nan", "--state", _STATE],
+         "InvalidArgumentError"),
+        (["verify", "--tol", "nan", "--set", "[" + _STATE + "]"],
+         "InvalidArgumentError"),
+        (["decompose", "--tol", "0", "--state", _STATE], "InvalidArgumentError"),
+        (["classify", "--tol=-1e-10", "--set", "[" + _STATE + "]"],
+         "InvalidArgumentError"),
+        (["sample", "--type", "pm", "--tol", "inf"], "InvalidArgumentError"),
+    ], ids=["count-0", "count-negative", "verify-5-states", "classify-5-states",
+            "pp-diagonal-variant", "decompose-tol-nan", "verify-tol-nan",
+            "tol-zero", "tol-negative", "tol-inf"])
+    def test_exit_1_with_error_json(self, capsys, argv, error):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == error
+
+
 class TestJsonRoundTrip:
     def test_output_reverifies_without_drift(self, capsys):
         code, out, _ = run(capsys, "construct", "--type", "pmee", "--params",

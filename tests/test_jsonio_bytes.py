@@ -1,0 +1,147 @@
+"""The CLI's stdout bytes are a stable contract.
+
+`old_*` below is the per-element encoder the array-level serializers in
+`jsonio` replaced, kept here as the reference: every emitted byte must
+match what it, fed to ``json.dumps``, produced.
+"""
+
+import io
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import qschmidt as q
+from qschmidt import jsonio
+from qschmidt.cli import main
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
+
+FAMILIES = (
+    ("pp", None, None), ("pe", None, "diagonal"), ("pe", None, "nondiagonal"),
+    ("ep", None, None), ("ee", None, "diagonal"), ("ee", None, "nondiagonal"),
+    ("ppp", None, None), ("ppe", 1, None), ("ppe", 2, None), ("ppe", 3, None),
+    ("pppp", None, None), ("ppee", 1, None), ("ppee", 2, None),
+    ("ppee", 3, None), ("pm", None, None), ("pmee", None, None),
+    ("mmee", None, "diagonal"), ("mmee", None, "nondiagonal"),
+)
+SEEDS = (0, 7, 2024)
+COUNT = 20
+
+
+def old_complex_to_pair(z) -> list:
+    z = complex(z)
+    return [z.real, z.imag]
+
+
+def old_vector_to_obj(v) -> list:
+    return [old_complex_to_pair(z) for z in v]
+
+
+def old_matrix_to_obj(m) -> list:
+    return [[old_complex_to_pair(z) for z in row] for row in np.asarray(m)]
+
+
+def old_schmidt_to_obj(d) -> dict:
+    return {
+        "coeffs": [float(d.coeffs[0]), float(d.coeffs[1])],
+        "basis_a": [old_vector_to_obj(d.basis_a[0]), old_vector_to_obj(d.basis_a[1])],
+        "basis_b": [old_vector_to_obj(d.basis_b[0]), old_vector_to_obj(d.basis_b[1])],
+        "degenerate": bool(d.degenerate),
+    }
+
+
+def old_params_to_obj(params: dict) -> dict:
+    out = {}
+    for key, value in params.items():
+        if isinstance(value, complex):
+            out[key] = old_complex_to_pair(value)
+        elif isinstance(value, (list, tuple)):
+            out[key] = [old_complex_to_pair(v) if isinstance(v, (complex,)) else
+                        (old_vector_to_obj(v) if not np.isscalar(v) else v)
+                        for v in value]
+        else:
+            out[key] = value
+    return out
+
+
+def old_set_to_obj(obj) -> dict:
+    if hasattr(obj, "schmidt_second"):
+        out = {
+            "type": obj.type_label,
+            "first": old_vector_to_obj(obj.first),
+            "second": old_vector_to_obj(obj.second),
+            "schmidt_second": old_schmidt_to_obj(obj.schmidt_second),
+            "params": old_params_to_obj(obj.params),
+        }
+    elif hasattr(obj, "schmidt_third"):
+        out = {
+            "type": obj.type_label,
+            "states": [old_vector_to_obj(s) for s in obj.states],
+            "schmidt_third": old_schmidt_to_obj(obj.schmidt_third),
+            "params": old_params_to_obj(obj.params),
+        }
+    else:
+        out = {
+            "type": obj.type_label,
+            "states": [old_vector_to_obj(s) for s in obj.states],
+            "schmidt": [old_schmidt_to_obj(d) for d in obj.schmidt_all],
+            "params": old_params_to_obj(obj.params),
+        }
+    if getattr(obj, "case_id", None) is not None:
+        out["case"] = obj.case_id
+    if obj.variant:
+        out["variant"] = obj.variant
+    return out
+
+
+def sample_argv(set_type, case_id, variant, seed):
+    argv = ["sample", "--type", set_type, "--seed", str(seed),
+            "--count", str(COUNT)]
+    if case_id is not None:
+        argv += ["--case", str(case_id)]
+    if variant is not None:
+        argv += ["--variant", variant]
+    return argv
+
+
+@pytest.mark.parametrize("set_type,case_id,variant", FAMILIES)
+def test_sample_stdout_matches_reference_encoder(capsys, set_type, case_id,
+                                                 variant):
+    for seed in SEEDS:
+        assert main(sample_argv(set_type, case_id, variant, seed)) == 0
+        out = capsys.readouterr().out
+        spec = q.SampleSpec(set_type=set_type, case_id=case_id,
+                            variant=variant, seed=seed, count=COUNT)
+        want = json.dumps([old_set_to_obj(s) for s in q.sample(spec)]) + "\n"
+        assert out == want, (set_type, case_id, variant, seed)
+
+
+@pytest.mark.parametrize("entry", json.loads(GOLDEN.read_text()),
+                         ids=lambda e: e["name"])
+def test_golden_transcript_bytes(capsys, monkeypatch, entry):
+    monkeypatch.setattr("sys.stdin", io.StringIO(entry["stdin"]))
+    assert main(list(entry["argv"])) == entry["exit"]
+    captured = capsys.readouterr()
+    assert captured.out == entry["stdout"]
+    assert captured.err == entry["stderr"]
+
+
+def test_non_contiguous_matrix_matches_reference():
+    rng = q.SplitMix64(5)
+    m = np.array([[complex(rng.gauss(), rng.gauss()) for _ in range(4)]
+                  for _ in range(4)])
+    for view in (m.T, m[::2, 1::2], m.T[:, ::-1]):
+        assert not view.flags.c_contiguous
+        assert jsonio.matrix_to_obj(view) == old_matrix_to_obj(view)
+        assert json.dumps(jsonio.matrix_to_obj(view)) == \
+            json.dumps(old_matrix_to_obj(view))
+
+
+def test_signed_zero_and_real_input_match_reference():
+    v = np.array([-0.0, 0.0, -0.0 - 0.0j, 1.0])
+    assert json.dumps(jsonio.state_to_obj(v)) == json.dumps(old_vector_to_obj(v))
+    real = np.array([0.25, -0.5])
+    assert json.dumps(jsonio.vector2_to_obj(real)) == \
+        json.dumps(old_vector_to_obj(real))
