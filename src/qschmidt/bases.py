@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_TOL, _checked_complex, concurrence, inner
+from .core import (DEFAULT_TOL, _KET00, _KET11, _checked_complex, _dot, _norm,
+                   concurrence)
 from .errors import (
     AccidentallyDiagonalError,
     ConditionViolatedError,
@@ -26,17 +27,11 @@ from .errors import (
     ZeroParameterError,
 )
 from .pairs import A_SIDE, OrthoPair, _check_variant, _require_nonzero, _rescale
-from .schmidt import (
-    SchmidtDecomposition,
-    schmidt,
-    schmidt_diagonal,
-)
+from .schmidt import _wrap, schmidt, schmidt_diagonal
 from .triples import OrthoTriple, construct_ppe_case2, construct_ppe_case3, orthonormal_qubit_basis
 
-_KET00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 _KET01 = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
 _KET10 = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
-_KET11 = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
 _SQRT_HALF = math.sqrt(0.5)
 
 
@@ -133,7 +128,7 @@ def complete_ppp(triple, *, tol: float = DEFAULT_TOL):
     amps = []
     for i, s in enumerate(states):
         a = [_checked_complex(s[k], f"states[{i}][{k}]") for k in range(4)]
-        nrm = math.sqrt(sum(z.real * z.real + z.imag * z.imag for z in a))
+        nrm = _norm(a)
         if abs(nrm - 1.0) > 1e-8:
             raise NotPPPError(f"states[{i}] has norm {nrm!r}")
         if concurrence(s) > tol:
@@ -141,7 +136,7 @@ def complete_ppp(triple, *, tol: float = DEFAULT_TOL):
         amps.append(a)
     for i in range(3):
         for j in range(i + 1, 3):
-            if abs(inner(states[i], states[j])) > 1e-8:
+            if abs(_dot(amps[i], amps[j])) > 1e-8:
                 raise NotPPPError(f"states {i} and {j} are not orthogonal")
 
     rows = [[z.conjugate() for z in a] for a in amps]
@@ -202,7 +197,7 @@ def construct_ppee_case2(a, b, c, d, *, strict: bool = False,
     c = triple.params["c"]
     d = triple.params["d"]
     dec3 = triple.schmidt_third
-    k0, k1 = float(dec3.coeffs[0]), float(dec3.coeffs[1])
+    k0, k1 = dec3.coeffs.tolist()
     # t_j = k_j^2 - |c|^2: roots of a quadratic with sum 1 - 2|c|^2 and
     # product -|acd|^2, evaluated without cancellation.
     c2 = c.real * c.real + c.imag * c.imag
@@ -217,14 +212,9 @@ def construct_ppee_case2(a, b, c, d, *, strict: bool = False,
     n1 = math.sqrt(abs(z1[0]) ** 2 + abs(z1[1]) ** 2)
     z0 = (z0[0] / n0, z0[1] / n0)
     z1 = (z1[0] / n1, z1[1] / n1)
-    bb0 = (complex(dec3.basis_b[0][0]), complex(dec3.basis_b[0][1]))
-    bb1 = (complex(dec3.basis_b[1][0]), complex(dec3.basis_b[1][1]))
+    bb0, bb1 = dec3.basis_b.tolist()
     fourth = _tensor_rows(k0, k1, z0, z1, bb1, bb0)
-    dec4 = SchmidtDecomposition(
-        coeffs=np.array([k0, k1]),
-        basis_a=np.array([z0, z1]),
-        basis_b=np.array([bb1, bb0]),
-    )
+    dec4 = _wrap(((k0, k1), (z0, z1), (bb1, bb0), False))
     states = [triple.states[0], triple.states[1], triple.states[2], fourth]
     return OrthoBasis(
         states=states,
@@ -251,7 +241,7 @@ def construct_ppee_case3(a, b, c, d, *, strict: bool = False,
     c = triple.params["c"]
     d = triple.params["d"]
     dec3 = triple.schmidt_third
-    n0, n1 = float(dec3.coeffs[0]), float(dec3.coeffs[1])
+    n0, n1 = dec3.coeffs.tolist()
     b2 = b.real * b.real + b.imag * b.imag
     c2 = c.real * c.real + c.imag * c.imag
     prod = (a.real * a.real + a.imag * a.imag) * b2 * c2 * c2
@@ -262,14 +252,9 @@ def construct_ppee_case3(a, b, c, d, *, strict: bool = False,
     m1 = math.sqrt(abs(w1[0]) ** 2 + u1 * u1)
     wc0 = (w0[0].conjugate() / m0, w0[1].conjugate() / m0)
     wc1 = (w1[0].conjugate() / m1, w1[1].conjugate() / m1)
-    aa0 = (complex(dec3.basis_a[0][0]), complex(dec3.basis_a[0][1]))
-    aa1 = (complex(dec3.basis_a[1][0]), complex(dec3.basis_a[1][1]))
+    aa0, aa1 = dec3.basis_a.tolist()
     fourth = _tensor_rows(n0, n1, aa1, aa0, wc0, wc1)
-    dec4 = SchmidtDecomposition(
-        coeffs=np.array([n0, n1]),
-        basis_a=np.array([aa1, aa0]),
-        basis_b=np.array([wc0, wc1]),
-    )
+    dec4 = _wrap(((n0, n1), (aa1, aa0), (wc0, wc1), False))
     states = [triple.states[0], triple.states[1], triple.states[2], fourth]
     return OrthoBasis(
         states=states,
@@ -365,12 +350,8 @@ def construct_pmee(theta: float, theta_prime: float, theta_dprime: float, c, *,
 
     pm = construct_pm(theta, theta_prime, tol=tol)
     states = [pm.first, pm.second, third, fourth]
-    dec3 = SchmidtDecomposition(coeffs=np.array([xi0, xi1]),
-                                basis_a=np.array([x0, x1]),
-                                basis_b=np.array([ys0, ys1]))
-    dec4 = SchmidtDecomposition(coeffs=np.array([ups0, ups1]),
-                                basis_a=np.array([z0, z1]),
-                                basis_b=np.array([ws0, ws1]))
+    dec3 = _wrap(((xi0, xi1), (x0, x1), (ys0, ys1), False))
+    dec4 = _wrap(((ups0, ups1), (z0, z1), (ws0, ws1), False))
     return OrthoBasis(
         states=states,
         type_label="PMEE",
@@ -497,12 +478,8 @@ def construct_mmee_nondiagonal(theta: float, theta_prime: float, a, b, *,
 
     first, second = _mmee_first_second(theta, theta_prime)
     states = [first, second, third, fourth]
-    dec3 = SchmidtDecomposition(coeffs=np.array([tau0, tau1]),
-                                basis_a=np.array([alpha0, alpha1]),
-                                basis_b=np.array([beta0, beta1]))
-    dec4 = SchmidtDecomposition(coeffs=np.array([tau0, tau1]),
-                                basis_a=np.array([bstar0, bstar1]),
-                                basis_b=np.array([astar0, astar1]))
+    dec3 = _wrap(((tau0, tau1), (alpha0, alpha1), (beta0, beta1), False))
+    dec4 = _wrap(((tau0, tau1), (bstar0, bstar1), (astar0, astar1), False))
     return OrthoBasis(
         states=states,
         type_label="MMEE",

@@ -11,8 +11,8 @@ bit-identical outputs.
 
 from __future__ import annotations
 
-import cmath
 import math
+from cmath import isfinite
 
 import numpy as np
 
@@ -39,6 +39,10 @@ KET1 = np.array([0.0 + 0.0j, 1.0 + 0.0j])
 PLUS = np.array([1.0 + 0.0j, 1.0 + 0.0j]) / math.sqrt(2.0)
 MINUS = np.array([1.0 + 0.0j, -1.0 + 0.0j]) / math.sqrt(2.0)
 
+# Constructors hand out copies of these.
+_KET00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+_KET11 = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
+
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
 PHI_MINUS = np.array([1.0, 0.0, 0.0, -1.0], dtype=complex) / math.sqrt(2.0)
 PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
@@ -56,13 +60,28 @@ def check_tol(tol) -> float:
 
 def _checked_complex(value, name: str) -> complex:
     z = complex(value)
-    if not (cmath.isfinite(z)):
+    if not isfinite(z):
         raise NotFiniteError(f"{name} must be finite, got {value!r}")
     return z
 
 
 def amplitudes(state) -> tuple[complex, complex, complex, complex]:
-    """Return the four amplitudes of ``state`` as finite Python complex numbers."""
+    """Return the four amplitudes of ``state`` as finite Python complex numbers.
+
+    A 1-D ndarray of four entries is read with one ``tolist`` call.  Any
+    other input, and an array whose entries fail to convert or are not all
+    finite, takes the per-element path, so the errors and their messages
+    are the same for every input type.
+    """
+    if type(state) is np.ndarray and state.shape == (4,):
+        try:
+            c00, c01, c10, c11 = map(complex, state.tolist())
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if isfinite(c00) and isfinite(c01) and isfinite(c10) \
+                    and isfinite(c11):
+                return c00, c01, c10, c11
     if len(state) != 4:
         raise InvalidArgumentError(
             f"a two-qubit state has 4 amplitudes, got {len(state)}")
@@ -106,12 +125,26 @@ def make_qubit(v0, v1, normalize: bool = False) -> np.ndarray:
     return np.array([a, b], dtype=complex) / nrm
 
 
-def inner(a, b) -> complex:
-    """Inner product of two two-qubit states, conjugate linear in ``a``."""
-    a0, a1, a2, a3 = amplitudes(a)
-    b0, b1, b2, b3 = amplitudes(b)
+def _dot(a, b) -> complex:
+    """Inner product of two amplitude 4-tuples, conjugate linear in ``a``."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
     return (a0.conjugate() * b0 + a1.conjugate() * b1
             + a2.conjugate() * b2 + a3.conjugate() * b3)
+
+
+def _norm(a) -> float:
+    """Euclidean norm of an amplitude 4-tuple, squares summed in order."""
+    c00, c01, c10, c11 = a
+    return math.sqrt((c00.real * c00.real + c00.imag * c00.imag)
+                     + (c01.real * c01.real + c01.imag * c01.imag)
+                     + (c10.real * c10.real + c10.imag * c10.imag)
+                     + (c11.real * c11.real + c11.imag * c11.imag))
+
+
+def inner(a, b) -> complex:
+    """Inner product of two two-qubit states, conjugate linear in ``a``."""
+    return _dot(amplitudes(a), amplitudes(b))
 
 
 def coefficient_matrix(state) -> np.ndarray:

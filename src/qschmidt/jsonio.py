@@ -64,7 +64,7 @@ def qubit_from_obj(obj) -> np.ndarray:
 
 def schmidt_to_obj(d) -> dict:
     return {
-        "coeffs": [float(d.coeffs[0]), float(d.coeffs[1])],
+        "coeffs": d.coeffs.tolist(),
         "basis_a": complex_array_to_obj(d.basis_a),
         "basis_b": complex_array_to_obj(d.basis_b),
         "degenerate": bool(d.degenerate),

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import DEFAULT_TOL, amplitudes, inner
+from .core import DEFAULT_TOL, _dot, _norm, amplitudes, check_tol
 from .errors import BadWeightsError, InvalidDensityError, NotOrthogonalError
 
 
@@ -24,6 +24,7 @@ def spectral_mix(states, weights, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     which is treated as caller error) and sum to 1 within 1e-12; states
     must be pairwise orthogonal within ``tol``.
     """
+    tol = check_tol(tol)
     if len(states) == 0:
         raise BadWeightsError("need at least one state")
     if len(states) != len(weights):
@@ -35,36 +36,37 @@ def spectral_mix(states, weights, *, tol: float = DEFAULT_TOL) -> np.ndarray:
             raise BadWeightsError(f"weights must be positive, got {w!r}")
     if abs(sum(ws) - 1.0) > 1e-12:
         raise BadWeightsError(f"weights sum to {sum(ws)!r}, expected 1")
-    vecs = []
+    amps = []
     for i, s in enumerate(states):
         a = amplitudes(s)
-        nrm = math.sqrt(sum(z.real * z.real + z.imag * z.imag for z in a))
+        nrm = _norm(a)
         if abs(nrm - 1.0) > 1e-10:
             raise NotOrthogonalError(f"states[{i}] has norm {nrm!r}")
-        vecs.append(np.array(a))
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            ov = abs(inner(vecs[i], vecs[j]))
+        amps.append(a)
+    for i in range(len(amps)):
+        for j in range(i + 1, len(amps)):
+            ov = abs(_dot(amps[i], amps[j]))
             if ov > tol:
                 raise NotOrthogonalError(
                     f"states {i} and {j} overlap by {ov!r} (> {tol!r})")
-    rho = np.zeros((4, 4), dtype=complex)
-    for w, v in zip(ws, vecs):
-        rho += w * np.outer(v, v.conj())
-    return rho
+    v = np.array(amps)
+    terms = np.array(ws)[:, None, None] * (v[:, :, None] * v.conj()[:, None, :])
+    # Summed in state order from +0.0, as a running sum into a zero matrix.
+    return np.add.reduce(terms, axis=0, initial=0.0)
 
 
 def _check_density(rho, dim: int) -> np.ndarray:
     m = np.asarray(rho, dtype=complex)
     if m.shape != (dim, dim):
         raise InvalidDensityError(f"expected a {dim}x{dim} matrix, got {m.shape}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise InvalidDensityError("density matrix has non-finite entries")
-    if np.max(np.abs(m - m.conj().T)) > 1e-12:
+    if np.abs(m - m.conj().T).max() > 1e-12:
         raise InvalidDensityError("density matrix is not Hermitian within 1e-12")
-    if abs(np.trace(m).real - 1.0) > 1e-12 or abs(np.trace(m).imag) > 1e-12:
+    tr = complex(m.trace())
+    if abs(tr.real - 1.0) > 1e-12 or abs(tr.imag) > 1e-12:
         raise InvalidDensityError("density matrix trace is not 1 within 1e-12")
-    if np.min(np.linalg.eigvalsh(m)) < -1e-12:
+    if np.linalg.eigvalsh(m)[0] < -1e-12:
         raise InvalidDensityError("density matrix has an eigenvalue below -1e-12")
     return m
 
@@ -72,18 +74,10 @@ def _check_density(rho, dim: int) -> np.ndarray:
 def reduce_a(rho) -> np.ndarray:
     """Partial trace over subsystem B, leaving the 2x2 state of A."""
     m = _check_density(rho, 4)
-    out = np.empty((2, 2), dtype=complex)
-    for j in range(2):
-        for k in range(2):
-            out[j, k] = m[2 * j, 2 * k] + m[2 * j + 1, 2 * k + 1]
-    return out
+    return m[0::2, 0::2] + m[1::2, 1::2]
 
 
 def reduce_b(rho) -> np.ndarray:
     """Partial trace over subsystem A, leaving the 2x2 state of B."""
     m = _check_density(rho, 4)
-    out = np.empty((2, 2), dtype=complex)
-    for j in range(2):
-        for k in range(2):
-            out[j, k] = m[j, k] + m[2 + j, 2 + k]
-    return out
+    return m[:2, :2] + m[2:, 2:]

@@ -25,7 +25,8 @@ from .bases import (
     construct_ppee_case2,
     construct_ppee_case3,
 )
-from .core import DEFAULT_TOL, VERIFY_TOL, _ZERO_FLOOR, amplitudes
+from .core import DEFAULT_TOL, VERIFY_TOL, _ZERO_FLOOR, _dot, _norm, amplitudes
+from .core import check_tol as _check_tol
 from .errors import InvalidArgumentError, NotNormalizedError, UnknownTypeError
 from .pairs import (
     A_SIDE,
@@ -37,7 +38,7 @@ from .pairs import (
     construct_pe_nondiagonal,
     construct_pp,
 )
-from .schmidt import SchmidtDecomposition, _parts, _reconstruct_parts
+from .schmidt import SchmidtDecomposition, _parts, _reconstruct_parts, _wrap
 from .triples import (
     construct_ppe_case1,
     construct_ppe_case2,
@@ -105,14 +106,12 @@ def _oracle_parts(c00, c01, c10, c11):
 
 def oracle_schmidt(state) -> SchmidtDecomposition:
     """Schmidt decomposition through the eigensolver route."""
-    c00, c01, c10, c11 = amplitudes(state)
-    (l0, l1), (a0, a1), (b0, b1), deg = _oracle_parts(c00, c01, c10, c11)
-    return SchmidtDecomposition(
-        coeffs=np.array([l0, l1]),
-        basis_a=np.array([a0, a1]),
-        basis_b=np.array([b0, b1]),
-        degenerate=deg,
-    )
+    return _wrap(_oracle_parts(*amplitudes(state)))
+
+
+def _max_dev(r, a) -> float:
+    return max(abs(r[0] - a[0]), abs(r[1] - a[1]), abs(r[2] - a[2]),
+               abs(r[3] - a[3]))
 
 
 def _concurrence_scalar(c00, c01, c10, c11) -> float:
@@ -155,17 +154,16 @@ def verify_set(states, tol: float = DEFAULT_TOL,
                check_tol: float = VERIFY_TOL) -> VerificationReport:
     """Grade a set of 1..4 states: overlaps, dual-route decompositions,
     reconstruction errors and concurrence labels."""
+    tol = _check_tol(tol)
+    check_tol = _check_tol(check_tol)
     n = len(states)
     if not 1 <= n <= 4:
         raise InvalidArgumentError(f"verify_set takes 1..4 states, got {n}")
     amps = [amplitudes(s) for s in states]
     max_ov = 0.0
     for i in range(n):
-        ai = amps[i]
         for j in range(i + 1, n):
-            aj = amps[j]
-            ov = abs(ai[0].conjugate() * aj[0] + ai[1].conjugate() * aj[1]
-                     + ai[2].conjugate() * aj[2] + ai[3].conjugate() * aj[3])
+            ov = abs(_dot(amps[i], amps[j]))
             if ov > max_ov:
                 max_ov = ov
     per = []
@@ -175,12 +173,8 @@ def verify_set(states, tol: float = DEFAULT_TOL,
         orac = _oracle_parts(*a)
         mismatch = max(abs(closed[0][0] - orac[0][0]),
                        abs(closed[0][1] - orac[0][1]))
-        rc = _reconstruct_parts(closed)
-        ro = _reconstruct_parts(orac)
-        rec = max(max(abs(rc[k] - a[k]) for k in range(4)),
-                  max(abs(ro[k] - a[k]) for k in range(4)))
-        nrm = math.sqrt(sum(z.real * z.real + z.imag * z.imag for z in a))
-        rec = max(rec, abs(nrm - 1.0))
+        rec = max(_max_dev(_reconstruct_parts(closed), a),
+                  _max_dev(_reconstruct_parts(orac), a), abs(_norm(a) - 1.0))
         conc = _concurrence_scalar(*a)
         per.append(StateReport(
             reconstruction_error=rec,
@@ -200,13 +194,14 @@ def classify(states, tol: float = DEFAULT_TOL, refine_m: bool = False) -> str:
     With ``refine_m`` the maximally entangled members are labeled ``M``.
     All states must be unit norm within 1e-10.
     """
+    tol = _check_tol(tol)
     n = len(states)
     if not 1 <= n <= 4:
         raise InvalidArgumentError(f"classify takes 1..4 states, got {n}")
     out = []
     for i, s in enumerate(states):
         a = amplitudes(s)
-        nrm = math.sqrt(sum(z.real * z.real + z.imag * z.imag for z in a))
+        nrm = _norm(a)
         if abs(nrm - 1.0) > 1e-10:
             raise NotNormalizedError(f"states[{i}] has norm {nrm!r}")
         out.append(_label(_concurrence_scalar(*a), tol, refine_m=refine_m))
@@ -475,6 +470,7 @@ def sample(spec: SampleSpec, tol: float = DEFAULT_TOL) -> list:
     Raises :class:`UnknownTypeError` for unknown or impossible requests; in
     particular a PPPE basis cannot exist, so asking for one is an error.
     """
+    tol = _check_tol(tol)
     if spec.count < 1:
         raise InvalidArgumentError(f"count must be >= 1, got {spec.count!r}")
     set_type = spec.set_type.strip().lower()

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_TOL, _ZERO_FLOOR, _checked_complex, tensor
+from .core import DEFAULT_TOL, _KET00, _ZERO_FLOOR, _checked_complex, tensor
 from .errors import (
     AccidentallyDiagonalError,
     ConditionViolatedError,
@@ -37,8 +37,6 @@ from .schmidt import (
 
 A_SIDE = "a-side"
 B_SIDE = "b-side"
-
-_KET00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 
 
 @dataclass

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, _ZERO_FLOOR, amplitudes
+from .core import DEFAULT_TOL, _ZERO_FLOOR, amplitudes, check_tol
 from .errors import DiagonalError, NotDiagonalError, ZeroVectorError
 
 _E0 = (1.0 + 0.0j, 0.0 + 0.0j)
@@ -36,6 +36,8 @@ class SchmidtDecomposition:
     are 2x2 complex arrays whose *rows* are the A-side and B-side basis
     vectors; row ``j`` pairs with ``coeffs[j]``.  ``degenerate`` marks
     rank-1 inputs whose second basis pair was completed arbitrarily.
+    Decompositions built here hold ``basis_a`` and ``basis_b`` as views of
+    one (2, 2, 2) buffer; each is C-contiguous.
     """
 
     coeffs: np.ndarray
@@ -45,13 +47,10 @@ class SchmidtDecomposition:
 
 
 def _wrap(parts) -> SchmidtDecomposition:
-    (l0, l1), (a0, a1), (b0, b1), degenerate = parts
-    return SchmidtDecomposition(
-        coeffs=np.array([l0, l1]),
-        basis_a=np.array([a0, a1]),
-        basis_b=np.array([b0, b1]),
-        degenerate=degenerate,
-    )
+    """One array build for both bases: they are views of a (2, 2, 2) buffer."""
+    coeffs, (a0, a1), (b0, b1), degenerate = parts
+    m = np.fromiter((*a0, *a1, *b0, *b1), complex, 8).reshape(2, 2, 2)
+    return SchmidtDecomposition(np.array(coeffs), m[0], m[1], degenerate)
 
 
 def _perp(v):
@@ -164,6 +163,7 @@ def schmidt_diagonal(state, tol: float = DEFAULT_TOL,
     condition; on a non-diagonal state this reproduces the well-known
     failure mode in which the returned A-side vectors are not orthogonal.
     """
+    tol = check_tol(tol)
     c00, c01, c10, c11 = amplitudes(state)
     if check:
         g = c00.conjugate() * c01 + c10.conjugate() * c11
@@ -179,8 +179,8 @@ def schmidt_nondiagonal(state, tol: float = DEFAULT_TOL) -> SchmidtDecomposition
     Raises :class:`DiagonalError` on diagonal input, where the formula's
     eigenvector seeds are zero vectors.
     """
-    c00, c01, c10, c11 = amplitudes(state)
-    return _wrap(_nondiag_parts(c00, c01, c10, c11, tol))
+    tol = check_tol(tol)
+    return _wrap(_nondiag_parts(*amplitudes(state), tol))
 
 
 def schmidt(state, tol: float = DEFAULT_TOL) -> SchmidtDecomposition:
@@ -189,18 +189,14 @@ def schmidt(state, tol: float = DEFAULT_TOL) -> SchmidtDecomposition:
     Dispatches on the diagonal condition with tolerance ``tol``; the
     boundary itself takes the diagonal branch, which is exact there.
     """
-    c00, c01, c10, c11 = amplitudes(state)
-    return _wrap(_parts(c00, c01, c10, c11, tol))
+    tol = check_tol(tol)
+    return _wrap(_parts(*amplitudes(state), tol))
 
 
 def reconstruct(decomposition: SchmidtDecomposition) -> np.ndarray:
     """Rebuild the state  sum_j coeffs[j] * basis_a[j] (x) basis_b[j]."""
     d = decomposition
-    l0, l1 = float(d.coeffs[0]), float(d.coeffs[1])
-    a0, a1 = d.basis_a[0], d.basis_a[1]
-    b0, b1 = d.basis_b[0], d.basis_b[1]
-    parts = ((l0, l1),
-             ((complex(a0[0]), complex(a0[1])), (complex(a1[0]), complex(a1[1]))),
-             ((complex(b0[0]), complex(b0[1])), (complex(b1[0]), complex(b1[1]))),
-             d.degenerate)
-    return np.array(_reconstruct_parts(parts))
+    return np.array(_reconstruct_parts(
+        (d.coeffs.tolist(), d.basis_a.tolist(), d.basis_b.tolist(),
+         d.degenerate)),
+        dtype=complex)

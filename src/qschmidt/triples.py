@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_TOL
+from .core import DEFAULT_TOL, _KET00, _KET11
 from .errors import NotOrthonormalBasisError, ZeroParameterError
 from .pairs import A_SIDE, _as_unit_qubit, _check_variant, _require_nonzero, _rescale
 from .schmidt import (
@@ -27,9 +27,6 @@ from .schmidt import (
     schmidt_diagonal,
     schmidt_nondiagonal,
 )
-
-_KET00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-_KET11 = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
 
 
 @dataclass

@@ -1,0 +1,117 @@
+"""Input parsing, tolerance checks and result layout at the public API."""
+
+import math
+
+import numpy as np
+import pytest
+
+import qschmidt as q
+from qschmidt import core, jsonio
+from helpers import GOLD_NONDIAG, KET00, KET11
+
+BAD_TOLS = (math.nan, math.inf, 0.0, -1e-10)
+NAMES = ("c00", "c01", "c10", "c11")
+
+
+def _outcome(fn, state):
+    try:
+        return fn(state)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def per_element(state):
+    """The per-element parse every non-ndarray input takes."""
+    if len(state) != 4:
+        raise q.InvalidArgumentError(
+            f"a two-qubit state has 4 amplitudes, got {len(state)}")
+    return tuple(core._checked_complex(state[k], NAMES[k]) for k in range(4))
+
+
+class TestAmplitudesFastPath:
+    VALUES = {
+        np.complex128: [0.5 + 0.25j, -1.5, 3j, 0.1 - 0.7j],
+        np.complex64: [0.5 + 0.25j, -1.5, 3j, 0.1 - 0.7j],
+        np.float32: [0.5, -1.5, 3.0, 0.1],
+        np.int64: [1, -2, 3, 0],
+        np.bool_: [True, False, False, True],
+    }
+
+    @pytest.mark.parametrize("dtype", list(VALUES), ids=lambda t: t.__name__)
+    def test_dtypes_match_per_element_parse(self, dtype):
+        a = np.array(self.VALUES[dtype], dtype=dtype)
+        got = core.amplitudes(a)
+        assert got == per_element(a)
+        assert all(type(z) is complex for z in got)
+
+    @pytest.mark.parametrize("kind", (list, tuple))
+    def test_sequences_match_arrays(self, kind):
+        values = self.VALUES[np.complex128]
+        assert core.amplitudes(kind(values)) == core.amplitudes(np.array(values))
+
+    def test_non_contiguous_view(self):
+        a = np.array(self.VALUES[np.complex128] * 2)[::2]
+        assert core.amplitudes(a) == per_element(a)
+
+    def test_column_array_takes_per_element_path(self):
+        a = np.array(self.VALUES[np.complex128]).reshape(4, 1)
+        assert _outcome(core.amplitudes, a) == _outcome(per_element, a)
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, complex(0, -math.inf)))
+    @pytest.mark.parametrize("k", range(4))
+    def test_non_finite_message_is_unchanged(self, k, bad):
+        a = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
+        a[k] = bad
+        with pytest.raises(q.NotFiniteError) as info:
+            core.amplitudes(a)
+        assert str(info.value) == f"{NAMES[k]} must be finite, got {a[k]!r}"
+        assert _outcome(core.amplitudes, list(a)) == _outcome(per_element, list(a))
+
+    @pytest.mark.parametrize("n", (3, 5))
+    def test_wrong_length(self, n):
+        with pytest.raises(q.InvalidArgumentError, match=f"got {n}"):
+            core.amplitudes(np.zeros(n, dtype=complex))
+
+
+def _decompositions():
+    basis = q.construct_ppee_case2(0.6, 0.8, 0.6, 0.8)
+    return [q.schmidt(GOLD_NONDIAG), q.schmidt(KET00),
+            q.oracle_schmidt(GOLD_NONDIAG), *basis.schmidt_all]
+
+
+@pytest.mark.parametrize("d", _decompositions())
+def test_result_layout(d):
+    """float64 coefficients, complex128 bases with C-contiguous rows, so the
+    JSON encoder's ``.view(float)`` reads them without a copy."""
+    assert d.coeffs.dtype == np.float64 and d.coeffs.shape == (2,)
+    for basis in (d.basis_a, d.basis_b):
+        assert basis.dtype == np.complex128 and basis.shape == (2, 2)
+        assert basis.flags.c_contiguous
+        assert np.ascontiguousarray(basis, dtype=complex) is basis
+        assert jsonio.complex_array_to_obj(basis) == [
+            [[complex(z).real, complex(z).imag] for z in row] for row in basis]
+
+
+class TestToleranceChecks:
+    ENTRY_POINTS = {
+        "schmidt": lambda tol: q.schmidt(GOLD_NONDIAG, tol),
+        "schmidt_diagonal": lambda tol: q.schmidt_diagonal(KET00, tol),
+        "schmidt_nondiagonal": lambda tol: q.schmidt_nondiagonal(
+            GOLD_NONDIAG, tol),
+        "verify_set.tol": lambda tol: q.verify_set([KET00, KET11], tol=tol),
+        "verify_set.check_tol": lambda tol: q.verify_set(
+            [KET00, KET11], check_tol=tol),
+        "classify": lambda tol: q.classify([KET00], tol=tol),
+        "sample": lambda tol: q.sample(q.SampleSpec("pp"), tol=tol),
+        "spectral_mix": lambda tol: q.spectral_mix([KET00], [1.0], tol=tol),
+    }
+
+    @pytest.mark.parametrize("tol", BAD_TOLS, ids=repr)
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_bad_tol_is_rejected(self, entry, tol):
+        with pytest.raises(q.InvalidArgumentError, match="tol must be finite"):
+            self.ENTRY_POINTS[entry](tol)
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_default_tol_still_works(self, entry):
+        self.ENTRY_POINTS[entry](1e-10)

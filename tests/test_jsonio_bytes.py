@@ -15,17 +15,10 @@ import pytest
 import qschmidt as q
 from qschmidt import jsonio
 from qschmidt.cli import main
+from helpers import FAMILIES
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
-FAMILIES = (
-    ("pp", None, None), ("pe", None, "diagonal"), ("pe", None, "nondiagonal"),
-    ("ep", None, None), ("ee", None, "diagonal"), ("ee", None, "nondiagonal"),
-    ("ppp", None, None), ("ppe", 1, None), ("ppe", 2, None), ("ppe", 3, None),
-    ("pppp", None, None), ("ppee", 1, None), ("ppee", 2, None),
-    ("ppee", 3, None), ("pm", None, None), ("pmee", None, None),
-    ("mmee", None, "diagonal"), ("mmee", None, "nondiagonal"),
-)
 SEEDS = (0, 7, 2024)
 COUNT = 20
 
