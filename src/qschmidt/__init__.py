@@ -2,6 +2,8 @@
 two-qubit states, with an independent eigensolver route for verification,
 spectral mixed-state building, and a JSON command-line front end."""
 
+from importlib import import_module as _import_module
+
 from .core import (
     DEFAULT_TOL,
     KET0,
@@ -44,6 +46,7 @@ from .errors import (
     NotPPPError,
     NotUnitaryError,
     QuantumStateError,
+    RejectionLimitError,
     UnknownTypeError,
     ZeroParameterError,
     ZeroVectorError,
@@ -55,51 +58,81 @@ from .schmidt import (
     schmidt_diagonal,
     schmidt_nondiagonal,
 )
-from .pairs import (
-    A_SIDE,
-    B_SIDE,
-    OrthoPair,
-    construct_ee_diagonal,
-    construct_ee_nondiagonal,
-    construct_ep,
-    construct_pe_diagonal,
-    construct_pe_nondiagonal,
-    construct_pp,
-)
-from .triples import (
-    OrthoTriple,
-    construct_ppe_case1,
-    construct_ppe_case2,
-    construct_ppe_case3,
-    construct_ppp,
-    orthonormal_qubit_basis,
-)
-from .bases import (
-    OrthoBasis,
-    complete_ppp,
-    construct_mmee_diagonal,
-    construct_mmee_nondiagonal,
-    construct_pm,
-    construct_pmee,
-    construct_ppee_case1,
-    construct_ppee_case2,
-    construct_ppee_case3,
-    construct_pppp,
-)
-from .oracle import (
-    SampleSpec,
-    SplitMix64,
-    StateReport,
-    VerificationReport,
-    classify,
-    oracle_schmidt,
-    random_qubit,
-    random_qubit_basis,
-    random_state,
-    random_unitary,
-    sample,
-    verify_set,
-)
-from .mixed import reduce_a, reduce_b, spectral_mix
+
+# Every other public name, by the submodule that defines it.  Those modules
+# load on first access (PEP 562), so a process pays only for the parts it
+# uses; the command line relies on this to keep each verb's start-up small.
+_EXPORTS = {
+    "pairs": (
+        "A_SIDE",
+        "B_SIDE",
+        "OrthoPair",
+        "construct_ee_diagonal",
+        "construct_ee_nondiagonal",
+        "construct_ep",
+        "construct_pe_diagonal",
+        "construct_pe_nondiagonal",
+        "construct_pp",
+    ),
+    "triples": (
+        "OrthoTriple",
+        "construct_ppe_case1",
+        "construct_ppe_case2",
+        "construct_ppe_case3",
+        "construct_ppp",
+        "orthonormal_qubit_basis",
+    ),
+    "bases": (
+        "OrthoBasis",
+        "complete_ppp",
+        "construct_mmee_diagonal",
+        "construct_mmee_nondiagonal",
+        "construct_pm",
+        "construct_pmee",
+        "construct_ppee_case1",
+        "construct_ppee_case2",
+        "construct_ppee_case3",
+        "construct_pppp",
+    ),
+    "oracle": (
+        "StateReport",
+        "VerificationReport",
+        "classify",
+        "oracle_schmidt",
+        "verify_set",
+    ),
+    "sampling": (
+        "SampleSpec",
+        "SplitMix64",
+        "random_qubit",
+        "random_qubit_basis",
+        "random_state",
+        "random_unitary",
+        "sample",
+    ),
+    "mixed": ("reduce_a", "reduce_b", "spectral_mix"),
+}
+_LAZY = {name: module for module, names in _EXPORTS.items() for name in names}
+
+# The eager names bound above (the submodules ``core`` and ``errors`` among
+# them, as the import system binds them), then the lazy names and modules.
+__all__ = [name for name in globals() if not name.startswith("_")]
+__all__ += [*_LAZY, *_EXPORTS]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return _import_module("." + name, __name__)
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module("." + module, __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
 
 __version__ = "0.1.0"

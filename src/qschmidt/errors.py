@@ -97,3 +97,8 @@ class InvalidArgumentError(QuantumStateError):
     """An argument lies outside its allowed values: a tolerance that is not
     finite and positive, a state without 4 amplitudes, a set of other than
     1..4 states, a sample count below 1, or a sign other than +1 or -1."""
+
+
+class RejectionLimitError(QuantumStateError):
+    """A rejection sampler discarded its maximum number of draws in a row
+    without producing an admissible parameter set."""

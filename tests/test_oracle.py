@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qschmidt as q
+from qschmidt import sampling
 from helpers import (
     GOLD_DIAG,
     GOLD_NONDIAG,
@@ -171,3 +172,32 @@ class TestSample:
         obj = q.sample(q.SampleSpec("pm", seed=2, count=1))[0]
         assert len(states_of(obj)) == 2
         assert q.classify(states_of(obj), refine_m=True) == "PM"
+
+    @pytest.mark.parametrize("family, draw", [
+        ("ee-nondiagonal", sampling._sample_ee_nondiagonal),
+        ("mmee-nondiagonal", sampling._sample_mmee_nondiagonal),
+    ])
+    def test_rejection_loop_is_capped(self, family, draw):
+        rng = _RejectingRng()
+        with pytest.raises(q.RejectionLimitError, match=family):
+            draw(rng, q.DEFAULT_TOL)
+        assert rng.draws == sampling._MAX_DRAWS
+
+
+class _RejectingRng:
+    """Stands in for `SplitMix64` with draws both nondiagonal rejection
+    samplers reject: all simplex weight on the last coordinate zeroes the
+    first parameter (and, for ee, the second), so no draw is admissible."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def uniform(self):
+        return 0.5
+
+    def angle(self):
+        return 0.0
+
+    def simplex(self, k, floor=0.01):
+        self.draws += 1  # one simplex per draw in both samplers
+        return [0.0] * (k - 1) + [1.0]

@@ -1,0 +1,144 @@
+"""What importing the package and running one CLI verb loads, and the public
+names the package keeps while most of it loads on first use.
+
+Each check runs in a fresh interpreter, because this test process has long
+since imported every module.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qschmidt as q
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+
+# Every public name `import qschmidt` bound before its submodules loaded
+# lazily (the names `from qschmidt import *` bound, submodules included).
+PUBLIC_NAMES = (
+    "A_SIDE", "AccidentallyDiagonalError", "B_SIDE", "BadWeightsError",
+    "COutOfRangeError", "ConditionViolatedError", "DEFAULT_TOL",
+    "DegenerateParametersError", "DiagonalError", "GammaOutOfRangeError",
+    "InvalidArgumentError", "InvalidDensityError", "KET0", "KET1", "MINUS",
+    "NotDiagonalError", "NotFiniteError", "NotNormalizedError",
+    "NotOrthogonalError", "NotOrthonormalBasisError", "NotPPPError",
+    "NotUnitaryError", "OrthoBasis", "OrthoPair", "OrthoTriple", "PHI_MINUS",
+    "PHI_PLUS", "PLUS", "PSI_MINUS", "PSI_PLUS", "QuantumStateError",
+    "SampleSpec", "SchmidtDecomposition", "SplitMix64", "StateReport",
+    "UnknownTypeError", "VERIFY_TOL", "VerificationReport",
+    "ZeroParameterError", "ZeroVectorError", "apply_local", "bases",
+    "classify", "coefficient_matrix", "complete_ppp", "concurrence",
+    "construct_ee_diagonal", "construct_ee_nondiagonal", "construct_ep",
+    "construct_mmee_diagonal", "construct_mmee_nondiagonal",
+    "construct_pe_diagonal", "construct_pe_nondiagonal", "construct_pm",
+    "construct_pmee", "construct_pp", "construct_ppe_case1",
+    "construct_ppe_case2", "construct_ppe_case3", "construct_ppee_case1",
+    "construct_ppee_case2", "construct_ppee_case3", "construct_ppp",
+    "construct_pppp", "core", "errors", "gram", "gram_offdiagonal", "inner",
+    "is_diagonal", "is_unitary", "make_qubit", "make_state", "mixed",
+    "oracle", "oracle_schmidt", "orthogonal_complement",
+    "orthonormal_qubit_basis", "pairs", "random_qubit", "random_qubit_basis",
+    "random_state", "random_unitary", "reconstruct", "reduce_a", "reduce_b",
+    "sample", "schmidt", "schmidt_diagonal", "schmidt_nondiagonal",
+    "spectral_mix", "tensor", "triples", "verify_set",
+)
+
+BASE_MODULES = ["cli", "core", "errors", "jsonio", "schmidt"]
+
+# The package modules each golden call's verb adds to `import qschmidt.cli`.
+VERB_MODULES = {
+    "decompose": [],
+    "construct": ["bases", "pairs", "triples"],
+    "verify": ["oracle"],
+    "classify": ["oracle"],
+    "mix": ["mixed"],
+    "sample": ["bases", "pairs", "sampling", "triples"],
+}
+
+VERB_PROBE = """
+import contextlib, io, json, sys
+import qschmidt, qschmidt.cli
+
+def loaded():
+    return {m[len("qschmidt."):] for m in sys.modules
+            if m.startswith("qschmidt.")}
+
+before = loaded()
+argv, stdin = json.loads(sys.argv[1])
+sys.stdin = io.StringIO(stdin)
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = qschmidt.cli.main(argv)
+print(json.dumps({"before": sorted(before),
+                  "added": sorted(loaded() - before), "exit": code}))
+"""
+
+SURFACE_PROBE = """
+import json, sys, types
+import qschmidt as q
+
+names = json.loads(sys.argv[1])
+not_in_dir = sorted(set(names) - set(dir(q)))  # before any name resolves
+unresolved = [n for n in names if not hasattr(q, n)]
+star = {}
+exec("from qschmidt import *", star)
+not_star_bound = [n for n in names if n not in star]
+submodules = [m for key, m in sys.modules.items() if key.startswith("qschmidt.")]
+not_same = []
+for n in names:
+    value = getattr(q, n)
+    if isinstance(value, types.ModuleType):
+        same = value is sys.modules["qschmidt." + n]
+    else:
+        binders = [m for m in submodules if n in vars(m)]
+        same = bool(binders) and all(vars(m)[n] is value for m in binders)
+    if not same or star.get(n) is not value:
+        not_same.append(n)
+print(json.dumps({"unresolved": unresolved, "not_in_dir": not_in_dir,
+                  "not_star_bound": not_star_bound, "not_same": not_same}))
+"""
+
+
+def fresh(code: str, *args: str) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    p = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                       text=True, env=env, cwd=ROOT, timeout=120)
+    assert p.returncode == 0, p.stderr
+    return json.loads(p.stdout)
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: e["name"])
+def test_each_verb_loads_only_its_modules(entry):
+    got = fresh(VERB_PROBE, json.dumps([entry["argv"], entry["stdin"]]))
+    assert got["exit"] == entry["exit"]
+    assert got["before"] == BASE_MODULES
+    assert got["added"] == VERB_MODULES[entry["argv"][0]]
+
+
+def test_public_names_resolve_lazily():
+    got = fresh(SURFACE_PROBE, json.dumps(PUBLIC_NAMES))
+    assert got == {"unresolved": [], "not_in_dir": [], "not_star_bound": [],
+                   "not_same": []}
+
+
+def test_schmidt_stays_the_function_after_submodule_imports():
+    got = fresh(
+        "import json, sys\n"
+        "import qschmidt.schmidt, qschmidt.cli, qschmidt.sampling\n"
+        "import qschmidt\n"
+        "print(json.dumps(qschmidt.schmidt is "
+        "sys.modules['qschmidt.schmidt'].schmidt))\n")
+    assert got is True
+
+
+def test_unknown_attribute_raises_attribute_error():
+    assert not hasattr(q, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        q.no_such_name
