@@ -22,58 +22,72 @@ from .errors import QuantumStateError
 from .schmidt import schmidt
 
 
+_TOL = ("--tol", {"type": float, "default": DEFAULT_TOL})
+_CASE = ("--case", {"type": int, "choices": [1, 2, 3]})
+_VARIANT = ("--variant",
+            {"choices": ["diagonal", "nondiagonal", "a-side", "b-side"]})
+
+# Each verb's help line and its arguments, in the order --help lists them.
+_VERBS = {
+    "decompose": ("Schmidt-decompose a state", [
+        ("--state", {"required": True, "help": "state as JSON: "
+                     "[[re,im],[re,im],[re,im],[re,im]]"}),
+        _TOL,
+        ("--strict", {"action": "store_true",
+                      "help": "reject input whose norm is off by more than "
+                              "1e-10 instead of normalizing"}),
+    ]),
+    "construct": ("construct an orthogonal set", [
+        ("--type", {"required": True, "dest": "set_type",
+                    "choices": ["pp", "pe", "ep", "ee", "ppp", "ppe", "pppp",
+                                "ppee", "pm", "pmee", "mmee"]}),
+        _CASE,
+        _VARIANT,
+        ("--params", {"required": True,
+                      "help": "constructor parameters as JSON"}),
+        _TOL,
+        ("--strict", {"action": "store_true"}),
+    ]),
+    "verify": ("verify a set of 1..4 states", [
+        ("--set", {"dest": "set_json", "help": "states as JSON (defaults to "
+                   "stdin; accepts construct output)"}),
+        _TOL,
+    ]),
+    "classify": ("label a set of states", [
+        ("--set", {"dest": "set_json"}),
+        ("--refine-m", {"action": "store_true", "help": "label maximally "
+                        "entangled members M instead of E"}),
+        _TOL,
+    ]),
+    "sample": ("draw seeded random sets of one type", [
+        ("--type", {"required": True, "dest": "set_type"}),
+        _CASE,
+        _VARIANT,
+        ("--seed", {"type": int, "default": 0}),
+        ("--count", {"type": int, "default": 1}),
+        _TOL,
+    ]),
+    "mix": ("spectrally mix orthogonal states", [
+        ("--set", {"dest": "set_json"}),
+        ("--weights", {"required": True,
+                       "help": "positive weights as JSON"}),
+        ("--reduce", {"choices": ["a", "b"],
+                      "help": "also trace out the other subsystem"}),
+        _TOL,
+    ]),
+}
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qschmidt",
         description="Schmidt decompositions and orthogonal-set construction "
                     "for two-qubit states (JSON in, JSON out).")
     sub = p.add_subparsers(dest="verb", required=True)
-
-    d = sub.add_parser("decompose", help="Schmidt-decompose a state")
-    d.add_argument("--state", required=True,
-                   help="state as JSON: [[re,im],[re,im],[re,im],[re,im]]")
-    d.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    d.add_argument("--strict", action="store_true",
-                   help="reject input whose norm is off by more than 1e-10 "
-                        "instead of normalizing")
-
-    c = sub.add_parser("construct", help="construct an orthogonal set")
-    c.add_argument("--type", required=True, dest="set_type",
-                   choices=["pp", "pe", "ep", "ee", "ppp", "ppe", "pppp",
-                            "ppee", "pm", "pmee", "mmee"])
-    c.add_argument("--case", type=int, choices=[1, 2, 3])
-    c.add_argument("--variant",
-                   choices=["diagonal", "nondiagonal", "a-side", "b-side"])
-    c.add_argument("--params", required=True, help="constructor parameters as JSON")
-    c.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    c.add_argument("--strict", action="store_true")
-
-    v = sub.add_parser("verify", help="verify a set of 1..4 states")
-    v.add_argument("--set", dest="set_json",
-                   help="states as JSON (defaults to stdin; accepts construct output)")
-    v.add_argument("--tol", type=float, default=DEFAULT_TOL)
-
-    k = sub.add_parser("classify", help="label a set of states")
-    k.add_argument("--set", dest="set_json")
-    k.add_argument("--refine-m", action="store_true",
-                   help="label maximally entangled members M instead of E")
-    k.add_argument("--tol", type=float, default=DEFAULT_TOL)
-
-    s = sub.add_parser("sample", help="draw seeded random sets of one type")
-    s.add_argument("--type", required=True, dest="set_type")
-    s.add_argument("--case", type=int, choices=[1, 2, 3])
-    s.add_argument("--variant",
-                   choices=["diagonal", "nondiagonal", "a-side", "b-side"])
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--count", type=int, default=1)
-    s.add_argument("--tol", type=float, default=DEFAULT_TOL)
-
-    m = sub.add_parser("mix", help="spectrally mix orthogonal states")
-    m.add_argument("--set", dest="set_json")
-    m.add_argument("--weights", required=True, help="positive weights as JSON")
-    m.add_argument("--reduce", choices=["a", "b"],
-                   help="also trace out the other subsystem")
-    m.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    for verb, (help_, arguments) in _VERBS.items():
+        v = sub.add_parser(verb, help=help_)
+        for flag, kwargs in arguments:
+            v.add_argument(flag, **kwargs)
     return p
 
 

@@ -85,8 +85,8 @@ class BadWeightsError(QuantumStateError):
 
 
 class InvalidDensityError(QuantumStateError):
-    """A matrix passed as a density matrix fails the Hermiticity, trace or
-    positivity checks."""
+    """A matrix passed as a density matrix is not 4x4 or fails the
+    finiteness, Hermiticity, trace or positivity checks."""
 
 
 class UnknownTypeError(QuantumStateError):

@@ -5,24 +5,42 @@ of mutually orthogonal pure projectors; its eigenvalues are then exactly
 the mixing weights.  Reductions to either subsystem follow by partial
 trace, and for a pure projector the reduced eigenvalues are the squared
 Schmidt coefficients of the state.
+
+The partial traces take a 4x4 density matrix (any array-like that numpy
+reads as complex) that is finite, Hermitian within 1e-12 (largest
+``|rho[i, j] - conj(rho[j, i])|``), of trace 1 within 1e-12 (real and
+imaginary parts), and has no eigenvalue below -1e-12; each violation raises
+`InvalidDensityError`, checked in that order.  Positivity is certified by an
+LDL^H factorization of ``rho + (1e-12 - 1e-14) I``; only when a pivot is not
+positive does ``np.linalg.eigvalsh`` decide.  The certificate accepts only
+matrices whose ``eigvalsh`` spectrum starts at -1e-12 or above, so the
+verdict is the one ``eigvalsh`` alone would give.
 """
 
 from __future__ import annotations
 
 import math
+from cmath import isfinite
 
 import numpy as np
 
 from .core import DEFAULT_TOL, _dot, _norm, amplitudes, check_tol
-from .errors import BadWeightsError, InvalidDensityError, NotOrthogonalError
+from .errors import (
+    BadWeightsError,
+    InvalidDensityError,
+    NotNormalizedError,
+    NotOrthogonalError,
+)
 
 
 def spectral_mix(states, weights, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Density matrix sum_i w_i |s_i><s_i| from orthogonal unit states.
 
     Weights must be strictly positive (a zero weight silently drops rank,
-    which is treated as caller error) and sum to 1 within 1e-12; states
-    must be pairwise orthogonal within ``tol``.
+    which is treated as caller error) and sum to 1 within 1e-12
+    (`BadWeightsError`); states must have unit norm within 1e-10
+    (`NotNormalizedError`) and be pairwise orthogonal within ``tol``
+    (`NotOrthogonalError`).
     """
     tol = check_tol(tol)
     if len(states) == 0:
@@ -41,7 +59,7 @@ def spectral_mix(states, weights, *, tol: float = DEFAULT_TOL) -> np.ndarray:
         a = amplitudes(s)
         nrm = _norm(a)
         if abs(nrm - 1.0) > 1e-10:
-            raise NotOrthogonalError(f"states[{i}] has norm {nrm!r}")
+            raise NotNormalizedError(f"states[{i}] has norm {nrm!r}")
         amps.append(a)
     for i in range(len(amps)):
         for j in range(i + 1, len(amps)):
@@ -55,29 +73,89 @@ def spectral_mix(states, weights, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     return np.add.reduce(terms, axis=0, initial=0.0)
 
 
-def _check_density(rho, dim: int) -> np.ndarray:
+# The positivity certificate factors rho + _SHIFT * I.  Success proves every
+# eigenvalue of rho exceeds -1e-12, with 1e-14 to spare for rounding.
+_SHIFT = 1e-12 - 1e-14
+
+
+def _certified_positive(rows) -> bool:
+    """True when an LDL^H factorization of the lower triangle of
+    ``rows + _SHIFT * I`` has only positive pivots.
+
+    That is the Hermitian matrix `np.linalg.eigvalsh` reads (lower triangle,
+    real diagonal).  LDL^H is backward stable (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, Thm 10.3): positive computed pivots
+    prove the shifted matrix positive definite up to a perturbation of a few
+    ulps of its diagonal, which positive pivots and the trace check before
+    this one bound by 1 + 4e-12, far below the margin in `_SHIFT`.  A False
+    is no verdict; each pivot test is ``not d > 0.0``, so nan or overflow
+    also returns False.
+    """
+    (a00, _, _, _), (a10, a11, _, _), (a20, a21, a22, _), \
+        (a30, a31, a32, a33) = rows
+    a00 = a00.real + _SHIFT
+    if not a00 > 0.0:
+        return False
+    b1, b2, b3 = a10 / a00, a20 / a00, a30 / a00
+    a11 = a11.real + _SHIFT - (b1 * a10.conjugate()).real
+    a21 -= b2 * a10.conjugate()
+    a31 -= b3 * a10.conjugate()
+    a22 = a22.real + _SHIFT - (b2 * a20.conjugate()).real
+    a32 -= b3 * a20.conjugate()
+    a33 = a33.real + _SHIFT - (b3 * a30.conjugate()).real
+    if not a11 > 0.0:
+        return False
+    b2, b3 = a21 / a11, a31 / a11
+    a22 -= (b2 * a21.conjugate()).real
+    a32 -= b3 * a21.conjugate()
+    a33 -= (b3 * a31.conjugate()).real
+    if not a22 > 0.0:
+        return False
+    a33 -= (a32 / a22 * a32.conjugate()).real
+    return a33 > 0.0
+
+
+def _check_density(rho) -> list:
+    """Rows of ``rho`` as lists of Python complex, once it passes the density
+    contract in the module docstring; each check raises
+    `InvalidDensityError` in that order."""
     m = np.asarray(rho, dtype=complex)
-    if m.shape != (dim, dim):
-        raise InvalidDensityError(f"expected a {dim}x{dim} matrix, got {m.shape}")
-    if not np.isfinite(m).all():
+    if m.shape != (4, 4):
+        raise InvalidDensityError(f"expected a 4x4 matrix, got {m.shape}")
+    r0, r1, r2, r3 = rows = m.tolist()
+    if not all(map(isfinite, r0 + r1 + r2 + r3)):
         raise InvalidDensityError("density matrix has non-finite entries")
-    if np.abs(m - m.conj().T).max() > 1e-12:
+    # |m[i, j] - conj(m[j, i])| is the same at (i, j) and (j, i), so the
+    # upper triangle with the diagonal holds the largest of the 16 residuals.
+    # abs() is libm's hypot, which can differ from numpy's SIMD complex
+    # absolute in the last ulp.
+    if max(abs(r0[0] - r0[0].conjugate()), abs(r0[1] - r1[0].conjugate()),
+           abs(r0[2] - r2[0].conjugate()), abs(r0[3] - r3[0].conjugate()),
+           abs(r1[1] - r1[1].conjugate()), abs(r1[2] - r2[1].conjugate()),
+           abs(r1[3] - r3[1].conjugate()), abs(r2[2] - r2[2].conjugate()),
+           abs(r2[3] - r3[2].conjugate()),
+           abs(r3[3] - r3[3].conjugate())) > 1e-12:
         raise InvalidDensityError("density matrix is not Hermitian within 1e-12")
-    tr = complex(m.trace())
+    # numpy 2.4.6 sums the trace of a 4x4 complex matrix in this grouping.
+    # Other numpy builds may group differently, which can move a unit-scale
+    # trace by one ulp at the +-1e-12 bound.
+    tr = (r0[0] + r1[1]) + (r2[2] + r3[3])
     if abs(tr.real - 1.0) > 1e-12 or abs(tr.imag) > 1e-12:
         raise InvalidDensityError("density matrix trace is not 1 within 1e-12")
-    if np.linalg.eigvalsh(m)[0] < -1e-12:
+    if not _certified_positive(rows) and np.linalg.eigvalsh(m)[0] < -1e-12:
         raise InvalidDensityError("density matrix has an eigenvalue below -1e-12")
-    return m
+    return rows
 
 
 def reduce_a(rho) -> np.ndarray:
     """Partial trace over subsystem B, leaving the 2x2 state of A."""
-    m = _check_density(rho, 4)
-    return m[0::2, 0::2] + m[1::2, 1::2]
+    r0, r1, r2, r3 = _check_density(rho)
+    return np.array([[r0[0] + r1[1], r0[2] + r1[3]],
+                     [r2[0] + r3[1], r2[2] + r3[3]]])
 
 
 def reduce_b(rho) -> np.ndarray:
     """Partial trace over subsystem A, leaving the 2x2 state of B."""
-    m = _check_density(rho, 4)
-    return m[:2, :2] + m[2:, 2:]
+    r0, r1, r2, r3 = _check_density(rho)
+    return np.array([[r0[0] + r2[2], r0[1] + r2[3]],
+                     [r1[0] + r3[2], r1[1] + r3[3]]])

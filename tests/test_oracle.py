@@ -183,6 +183,15 @@ class TestSample:
             draw(rng, q.DEFAULT_TOL)
         assert rng.draws == sampling._MAX_DRAWS
 
+    def test_simplex_with_unreachable_floor_raises(self):
+        rng = q.SplitMix64(5)
+        with pytest.raises(q.RejectionLimitError, match=r"simplex\(3, 0\.4\)"):
+            rng.simplex(3, 0.4)  # three weights of at least 0.4 sum past 1
+        ref = q.SplitMix64(5)
+        for _ in range(3 * sampling._MAX_DRAWS):
+            ref.next_u64()
+        assert rng.state == ref.state
+
 
 class _RejectingRng:
     """Stands in for `SplitMix64` with draws both nondiagonal rejection
