@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, _KET00, _KET11, _checked_complex, _dot, _norm,
-                   concurrence)
+from .core import (DEFAULT_TOL, _KET00, _KET01, _KET10, _KET11, _checked_complex,
+                   _dot, _norm, concurrence)
 from .errors import (
     AccidentallyDiagonalError,
     ConditionViolatedError,
@@ -26,12 +26,11 @@ from .errors import (
     NotPPPError,
     ZeroParameterError,
 )
-from .pairs import A_SIDE, OrthoPair, _check_variant, _require_nonzero, _rescale
+from .pairs import A_SIDE, OrthoPair, _gamma_first, _require_nonzero, _rescale
 from .schmidt import _wrap, schmidt, schmidt_diagonal
-from .triples import OrthoTriple, construct_ppe_case2, construct_ppe_case3, orthonormal_qubit_basis
+from .triples import (OrthoTriple, construct_ppe_case2, construct_ppe_case3,
+                      construct_ppp)
 
-_KET01 = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
-_KET10 = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
 _SQRT_HALF = math.sqrt(0.5)
 
 
@@ -76,34 +75,17 @@ def _split_roots(total: float, product_neg: float) -> tuple[float, float]:
 
 def construct_pppp(variant: str, basis, *, strict: bool = False,
                    tol: float = DEFAULT_TOL) -> OrthoBasis:
-    """All-product orthonormal basis from |00> and a qubit basis.
-
-    The a-side variant is (|00>, basis0 (x) |1>, basis1 (x) |1>, |10>); the
-    b-side variant mirrors it with the roles of the subsystems swapped.
-    """
-    _check_variant(variant)
-    v0, v1 = orthonormal_qubit_basis(basis, strict=strict)
-    if variant == A_SIDE:
-        states = [
-            _KET00.copy(),
-            np.array([0.0, v0[0], 0.0, v0[1]], dtype=complex),
-            np.array([0.0, v1[0], 0.0, v1[1]], dtype=complex),
-            _KET10.copy(),
-        ]
-    else:
-        states = [
-            _KET00.copy(),
-            np.array([0.0, 0.0, v0[0], v0[1]], dtype=complex),
-            np.array([0.0, 0.0, v1[0], v1[1]], dtype=complex),
-            _KET01.copy(),
-        ]
+    """All-product orthonormal basis: the PPP triple of :func:`construct_ppp`
+    completed by |10> (a-side variant) or |01> (b-side variant)."""
+    triple = construct_ppp(variant, basis, strict=strict, tol=tol)
+    states = [*triple.states, (_KET10 if variant == A_SIDE else _KET01).copy()]
     return OrthoBasis(
         states=states,
         type_label="PPPP",
-        schmidt_all=[schmidt(s, tol) for s in states],
+        schmidt_all=[schmidt(states[0], tol), schmidt(states[1], tol),
+                     triple.schmidt_third, schmidt(states[3], tol)],
         variant=variant,
-        params={"basis": [(complex(v0[0]), complex(v0[1])),
-                          (complex(v1[0]), complex(v1[1]))]},
+        params=triple.params,
     )
 
 
@@ -266,6 +248,13 @@ def construct_ppee_case3(a, b, c, d, *, strict: bool = False,
     )
 
 
+def _pm_second(theta: float, theta_prime: float) -> np.ndarray:
+    """(e^{i theta}|01> + e^{i theta'}|10>)/sqrt(2), the second member of the
+    PM pair and of the PMEE and MMEE bases."""
+    return np.array([0.0, cmath.exp(1j * theta) * _SQRT_HALF,
+                     cmath.exp(1j * theta_prime) * _SQRT_HALF, 0.0])
+
+
 def construct_pm(theta: float, theta_prime: float, *,
                  tol: float = DEFAULT_TOL) -> OrthoPair:
     """Pair (|00>, (e^{i theta}|01> + e^{i theta'}|10>)/sqrt(2)).
@@ -275,12 +264,7 @@ def construct_pm(theta: float, theta_prime: float, *,
     """
     theta = float(theta)
     theta_prime = float(theta_prime)
-    second = np.array([
-        0.0,
-        cmath.exp(1j * theta) * _SQRT_HALF,
-        cmath.exp(1j * theta_prime) * _SQRT_HALF,
-        0.0,
-    ])
+    second = _pm_second(theta, theta_prime)
     return OrthoPair(
         first=_KET00.copy(),
         second=second,
@@ -375,17 +359,6 @@ def _mmee_prepare(theta, theta_prime, a, b, strict, what):
     return theta, theta_prime, a, b, delta, ph_half, ph_full, entangled, d_real
 
 
-def _mmee_first_second(theta, theta_prime):
-    first = np.array([_SQRT_HALF, 0.0, 0.0, _SQRT_HALF], dtype=complex)
-    second = np.array([
-        0.0,
-        cmath.exp(1j * theta) * _SQRT_HALF,
-        cmath.exp(1j * theta_prime) * _SQRT_HALF,
-        0.0,
-    ])
-    return first, second
-
-
 def construct_mmee_diagonal(theta: float, theta_prime: float, a, b, *,
                             strict: bool = False,
                             tol: float = DEFAULT_TOL) -> OrthoBasis:
@@ -413,7 +386,8 @@ def construct_mmee_diagonal(theta: float, theta_prime: float, a, b, *,
     third = np.array([a, b, -ph_full * b, -a])
     fourth = np.array([b.conjugate(), -a.conjugate(),
                        ph_full * a.conjugate(), -b.conjugate()])
-    first, second = _mmee_first_second(theta, theta_prime)
+    # math.sqrt(0.5) entries, one ulp above those of PHI_PLUS.
+    first, second = _gamma_first(0.5), _pm_second(theta, theta_prime)
     states = [first, second, third, fourth]
     return OrthoBasis(
         states=states,
@@ -476,7 +450,8 @@ def construct_mmee_nondiagonal(theta: float, theta_prime: float, a, b, *,
     astar1 = (alpha1[0].conjugate(), alpha1[1].conjugate())
     fourth = _tensor_rows(tau0, tau1, bstar0, bstar1, astar0, astar1)
 
-    first, second = _mmee_first_second(theta, theta_prime)
+    # math.sqrt(0.5) entries, one ulp above those of PHI_PLUS.
+    first, second = _gamma_first(0.5), _pm_second(theta, theta_prime)
     states = [first, second, third, fourth]
     dec3 = _wrap(((tau0, tau1), (alpha0, alpha1), (beta0, beta1), False))
     dec4 = _wrap(((tau0, tau1), (bstar0, bstar1), (astar0, astar1), False))

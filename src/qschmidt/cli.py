@@ -23,6 +23,7 @@ from .schmidt import schmidt
 
 
 _TOL = ("--tol", {"type": float, "default": DEFAULT_TOL})
+_TYPE = ("--type", {"required": True, "dest": "set_type"})
 _CASE = ("--case", {"type": int, "choices": [1, 2, 3]})
 _VARIANT = ("--variant",
             {"choices": ["diagonal", "nondiagonal", "a-side", "b-side"]})
@@ -38,9 +39,7 @@ _VERBS = {
                               "1e-10 instead of normalizing"}),
     ]),
     "construct": ("construct an orthogonal set", [
-        ("--type", {"required": True, "dest": "set_type",
-                    "choices": ["pp", "pe", "ep", "ee", "ppp", "ppe", "pppp",
-                                "ppee", "pm", "pmee", "mmee"]}),
+        _TYPE,
         _CASE,
         _VARIANT,
         ("--params", {"required": True,
@@ -60,7 +59,7 @@ _VERBS = {
         _TOL,
     ]),
     "sample": ("draw seeded random sets of one type", [
-        ("--type", {"required": True, "dest": "set_type"}),
+        _TYPE,
         _CASE,
         _VARIANT,
         ("--seed", {"type": int, "default": 0}),
@@ -103,129 +102,44 @@ def _set_input(args):
     return _load_json(text, "--set")
 
 
-def _get_complex(params: dict, key: str) -> complex:
-    if key not in params:
-        raise QuantumStateError(f"params missing required key {key!r}")
-    return jsonio.pair_to_complex(params[key])
-
-
-def _get_real(params: dict, key: str) -> float:
-    if key not in params:
-        raise QuantumStateError(f"params missing required key {key!r}")
-    value = params[key]
-    if not isinstance(value, (int, float)):
-        raise QuantumStateError(f"params[{key!r}] must be a real number")
-    return float(value)
-
-
-def _get_basis(params: dict):
-    if "basis" not in params:
-        raise QuantumStateError("params missing required key 'basis'")
-    basis = params["basis"]
-    if not isinstance(basis, (list, tuple)) or len(basis) != 2:
-        raise QuantumStateError("params['basis'] must hold two qubit vectors")
-    return [jsonio.qubit_from_obj(v) for v in basis]
-
-
-def _need(value, flag: str, why: str):
-    if value is None:
-        raise QuantumStateError(f"{flag} is required {why}")
-    return value
+def _param(params: dict, name: str, kind: str):
+    """``params[name]`` parsed as a constructor argument of ``kind`` (see
+    `sampling.Family`); a missing sign is '+'."""
+    if kind == "sign":
+        sign = params.get(name, "+")
+        if sign in ("+", 1, "+1"):
+            return 1
+        if sign in ("-", -1, "-1"):
+            return -1
+        raise QuantumStateError(f"params[{name!r}] must be '+' or '-', got {sign!r}")
+    if name not in params:
+        raise QuantumStateError(f"params missing required key {name!r}")
+    value = params[name]
+    if kind == "complex":
+        return jsonio.pair_to_complex(value)
+    if kind == "qubit":
+        return jsonio.qubit_from_obj(value)
+    if kind == "real":
+        if not isinstance(value, (int, float)):
+            raise QuantumStateError(f"params[{name!r}] must be a real number")
+        return float(value)
+    if not isinstance(value, (list, tuple)) or len(value) != 2:  # basis
+        raise QuantumStateError(f"params[{name!r}] must hold two qubit vectors")
+    return [jsonio.qubit_from_obj(v) for v in value]
 
 
 def _construct(args):
-    from . import bases, pairs, triples
+    from . import sampling
 
     params = _load_json(args.params, "--params")
     if not isinstance(params, dict):
         raise QuantumStateError("--params must be a JSON object")
-    t = args.set_type
-    variant = args.variant
-    case = args.case
-    tol = args.tol
-    strict = args.strict
-    if t == "pp":
-        if "single" not in params:
-            raise QuantumStateError("params missing required key 'single'")
-        obj = pairs.construct_pp(
-            _need(variant, "--variant", "for type pp (a-side or b-side)"),
-            jsonio.qubit_from_obj(params["single"]), strict=strict, tol=tol)
-    elif t == "pe":
-        _need(variant, "--variant", "for type pe (diagonal or nondiagonal)")
-        if variant == "diagonal":
-            obj = pairs.construct_pe_diagonal(
-                _get_complex(params, "a"), _get_complex(params, "b"),
-                strict=strict, tol=tol)
-        else:
-            obj = pairs.construct_pe_nondiagonal(
-                _get_complex(params, "a"), _get_complex(params, "b"),
-                _get_complex(params, "c"), strict=strict, tol=tol)
-    elif t == "ep":
-        sign = params.get("sign", "+")
-        if sign in ("+", 1, "+1"):
-            sign = 1
-        elif sign in ("-", -1, "-1"):
-            sign = -1
-        else:
-            raise QuantumStateError(f"params['sign'] must be '+' or '-', got {sign!r}")
-        obj = pairs.construct_ep(
-            _get_real(params, "gamma"), _get_complex(params, "a"),
-            _get_complex(params, "b"), sign, tol=tol)
-    elif t == "ee":
-        _need(variant, "--variant", "for type ee (diagonal or nondiagonal)")
-        ctor = pairs.construct_ee_diagonal if variant == "diagonal" \
-            else pairs.construct_ee_nondiagonal
-        obj = ctor(_get_real(params, "gamma"), _get_complex(params, "a"),
-                   _get_complex(params, "b"), _get_complex(params, "c"),
-                   strict=strict, tol=tol)
-    elif t == "ppp":
-        obj = triples.construct_ppp(
-            _need(variant, "--variant", "for type ppp"), _get_basis(params),
-            strict=strict, tol=tol)
-    elif t == "ppe":
-        case = _need(case, "--case", "for type ppe")
-        if case == 1:
-            obj = triples.construct_ppe_case1(
-                _get_complex(params, "c"), _get_complex(params, "d"),
-                strict=strict, tol=tol)
-        else:
-            ctor = triples.construct_ppe_case2 if case == 2 \
-                else triples.construct_ppe_case3
-            obj = ctor(_get_complex(params, "a"), _get_complex(params, "b"),
-                       _get_complex(params, "c"), _get_complex(params, "d"),
-                       strict=strict, tol=tol)
-    elif t == "pppp":
-        obj = bases.construct_pppp(
-            _need(variant, "--variant", "for type pppp"), _get_basis(params),
-            strict=strict, tol=tol)
-    elif t == "ppee":
-        case = _need(case, "--case", "for type ppee")
-        if case == 1:
-            obj = bases.construct_ppee_case1(
-                _get_complex(params, "a"), _get_complex(params, "b"),
-                strict=strict, tol=tol)
-        else:
-            ctor = bases.construct_ppee_case2 if case == 2 \
-                else bases.construct_ppee_case3
-            obj = ctor(_get_complex(params, "a"), _get_complex(params, "b"),
-                       _get_complex(params, "c"), _get_complex(params, "d"),
-                       strict=strict, tol=tol)
-    elif t == "pm":
-        obj = bases.construct_pm(_get_real(params, "theta"),
-                                 _get_real(params, "theta_prime"), tol=tol)
-    elif t == "pmee":
-        obj = bases.construct_pmee(
-            _get_real(params, "theta"), _get_real(params, "theta_prime"),
-            _get_real(params, "theta_dprime"), _get_complex(params, "c"),
-            tol=tol)
-    else:  # mmee
-        _need(variant, "--variant", "for type mmee (diagonal or nondiagonal)")
-        ctor = bases.construct_mmee_diagonal if variant == "diagonal" \
-            else bases.construct_mmee_nondiagonal
-        obj = ctor(_get_real(params, "theta"), _get_real(params, "theta_prime"),
-                   _get_complex(params, "a"), _get_complex(params, "b"),
-                   strict=strict, tol=tol)
-    return jsonio.set_to_obj(obj)
+    family = sampling.family(args.set_type, args.case, args.variant)
+    # A side (a-side or b-side) is the one argument --variant carries.
+    values = [args.variant if kind == "side" else _param(params, name, kind)
+              for name, kind in family.params]
+    strict = {"strict": args.strict} if family.strict else {}
+    return jsonio.set_to_obj(family.construct(*values, tol=args.tol, **strict))
 
 
 def main(argv=None) -> int:

@@ -41,6 +41,8 @@ MINUS = np.array([1.0 + 0.0j, -1.0 + 0.0j]) / math.sqrt(2.0)
 
 # Constructors hand out copies of these.
 _KET00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+_KET01 = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+_KET10 = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
 _KET11 = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
 
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -63,6 +65,17 @@ def _checked_complex(value, name: str) -> complex:
     if not isfinite(z):
         raise NotFiniteError(f"{name} must be finite, got {value!r}")
     return z
+
+
+def _checked_norm(nrm2: float, zero_message: str) -> float:
+    """The norm whose square of finite amplitudes is ``nrm2``.  Raises
+    `ZeroVectorError` below the zero floor and `NotFiniteError` when the
+    square overflowed, which would otherwise scale the vector to zero."""
+    if nrm2 <= _ZERO_FLOOR:
+        raise ZeroVectorError(zero_message)
+    if nrm2 == math.inf:
+        raise NotFiniteError("squared norm overflows: amplitudes too large")
+    return math.sqrt(nrm2)
 
 
 def amplitudes(state) -> tuple[complex, complex, complex, complex]:
@@ -101,10 +114,8 @@ def make_state(c00, c01, c10, c11, normalize: bool = False) -> np.ndarray:
     """
     c = [_checked_complex(v, n) for v, n in
          zip((c00, c01, c10, c11), ("c00", "c01", "c10", "c11"))]
-    nrm2 = sum(z.real * z.real + z.imag * z.imag for z in c)
-    if nrm2 <= _ZERO_FLOOR:
-        raise ZeroVectorError("all four amplitudes are zero")
-    nrm = math.sqrt(nrm2)
+    nrm = _checked_norm(sum(z.real * z.real + z.imag * z.imag for z in c),
+                        "all four amplitudes are zero")
     if not normalize and abs(nrm - 1.0) > 1e-10:
         raise NotNormalizedError(
             f"state norm is {nrm!r}; pass normalize=True to rescale")
@@ -115,10 +126,9 @@ def make_qubit(v0, v1, normalize: bool = False) -> np.ndarray:
     """Build a unit-norm single-qubit vector from two amplitudes."""
     a = _checked_complex(v0, "v0")
     b = _checked_complex(v1, "v1")
-    nrm2 = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
-    if nrm2 <= _ZERO_FLOOR:
-        raise ZeroVectorError("both amplitudes are zero")
-    nrm = math.sqrt(nrm2)
+    nrm = _checked_norm(
+        a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag,
+        "both amplitudes are zero")
     if not normalize and abs(nrm - 1.0) > 1e-10:
         raise NotNormalizedError(
             f"vector norm is {nrm!r}; pass normalize=True to rescale")

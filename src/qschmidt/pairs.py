@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_TOL, _KET00, _ZERO_FLOOR, _checked_complex, tensor
+from .core import (DEFAULT_TOL, _KET00, _ZERO_FLOOR, _checked_complex,
+                   _checked_norm, tensor)
 from .errors import (
     AccidentallyDiagonalError,
     ConditionViolatedError,
@@ -81,13 +82,19 @@ def _check_variant(variant: str) -> str:
 def _as_unit_qubit(v, strict: bool, name: str) -> np.ndarray:
     a = _checked_complex(v[0], name + "[0]")
     b = _checked_complex(v[1], name + "[1]")
-    nrm2 = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
-    if nrm2 <= _ZERO_FLOOR:
-        raise ZeroVectorError(f"{name} is the zero vector")
-    nrm = math.sqrt(nrm2)
+    nrm = _checked_norm(
+        a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag,
+        f"{name} is the zero vector")
     if strict and abs(nrm - 1.0) > 1e-10:
         raise NotNormalizedError(f"{name} has norm {nrm!r} (strict mode)")
     return np.array([a / nrm, b / nrm])
+
+
+def _gamma_first(gamma: float) -> np.ndarray:
+    """sqrt(gamma)|00> + sqrt(1-gamma)|11>, the first member of the EP and
+    EE pairs (and, at gamma = 1/2, of the MMEE bases)."""
+    return np.array([math.sqrt(gamma), 0.0, 0.0, math.sqrt(1.0 - gamma)],
+                    dtype=complex)
 
 
 def construct_pp(variant: str, single, *, strict: bool = False,
@@ -198,10 +205,8 @@ def construct_ep(gamma: float, a, b, sign: int = 1, *,
     if na <= 1e-150 or nb <= 1e-150:
         raise DegenerateParametersError("constructed factor has zero norm")
     second = tensor(factor_a / na, factor_b / nb)
-    first = np.array([math.sqrt(gamma), 0.0, 0.0, math.sqrt(1.0 - gamma)],
-                     dtype=complex)
     return OrthoPair(
-        first=first,
+        first=_gamma_first(gamma),
         second=second,
         type_label="EP",
         schmidt_second=schmidt(second, tol),
@@ -258,10 +263,8 @@ def construct_ee_diagonal(gamma: float, a, b, c, *, strict: bool = False,
         raise ConditionViolatedError(
             "diagonal", f"diagonality residual {abs(diagonal)!r} exceeds {tol!r}")
     second = _ee_second(gamma, a, b, c)
-    first = np.array([math.sqrt(gamma), 0.0, 0.0, math.sqrt(1.0 - gamma)],
-                     dtype=complex)
     return OrthoPair(
-        first=first,
+        first=_gamma_first(gamma),
         second=second,
         type_label="EE",
         schmidt_second=schmidt_diagonal(second, tol, check=False),
@@ -288,10 +291,8 @@ def construct_ee_nondiagonal(gamma: float, a, b, c, *, strict: bool = False,
             "parameters satisfy the diagonal condition; "
             "use construct_ee_diagonal")
     second = _ee_second(gamma, a, b, c)
-    first = np.array([math.sqrt(gamma), 0.0, 0.0, math.sqrt(1.0 - gamma)],
-                     dtype=complex)
     return OrthoPair(
-        first=first,
+        first=_gamma_first(gamma),
         second=second,
         type_label="EE",
         schmidt_second=schmidt_nondiagonal(second, tol),

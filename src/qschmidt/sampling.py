@@ -1,4 +1,8 @@
-"""Seeded random samplers.
+"""Seeded random samplers and the table of constructible families.
+
+`FAMILIES` lists the 18 constructible (type, case, variant) families once:
+each entry holds the constructor, its parameter schema and a draw of its
+arguments.  `sample` and the CLI's ``construct`` verb both select from it.
 
 `sample` draws constructor parameters uniformly on each constructor's
 constraint manifold from a splitmix64 stream.  The integer stream is
@@ -12,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -174,34 +179,29 @@ def _complex_from(rng: SplitMix64, mag2: float) -> complex:
     return complex(r * math.cos(t), r * math.sin(t))
 
 
-def _sample_pp(rng, tol):
-    variant = A_SIDE if rng.sign() > 0 else B_SIDE
-    return construct_pp(variant, random_qubit(rng), tol=tol)
+def _draw_side(rng: SplitMix64) -> str:
+    return A_SIDE if rng.sign() > 0 else B_SIDE
 
 
-def _sample_pe_diagonal(rng, tol):
-    w = rng.simplex(2)
-    return construct_pe_diagonal(_complex_from(rng, w[0]),
-                                 _complex_from(rng, w[1]), tol=tol)
+def _draw_gamma(rng: SplitMix64) -> float:
+    return 1e-3 + (1.0 - 2e-3) * rng.uniform()
 
 
-def _sample_pe_nondiagonal(rng, tol):
-    w = rng.simplex(3)
-    return construct_pe_nondiagonal(_complex_from(rng, w[0]),
-                                    _complex_from(rng, w[1]),
-                                    _complex_from(rng, w[2]), tol=tol)
+def _draw_unit(rng: SplitMix64, k: int = 2) -> tuple:
+    """k complex numbers whose squared magnitudes lie on the k-simplex."""
+    return tuple(_complex_from(rng, w) for w in rng.simplex(k))
 
 
-def _sample_ep(rng, tol):
-    gamma = 1e-3 + (1.0 - 2e-3) * rng.uniform()
-    w = rng.simplex(2)
-    a = _complex_from(rng, w[0])
-    b = _complex_from(rng, w[1])
-    return construct_ep(gamma, a, b, rng.sign(), tol=tol)
+def _draw_two_units(rng: SplitMix64) -> tuple:
+    return _draw_unit(rng) + _draw_unit(rng)
 
 
-def _sample_ee_diagonal(rng, tol):
-    gamma = 1e-3 + (1.0 - 2e-3) * rng.uniform()
+def _draw_side_basis(rng: SplitMix64) -> tuple:
+    return _draw_side(rng), random_qubit_basis(rng)
+
+
+def _draw_ee_diagonal(rng: SplitMix64) -> tuple:
+    gamma = _draw_gamma(rng)
     w = rng.simplex(2)
     a = _complex_from(rng, w[0] * (1.0 - gamma))
     c = _complex_from(rng, w[1] * (1.0 - gamma))
@@ -209,12 +209,12 @@ def _sample_ee_diagonal(rng, tol):
     # entanglement then hold automatically.
     phase_a2 = (a / abs(a)) ** 2
     b = math.sqrt(gamma / (1.0 - gamma)) * phase_a2 * c.conjugate()
-    return construct_ee_diagonal(gamma, a, b, c, tol=tol)
+    return gamma, a, b, c
 
 
-def _sample_ee_nondiagonal(rng, tol):
+def _draw_ee_nondiagonal(rng: SplitMix64) -> tuple:
     for _ in range(_MAX_DRAWS):
-        gamma = 1e-3 + (1.0 - 2e-3) * rng.uniform()
+        gamma = _draw_gamma(rng)
         w = rng.simplex(3)
         a = _complex_from(rng, w[0] * (1.0 - gamma))
         b = _complex_from(rng, w[1])
@@ -225,64 +225,19 @@ def _sample_ee_nondiagonal(rng, tol):
             continue
         if abs(sg * a * c.conjugate() - s1g * a.conjugate() * b) < 1e-2:
             continue
-        return construct_ee_nondiagonal(gamma, a, b, c, tol=tol)
+        return gamma, a, b, c
     raise _rejected("ee-nondiagonal")
 
 
-def _sample_ppp(rng, tol):
-    variant = A_SIDE if rng.sign() > 0 else B_SIDE
-    return construct_ppp(variant, random_qubit_basis(rng), tol=tol)
-
-
-def _sample_ppe(rng, tol, case_id):
-    if case_id == 1:
-        w = rng.simplex(2)
-        return construct_ppe_case1(_complex_from(rng, w[0]),
-                                   _complex_from(rng, w[1]), tol=tol)
-    w = rng.simplex(2)
-    a = _complex_from(rng, w[0])
-    b = _complex_from(rng, w[1])
-    w = rng.simplex(2)
-    c = _complex_from(rng, w[0])
-    d = _complex_from(rng, w[1])
-    ctor = construct_ppe_case2 if case_id == 2 else construct_ppe_case3
-    return ctor(a, b, c, d, tol=tol)
-
-
-def _sample_pppp(rng, tol):
-    variant = A_SIDE if rng.sign() > 0 else B_SIDE
-    return construct_pppp(variant, random_qubit_basis(rng), tol=tol)
-
-
-def _sample_ppee(rng, tol, case_id):
-    if case_id == 1:
-        w = rng.simplex(2)
-        return construct_ppee_case1(_complex_from(rng, w[0]),
-                                    _complex_from(rng, w[1]), tol=tol)
-    w = rng.simplex(2)
-    a = _complex_from(rng, w[0])
-    b = _complex_from(rng, w[1])
-    w = rng.simplex(2)
-    c = _complex_from(rng, w[0])
-    d = _complex_from(rng, w[1])
-    ctor = construct_ppee_case2 if case_id == 2 else construct_ppee_case3
-    return ctor(a, b, c, d, tol=tol)
-
-
-def _sample_pm(rng, tol):
-    return construct_pm(rng.angle(), rng.angle(), tol=tol)
-
-
-def _sample_pmee(rng, tol):
+def _draw_pmee(rng: SplitMix64) -> tuple:
     theta = rng.angle()
     theta_prime = rng.angle()
     theta_dprime = rng.angle()
     mag2 = 0.005 + 0.49 * rng.uniform()
-    return construct_pmee(theta, theta_prime, theta_dprime,
-                          _complex_from(rng, mag2), tol=tol)
+    return theta, theta_prime, theta_dprime, _complex_from(rng, mag2)
 
 
-def _sample_mmee_diagonal(rng, tol):
+def _draw_mmee_diagonal(rng: SplitMix64) -> tuple:
     theta = rng.angle()
     theta_prime = rng.angle()
     w = rng.simplex(2)
@@ -294,10 +249,10 @@ def _sample_mmee_diagonal(rng, tol):
     phi_b = phi_a - 0.5 * (theta_prime - theta) + rng.sign() * 0.5 * math.pi
     a = complex(ra * math.cos(phi_a), ra * math.sin(phi_a))
     b = complex(rb * math.cos(phi_b), rb * math.sin(phi_b))
-    return construct_mmee_diagonal(theta, theta_prime, a, b, tol=tol)
+    return theta, theta_prime, a, b
 
 
-def _sample_mmee_nondiagonal(rng, tol):
+def _draw_mmee_nondiagonal(rng: SplitMix64) -> tuple:
     for _ in range(_MAX_DRAWS):
         theta = rng.angle()
         theta_prime = rng.angle()
@@ -312,70 +267,120 @@ def _sample_mmee_nondiagonal(rng, tol):
             continue
         if big_e < 1e-2:
             continue
-        return construct_mmee_nondiagonal(theta, theta_prime, a, b, tol=tol)
+        return theta, theta_prime, a, b
     raise _rejected("mmee-nondiagonal")
+
+
+class Family(NamedTuple):
+    """One constructible family.
+
+    ``params`` names the constructor's arguments in order as (name, kind)
+    pairs; a kind is ``complex``, ``real``, ``qubit``, ``basis``, ``sign``
+    or ``side`` (a-side or b-side, which the CLI reads from ``--variant``).
+    ``strict`` says whether the constructor takes ``strict``; ``draw``
+    returns seeded constructor arguments from a `SplitMix64`.
+    """
+
+    construct: Callable
+    params: tuple
+    strict: bool
+    draw: Callable
+
+
+def _complex(*names: str) -> tuple:
+    return tuple((name, "complex") for name in names)
+
+
+_AB = _complex("a", "b")
+_ABCD = _complex("a", "b", "c", "d")
+_GAMMA_ABC = (("gamma", "real"), *_complex("a", "b", "c"))
+_THETAS = (("theta", "real"), ("theta_prime", "real"))
+_SIDE_BASIS = (("variant", "side"), ("basis", "basis"))
+
+#: Every constructible family by (type, case, variant), in a fixed order.
+#: `sample` and the CLI's ``construct`` both select from this table.
+FAMILIES = {
+    ("pp", None, None): Family(
+        construct_pp, (("variant", "side"), ("single", "qubit")), True,
+        lambda rng: (_draw_side(rng), random_qubit(rng))),
+    ("pe", None, "diagonal"): Family(
+        construct_pe_diagonal, _AB, True, _draw_unit),
+    ("pe", None, "nondiagonal"): Family(
+        construct_pe_nondiagonal, _complex("a", "b", "c"), True,
+        lambda rng: _draw_unit(rng, 3)),
+    ("ep", None, None): Family(
+        construct_ep, (("gamma", "real"), *_AB, ("sign", "sign")), False,
+        lambda rng: (_draw_gamma(rng), *_draw_unit(rng), rng.sign())),
+    ("ee", None, "diagonal"): Family(
+        construct_ee_diagonal, _GAMMA_ABC, True, _draw_ee_diagonal),
+    ("ee", None, "nondiagonal"): Family(
+        construct_ee_nondiagonal, _GAMMA_ABC, True, _draw_ee_nondiagonal),
+    ("ppp", None, None): Family(
+        construct_ppp, _SIDE_BASIS, True, _draw_side_basis),
+    ("ppe", 1, None): Family(
+        construct_ppe_case1, _complex("c", "d"), True, _draw_unit),
+    ("ppe", 2, None): Family(
+        construct_ppe_case2, _ABCD, True, _draw_two_units),
+    ("ppe", 3, None): Family(
+        construct_ppe_case3, _ABCD, True, _draw_two_units),
+    ("pppp", None, None): Family(
+        construct_pppp, _SIDE_BASIS, True, _draw_side_basis),
+    ("ppee", 1, None): Family(
+        construct_ppee_case1, _AB, True, _draw_unit),
+    ("ppee", 2, None): Family(
+        construct_ppee_case2, _ABCD, True, _draw_two_units),
+    ("ppee", 3, None): Family(
+        construct_ppee_case3, _ABCD, True, _draw_two_units),
+    ("pm", None, None): Family(
+        construct_pm, _THETAS, False, lambda rng: (rng.angle(), rng.angle())),
+    ("pmee", None, None): Family(
+        construct_pmee, (*_THETAS, ("theta_dprime", "real"), *_complex("c")),
+        False, _draw_pmee),
+    ("mmee", None, "diagonal"): Family(
+        construct_mmee_diagonal, (*_THETAS, *_AB), True, _draw_mmee_diagonal),
+    ("mmee", None, "nondiagonal"): Family(
+        construct_mmee_nondiagonal, (*_THETAS, *_AB), True,
+        _draw_mmee_nondiagonal),
+}
+
+
+def family(set_type: str, case_id=None, variant=None) -> Family:
+    """The `FAMILIES` entry a (type, case, variant) request selects.
+
+    Type and variant are matched without case or surrounding blanks, and a
+    case or variant the type does not use is ignored.  Raises
+    :class:`UnknownTypeError` for any other request; in particular a PPPE
+    basis cannot exist, so asking for one is an error.
+    """
+    t = set_type.strip().lower()
+    v = variant.strip().lower() if variant else None
+    for key in ((t, None, None), (t, case_id, None), (t, None, v)):
+        if key in FAMILIES:
+            return FAMILIES[key]
+    if t == "pppe":
+        raise UnknownTypeError(
+            "no PPPE basis exists: completing three orthonormal product "
+            "states always yields a fourth product state")
+    keys = [key for key in FAMILIES if key[0] == t]
+    if not keys:
+        raise UnknownTypeError(f"unknown set type {set_type!r}")
+    if keys[0][1] is not None:
+        raise UnknownTypeError(
+            f"type {t!r} needs case_id in {tuple(k[1] for k in keys)}, "
+            f"got {case_id!r}")
+    raise UnknownTypeError(
+        f"type {t!r} needs variant in {sorted(k[2] for k in keys)}, "
+        f"got {variant!r}")
 
 
 def sample(spec: SampleSpec, tol: float = DEFAULT_TOL) -> list:
     """Draw ``spec.count`` constructed sets, deterministically from the seed.
 
-    Raises :class:`UnknownTypeError` for unknown or impossible requests; in
-    particular a PPPE basis cannot exist, so asking for one is an error.
+    Raises :class:`UnknownTypeError` for a request `family` refuses.
     """
     tol = check_tol(tol)
     if spec.count < 1:
         raise InvalidArgumentError(f"count must be >= 1, got {spec.count!r}")
-    set_type = spec.set_type.strip().lower()
-    variant = spec.variant.strip().lower() if spec.variant else None
-    case_id = spec.case_id
-
-    if set_type == "pppe":
-        raise UnknownTypeError(
-            "no PPPE basis exists: completing three orthonormal product "
-            "states always yields a fourth product state")
-
-    def need_variant(options):
-        if variant not in options:
-            raise UnknownTypeError(
-                f"type {set_type!r} needs variant in {sorted(options)}, "
-                f"got {spec.variant!r}")
-
-    def need_case():
-        if case_id not in (1, 2, 3):
-            raise UnknownTypeError(
-                f"type {set_type!r} needs case_id in (1, 2, 3), got {case_id!r}")
-
+    f = family(spec.set_type, spec.case_id, spec.variant)
     rng = SplitMix64(spec.seed)
-    if set_type == "pp":
-        draw = lambda: _sample_pp(rng, tol)
-    elif set_type == "pe":
-        need_variant({"diagonal", "nondiagonal"})
-        draw = (lambda: _sample_pe_diagonal(rng, tol)) if variant == "diagonal" \
-            else (lambda: _sample_pe_nondiagonal(rng, tol))
-    elif set_type == "ep":
-        draw = lambda: _sample_ep(rng, tol)
-    elif set_type == "ee":
-        need_variant({"diagonal", "nondiagonal"})
-        draw = (lambda: _sample_ee_diagonal(rng, tol)) if variant == "diagonal" \
-            else (lambda: _sample_ee_nondiagonal(rng, tol))
-    elif set_type == "ppp":
-        draw = lambda: _sample_ppp(rng, tol)
-    elif set_type == "ppe":
-        need_case()
-        draw = lambda: _sample_ppe(rng, tol, case_id)
-    elif set_type == "pppp":
-        draw = lambda: _sample_pppp(rng, tol)
-    elif set_type == "ppee":
-        need_case()
-        draw = lambda: _sample_ppee(rng, tol, case_id)
-    elif set_type == "pm":
-        draw = lambda: _sample_pm(rng, tol)
-    elif set_type == "pmee":
-        draw = lambda: _sample_pmee(rng, tol)
-    elif set_type == "mmee":
-        need_variant({"diagonal", "nondiagonal"})
-        draw = (lambda: _sample_mmee_diagonal(rng, tol)) if variant == "diagonal" \
-            else (lambda: _sample_mmee_nondiagonal(rng, tol))
-    else:
-        raise UnknownTypeError(f"unknown set type {spec.set_type!r}")
-    return [draw() for _ in range(spec.count)]
+    return [f.construct(*f.draw(rng), tol=tol) for _ in range(spec.count)]

@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 import qschmidt as q
+from qschmidt import sampling
 
 SQ2 = math.sqrt(2.0)
 R12 = 1.0 / SQ2
@@ -29,14 +30,7 @@ KET10 = np.array([0, 0, 1, 0], dtype=complex)
 KET11 = np.array([0, 0, 0, 1], dtype=complex)
 
 # The 18 constructible (type, case, variant) families.
-FAMILIES = (
-    ("pp", None, None), ("pe", None, "diagonal"), ("pe", None, "nondiagonal"),
-    ("ep", None, None), ("ee", None, "diagonal"), ("ee", None, "nondiagonal"),
-    ("ppp", None, None), ("ppe", 1, None), ("ppe", 2, None), ("ppe", 3, None),
-    ("pppp", None, None), ("ppee", 1, None), ("ppee", 2, None),
-    ("ppee", 3, None), ("pm", None, None), ("pmee", None, None),
-    ("mmee", None, "diagonal"), ("mmee", None, "nondiagonal"),
-)
+FAMILIES = tuple(sampling.FAMILIES)
 
 
 def states_of(obj):

@@ -8,7 +8,7 @@ import pytest
 import qschmidt as q
 from qschmidt.cli import main
 from qschmidt import jsonio
-from helpers import GOLD_PE, KET00, R12
+from helpers import FAMILIES, GOLD_PE, KET00, R12
 
 
 def run(capsys, *argv):
@@ -212,6 +212,7 @@ class TestUsageErrors:
 
 _STATE = "[[0.5,0],[0.5,0],[0.5,0],[0.5,0]]"
 _FIVE_STATES = "[" + ",".join([_STATE] * 5) + "]"
+_AB = '{"a":[0.6,0],"b":[0.8,0]}'
 
 
 class TestDomainErrorsNotTracebacks:
@@ -232,14 +233,51 @@ class TestDomainErrorsNotTracebacks:
         (["classify", "--tol=-1e-10", "--set", "[" + _STATE + "]"],
          "InvalidArgumentError"),
         (["sample", "--type", "pm", "--tol", "inf"], "InvalidArgumentError"),
+        (["construct", "--type", "qqq", "--params", _AB], "UnknownTypeError"),
+        (["construct", "--type", "pe", "--params", _AB], "UnknownTypeError"),
+        (["construct", "--type", "ppe", "--params", _AB], "UnknownTypeError"),
+        (["construct", "--type", "pppe", "--params", _AB], "UnknownTypeError"),
+        (["construct", "--type", "pe", "--variant", "a-side", "--params", _AB],
+         "UnknownTypeError"),
+        (["decompose", "--state", "[[1e200,0],[0,0],[0,0],[1e200,0]]"],
+         "NotFiniteError"),
     ], ids=["count-0", "count-negative", "verify-5-states", "classify-5-states",
             "pp-diagonal-variant", "decompose-tol-nan", "verify-tol-nan",
-            "tol-zero", "tol-negative", "tol-inf"])
+            "tol-zero", "tol-negative", "tol-inf", "construct-unknown-type",
+            "construct-pe-no-variant", "construct-ppe-no-case",
+            "construct-pppe", "construct-pe-side-variant",
+            "decompose-norm-overflow"])
     def test_exit_1_with_error_json(self, capsys, argv, error):
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("set_type,case_id,variant", FAMILIES)
+def test_sample_params_construct_again(capsys, set_type, case_id, variant):
+    """The params, case and variant that `sample` prints rebuild a valid set
+    through `construct`: both verbs read one family table."""
+    selectors = ["--type", set_type]
+    if case_id is not None:
+        selectors += ["--case", str(case_id)]
+    if variant is not None:
+        selectors += ["--variant", variant]
+    for seed in range(20):
+        code, out, err = run(capsys, "sample", *selectors, "--seed", str(seed),
+                             "--count", "3")
+        assert code == 0, err
+        for item in json.loads(out):
+            argv = ["construct", "--type", set_type,
+                    "--params", json.dumps(item["params"])]
+            if "case" in item:
+                argv += ["--case", str(item["case"])]
+            if "variant" in item:
+                argv += ["--variant", item["variant"]]
+            code, out2, err = run(capsys, *argv)
+            assert code == 0, (argv, err)
+            states = jsonio.states_from_obj(json.loads(out2))
+            assert q.verify_set(states).passed, argv
 
 
 class TestJsonRoundTrip:

@@ -56,6 +56,16 @@ class TestMakeState:
             q.make_state(float("nan"), 0, 0, 0, normalize=True)
         with pytest.raises(q.NotFiniteError):
             q.make_state(complex(0, float("inf")), 1, 0, 0, normalize=True)
+        # Finite amplitudes whose squared norm overflows, which would
+        # otherwise scale the vector to zero.
+        for build in (
+                lambda: q.make_state(1e200, 1e200, 0, 1e200, normalize=True),
+                lambda: q.make_state(1e200, 0, 0, 0),
+                lambda: q.make_qubit(1e200, 1e200j, normalize=True),
+                lambda: q.construct_pp(q.A_SIDE, [1e200, 0]),
+                lambda: q.orthonormal_qubit_basis([[0, 1e200], [1, 0]])):
+            with pytest.raises(q.NotFiniteError, match="overflows"):
+                build()
 
 
 class TestInner:

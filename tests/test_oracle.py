@@ -174,13 +174,14 @@ class TestSample:
         assert q.classify(states_of(obj), refine_m=True) == "PM"
 
     @pytest.mark.parametrize("family, draw", [
-        ("ee-nondiagonal", sampling._sample_ee_nondiagonal),
-        ("mmee-nondiagonal", sampling._sample_mmee_nondiagonal),
+        ("ee-nondiagonal", sampling.FAMILIES["ee", None, "nondiagonal"].draw),
+        ("mmee-nondiagonal",
+         sampling.FAMILIES["mmee", None, "nondiagonal"].draw),
     ])
     def test_rejection_loop_is_capped(self, family, draw):
         rng = _RejectingRng()
         with pytest.raises(q.RejectionLimitError, match=family):
-            draw(rng, q.DEFAULT_TOL)
+            draw(rng)
         assert rng.draws == sampling._MAX_DRAWS
 
     def test_simplex_with_unreachable_floor_raises(self):

@@ -53,7 +53,7 @@ BASE_MODULES = ["cli", "core", "errors", "jsonio", "schmidt"]
 # The package modules each golden call's verb adds to `import qschmidt.cli`.
 VERB_MODULES = {
     "decompose": [],
-    "construct": ["bases", "pairs", "triples"],
+    "construct": ["bases", "pairs", "sampling", "triples"],
     "verify": ["oracle"],
     "classify": ["oracle"],
     "mix": ["mixed"],
