@@ -4,30 +4,6 @@ spectral mixed-state building, and a JSON command-line front end."""
 
 from importlib import import_module as _import_module
 
-from .core import (
-    DEFAULT_TOL,
-    KET0,
-    KET1,
-    MINUS,
-    PHI_MINUS,
-    PHI_PLUS,
-    PLUS,
-    PSI_MINUS,
-    PSI_PLUS,
-    VERIFY_TOL,
-    apply_local,
-    concurrence,
-    coefficient_matrix,
-    gram,
-    gram_offdiagonal,
-    inner,
-    is_diagonal,
-    is_unitary,
-    make_qubit,
-    make_state,
-    orthogonal_complement,
-    tensor,
-)
 from .errors import (
     AccidentallyDiagonalError,
     BadWeightsError,
@@ -51,6 +27,7 @@ from .errors import (
     ZeroParameterError,
     ZeroVectorError,
 )
+from .scalar import DEFAULT_TOL, VERIFY_TOL
 from .schmidt import (
     SchmidtDecomposition,
     reconstruct,
@@ -62,7 +39,30 @@ from .schmidt import (
 # Every other public name, by the submodule that defines it.  Those modules
 # load on first access (PEP 562), so a process pays only for the parts it
 # uses; the command line relies on this to keep each verb's start-up small.
+# The eager imports above do not load numpy; every module below does.
 _EXPORTS = {
+    "core": (
+        "KET0",
+        "KET1",
+        "MINUS",
+        "PHI_MINUS",
+        "PHI_PLUS",
+        "PLUS",
+        "PSI_MINUS",
+        "PSI_PLUS",
+        "apply_local",
+        "coefficient_matrix",
+        "concurrence",
+        "gram",
+        "gram_offdiagonal",
+        "inner",
+        "is_diagonal",
+        "is_unitary",
+        "make_qubit",
+        "make_state",
+        "orthogonal_complement",
+        "tensor",
+    ),
     "pairs": (
         "A_SIDE",
         "B_SIDE",
@@ -114,8 +114,9 @@ _EXPORTS = {
 }
 _LAZY = {name: module for module, names in _EXPORTS.items() for name in names}
 
-# The eager names bound above (the submodules ``core`` and ``errors`` among
-# them, as the import system binds them), then the lazy names and modules.
+# The eager names bound above (the submodules ``errors`` and ``scalar``
+# among them, as the import system binds them), then the lazy names and
+# modules.
 __all__ = [name for name in globals() if not name.startswith("_")]
 __all__ += [*_LAZY, *_EXPORTS]
 

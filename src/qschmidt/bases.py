@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, _KET00, _KET01, _KET10, _KET11, _checked_complex,
-                   _dot, _norm, concurrence)
+from .core import _KET00, _KET01, _KET10, _KET11, concurrence
 from .errors import (
     AccidentallyDiagonalError,
     ConditionViolatedError,
@@ -27,6 +26,7 @@ from .errors import (
     ZeroParameterError,
 )
 from .pairs import A_SIDE, OrthoPair, _gamma_first, _require_nonzero, _rescale
+from .scalar import DEFAULT_TOL, _checked_complex, _dot, _norm
 from .schmidt import _wrap, schmidt, schmidt_diagonal
 from .triples import (OrthoTriple, construct_ppe_case2, construct_ppe_case3,
                       construct_ppp)

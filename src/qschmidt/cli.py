@@ -6,7 +6,9 @@ conventions on stdin/stdout: ``decompose``, ``construct``, ``verify``,
 error (error JSON on stderr), 2 usage error.
 
 Each verb imports the modules it needs when it runs, so one call loads
-only its own verb's part of the package.
+only its own verb's part of the package.  ``decompose``, ``verify``,
+``classify`` and a refused ``sample`` or ``construct`` of a PPPE basis
+never import numpy.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import json
 import sys
 
 from . import jsonio
-from .core import DEFAULT_TOL, check_tol
-from .errors import QuantumStateError
-from .schmidt import schmidt
+from .errors import QuantumStateError, refuse_pppe
+from .scalar import DEFAULT_TOL, check_tol
+from .schmidt import _parts
 
 
 _TOL = ("--tol", {"type": float, "default": DEFAULT_TOL})
@@ -129,11 +131,12 @@ def _param(params: dict, name: str, kind: str):
 
 
 def _construct(args):
-    from . import sampling
-
     params = _load_json(args.params, "--params")
     if not isinstance(params, dict):
         raise QuantumStateError("--params must be a JSON object")
+    refuse_pppe(args.set_type)
+    from . import sampling
+
     family = sampling.family(args.set_type, args.case, args.variant)
     # A side (a-side or b-side) is the one argument --variant carries.
     values = [args.variant if kind == "side" else _param(params, name, kind)
@@ -149,7 +152,7 @@ def main(argv=None) -> int:
         if args.verb == "decompose":
             state = jsonio.state_from_obj(
                 _load_json(args.state, "--state"), normalize=not args.strict)
-            payload = jsonio.schmidt_to_obj(schmidt(state, args.tol))
+            payload = jsonio.parts_to_obj(_parts(*state, args.tol))
         elif args.verb == "construct":
             payload = _construct(args)
         elif args.verb == "verify":
@@ -164,6 +167,7 @@ def main(argv=None) -> int:
             payload = {"pattern": oracle.classify(states, args.tol,
                                                   refine_m=args.refine_m)}
         elif args.verb == "sample":
+            refuse_pppe(args.set_type)
             from . import sampling
 
             spec = sampling.SampleSpec(
@@ -202,13 +206,16 @@ def entry() -> int:
     """Process entry point of ``python -m qschmidt`` and the installed
     ``qschmidt`` command.
 
-    It freezes the garbage collector's view of everything imported so far
-    (numpy and the package), so the full collections that interpreter
-    shutdown runs skip that heap.  `main` never freezes: tests and
+    It freezes the garbage collector's view of everything imported so far,
+    so full collections skip that heap, and freezes again after `main`,
+    whose verb may have imported numpy, so the collections that interpreter
+    shutdown runs skip that heap too.  `main` never freezes: tests and
     benchmarks call it in-process.
     """
     gc.freeze()
-    return main()
+    code = main()
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":

@@ -7,32 +7,33 @@ matrix is ``[[c00, c01], [c10, c11]]`` (rows indexed by A, columns by B).
 
 All functions are pure: inputs are never mutated and identical inputs yield
 bit-identical outputs.
+
+Importing this module imports numpy: the named states and every function
+that returns an array need it.  The tolerances, `check_tol` and
+`amplitudes` live in the numpy-free `scalar` module and are re-exported
+here as the same objects.
 """
 
 from __future__ import annotations
 
 import math
-from cmath import isfinite
 
 import numpy as np
 
-from .errors import (
-    InvalidArgumentError,
-    NotFiniteError,
-    NotNormalizedError,
-    NotUnitaryError,
-    ZeroVectorError,
+from .errors import NotNormalizedError, NotUnitaryError
+from .scalar import (  # noqa: F401  (re-exported)
+    DEFAULT_TOL,
+    VERIFY_TOL,
+    _ZERO_FLOOR,
+    _checked_complex,
+    _checked_norm,
+    _dot,
+    _norm,
+    _unit,
+    amplitudes,
+    check_tol,
+    unit_state,
 )
-
-#: Classification tolerance: product/entangled/maximal labels, diagonality
-#: dispatch, and constructor admissibility checks.
-DEFAULT_TOL = 1e-10
-
-#: Verification tolerance: orthonormality, reconstruction, cross-checks.
-VERIFY_TOL = 1e-12
-
-# Below this squared norm a vector is treated as exactly zero.
-_ZERO_FLOOR = 1e-300
 
 KET0 = np.array([1.0 + 0.0j, 0.0 + 0.0j])
 KET1 = np.array([0.0 + 0.0j, 1.0 + 0.0j])
@@ -51,60 +52,6 @@ PSI_PLUS = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 
 
-def check_tol(tol) -> float:
-    """Return ``tol`` as a float when it is finite and positive; raise
-    :class:`InvalidArgumentError` otherwise."""
-    tol = float(tol)
-    if not 0.0 < tol < math.inf:
-        raise InvalidArgumentError(f"tol must be finite and positive, got {tol!r}")
-    return tol
-
-
-def _checked_complex(value, name: str) -> complex:
-    z = complex(value)
-    if not isfinite(z):
-        raise NotFiniteError(f"{name} must be finite, got {value!r}")
-    return z
-
-
-def _checked_norm(nrm2: float, zero_message: str) -> float:
-    """The norm whose square of finite amplitudes is ``nrm2``.  Raises
-    `ZeroVectorError` below the zero floor and `NotFiniteError` when the
-    square overflowed, which would otherwise scale the vector to zero."""
-    if nrm2 <= _ZERO_FLOOR:
-        raise ZeroVectorError(zero_message)
-    if nrm2 == math.inf:
-        raise NotFiniteError("squared norm overflows: amplitudes too large")
-    return math.sqrt(nrm2)
-
-
-def amplitudes(state) -> tuple[complex, complex, complex, complex]:
-    """Return the four amplitudes of ``state`` as finite Python complex numbers.
-
-    A 1-D ndarray of four entries is read with one ``tolist`` call.  Any
-    other input, and an array whose entries fail to convert or are not all
-    finite, takes the per-element path, so the errors and their messages
-    are the same for every input type.
-    """
-    if type(state) is np.ndarray and state.shape == (4,):
-        try:
-            c00, c01, c10, c11 = map(complex, state.tolist())
-        except (TypeError, ValueError, OverflowError):
-            pass
-        else:
-            if isfinite(c00) and isfinite(c01) and isfinite(c10) \
-                    and isfinite(c11):
-                return c00, c01, c10, c11
-    if len(state) != 4:
-        raise InvalidArgumentError(
-            f"a two-qubit state has 4 amplitudes, got {len(state)}")
-    c00 = _checked_complex(state[0], "c00")
-    c01 = _checked_complex(state[1], "c01")
-    c10 = _checked_complex(state[2], "c10")
-    c11 = _checked_complex(state[3], "c11")
-    return c00, c01, c10, c11
-
-
 def make_state(c00, c01, c10, c11, normalize: bool = False) -> np.ndarray:
     """Build a unit-norm two-qubit state from four amplitudes.
 
@@ -112,44 +59,17 @@ def make_state(c00, c01, c10, c11, normalize: bool = False) -> np.ndarray:
     1e-10 are rejected; tiny drift is still scaled away so the returned state
     is always unit norm.
     """
-    c = [_checked_complex(v, n) for v, n in
-         zip((c00, c01, c10, c11), ("c00", "c01", "c10", "c11"))]
-    nrm = _checked_norm(sum(z.real * z.real + z.imag * z.imag for z in c),
-                        "all four amplitudes are zero")
-    if not normalize and abs(nrm - 1.0) > 1e-10:
-        raise NotNormalizedError(
-            f"state norm is {nrm!r}; pass normalize=True to rescale")
-    return np.array(c, dtype=complex) / nrm
+    return np.array(unit_state(c00, c01, c10, c11, normalize))
 
 
 def make_qubit(v0, v1, normalize: bool = False) -> np.ndarray:
     """Build a unit-norm single-qubit vector from two amplitudes."""
     a = _checked_complex(v0, "v0")
     b = _checked_complex(v1, "v1")
-    nrm = _checked_norm(
+    return np.array(_unit(
+        (a, b),
         a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag,
-        "both amplitudes are zero")
-    if not normalize and abs(nrm - 1.0) > 1e-10:
-        raise NotNormalizedError(
-            f"vector norm is {nrm!r}; pass normalize=True to rescale")
-    return np.array([a, b], dtype=complex) / nrm
-
-
-def _dot(a, b) -> complex:
-    """Inner product of two amplitude 4-tuples, conjugate linear in ``a``."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (a0.conjugate() * b0 + a1.conjugate() * b1
-            + a2.conjugate() * b2 + a3.conjugate() * b3)
-
-
-def _norm(a) -> float:
-    """Euclidean norm of an amplitude 4-tuple, squares summed in order."""
-    c00, c01, c10, c11 = a
-    return math.sqrt((c00.real * c00.real + c00.imag * c00.imag)
-                     + (c01.real * c01.real + c01.imag * c01.imag)
-                     + (c10.real * c10.real + c10.imag * c10.imag)
-                     + (c11.real * c11.real + c11.imag * c11.imag))
+        normalize, "both amplitudes are zero", "vector"))
 
 
 def inner(a, b) -> complex:

@@ -102,3 +102,14 @@ class InvalidArgumentError(QuantumStateError):
 class RejectionLimitError(QuantumStateError):
     """A rejection sampler discarded its maximum number of draws in a row
     without producing an admissible parameter set."""
+
+
+def refuse_pppe(set_type: str) -> None:
+    """Raise :class:`UnknownTypeError` when ``set_type`` (without case or
+    surrounding blanks) asks for a PPPE basis, which cannot exist.  It needs
+    no family table, so the command line checks it before the samplers
+    load."""
+    if set_type.strip().lower() == "pppe":
+        raise UnknownTypeError(
+            "no PPPE basis exists: completing three orthonormal product "
+            "states always yields a fourth product state")

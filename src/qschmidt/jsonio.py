@@ -5,16 +5,22 @@ of four such pairs in the fixed amplitude order; a Schmidt decomposition as
 ``{"coeffs": [l0, l1], "basis_a": [[..], [..]], "basis_b": [[..], [..]]}``
 where each basis row is a 2-vector of complex pairs.  Floats keep Python's
 shortest round-trip representation, so nothing is lost to formatting.
+
+Importing this module does not import numpy.  States parse to tuples of
+Python complex numbers and Schmidt data serializes from tuples
+(`parts_to_obj`), so ``decompose``, ``verify`` and ``classify`` need no
+arrays; `complex_array_to_obj` (and its aliases), `qubit_from_obj` and
+`params_to_obj` import numpy on first use.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .core import make_state
 from .errors import NotFiniteError, QuantumStateError
+from .scalar import LazyNumpy, unit_state
+
+np = LazyNumpy(globals())
 
 
 def complex_to_pair(z) -> list:
@@ -47,12 +53,13 @@ def pair_to_complex(obj) -> complex:
 state_to_obj = vector2_to_obj = matrix_to_obj = complex_array_to_obj
 
 
-def state_from_obj(obj, *, normalize: bool = False) -> np.ndarray:
+def state_from_obj(obj, *, normalize: bool = False) -> tuple:
+    """A state as a tuple of four Python complex numbers, unit norm as
+    `core.make_state` makes it (``np.array`` of it is that array)."""
     if not isinstance(obj, (list, tuple)) or len(obj) != 4:
         raise QuantumStateError(
             f"expected a state as 4 complex pairs, got {obj!r}")
-    c = [pair_to_complex(x) for x in obj]
-    return make_state(*c, normalize=normalize)
+    return unit_state(*[pair_to_complex(x) for x in obj], normalize=normalize)
 
 
 def qubit_from_obj(obj) -> np.ndarray:
@@ -62,13 +69,21 @@ def qubit_from_obj(obj) -> np.ndarray:
     return np.array([pair_to_complex(x) for x in obj])
 
 
-def schmidt_to_obj(d) -> dict:
+def parts_to_obj(parts) -> dict:
+    """Serialize Schmidt data given as ``(coeffs, basis_a, basis_b,
+    degenerate)``, each basis two rows of two complex (or real) numbers."""
+    coeffs, basis_a, basis_b, degenerate = parts
     return {
-        "coeffs": d.coeffs.tolist(),
-        "basis_a": complex_array_to_obj(d.basis_a),
-        "basis_b": complex_array_to_obj(d.basis_b),
-        "degenerate": bool(d.degenerate),
+        "coeffs": list(coeffs),
+        "basis_a": [[[z.real, z.imag] for z in row] for row in basis_a],
+        "basis_b": [[[z.real, z.imag] for z in row] for row in basis_b],
+        "degenerate": bool(degenerate),
     }
+
+
+def schmidt_to_obj(d) -> dict:
+    return parts_to_obj((d.coeffs.tolist(), d.basis_a.tolist(),
+                         d.basis_b.tolist(), d.degenerate))
 
 
 def params_to_obj(params: dict) -> dict:

@@ -24,13 +24,13 @@ from cmath import isfinite
 
 import numpy as np
 
-from .core import DEFAULT_TOL, _dot, _norm, amplitudes, check_tol
 from .errors import (
     BadWeightsError,
     InvalidDensityError,
     NotNormalizedError,
     NotOrthogonalError,
 )
+from .scalar import DEFAULT_TOL, _dot, _norm, amplitudes, check_tol
 
 
 def spectral_mix(states, weights, *, tol: float = DEFAULT_TOL) -> np.ndarray:

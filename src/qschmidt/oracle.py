@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DEFAULT_TOL, VERIFY_TOL, _ZERO_FLOOR, _dot, _norm, amplitudes
-from .core import check_tol as _check_tol
 from .errors import InvalidArgumentError, NotNormalizedError
+from .scalar import DEFAULT_TOL, VERIFY_TOL, _ZERO_FLOOR, _dot, _norm, amplitudes
+from .scalar import check_tol as _check_tol
 from .schmidt import SchmidtDecomposition, _parts, _reconstruct_parts, _wrap
 
 

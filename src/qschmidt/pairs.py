@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, _KET00, _ZERO_FLOOR, _checked_complex,
-                   _checked_norm, tensor)
+from .core import _KET00, tensor
 from .errors import (
     AccidentallyDiagonalError,
     ConditionViolatedError,
@@ -27,8 +26,8 @@ from .errors import (
     NotNormalizedError,
     UnknownTypeError,
     ZeroParameterError,
-    ZeroVectorError,
 )
+from .scalar import DEFAULT_TOL, _checked_complex, _checked_norm
 from .schmidt import (
     SchmidtDecomposition,
     schmidt,
@@ -60,11 +59,12 @@ def _require_nonzero(value: complex, name: str) -> complex:
 
 
 def _rescale(values, weights, target, strict, what):
-    """Scale a parameter group so that sum(w_i * |v_i|^2) equals ``target``."""
+    """Scale a parameter group so that sum(w_i * |v_i|^2) equals ``target``.
+    A sum that overflows raises `NotFiniteError` rather than scaling the
+    group to zero."""
     total = sum(w * (v.real * v.real + v.imag * v.imag)
                 for v, w in zip(values, weights))
-    if total <= _ZERO_FLOOR:
-        raise ZeroVectorError(f"{what}: parameters are all zero")
+    _checked_norm(total, f"{what}: parameters are all zero")
     if strict and abs(total - target) > 1e-10:
         raise NotNormalizedError(
             f"{what}: weighted squared magnitudes sum to {total!r}, "

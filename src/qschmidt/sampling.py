@@ -30,8 +30,8 @@ from .bases import (
     construct_ppee_case2,
     construct_ppee_case3,
 )
-from .core import DEFAULT_TOL, check_tol
-from .errors import InvalidArgumentError, RejectionLimitError, UnknownTypeError
+from .errors import (InvalidArgumentError, RejectionLimitError, UnknownTypeError,
+                     refuse_pppe)
 from .pairs import (
     A_SIDE,
     B_SIDE,
@@ -42,6 +42,7 @@ from .pairs import (
     construct_pe_nondiagonal,
     construct_pp,
 )
+from .scalar import DEFAULT_TOL, check_tol
 from .triples import (
     construct_ppe_case1,
     construct_ppe_case2,
@@ -352,15 +353,12 @@ def family(set_type: str, case_id=None, variant=None) -> Family:
     :class:`UnknownTypeError` for any other request; in particular a PPPE
     basis cannot exist, so asking for one is an error.
     """
+    refuse_pppe(set_type)
     t = set_type.strip().lower()
     v = variant.strip().lower() if variant else None
     for key in ((t, None, None), (t, case_id, None), (t, None, v)):
         if key in FAMILIES:
             return FAMILIES[key]
-    if t == "pppe":
-        raise UnknownTypeError(
-            "no PPPE basis exists: completing three orthonormal product "
-            "states always yields a fourth product state")
     keys = [key for key in FAMILIES if key[0] == t]
     if not keys:
         raise UnknownTypeError(f"unknown set type {set_type!r}")
@@ -376,11 +374,12 @@ def family(set_type: str, case_id=None, variant=None) -> Family:
 def sample(spec: SampleSpec, tol: float = DEFAULT_TOL) -> list:
     """Draw ``spec.count`` constructed sets, deterministically from the seed.
 
-    Raises :class:`UnknownTypeError` for a request `family` refuses.
+    Raises :class:`UnknownTypeError` for a request `family` refuses, and
+    then :class:`InvalidArgumentError` for a count below 1.
     """
     tol = check_tol(tol)
+    f = family(spec.set_type, spec.case_id, spec.variant)
     if spec.count < 1:
         raise InvalidArgumentError(f"count must be >= 1, got {spec.count!r}")
-    f = family(spec.set_type, spec.case_id, spec.variant)
     rng = SplitMix64(spec.seed)
     return [f.construct(*f.draw(rng), tol=tol) for _ in range(spec.count)]

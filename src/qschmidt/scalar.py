@@ -1,0 +1,147 @@
+"""Tolerances and amplitude handling on Python numbers.
+
+Amplitudes are parsed, checked and normalized here as tuples of Python
+complex numbers, so the command line's ``decompose``, ``verify`` and
+``classify`` run without importing numpy.  The normalization rounds as
+numpy divides a complex array by a real scalar, so the tuples hold the
+bits the array constructors in `core` return.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from cmath import isfinite
+
+from .errors import (InvalidArgumentError, NotFiniteError, NotNormalizedError,
+                     ZeroVectorError)
+
+#: Classification tolerance: product/entangled/maximal labels, diagonality
+#: dispatch, and constructor admissibility checks.
+DEFAULT_TOL = 1e-10
+
+#: Verification tolerance: orthonormality, reconstruction, cross-checks.
+VERIFY_TOL = 1e-12
+
+# Below this squared norm a vector is treated as exactly zero.
+_ZERO_FLOOR = 1e-300
+
+_MODULES = sys.modules
+
+
+def check_tol(tol) -> float:
+    """Return ``tol`` as a float when it is finite and positive; raise
+    :class:`InvalidArgumentError` otherwise."""
+    tol = float(tol)
+    if not 0.0 < tol < math.inf:
+        raise InvalidArgumentError(f"tol must be finite and positive, got {tol!r}")
+    return tol
+
+
+def _checked_complex(value, name: str) -> complex:
+    z = complex(value)
+    if not isfinite(z):
+        raise NotFiniteError(f"{name} must be finite, got {value!r}")
+    return z
+
+
+def _checked_norm(nrm2: float, zero_message: str) -> float:
+    """The norm whose square of finite amplitudes is ``nrm2``.  Raises
+    `ZeroVectorError` below the zero floor and `NotFiniteError` when the
+    square overflowed, which would otherwise scale the vector to zero."""
+    if nrm2 <= _ZERO_FLOOR:
+        raise ZeroVectorError(zero_message)
+    if nrm2 == math.inf:
+        raise NotFiniteError("squared norm overflows: amplitudes too large")
+    return math.sqrt(nrm2)
+
+
+def _unit(c: tuple, nrm2: float, normalize: bool, zero_message: str,
+          what: str) -> tuple:
+    """The finite complex amplitudes ``c`` divided by their norm, whose
+    square is ``nrm2``.
+
+    Without ``normalize`` a norm off 1 by more than 1e-10 raises
+    `NotNormalizedError`.  Each quotient is rounded as numpy's complex
+    division by ``norm + 0j`` rounds it, signed zeros included, so
+    ``np.array(_unit(...))`` equals ``np.array(c) / norm`` bit for bit.
+    """
+    nrm = _checked_norm(nrm2, zero_message)
+    if not normalize and abs(nrm - 1.0) > 1e-10:
+        raise NotNormalizedError(
+            f"{what} norm is {nrm!r}; pass normalize=True to rescale")
+    s = 1.0 / nrm
+    return tuple(complex((z.real + z.imag * 0.0) * s, (z.imag - z.real * 0.0) * s)
+                 for z in c)
+
+
+def unit_state(c00, c01, c10, c11, normalize: bool = False) -> tuple:
+    """The four amplitudes as a unit-norm tuple; see `core.make_state`."""
+    c = (_checked_complex(c00, "c00"), _checked_complex(c01, "c01"),
+         _checked_complex(c10, "c10"), _checked_complex(c11, "c11"))
+    return _unit(c, sum(z.real * z.real + z.imag * z.imag for z in c),
+                 normalize, "all four amplitudes are zero", "state")
+
+
+def amplitudes(state) -> tuple[complex, complex, complex, complex]:
+    """Return the four amplitudes of ``state`` as finite Python complex numbers.
+
+    A 1-D ndarray of four entries is read with one ``tolist`` call (an
+    ndarray can only exist once numpy is loaded).  Any other input, and an
+    array whose entries fail to convert or are not all finite, takes the
+    per-element path, so the errors and their messages are the same for
+    every input type.
+    """
+    numpy = _MODULES.get("numpy")
+    if numpy is not None and type(state) is numpy.ndarray \
+            and state.shape == (4,):
+        try:
+            c00, c01, c10, c11 = map(complex, state.tolist())
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if isfinite(c00) and isfinite(c01) and isfinite(c10) \
+                    and isfinite(c11):
+                return c00, c01, c10, c11
+    if len(state) != 4:
+        raise InvalidArgumentError(
+            f"a two-qubit state has 4 amplitudes, got {len(state)}")
+    c00 = _checked_complex(state[0], "c00")
+    c01 = _checked_complex(state[1], "c01")
+    c10 = _checked_complex(state[2], "c10")
+    c11 = _checked_complex(state[3], "c11")
+    return c00, c01, c10, c11
+
+
+def _dot(a, b) -> complex:
+    """Inner product of two amplitude 4-tuples, conjugate linear in ``a``."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0.conjugate() * b0 + a1.conjugate() * b1
+            + a2.conjugate() * b2 + a3.conjugate() * b3)
+
+
+def _norm(a) -> float:
+    """Euclidean norm of an amplitude 4-tuple, squares summed in order."""
+    c00, c01, c10, c11 = a
+    return math.sqrt((c00.real * c00.real + c00.imag * c00.imag)
+                     + (c01.real * c01.real + c01.imag * c01.imag)
+                     + (c10.real * c10.real + c10.imag * c10.imag)
+                     + (c11.real * c11.real + c11.imag * c11.imag))
+
+
+class LazyNumpy:
+    """Stands for numpy in a module's globals: the first attribute read
+    imports numpy and rebinds the module's ``np`` to it, so a module can
+    import without numpy and later calls pay nothing extra."""
+
+    __slots__ = ("_namespace",)
+
+    def __init__(self, namespace: dict):
+        self._namespace = namespace
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        self._namespace["np"] = numpy
+        return getattr(numpy, name)

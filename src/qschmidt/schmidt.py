@@ -11,6 +11,10 @@ Gram matrix is diagonal:
 
 `schmidt` dispatches between the branches; `reconstruct` inverts any valid
 decomposition exactly.
+
+The branches compute on tuples of Python complex numbers.  Importing this
+module does not import numpy: the first `SchmidtDecomposition` built or
+`reconstruct` call does, since their arrays are the only part that needs it.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import DEFAULT_TOL, _ZERO_FLOOR, amplitudes, check_tol
 from .errors import DiagonalError, NotDiagonalError, ZeroVectorError
+from .scalar import DEFAULT_TOL, _ZERO_FLOOR, LazyNumpy, amplitudes, check_tol
+
+np = LazyNumpy(globals())
 
 _E0 = (1.0 + 0.0j, 0.0 + 0.0j)
 _E1 = (0.0 + 0.0j, 1.0 + 0.0j)

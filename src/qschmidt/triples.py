@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_TOL, _KET00, _KET11
+from .core import _KET00, _KET11
 from .errors import NotOrthonormalBasisError, ZeroParameterError
 from .pairs import A_SIDE, _as_unit_qubit, _check_variant, _require_nonzero, _rescale
+from .scalar import DEFAULT_TOL
 from .schmidt import (
     SchmidtDecomposition,
     schmidt,

@@ -241,12 +241,17 @@ class TestDomainErrorsNotTracebacks:
          "UnknownTypeError"),
         (["decompose", "--state", "[[1e200,0],[0,0],[0,0],[1e200,0]]"],
          "NotFiniteError"),
+        (["construct", "--type", "pe", "--variant", "diagonal",
+          "--params", '{"a":[1e200,0],"b":[1e200,0]}'], "NotFiniteError"),
+        (["sample", "--type", "pppe", "--count", "0"], "UnknownTypeError"),
+        (["sample", "--type", "qqq", "--count", "0"], "UnknownTypeError"),
     ], ids=["count-0", "count-negative", "verify-5-states", "classify-5-states",
             "pp-diagonal-variant", "decompose-tol-nan", "verify-tol-nan",
             "tol-zero", "tol-negative", "tol-inf", "construct-unknown-type",
             "construct-pe-no-variant", "construct-ppe-no-case",
             "construct-pppe", "construct-pe-side-variant",
-            "decompose-norm-overflow"])
+            "decompose-norm-overflow", "construct-rescale-overflow",
+            "sample-pppe-count-0", "sample-unknown-type-count-0"])
     def test_exit_1_with_error_json(self, capsys, argv, error):
         code, out, err = run(capsys, *argv)
         assert code == 1

@@ -48,17 +48,21 @@ PUBLIC_NAMES = (
     "spectral_mix", "tensor", "triples", "verify_set",
 )
 
-BASE_MODULES = ["cli", "core", "errors", "jsonio", "schmidt"]
+BASE_MODULES = ["cli", "errors", "jsonio", "scalar", "schmidt"]
 
-# The package modules each golden call's verb adds to `import qschmidt.cli`.
-VERB_MODULES = {
+# The package modules each golden call adds to `import qschmidt.cli`.
+ADDED_MODULES = {
     "decompose": [],
-    "construct": ["bases", "pairs", "sampling", "triples"],
-    "verify": ["oracle"],
+    "construct": ["bases", "core", "pairs", "sampling", "triples"],
     "classify": ["oracle"],
     "mix": ["mixed"],
-    "sample": ["bases", "pairs", "sampling", "triples"],
+    "verify": ["oracle"],
+    "sample": ["bases", "core", "pairs", "sampling", "triples"],
+    "sample-refused": [],
 }
+
+# The golden calls that never import numpy.
+NUMPY_FREE = ("decompose", "classify", "verify", "sample-refused")
 
 VERB_PROBE = """
 import contextlib, io, json, sys
@@ -69,13 +73,15 @@ def loaded():
             if m.startswith("qschmidt.")}
 
 before = loaded()
+numpy_before = "numpy" in sys.modules
 argv, stdin = json.loads(sys.argv[1])
 sys.stdin = io.StringIO(stdin)
 out, err = io.StringIO(), io.StringIO()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     code = qschmidt.cli.main(argv)
-print(json.dumps({"before": sorted(before),
-                  "added": sorted(loaded() - before), "exit": code}))
+print(json.dumps({"before": sorted(before), "numpy_before": numpy_before,
+                  "added": sorted(loaded() - before), "exit": code,
+                  "numpy": "numpy" in sys.modules}))
 """
 
 SURFACE_PROBE = """
@@ -119,7 +125,23 @@ def test_each_verb_loads_only_its_modules(entry):
     got = fresh(VERB_PROBE, json.dumps([entry["argv"], entry["stdin"]]))
     assert got["exit"] == entry["exit"]
     assert got["before"] == BASE_MODULES
-    assert got["added"] == VERB_MODULES[entry["argv"][0]]
+    assert not got["numpy_before"]
+    assert got["added"] == ADDED_MODULES[entry["name"]]
+    assert got["numpy"] == (entry["name"] not in NUMPY_FREE)
+
+
+@pytest.mark.parametrize("entry", [e for e in GOLDEN if e["name"] in NUMPY_FREE],
+                         ids=lambda e: e["name"])
+def test_numpy_free_call_runs_without_site_packages(entry):
+    """``-S`` leaves site-packages, and so numpy, off the path: these calls
+    give their golden bytes with no numpy to import."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    p = subprocess.run([sys.executable, "-S", "-m", "qschmidt", *entry["argv"]],
+                       input=entry["stdin"].encode(), capture_output=True,
+                       env=env, cwd=ROOT, timeout=120)
+    assert (p.returncode, p.stdout, p.stderr) == (
+        entry["exit"], entry["stdout"].encode(), entry["stderr"].encode())
 
 
 def test_public_names_resolve_lazily():

@@ -229,3 +229,23 @@ class TestTypeInvariance:
             after = q.classify([q.apply_local(pair.first, ua, ub),
                                 q.apply_local(pair.second, ua, ub)])
             assert before == after == pair.type_label.replace("M", "E")
+
+
+class TestRescaleOverflow:
+    """Parameters whose weighted squared sum overflows are not finite input,
+    not parameters too small or a violated condition."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: q.construct_pe_diagonal(1e200, 1e200),
+        lambda: q.construct_pe_nondiagonal(1e200, 1e200, 1e200),
+        lambda: q.construct_ee_nondiagonal(0.5, 1e200, 1e200, 1e200),
+        lambda: q.construct_ppe_case1(1e200, 1e200),
+        lambda: q.construct_ppee_case2(1e200, 1e200, 1, 1),
+        lambda: q.construct_mmee_diagonal(0, 0, 1e200, 1e200j),
+        lambda: q.construct_mmee_nondiagonal(0, 0, 1e200, 1e200),
+    ], ids=["pe-diagonal", "pe-nondiagonal", "ee-nondiagonal", "ppe-1",
+            "ppee-2", "mmee-diagonal", "mmee-nondiagonal"])
+    def test_overflow_is_not_finite(self, build):
+        with pytest.raises(q.NotFiniteError,
+                           match="squared norm overflows: amplitudes too large"):
+            build()
