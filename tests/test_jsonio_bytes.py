@@ -5,6 +5,7 @@
 match what it, fed to ``json.dumps``, produced.
 """
 
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -21,6 +22,14 @@ GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
 SEEDS = (0, 7, 2024)
 COUNT = 20
+
+# sha256 of the ``sample`` stdout of every family at every seed in SEEDS, in
+# FAMILIES order.  It holds the pair, triple and basis layouts byte for byte
+# independently of the result types the reference encoder below reads.  The
+# sets hash the same decompositions as `test_bit_identity.SETS_DIGEST`, so
+# the digest depends on the machine no more than that one does.
+SAMPLE_STDOUT_DIGEST = \
+    "ed8237942f0580944b4e8ba22169c510bf6757702ceffcbf1f50bb9e11ded0c6"
 
 
 def old_complex_to_pair(z) -> list:
@@ -109,6 +118,15 @@ def test_sample_stdout_matches_reference_encoder(capsys, set_type, case_id,
                             variant=variant, seed=seed, count=COUNT)
         want = json.dumps([old_set_to_obj(s) for s in q.sample(spec)]) + "\n"
         assert out == want, (set_type, case_id, variant, seed)
+
+
+def test_sample_stdout_digest(capsys):
+    h = hashlib.sha256()
+    for set_type, case_id, variant in FAMILIES:
+        for seed in SEEDS:
+            assert main(sample_argv(set_type, case_id, variant, seed)) == 0
+            h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == SAMPLE_STDOUT_DIGEST
 
 
 @pytest.mark.parametrize("entry", json.loads(GOLDEN.read_text()),
