@@ -39,7 +39,7 @@ def main():
 
     # An entangled state orthogonal to |00>, beyond the Bell family.
     pe = q.construct_pe_nondiagonal(r12, 0.5, 0.5)
-    show("entangled partner of |00>", jsonio.pair_to_obj(pe))
+    show("entangled partner of |00>", jsonio.set_to_obj(pe))
 
     # A full basis with two maximally entangled members, verified both ways.
     basis = q.construct_mmee_nondiagonal(0.4, -0.9, math.sqrt(3 / 8),
@@ -48,7 +48,7 @@ def main():
     show("two-maximal basis verification", jsonio.report_to_obj(report))
 
     # Rank-2 mixed state with prescribed eigenstates, and its reduction.
-    rho = q.spectral_mix([q.make_state(1, 0, 0, 0), pe.second], [0.3, 0.7])
+    rho = q.spectral_mix([q.make_state(1, 0, 0, 0), pe.states[1]], [0.3, 0.7])
     show("rank-2 mixed state, reduced to subsystem A",
          jsonio.matrix_to_obj(q.reduce_a(rho)))
 

@@ -66,7 +66,7 @@ _EXPORTS = {
     "pairs": (
         "A_SIDE",
         "B_SIDE",
-        "OrthoPair",
+        "OrthoSet",
         "construct_ee_diagonal",
         "construct_ee_nondiagonal",
         "construct_ep",
@@ -75,7 +75,6 @@ _EXPORTS = {
         "construct_pp",
     ),
     "triples": (
-        "OrthoTriple",
         "construct_ppe_case1",
         "construct_ppe_case2",
         "construct_ppe_case3",
@@ -83,7 +82,6 @@ _EXPORTS = {
         "orthonormal_qubit_basis",
     ),
     "bases": (
-        "OrthoBasis",
         "complete_ppp",
         "construct_mmee_diagonal",
         "construct_mmee_nondiagonal",

@@ -5,14 +5,15 @@ families built around maximally entangled members: PMEE (one maximal member)
 and MMEE (two maximal members, with diagonal and non-diagonal variants for
 the remaining pair).  A PPPE basis cannot exist: completing any three
 orthonormal product states always yields a fourth product state, which
-`complete_ppp` demonstrates constructively.
+`complete_ppp` demonstrates constructively.  Each basis constructor returns
+an `OrthoSet` of four states whose ``schmidt`` holds all four members'
+decompositions; `construct_pm` returns a pair.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,25 +26,12 @@ from .errors import (
     NotPPPError,
     ZeroParameterError,
 )
-from .pairs import A_SIDE, OrthoPair, _gamma_first, _require_nonzero, _rescale
-from .scalar import DEFAULT_TOL, _checked_complex, _dot, _norm
+from .pairs import A_SIDE, OrthoSet, _gamma_first, _require_nonzero, _rescale
+from .scalar import DEFAULT_TOL, _checked_complex, _dot, _norm, check_tol
 from .schmidt import _wrap, schmidt, schmidt_diagonal
-from .triples import (OrthoTriple, construct_ppe_case2, construct_ppe_case3,
-                      construct_ppp)
+from .triples import construct_ppe_case2, construct_ppe_case3, construct_ppp
 
 _SQRT_HALF = math.sqrt(0.5)
-
-
-@dataclass
-class OrthoBasis:
-    """Four mutually orthogonal unit states with per-state Schmidt data."""
-
-    states: list
-    type_label: str
-    schmidt_all: list
-    case_id: int | None = None
-    variant: str | None = None
-    params: dict = field(default_factory=dict)
 
 
 def _tensor_rows(l0, l1, a0, a1, b0, b1) -> np.ndarray:
@@ -74,19 +62,16 @@ def _split_roots(total: float, product_neg: float) -> tuple[float, float]:
 
 
 def construct_pppp(variant: str, basis, *, strict: bool = False,
-                   tol: float = DEFAULT_TOL) -> OrthoBasis:
+                   tol: float = DEFAULT_TOL) -> OrthoSet:
     """All-product orthonormal basis: the PPP triple of :func:`construct_ppp`
     completed by |10> (a-side variant) or |01> (b-side variant)."""
+    tol = check_tol(tol)
     triple = construct_ppp(variant, basis, strict=strict, tol=tol)
-    states = [*triple.states, (_KET10 if variant == A_SIDE else _KET01).copy()]
-    return OrthoBasis(
-        states=states,
-        type_label="PPPP",
-        schmidt_all=[schmidt(states[0], tol), schmidt(states[1], tol),
-                     triple.schmidt_third, schmidt(states[3], tol)],
-        variant=variant,
-        params=triple.params,
-    )
+    states = (*triple.states, (_KET10 if variant == A_SIDE else _KET01).copy())
+    return OrthoSet(states, "PPPP",
+                    (schmidt(states[0], tol), schmidt(states[1], tol),
+                     triple.schmidt[-1], schmidt(states[3], tol)),
+                    triple.params, variant=variant)
 
 
 def _det3(m) -> complex:
@@ -103,8 +88,10 @@ def complete_ppp(triple, *, tol: float = DEFAULT_TOL):
     together with that vector's concurrence.  No product triple has an
     entangled completion, so the returned concurrence never exceeds the
     product threshold; callers may assert it rather than trust it.
+    ``triple`` is an `OrthoSet` or a sequence of three states.
     """
-    states = list(triple.states) if isinstance(triple, OrthoTriple) else list(triple)
+    tol = check_tol(tol)
+    states = list(getattr(triple, "states", triple))
     if len(states) != 3:
         raise NotPPPError(f"need exactly 3 states, got {len(states)}")
     amps = []
@@ -140,11 +127,12 @@ def complete_ppp(triple, *, tol: float = DEFAULT_TOL):
 
 
 def construct_ppee_case1(a, b, *, strict: bool = False,
-                         tol: float = DEFAULT_TOL) -> OrthoBasis:
+                         tol: float = DEFAULT_TOL) -> OrthoSet:
     """Basis (|00>, |11>, a|01> + b|10>, b^*|01> - a^*|10>).
 
     Both entangled members are diagonal and share the concurrence 2|ab|.
     """
+    tol = check_tol(tol)
     a = _require_nonzero(a, "a")
     b = _require_nonzero(b, "b")
     a, b = _rescale((a, b), (1.0, 1.0), 1.0, strict, "ppee-case1")
@@ -153,19 +141,15 @@ def construct_ppee_case1(a, b, *, strict: bool = False,
             "parameters too small to yield entangled members")
     third = np.array([0.0, a, b, 0.0], dtype=complex)
     fourth = np.array([0.0, b.conjugate(), -a.conjugate(), 0.0], dtype=complex)
-    states = [_KET00.copy(), _KET11.copy(), third, fourth]
-    return OrthoBasis(
-        states=states,
-        type_label="PPEE",
-        schmidt_all=[schmidt(states[0], tol), schmidt(states[1], tol),
-                     schmidt_diagonal(third, tol), schmidt_diagonal(fourth, tol)],
-        case_id=1,
-        params={"a": a, "b": b},
-    )
+    states = (_KET00.copy(), _KET11.copy(), third, fourth)
+    return OrthoSet(states, "PPEE",
+                    (schmidt(states[0], tol), schmidt(states[1], tol),
+                     schmidt_diagonal(third, tol), schmidt_diagonal(fourth, tol)),
+                    {"a": a, "b": b}, case_id=1)
 
 
 def construct_ppee_case2(a, b, c, d, *, strict: bool = False,
-                         tol: float = DEFAULT_TOL) -> OrthoBasis:
+                         tol: float = DEFAULT_TOL) -> OrthoSet:
     """Basis extending the case-2 PPE triple.
 
     The fourth member shares the third's Schmidt coefficients and, with the
@@ -173,12 +157,13 @@ def construct_ppee_case2(a, b, c, d, *, strict: bool = False,
     z_j = (b^* (k_j^2 - |c|^2), -a^* k_j^2) normalized, where k_j are the
     shared coefficients.
     """
+    tol = check_tol(tol)
     triple = construct_ppe_case2(a, b, c, d, strict=strict, tol=tol)
     a = triple.params["a"]
     b = triple.params["b"]
     c = triple.params["c"]
     d = triple.params["d"]
-    dec3 = triple.schmidt_third
+    dec3 = triple.schmidt[-1]
     k0, k1 = dec3.coeffs.tolist()
     # t_j = k_j^2 - |c|^2: roots of a quadratic with sum 1 - 2|c|^2 and
     # product -|acd|^2, evaluated without cancellation.
@@ -197,19 +182,15 @@ def construct_ppee_case2(a, b, c, d, *, strict: bool = False,
     bb0, bb1 = dec3.basis_b.tolist()
     fourth = _tensor_rows(k0, k1, z0, z1, bb1, bb0)
     dec4 = _wrap(((k0, k1), (z0, z1), (bb1, bb0), False))
-    states = [triple.states[0], triple.states[1], triple.states[2], fourth]
-    return OrthoBasis(
-        states=states,
-        type_label="PPEE",
-        schmidt_all=[schmidt(states[0], tol), schmidt(states[1], tol),
-                     dec3, dec4],
-        case_id=2,
-        params={"a": a, "b": b, "c": c, "d": d},
-    )
+    states = (*triple.states, fourth)
+    return OrthoSet(states, "PPEE",
+                    (schmidt(states[0], tol), schmidt(states[1], tol),
+                     dec3, dec4),
+                    {"a": a, "b": b, "c": c, "d": d}, case_id=2)
 
 
 def construct_ppee_case3(a, b, c, d, *, strict: bool = False,
-                         tol: float = DEFAULT_TOL) -> OrthoBasis:
+                         tol: float = DEFAULT_TOL) -> OrthoSet:
     """Basis extending the case-3 PPE triple.
 
     Here the two entangled members share the A-side Schmidt basis with the
@@ -217,12 +198,13 @@ def construct_ppee_case3(a, b, c, d, *, strict: bool = False,
     conjugates of w_j = (-a^* b |c|^2, n_j^2 - |bc|^2) normalized, with n_j
     the shared coefficients.
     """
+    tol = check_tol(tol)
     triple = construct_ppe_case3(a, b, c, d, strict=strict, tol=tol)
     a = triple.params["a"]
     b = triple.params["b"]
     c = triple.params["c"]
     d = triple.params["d"]
-    dec3 = triple.schmidt_third
+    dec3 = triple.schmidt[-1]
     n0, n1 = dec3.coeffs.tolist()
     b2 = b.real * b.real + b.imag * b.imag
     c2 = c.real * c.real + c.imag * c.imag
@@ -237,15 +219,11 @@ def construct_ppee_case3(a, b, c, d, *, strict: bool = False,
     aa0, aa1 = dec3.basis_a.tolist()
     fourth = _tensor_rows(n0, n1, aa1, aa0, wc0, wc1)
     dec4 = _wrap(((n0, n1), (aa1, aa0), (wc0, wc1), False))
-    states = [triple.states[0], triple.states[1], triple.states[2], fourth]
-    return OrthoBasis(
-        states=states,
-        type_label="PPEE",
-        schmidt_all=[schmidt(states[0], tol), schmidt(states[1], tol),
-                     dec3, dec4],
-        case_id=3,
-        params={"a": a, "b": b, "c": c, "d": d},
-    )
+    states = (*triple.states, fourth)
+    return OrthoSet(states, "PPEE",
+                    (schmidt(states[0], tol), schmidt(states[1], tol),
+                     dec3, dec4),
+                    {"a": a, "b": b, "c": c, "d": d}, case_id=3)
 
 
 def _pm_second(theta: float, theta_prime: float) -> np.ndarray:
@@ -256,26 +234,23 @@ def _pm_second(theta: float, theta_prime: float) -> np.ndarray:
 
 
 def construct_pm(theta: float, theta_prime: float, *,
-                 tol: float = DEFAULT_TOL) -> OrthoPair:
+                 tol: float = DEFAULT_TOL) -> OrthoSet:
     """Pair (|00>, (e^{i theta}|01> + e^{i theta'}|10>)/sqrt(2)).
 
     Every maximally entangled state orthogonal to |00> has this form; the
     second member's concurrence is exactly 1.
     """
+    tol = check_tol(tol)
     theta = float(theta)
     theta_prime = float(theta_prime)
     second = _pm_second(theta, theta_prime)
-    return OrthoPair(
-        first=_KET00.copy(),
-        second=second,
-        type_label="PM",
-        schmidt_second=schmidt_diagonal(second, tol),
-        params={"theta": theta, "theta_prime": theta_prime},
-    )
+    return OrthoSet((_KET00.copy(), second), "PM",
+                    (schmidt_diagonal(second, tol),),
+                    {"theta": theta, "theta_prime": theta_prime})
 
 
 def construct_pmee(theta: float, theta_prime: float, theta_dprime: float, c, *,
-                   tol: float = DEFAULT_TOL) -> OrthoBasis:
+                   tol: float = DEFAULT_TOL) -> OrthoSet:
     """Basis with one product member, one maximally entangled member and two
     entangled members.
 
@@ -286,6 +261,7 @@ def construct_pmee(theta: float, theta_prime: float, theta_dprime: float, c, *,
     Coefficients: xi_j = sqrt((1 +- sqrt(1 - 4|c|^4)) / 2) for the third
     member and ups_j = sqrt((1 +- 2|c| sqrt(1 - |c|^2)) / 2) for the fourth.
     """
+    tol = check_tol(tol)
     theta = float(theta)
     theta_prime = float(theta_prime)
     theta_dprime = float(theta_dprime)
@@ -333,16 +309,13 @@ def construct_pmee(theta: float, theta_prime: float, theta_dprime: float, c, *,
     fourth = _tensor_rows(ups0, ups1, z0, z1, ws0, ws1)
 
     pm = construct_pm(theta, theta_prime, tol=tol)
-    states = [pm.first, pm.second, third, fourth]
+    states = (*pm.states, third, fourth)
     dec3 = _wrap(((xi0, xi1), (x0, x1), (ys0, ys1), False))
     dec4 = _wrap(((ups0, ups1), (z0, z1), (ws0, ws1), False))
-    return OrthoBasis(
-        states=states,
-        type_label="PMEE",
-        schmidt_all=[schmidt(states[0], tol), pm.schmidt_second, dec3, dec4],
-        params={"theta": theta, "theta_prime": theta_prime,
-                "theta_dprime": theta_dprime, "c": c},
-    )
+    return OrthoSet(states, "PMEE",
+                    (schmidt(states[0], tol), *pm.schmidt, dec3, dec4),
+                    {"theta": theta, "theta_prime": theta_prime,
+                     "theta_dprime": theta_dprime, "c": c})
 
 
 def _mmee_prepare(theta, theta_prime, a, b, strict, what):
@@ -361,7 +334,7 @@ def _mmee_prepare(theta, theta_prime, a, b, strict, what):
 
 def construct_mmee_diagonal(theta: float, theta_prime: float, a, b, *,
                             strict: bool = False,
-                            tol: float = DEFAULT_TOL) -> OrthoBasis:
+                            tol: float = DEFAULT_TOL) -> OrthoSet:
     """Basis of two maximally entangled members plus two diagonal members.
 
     The first two members are (|00> + |11>)/sqrt(2) and
@@ -373,6 +346,7 @@ def construct_mmee_diagonal(theta: float, theta_prime: float, a, b, *,
 
     All four members then turn out maximally entangled.
     """
+    tol = check_tol(tol)
     (theta, theta_prime, a, b, delta, _ph_half, ph_full,
      entangled, d_real) = _mmee_prepare(theta, theta_prime, a, b, strict,
                                         "mmee-diagonal")
@@ -388,21 +362,17 @@ def construct_mmee_diagonal(theta: float, theta_prime: float, a, b, *,
                        ph_full * a.conjugate(), -b.conjugate()])
     # math.sqrt(0.5) entries, one ulp above those of PHI_PLUS.
     first, second = _gamma_first(0.5), _pm_second(theta, theta_prime)
-    states = [first, second, third, fourth]
-    return OrthoBasis(
-        states=states,
-        type_label="MMEE",
-        schmidt_all=[schmidt(first, tol), schmidt(second, tol),
+    return OrthoSet((first, second, third, fourth), "MMEE",
+                    (schmidt(first, tol), schmidt(second, tol),
                      schmidt_diagonal(third, tol, check=False),
-                     schmidt_diagonal(fourth, tol, check=False)],
-        variant="diagonal",
-        params={"theta": theta, "theta_prime": theta_prime, "a": a, "b": b},
-    )
+                     schmidt_diagonal(fourth, tol, check=False)),
+                    {"theta": theta, "theta_prime": theta_prime, "a": a, "b": b},
+                    variant="diagonal")
 
 
 def construct_mmee_nondiagonal(theta: float, theta_prime: float, a, b, *,
                                strict: bool = False,
-                               tol: float = DEFAULT_TOL) -> OrthoBasis:
+                               tol: float = DEFAULT_TOL) -> OrthoSet:
     """Basis of two maximally entangled members plus two non-diagonal members.
 
     Same first two members and normalization as the diagonal variant, but
@@ -412,6 +382,7 @@ def construct_mmee_nondiagonal(theta: float, theta_prime: float, a, b, *,
     the conjugates of the third's with the subsystems swapped and an
     alternating sign.
     """
+    tol = check_tol(tol)
     (theta, theta_prime, a, b, delta, ph_half, ph_full,
      entangled, d_real) = _mmee_prepare(theta, theta_prime, a, b, strict,
                                         "mmee-nondiagonal")
@@ -452,13 +423,9 @@ def construct_mmee_nondiagonal(theta: float, theta_prime: float, a, b, *,
 
     # math.sqrt(0.5) entries, one ulp above those of PHI_PLUS.
     first, second = _gamma_first(0.5), _pm_second(theta, theta_prime)
-    states = [first, second, third, fourth]
     dec3 = _wrap(((tau0, tau1), (alpha0, alpha1), (beta0, beta1), False))
     dec4 = _wrap(((tau0, tau1), (bstar0, bstar1), (astar0, astar1), False))
-    return OrthoBasis(
-        states=states,
-        type_label="MMEE",
-        schmidt_all=[schmidt(first, tol), schmidt(second, tol), dec3, dec4],
-        variant="nondiagonal",
-        params={"theta": theta, "theta_prime": theta_prime, "a": a, "b": b},
-    )
+    return OrthoSet((first, second, third, fourth), "MMEE",
+                    (schmidt(first, tol), schmidt(second, tol), dec3, dec4),
+                    {"theta": theta, "theta_prime": theta_prime, "a": a, "b": b},
+                    variant="nondiagonal")

@@ -131,6 +131,7 @@ def tensor(a, b) -> np.ndarray:
 
 def is_unitary(u, tol: float = VERIFY_TOL) -> bool:
     """True when ``u`` is a 2x2 matrix with u^dagger u = I within ``tol``."""
+    tol = check_tol(tol)
     m = np.asarray(u, dtype=complex)
     if m.shape != (2, 2):
         return False

@@ -5,6 +5,8 @@ of four such pairs in the fixed amplitude order; a Schmidt decomposition as
 ``{"coeffs": [l0, l1], "basis_a": [[..], [..]], "basis_b": [[..], [..]]}``
 where each basis row is a 2-vector of complex pairs.  Floats keep Python's
 shortest round-trip representation, so nothing is lost to formatting.
+`set_to_obj` is the one encoder of a constructed set (`OrthoSet`); the
+number of members picks the pair, triple or basis layout.
 
 Importing this module does not import numpy.  States parse to tuples of
 Python complex numbers and Schmidt data serializes from tuples
@@ -100,54 +102,25 @@ def params_to_obj(params: dict) -> dict:
     return out
 
 
-def pair_to_obj(p) -> dict:
-    out = {
-        "type": p.type_label,
-        "first": state_to_obj(p.first),
-        "second": state_to_obj(p.second),
-        "schmidt_second": schmidt_to_obj(p.schmidt_second),
-        "params": params_to_obj(p.params),
-    }
-    if p.variant:
-        out["variant"] = p.variant
+def set_to_obj(s) -> dict:
+    """Serialize an `OrthoSet` in the layout its size selects: a pair as
+    ``first``/``second``/``schmidt_second``, a triple as
+    ``states``/``schmidt_third``, a basis as ``states``/``schmidt``."""
+    states = complex_array_to_obj(s.states)
+    decs = [schmidt_to_obj(d) for d in s.schmidt]
+    if len(states) == 2:
+        out = {"type": s.type_label, "first": states[0], "second": states[1],
+               "schmidt_second": decs[0]}
+    elif len(states) == 3:
+        out = {"type": s.type_label, "states": states, "schmidt_third": decs[0]}
+    else:
+        out = {"type": s.type_label, "states": states, "schmidt": decs}
+    out["params"] = params_to_obj(s.params)
+    if s.case_id is not None:
+        out["case"] = s.case_id
+    if s.variant:
+        out["variant"] = s.variant
     return out
-
-
-def triple_to_obj(t) -> dict:
-    out = {
-        "type": t.type_label,
-        "states": complex_array_to_obj(t.states),
-        "schmidt_third": schmidt_to_obj(t.schmidt_third),
-        "params": params_to_obj(t.params),
-    }
-    if t.case_id is not None:
-        out["case"] = t.case_id
-    if t.variant:
-        out["variant"] = t.variant
-    return out
-
-
-def basis_to_obj(b) -> dict:
-    out = {
-        "type": b.type_label,
-        "states": complex_array_to_obj(b.states),
-        "schmidt": [schmidt_to_obj(d) for d in b.schmidt_all],
-        "params": params_to_obj(b.params),
-    }
-    if b.case_id is not None:
-        out["case"] = b.case_id
-    if b.variant:
-        out["variant"] = b.variant
-    return out
-
-
-def set_to_obj(obj) -> dict:
-    """Serialize an OrthoPair, OrthoTriple or OrthoBasis."""
-    if hasattr(obj, "schmidt_second"):
-        return pair_to_obj(obj)
-    if hasattr(obj, "schmidt_third"):
-        return triple_to_obj(obj)
-    return basis_to_obj(obj)
 
 
 def states_from_obj(obj, *, normalize: bool = False) -> list:

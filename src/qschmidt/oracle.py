@@ -9,7 +9,7 @@ grade arbitrary 1..4-state sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidArgumentError, NotNormalizedError
 from .scalar import DEFAULT_TOL, VERIFY_TOL, _ZERO_FLOOR, _dot, _norm, amplitudes
@@ -96,8 +96,7 @@ def _label(conc: float, tol: float, refine_m: bool = True) -> str:
     return "E"
 
 
-@dataclass
-class StateReport:
+class StateReport(NamedTuple):
     """Per-state verification record."""
 
     reconstruction_error: float
@@ -106,8 +105,7 @@ class StateReport:
     label: str
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of verifying a 1..4-state set.
 
     ``passed`` holds when every pairwise overlap, both routes' reconstruction

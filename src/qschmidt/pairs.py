@@ -1,4 +1,5 @@
-"""Constructors for orthogonal pairs of two-qubit states.
+"""Constructors for orthogonal pairs of two-qubit states, and `OrthoSet`,
+the result type of every set constructor.
 
 Each constructor fixes the first member in a canonical form and produces the
 general second member orthogonal to it, together with the second member's
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,28 +28,31 @@ from .errors import (
     UnknownTypeError,
     ZeroParameterError,
 )
-from .scalar import DEFAULT_TOL, _checked_complex, _checked_norm
-from .schmidt import (
-    SchmidtDecomposition,
-    schmidt,
-    schmidt_diagonal,
-    schmidt_nondiagonal,
-)
+from .scalar import DEFAULT_TOL, _checked_complex, _checked_norm, check_tol
+from .schmidt import schmidt, schmidt_diagonal, schmidt_nondiagonal
 
 A_SIDE = "a-side"
 B_SIDE = "b-side"
 
 
-@dataclass
-class OrthoPair:
-    """Two mutually orthogonal states with the second member's Schmidt data."""
+class OrthoSet(NamedTuple):
+    """Two, three or four mutually orthonormal states, as a pair, triple or
+    basis constructor builds them.
 
-    first: np.ndarray
-    second: np.ndarray
+    ``states`` holds the members in order.  ``schmidt`` holds the Schmidt
+    decompositions the constructor's closed forms give, which are those of
+    the last members: the second member of a pair, the third of a triple,
+    all four of a basis.  ``params`` are the constructor's arguments after
+    normalization; ``case_id`` and ``variant`` name the sub-family where the
+    type has them.
+    """
+
+    states: tuple
     type_label: str
-    schmidt_second: SchmidtDecomposition
+    schmidt: tuple
+    params: dict
+    case_id: int | None = None
     variant: str | None = None
-    params: dict = field(default_factory=dict)
 
 
 def _require_nonzero(value: complex, name: str) -> complex:
@@ -98,33 +102,30 @@ def _gamma_first(gamma: float) -> np.ndarray:
 
 
 def construct_pp(variant: str, single, *, strict: bool = False,
-                 tol: float = DEFAULT_TOL) -> OrthoPair:
+                 tol: float = DEFAULT_TOL) -> OrthoSet:
     """Product state orthogonal to |00>.
 
     ``variant`` chooses which subsystem carries the free single-qubit vector:
     ``"a-side"`` gives single (x) |1>, ``"b-side"`` gives |1> (x) single.
     """
+    tol = check_tol(tol)
     _check_variant(variant)
     u = _as_unit_qubit(single, strict, "single")
     e1 = np.array([0.0 + 0.0j, 1.0 + 0.0j])
     second = tensor(u, e1) if variant == A_SIDE else tensor(e1, u)
-    return OrthoPair(
-        first=_KET00.copy(),
-        second=second,
-        type_label="PP",
-        schmidt_second=schmidt(second, tol),
-        variant=variant,
-        params={"single": (complex(u[0]), complex(u[1]))},
-    )
+    return OrthoSet((_KET00.copy(), second), "PP", (schmidt(second, tol),),
+                    {"single": (complex(u[0]), complex(u[1]))},
+                    variant=variant)
 
 
 def construct_pe_diagonal(a, b, *, strict: bool = False,
-                          tol: float = DEFAULT_TOL) -> OrthoPair:
+                          tol: float = DEFAULT_TOL) -> OrthoSet:
     """Entangled diagonal state a|01> + b|10| orthogonal to |00>.
 
     Both parameters must be nonzero; they are scaled so |a|^2 + |b|^2 = 1.
     The Schmidt coefficients are (|a|, |b|) sorted in descending order.
     """
+    tol = check_tol(tol)
     a = _require_nonzero(a, "a")
     b = _require_nonzero(b, "b")
     a, b = _rescale((a, b), (1.0, 1.0), 1.0, strict, "pe-diagonal")
@@ -132,24 +133,19 @@ def construct_pe_diagonal(a, b, *, strict: bool = False,
     if 2.0 * abs(a * b) <= tol:
         raise ZeroParameterError(
             "parameters too small to yield an entangled member")
-    return OrthoPair(
-        first=_KET00.copy(),
-        second=second,
-        type_label="PE",
-        schmidt_second=schmidt(second, tol),
-        variant="diagonal",
-        params={"a": a, "b": b},
-    )
+    return OrthoSet((_KET00.copy(), second), "PE", (schmidt(second, tol),),
+                    {"a": a, "b": b}, variant="diagonal")
 
 
 def construct_pe_nondiagonal(a, b, c, *, strict: bool = False,
-                             tol: float = DEFAULT_TOL) -> OrthoPair:
+                             tol: float = DEFAULT_TOL) -> OrthoSet:
     """Entangled non-diagonal state a|01> + b|10> + c|11> orthogonal to |00>.
 
     All three parameters must be nonzero (c = 0 belongs to the diagonal
     constructor); they are scaled to a unit state.  The Schmidt coefficients
     come out as sqrt((1 +- sqrt(1 - 4|ab|^2)) / 2).
     """
+    tol = check_tol(tol)
     a = _require_nonzero(a, "a")
     b = _require_nonzero(b, "b")
     c = _require_nonzero(c, "c")
@@ -161,18 +157,12 @@ def construct_pe_nondiagonal(a, b, c, *, strict: bool = False,
         raise ZeroParameterError(
             "parameters land on the diagonal branch; use the diagonal constructor")
     second = np.array([0.0, a, b, c], dtype=complex)
-    return OrthoPair(
-        first=_KET00.copy(),
-        second=second,
-        type_label="PE",
-        schmidt_second=schmidt(second, tol),
-        variant="nondiagonal",
-        params={"a": a, "b": b, "c": c},
-    )
+    return OrthoSet((_KET00.copy(), second), "PE", (schmidt(second, tol),),
+                    {"a": a, "b": b, "c": c}, variant="nondiagonal")
 
 
 def construct_ep(gamma: float, a, b, sign: int = 1, *,
-                 tol: float = DEFAULT_TOL) -> OrthoPair:
+                 tol: float = DEFAULT_TOL) -> OrthoSet:
     """Product state orthogonal to sqrt(gamma)|00> + sqrt(1-gamma)|11>.
 
     The second member is the tensor product of the two single-qubit factors
@@ -185,6 +175,7 @@ def construct_ep(gamma: float, a, b, sign: int = 1, *,
     use the principal branch.  ``a`` and ``b`` may be any complex numbers
     that are not both zero.
     """
+    tol = check_tol(tol)
     gamma = float(gamma)
     if not (0.0 < gamma < 1.0) or math.isnan(gamma):
         raise GammaOutOfRangeError(f"gamma must lie in (0, 1), got {gamma!r}")
@@ -205,13 +196,9 @@ def construct_ep(gamma: float, a, b, sign: int = 1, *,
     if na <= 1e-150 or nb <= 1e-150:
         raise DegenerateParametersError("constructed factor has zero norm")
     second = tensor(factor_a / na, factor_b / nb)
-    return OrthoPair(
-        first=_gamma_first(gamma),
-        second=second,
-        type_label="EP",
-        schmidt_second=schmidt(second, tol),
-        params={"gamma": gamma, "a": a, "b": b, "sign": sign},
-    )
+    return OrthoSet((_gamma_first(gamma), second), "EP",
+                    (schmidt(second, tol),),
+                    {"gamma": gamma, "a": a, "b": b, "sign": sign})
 
 
 def _ee_second(gamma: float, a: complex, b: complex, c: complex) -> np.ndarray:
@@ -241,7 +228,7 @@ def _ee_prepare(gamma, a, b, c, strict, what):
 
 
 def construct_ee_diagonal(gamma: float, a, b, c, *, strict: bool = False,
-                          tol: float = DEFAULT_TOL) -> OrthoPair:
+                          tol: float = DEFAULT_TOL) -> OrthoSet:
     """Entangled diagonal state orthogonal to sqrt(gamma)|00> + sqrt(1-gamma)|11>.
 
     The second member is a|00> + b|01> + c|10> - sqrt(gamma/(1-gamma)) a |11>.
@@ -254,6 +241,7 @@ def construct_ee_diagonal(gamma: float, a, b, c, *, strict: bool = False,
     The Schmidt coefficients are sqrt(|a|^2 + |c|^2) and
     sqrt(|b|^2 + gamma/(1-gamma) |a|^2), sorted.
     """
+    tol = check_tol(tol)
     gamma, a, b, c = _ee_prepare(gamma, a, b, c, strict, "ee-diagonal")
     entangled, diagonal = _ee_conditions(gamma, a, b, c)
     if abs(entangled) <= tol:
@@ -263,24 +251,21 @@ def construct_ee_diagonal(gamma: float, a, b, c, *, strict: bool = False,
         raise ConditionViolatedError(
             "diagonal", f"diagonality residual {abs(diagonal)!r} exceeds {tol!r}")
     second = _ee_second(gamma, a, b, c)
-    return OrthoPair(
-        first=_gamma_first(gamma),
-        second=second,
-        type_label="EE",
-        schmidt_second=schmidt_diagonal(second, tol, check=False),
-        variant="diagonal",
-        params={"gamma": gamma, "a": a, "b": b, "c": c},
-    )
+    return OrthoSet((_gamma_first(gamma), second), "EE",
+                    (schmidt_diagonal(second, tol, check=False),),
+                    {"gamma": gamma, "a": a, "b": b, "c": c},
+                    variant="diagonal")
 
 
 def construct_ee_nondiagonal(gamma: float, a, b, c, *, strict: bool = False,
-                             tol: float = DEFAULT_TOL) -> OrthoPair:
+                             tol: float = DEFAULT_TOL) -> OrthoSet:
     """Entangled non-diagonal state orthogonal to the same first member.
 
     Same state form and normalization as the diagonal variant, but the
     diagonality residual must exceed ``tol``; parameters that satisfy the
     diagonal condition are rejected with AccidentallyDiagonalError.
     """
+    tol = check_tol(tol)
     gamma, a, b, c = _ee_prepare(gamma, a, b, c, strict, "ee-nondiagonal")
     entangled, diagonal = _ee_conditions(gamma, a, b, c)
     if abs(entangled) <= tol:
@@ -291,11 +276,7 @@ def construct_ee_nondiagonal(gamma: float, a, b, c, *, strict: bool = False,
             "parameters satisfy the diagonal condition; "
             "use construct_ee_diagonal")
     second = _ee_second(gamma, a, b, c)
-    return OrthoPair(
-        first=_gamma_first(gamma),
-        second=second,
-        type_label="EE",
-        schmidt_second=schmidt_nondiagonal(second, tol),
-        variant="nondiagonal",
-        params={"gamma": gamma, "a": a, "b": b, "c": c},
-    )
+    return OrthoSet((_gamma_first(gamma), second), "EE",
+                    (schmidt_nondiagonal(second, tol),),
+                    {"gamma": gamma, "a": a, "b": b, "c": c},
+                    variant="nondiagonal")

@@ -8,14 +8,13 @@ arguments.  `sample` and the CLI's ``construct`` verb both select from it.
 constraint manifold from a splitmix64 stream.  The integer stream is
 exactly reproducible from the seed, in any language; the sampled sets are
 bit-identical per seed on one machine and numpy build, not across
-machines: the pp, ppp and pppp samplers normalize through
-``np.linalg.norm``, whose BLAS rounding can depend on the CPU.
+machines: the pp, ppp and pppp samplers and the ep constructor normalize
+through ``np.linalg.norm``, whose BLAS rounding can depend on the CPU.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -145,8 +144,7 @@ def random_unitary(rng: SplitMix64) -> np.ndarray:
     ])
 
 
-@dataclass
-class SampleSpec:
+class SampleSpec(NamedTuple):
     """Request for seeded random sets of one constructible type.
 
     ``set_type`` is the pattern name (``"pp"``, ``"pe"``, ..., ``"mmee"``),

@@ -20,7 +20,7 @@ module does not import numpy: the first `SchmidtDecomposition` built or
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DiagonalError, NotDiagonalError, ZeroVectorError
 from .scalar import DEFAULT_TOL, _ZERO_FLOOR, LazyNumpy, amplitudes, check_tol
@@ -31,8 +31,7 @@ _E0 = (1.0 + 0.0j, 0.0 + 0.0j)
 _E1 = (0.0 + 0.0j, 1.0 + 0.0j)
 
 
-@dataclass
-class SchmidtDecomposition:
+class SchmidtDecomposition(NamedTuple):
     """Coefficients and single-qubit bases of a two-qubit decomposition.
 
     ``coeffs`` holds the two non-negative coefficients in descending order

@@ -9,60 +9,46 @@ cases according to the shape of the second product member:
 * case 3: second member a|10> + b|11>, third c|01> + d(b^*|10> - a^*|11>)
 
 Cases 2 and 3 produce a non-diagonal third member whenever every parameter
-is nonzero.
+is nonzero.  Each constructor returns an `OrthoSet` of three states whose
+``schmidt`` holds the third member's decomposition.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import _KET00, _KET11
 from .errors import NotOrthonormalBasisError, ZeroParameterError
-from .pairs import A_SIDE, _as_unit_qubit, _check_variant, _require_nonzero, _rescale
-from .scalar import DEFAULT_TOL
-from .schmidt import (
-    SchmidtDecomposition,
-    schmidt,
-    schmidt_diagonal,
-    schmidt_nondiagonal,
-)
-
-
-@dataclass
-class OrthoTriple:
-    """Three mutually orthogonal states with the third member's Schmidt data."""
-
-    states: list
-    type_label: str
-    schmidt_third: SchmidtDecomposition
-    case_id: int | None = None
-    variant: str | None = None
-    params: dict = field(default_factory=dict)
+from .pairs import (A_SIDE, OrthoSet, _as_unit_qubit, _check_variant,
+                    _require_nonzero, _rescale)
+from .scalar import DEFAULT_TOL, check_tol
+from .schmidt import schmidt, schmidt_diagonal, schmidt_nondiagonal
 
 
 def orthonormal_qubit_basis(basis, *, strict: bool = False,
                             tol: float = 1e-12):
     """Validate and return a pair of orthonormal single-qubit vectors."""
+    tol = check_tol(tol)
     if len(basis) != 2:
         raise NotOrthonormalBasisError("a qubit basis needs exactly 2 vectors")
     v0 = _as_unit_qubit(basis[0], strict, "basis[0]")
     v1 = _as_unit_qubit(basis[1], strict, "basis[1]")
-    overlap = v0[0].conjugate() * v1[0] + v0[1].conjugate() * v1[1]
-    if abs(overlap) > tol:
+    (a0, a1), (b0, b1) = v0.tolist(), v1.tolist()
+    overlap = abs(a0.conjugate() * b0 + a1.conjugate() * b1)
+    if overlap > tol:
         raise NotOrthonormalBasisError(
-            f"basis vectors overlap by {abs(overlap)!r} (> {tol!r})")
+            f"basis vectors overlap by {overlap!r} (> {tol!r})")
     return v0, v1
 
 
 def construct_ppp(variant: str, basis, *, strict: bool = False,
-                  tol: float = DEFAULT_TOL) -> OrthoTriple:
+                  tol: float = DEFAULT_TOL) -> OrthoSet:
     """Three orthonormal product states from |00> and a qubit basis.
 
     The a-side variant is (|00>, basis0 (x) |1>, basis1 (x) |1>); the b-side
     variant mirrors it as (|00>, |1> (x) basis0, |1> (x) basis1).
     """
+    tol = check_tol(tol)
     _check_variant(variant)
     v0, v1 = orthonormal_qubit_basis(basis, strict=strict)
     if variant == A_SIDE:
@@ -71,23 +57,21 @@ def construct_ppp(variant: str, basis, *, strict: bool = False,
     else:
         second = np.array([0.0, 0.0, v0[0], v0[1]], dtype=complex)
         third = np.array([0.0, 0.0, v1[0], v1[1]], dtype=complex)
-    return OrthoTriple(
-        states=[_KET00.copy(), second, third],
-        type_label="PPP",
-        schmidt_third=schmidt(third, tol),
-        variant=variant,
-        params={"basis": [(complex(v0[0]), complex(v0[1])),
-                          (complex(v1[0]), complex(v1[1]))]},
-    )
+    return OrthoSet((_KET00.copy(), second, third), "PPP",
+                    (schmidt(third, tol),),
+                    {"basis": [(complex(v0[0]), complex(v0[1])),
+                               (complex(v1[0]), complex(v1[1]))]},
+                    variant=variant)
 
 
 def construct_ppe_case1(c, d, *, strict: bool = False,
-                        tol: float = DEFAULT_TOL) -> OrthoTriple:
+                        tol: float = DEFAULT_TOL) -> OrthoSet:
     """(|00>, |11>, c|01> + d|10>) with both parameters nonzero.
 
     The third member is diagonal; its Schmidt coefficients are (|c|, |d|)
     sorted in descending order.
     """
+    tol = check_tol(tol)
     c = _require_nonzero(c, "c")
     d = _require_nonzero(d, "d")
     c, d = _rescale((c, d), (1.0, 1.0), 1.0, strict, "ppe-case1")
@@ -95,13 +79,9 @@ def construct_ppe_case1(c, d, *, strict: bool = False,
         raise ZeroParameterError(
             "parameters too small to yield an entangled third member")
     third = np.array([0.0, c, d, 0.0], dtype=complex)
-    return OrthoTriple(
-        states=[_KET00.copy(), _KET11.copy(), third],
-        type_label="PPE",
-        schmidt_third=schmidt_diagonal(third, tol),
-        case_id=1,
-        params={"c": c, "d": d},
-    )
+    return OrthoSet((_KET00.copy(), _KET11.copy(), third), "PPE",
+                    (schmidt_diagonal(third, tol),), {"c": c, "d": d},
+                    case_id=1)
 
 
 def _ppe_pairs(a, b, c, d, strict, what):
@@ -115,13 +95,14 @@ def _ppe_pairs(a, b, c, d, strict, what):
 
 
 def construct_ppe_case2(a, b, c, d, *, strict: bool = False,
-                        tol: float = DEFAULT_TOL) -> OrthoTriple:
+                        tol: float = DEFAULT_TOL) -> OrthoSet:
     """PPE set whose second member is a|01> + b|11>.
 
     The third member is c(b^*|01> - a^*|11>) + d|10>, non-diagonal, with
     Schmidt coefficients sqrt((1 +- sqrt(1 - 4|bcd|^2)) / 2).  The pairs
     (a, b) and (c, d) are normalized independently and must be nonzero.
     """
+    tol = check_tol(tol)
     a, b, c, d = _ppe_pairs(a, b, c, d, strict, "ppe-case2")
     if 2.0 * abs(b * c * d) <= tol:
         raise ZeroParameterError(
@@ -132,23 +113,20 @@ def construct_ppe_case2(a, b, c, d, *, strict: bool = False,
     second = np.array([0.0, a, 0.0, b], dtype=complex)
     third = np.array([0.0, c * b.conjugate(), d, -c * a.conjugate()],
                      dtype=complex)
-    return OrthoTriple(
-        states=[_KET00.copy(), second, third],
-        type_label="PPE",
-        schmidt_third=schmidt_nondiagonal(third, tol),
-        case_id=2,
-        params={"a": a, "b": b, "c": c, "d": d},
-    )
+    return OrthoSet((_KET00.copy(), second, third), "PPE",
+                    (schmidt_nondiagonal(third, tol),),
+                    {"a": a, "b": b, "c": c, "d": d}, case_id=2)
 
 
 def construct_ppe_case3(a, b, c, d, *, strict: bool = False,
-                        tol: float = DEFAULT_TOL) -> OrthoTriple:
+                        tol: float = DEFAULT_TOL) -> OrthoSet:
     """PPE set whose second member is a|10> + b|11> (a product of |1> with a
     B-side vector).
 
     The third member is c|01> + d(b^*|10> - a^*|11>), non-diagonal, with the
     same coefficient formula as case 2.
     """
+    tol = check_tol(tol)
     a, b, c, d = _ppe_pairs(a, b, c, d, strict, "ppe-case3")
     if 2.0 * abs(b * c * d) <= tol:
         raise ZeroParameterError(
@@ -159,10 +137,6 @@ def construct_ppe_case3(a, b, c, d, *, strict: bool = False,
     second = np.array([0.0, 0.0, a, b], dtype=complex)
     third = np.array([0.0, c, d * b.conjugate(), -d * a.conjugate()],
                      dtype=complex)
-    return OrthoTriple(
-        states=[_KET00.copy(), second, third],
-        type_label="PPE",
-        schmidt_third=schmidt_nondiagonal(third, tol),
-        case_id=3,
-        params={"a": a, "b": b, "c": c, "d": d},
-    )
+    return OrthoSet((_KET00.copy(), second, third), "PPE",
+                    (schmidt_nondiagonal(third, tol),),
+                    {"a": a, "b": b, "c": c, "d": d}, case_id=3)

@@ -34,7 +34,7 @@ FAMILIES = tuple(sampling.FAMILIES)
 
 
 def states_of(obj):
-    return list(obj.states) if hasattr(obj, "states") else [obj.first, obj.second]
+    return list(obj.states)
 
 
 def set_gram(states) -> np.ndarray:

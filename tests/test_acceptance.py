@@ -58,7 +58,7 @@ def test_criterion_1_golden_fixtures():
         assert phase_aligned_dev(q.MINUS, d2.basis_b[1]) <= 1e-12
 
         pair = q.construct_pe_nondiagonal(R12, 0.5, 0.5)
-        assert np.max(np.abs(pair.schmidt_second.coeffs
+        assert np.max(np.abs(pair.schmidt[0].coeffs
                              - GOLD_PE_COEFFS)) <= 1e-12
 
 
@@ -120,14 +120,6 @@ REFINED = {
 }
 
 
-def _decompositions_of(obj):
-    if hasattr(obj, "schmidt_all"):
-        return obj.schmidt_all
-    if hasattr(obj, "schmidt_third"):
-        return [obj.schmidt_third]
-    return [obj.schmidt_second]
-
-
 def test_criterion_4_constructor_property_suites():
     with criterion(4, f"{len(CONSTRUCTIBLE)} type/case suites x {BIG} samples"):
         start = time.perf_counter()
@@ -145,7 +137,7 @@ def test_criterion_4_constructor_property_suites():
                     (set_type, case_id, variant, labels)
                 if refined is not None:
                     assert labels == refined, (set_type, labels)
-                for dec in _decompositions_of(obj):
+                for dec in obj.schmidt:
                     l0, l1 = float(dec.coeffs[0]), float(dec.coeffs[1])
                     assert abs(l0 * l0 + l1 * l1 - 1.0) <= 1e-12
         elapsed = time.perf_counter() - start
@@ -178,8 +170,8 @@ def test_criterion_6_shared_spectrum():
         for variant in ("diagonal", "nondiagonal"):
             spec = q.SampleSpec("mmee", variant=variant, seed=141421, count=MED)
             for obj in q.sample(spec):
-                t2 = np.array(obj.schmidt_all[2].coeffs)
-                t3 = np.array(obj.schmidt_all[3].coeffs)
+                t2 = np.array(obj.schmidt[2].coeffs)
+                t3 = np.array(obj.schmidt[3].coeffs)
                 assert np.max(np.abs(t2 - t3)) <= 1e-12
                 o2 = q.oracle_schmidt(obj.states[2])
                 o3 = q.oracle_schmidt(obj.states[3])
@@ -187,7 +179,7 @@ def test_criterion_6_shared_spectrum():
 
         for obj in q.sample(q.SampleSpec("pmee", seed=662607, count=MED)):
             mag_c = abs(obj.params["c"])
-            dec3 = obj.schmidt_all[2]
+            dec3 = obj.schmidt[2]
             for j in range(2):
                 xi_j = float(dec3.coeffs[j])
                 scale = math.sqrt(mag_c * mag_c + xi_j * xi_j)
@@ -202,7 +194,7 @@ def test_criterion_7_mixed_state_fixture():
         ent = (1.0 / (2.0 * math.sqrt(2.0))) * np.array(
             [[math.sqrt(2.0), 1.0], [1.0, math.sqrt(2.0)]])
         for w0 in (0.3, 0.5, 0.9, 0.42):
-            rho = q.spectral_mix([KET00, pe.second], [w0, 1.0 - w0])
+            rho = q.spectral_mix([KET00, pe.states[1]], [w0, 1.0 - w0])
             expect = w0 * np.array([[1.0, 0.0], [0.0, 0.0]]) + (1.0 - w0) * ent
             assert np.max(np.abs(q.reduce_a(rho) - expect)) <= 1e-12
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qschmidt as q
-from qschmidt import core, jsonio
+from qschmidt import core, jsonio, sampling
 from helpers import GOLD_NONDIAG, KET00, KET11
 
 BAD_TOLS = (math.nan, math.inf, 0.0, -1e-10)
@@ -76,7 +76,7 @@ class TestAmplitudesFastPath:
 def _decompositions():
     basis = q.construct_ppee_case2(0.6, 0.8, 0.6, 0.8)
     return [q.schmidt(GOLD_NONDIAG), q.schmidt(KET00),
-            q.oracle_schmidt(GOLD_NONDIAG), *basis.schmidt_all]
+            q.oracle_schmidt(GOLD_NONDIAG), *basis.schmidt]
 
 
 @pytest.mark.parametrize("d", _decompositions())
@@ -104,6 +104,15 @@ class TestToleranceChecks:
         "classify": lambda tol: q.classify([KET00], tol=tol),
         "sample": lambda tol: q.sample(q.SampleSpec("pp"), tol=tol),
         "spectral_mix": lambda tol: q.spectral_mix([KET00], [1.0], tol=tol),
+        "orthonormal_qubit_basis": lambda tol: q.orthonormal_qubit_basis(
+            [[1, 0], [0, 1]], tol=tol),
+        "complete_ppp": lambda tol: q.complete_ppp(
+            [KET00, KET11, q.make_state(0, 1, 0, 0)], tol=tol),
+        "is_unitary": lambda tol: q.is_unitary(np.eye(2), tol=tol),
+        # Each constructor on its family's seeded draw.
+        **{f.construct.__name__: (lambda tol, f=f, args=f.draw(q.SplitMix64(3)):
+                                  f.construct(*args, tol=tol))
+           for f in sampling.FAMILIES.values()},
     }
 
     @pytest.mark.parametrize("tol", BAD_TOLS, ids=repr)

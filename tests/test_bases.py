@@ -17,7 +17,7 @@ from helpers import (
 
 def assert_basis_invariants(basis, labels=None):
     assert_orthonormal_set(basis.states)
-    for state, dec in zip(basis.states, basis.schmidt_all):
+    for state, dec in zip(basis.states, basis.schmidt):
         assert_valid_decomposition(dec, state)
     labels = labels or basis.type_label
     for state, label in zip(basis.states, labels):
@@ -77,7 +77,7 @@ class TestCompletePPP:
         for t in q.sample(q.SampleSpec("ppp", seed=21, count=300)):
             state, conc = q.complete_ppp(t)
             assert conc <= 1e-10
-            assert_orthonormal_set(t.states + [state])
+            assert_orthonormal_set([*t.states, state])
 
     def test_numpy_nullspace_cross_check(self):
         t = q.sample(q.SampleSpec("ppp", seed=5, count=1))[0]
@@ -163,16 +163,16 @@ class TestPPEECase3:
 class TestPM:
     def test_zero_angles(self):
         pair = q.construct_pm(0.0, 0.0)
-        np.testing.assert_allclose(pair.second, q.PSI_PLUS, atol=1e-15)
+        np.testing.assert_allclose(pair.states[1], q.PSI_PLUS, atol=1e-15)
 
     def test_pi_angle(self):
         pair = q.construct_pm(0.0, math.pi)
-        assert phase_aligned_dev(q.PSI_MINUS, pair.second) <= 1e-12
+        assert phase_aligned_dev(q.PSI_MINUS, pair.states[1]) <= 1e-12
 
     def test_arbitrary_angles_maximal(self):
         pair = q.construct_pm(math.pi / 4, -math.pi / 3)
-        assert q.concurrence(pair.second) == pytest.approx(1.0, abs=1e-12)
-        assert q.inner(pair.first, pair.second) == 0.0
+        assert q.concurrence(pair.states[1]) == pytest.approx(1.0, abs=1e-12)
+        assert q.inner(pair.states[0], pair.states[1]) == 0.0
 
 
 class TestPMEE:
@@ -180,8 +180,8 @@ class TestPMEE:
         b = q.construct_pmee(0.0, 0.0, 0.0, 0.5)
         h = math.sqrt(3) / 2
         expect = [math.sqrt((1 + h) / 2), math.sqrt((1 - h) / 2)]
-        np.testing.assert_allclose(b.schmidt_all[2].coeffs, expect, atol=1e-14)
-        np.testing.assert_allclose(b.schmidt_all[3].coeffs, expect, atol=1e-14)
+        np.testing.assert_allclose(b.schmidt[2].coeffs, expect, atol=1e-14)
+        np.testing.assert_allclose(b.schmidt[3].coeffs, expect, atol=1e-14)
         assert_basis_invariants(b, "PMEE")
 
     def test_generic_parameters(self):
@@ -192,9 +192,9 @@ class TestPMEE:
         b = q.construct_pmee(0.9, 0.2, -0.6, 0.31 + 0.4j)
         mag_c = abs(b.params["c"])
         for j in range(2):
-            xi_j = float(b.schmidt_all[2].coeffs[j])
+            xi_j = float(b.schmidt[2].coeffs[j])
             scale = math.sqrt(mag_c ** 2 + xi_j ** 2)
-            vec = b.schmidt_all[2].basis_a[j]
+            vec = b.schmidt[2].basis_a[j]
             assert abs(abs(vec[0]) * scale - mag_c) <= 1e-12
             assert abs(abs(vec[1]) * scale - xi_j) <= 1e-12
 
@@ -244,8 +244,8 @@ class TestMMEENondiagonal:
         # D = 2ab = sqrt(3)/4 for these real parameters.
         h = math.sqrt(1 - 4 * (a * a - bb * bb) ** 2)
         expect = [math.sqrt((1 + h) / 2), math.sqrt((1 - h) / 2)]
-        np.testing.assert_allclose(b.schmidt_all[2].coeffs, expect, atol=1e-14)
-        np.testing.assert_allclose(b.schmidt_all[3].coeffs, expect, atol=1e-14)
+        np.testing.assert_allclose(b.schmidt[2].coeffs, expect, atol=1e-14)
+        np.testing.assert_allclose(b.schmidt[3].coeffs, expect, atol=1e-14)
         assert_basis_invariants(b, "MMEE")
 
     def test_entangled_guard(self):
@@ -260,9 +260,9 @@ class TestMMEENondiagonal:
     def test_coefficient_identity_sweep(self):
         for b in q.sample(q.SampleSpec("mmee", variant="nondiagonal",
                                        seed=32, count=200)):
-            t = b.schmidt_all[2].coeffs
+            t = b.schmidt[2].coeffs
             assert abs(t[0] ** 2 + t[1] ** 2 - 1.0) <= 1e-12
-            np.testing.assert_array_equal(t, b.schmidt_all[3].coeffs)
+            np.testing.assert_array_equal(t, b.schmidt[3].coeffs)
 
     def test_admissible_region_structure(self):
         # Under the half-norm constraint, E = |a^2 - e^{i Delta} b^2| and the

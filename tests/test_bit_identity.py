@@ -103,9 +103,7 @@ def family_sets():
                             variant=variant, seed=1000 + i, count=6)
         for s in q.sample(spec):
             states = states_of(s)
-            decs = s.schmidt_all if hasattr(s, "schmidt_all") else \
-                [s.schmidt_third] if hasattr(s, "schmidt_third") else \
-                [s.schmidt_second]
+            decs = s.schmidt
             e = [0.05 + rng.uniform() for _ in states]
             total = sum(e)
             yield states, decs, [x / total for x in e]

@@ -87,6 +87,16 @@ class TestConstruct:
         assert code == 1
         assert json.loads(err)["error"] == "ZeroParameterError"
 
+    def test_basis_overlap_message_is_the_same_on_every_numpy(self, capsys):
+        """The overlap prints as a Python float, not as numpy's scalar repr
+        (``np.float64(0.6)`` from numpy 2 on)."""
+        code, out, err = run(capsys, "construct", "--type", "ppp",
+                             "--variant", "a-side", "--params",
+                             '{"basis": [[[1,0],[0,0]], [[0.6,0],[0.8,0]]]}')
+        assert (code, out) == (1, "")
+        assert err == ('{"error": "NotOrthonormalBasisError", "message": '
+                       '"basis vectors overlap by 0.6 (> 1e-12)"}\n')
+
     def test_missing_variant_is_domain_error(self, capsys):
         code, _, err = run(capsys, "construct", "--type", "pe",
                            "--params", '{"a":[1,0],"b":[1,0]}')

@@ -69,26 +69,26 @@ def old_params_to_obj(params: dict) -> dict:
 
 
 def old_set_to_obj(obj) -> dict:
-    if hasattr(obj, "schmidt_second"):
+    if len(obj.states) == 2:
         out = {
             "type": obj.type_label,
-            "first": old_vector_to_obj(obj.first),
-            "second": old_vector_to_obj(obj.second),
-            "schmidt_second": old_schmidt_to_obj(obj.schmidt_second),
+            "first": old_vector_to_obj(obj.states[0]),
+            "second": old_vector_to_obj(obj.states[1]),
+            "schmidt_second": old_schmidt_to_obj(obj.schmidt[0]),
             "params": old_params_to_obj(obj.params),
         }
-    elif hasattr(obj, "schmidt_third"):
+    elif len(obj.states) == 3:
         out = {
             "type": obj.type_label,
             "states": [old_vector_to_obj(s) for s in obj.states],
-            "schmidt_third": old_schmidt_to_obj(obj.schmidt_third),
+            "schmidt_third": old_schmidt_to_obj(obj.schmidt[0]),
             "params": old_params_to_obj(obj.params),
         }
     else:
         out = {
             "type": obj.type_label,
             "states": [old_vector_to_obj(s) for s in obj.states],
-            "schmidt": [old_schmidt_to_obj(d) for d in obj.schmidt_all],
+            "schmidt": [old_schmidt_to_obj(d) for d in obj.schmidt],
             "params": old_params_to_obj(obj.params),
         }
     if getattr(obj, "case_id", None) is not None:

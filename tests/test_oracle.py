@@ -76,7 +76,7 @@ class TestClassify:
 
     def test_single_entangled(self):
         pe = q.construct_pe_nondiagonal(R12, 0.5, 0.5)
-        assert q.classify([pe.second]) == "E"
+        assert q.classify([pe.states[1]]) == "E"
 
     def test_closed_loop_with_constructor(self):
         b = q.construct_ppee_case2(0.6, 0.8, 0.6j, 0.8)

@@ -27,7 +27,7 @@ PUBLIC_NAMES = (
     "InvalidArgumentError", "InvalidDensityError", "KET0", "KET1", "MINUS",
     "NotDiagonalError", "NotFiniteError", "NotNormalizedError",
     "NotOrthogonalError", "NotOrthonormalBasisError", "NotPPPError",
-    "NotUnitaryError", "OrthoBasis", "OrthoPair", "OrthoTriple", "PHI_MINUS",
+    "NotUnitaryError", "OrthoSet", "PHI_MINUS",
     "PHI_PLUS", "PLUS", "PSI_MINUS", "PSI_PLUS", "QuantumStateError",
     "SampleSpec", "SchmidtDecomposition", "SplitMix64", "StateReport",
     "UnknownTypeError", "VERIFY_TOL", "VerificationReport",
@@ -81,7 +81,8 @@ with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     code = qschmidt.cli.main(argv)
 print(json.dumps({"before": sorted(before), "numpy_before": numpy_before,
                   "added": sorted(loaded() - before), "exit": code,
-                  "numpy": "numpy" in sys.modules}))
+                  "numpy": "numpy" in sys.modules,
+                  "dataclasses": "dataclasses" in sys.modules}))
 """
 
 SURFACE_PROBE = """
@@ -128,6 +129,9 @@ def test_each_verb_loads_only_its_modules(entry):
     assert not got["numpy_before"]
     assert got["added"] == ADDED_MODULES[entry["name"]]
     assert got["numpy"] == (entry["name"] not in NUMPY_FREE)
+    # The result records are NamedTuples; numpy does not load dataclasses
+    # either, so no call, with or without site-packages, pays for it.
+    assert not got["dataclasses"]
 
 
 @pytest.mark.parametrize("entry", [e for e in GOLDEN if e["name"] in NUMPY_FREE],

@@ -18,10 +18,10 @@ from helpers import (
 
 
 def assert_pair_invariants(pair, labels=None):
-    assert_orthonormal_set([pair.first, pair.second])
-    assert_valid_decomposition(pair.schmidt_second, pair.second)
+    assert_orthonormal_set([pair.states[0], pair.states[1]])
+    assert_valid_decomposition(pair.schmidt[0], pair.states[1])
     labels = labels or pair.type_label
-    for state, label in zip((pair.first, pair.second), labels):
+    for state, label in zip((pair.states[0], pair.states[1]), labels):
         conc = q.concurrence(state)
         if label == "P":
             assert conc <= 1e-10
@@ -34,17 +34,17 @@ def assert_pair_invariants(pair, labels=None):
 class TestPP:
     def test_a_side_computational(self):
         pair = q.construct_pp("a-side", q.KET0)
-        np.testing.assert_array_equal(pair.second, KET01)
+        np.testing.assert_array_equal(pair.states[1], KET01)
         assert_pair_invariants(pair)
 
     def test_a_side_plus(self):
         pair = q.construct_pp("a-side", q.PLUS)
-        np.testing.assert_allclose(pair.second, [0, R12, 0, R12], atol=1e-15)
+        np.testing.assert_allclose(pair.states[1], [0, R12, 0, R12], atol=1e-15)
         assert_pair_invariants(pair)
 
     def test_b_side(self):
         pair = q.construct_pp("b-side", q.KET1)
-        np.testing.assert_array_equal(pair.second, KET11)
+        np.testing.assert_array_equal(pair.states[1], KET11)
 
     def test_bad_variant(self):
         with pytest.raises(ValueError):
@@ -58,18 +58,18 @@ class TestPP:
 class TestPEDiagonal:
     def test_bell_member(self):
         pair = q.construct_pe_diagonal(R12, R12)
-        np.testing.assert_allclose(pair.second, q.PSI_PLUS, atol=1e-15)
+        np.testing.assert_allclose(pair.states[1], q.PSI_PLUS, atol=1e-15)
         assert_pair_invariants(pair, "PM")
 
     def test_phase_pair_is_maximal(self):
         a = R12 * np.exp(0.7j)
         b = R12 * np.exp(-2.1j)
         pair = q.construct_pe_diagonal(a, b)
-        assert q.concurrence(pair.second) == pytest.approx(1.0, abs=1e-12)
+        assert q.concurrence(pair.states[1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_sorted_coefficients(self):
         pair = q.construct_pe_diagonal(R13, R23)
-        np.testing.assert_allclose(pair.schmidt_second.coeffs, [R23, R13],
+        np.testing.assert_allclose(pair.schmidt[0].coeffs, [R23, R13],
                                    atol=1e-15)
 
     def test_rejects_zero_parameter(self):
@@ -78,26 +78,26 @@ class TestPEDiagonal:
 
     def test_rescales_unnormalized_input(self):
         pair = q.construct_pe_diagonal(3, 4)
-        np.testing.assert_allclose(pair.schmidt_second.coeffs, [0.8, 0.6],
+        np.testing.assert_allclose(pair.schmidt[0].coeffs, [0.8, 0.6],
                                    atol=1e-15)
 
 
 class TestPENondiagonal:
     def test_golden_coefficients(self):
         pair = q.construct_pe_nondiagonal(R12, 0.5, 0.5)
-        np.testing.assert_allclose(pair.schmidt_second.coeffs, GOLD_PE_COEFFS,
+        np.testing.assert_allclose(pair.schmidt[0].coeffs, GOLD_PE_COEFFS,
                                    atol=1e-15)
         assert_pair_invariants(pair)
 
     def test_second_has_no_first_amplitude(self):
         pair = q.construct_pe_nondiagonal(0.3 + 0.1j, 0.4 - 0.2j, 0.6j)
-        assert pair.second[0] == 0.0
-        assert q.inner(KET00, pair.second) == 0.0
+        assert pair.states[1][0] == 0.0
+        assert q.inner(KET00, pair.states[1]) == 0.0
 
     def test_coefficients_match_oracle(self):
         pair = q.construct_pe_nondiagonal(0.5, 0.5, R12)
-        o = q.oracle_schmidt(pair.second)
-        assert np.max(np.abs(pair.schmidt_second.coeffs - o.coeffs)) <= 1e-12
+        o = q.oracle_schmidt(pair.states[1])
+        assert np.max(np.abs(pair.schmidt[0].coeffs - o.coeffs)) <= 1e-12
 
     def test_rejects_zero_c(self):
         with pytest.raises(q.ZeroParameterError):
@@ -107,20 +107,20 @@ class TestPENondiagonal:
 class TestEP:
     def test_b_zero_collapses_to_ket01(self):
         pair = q.construct_ep(0.5, 1, 0, 1)
-        assert abs(abs(q.inner(KET01, pair.second)) - 1.0) <= 1e-12
+        assert abs(abs(q.inner(KET01, pair.states[1])) - 1.0) <= 1e-12
         assert_pair_invariants(pair)
 
     def test_balanced_parameters(self):
         pair = q.construct_ep(0.5, 1, 1, 1)
-        assert abs(q.inner(pair.first, pair.second)) <= 1e-12
-        assert q.concurrence(pair.second) <= 1e-10
+        assert abs(q.inner(pair.states[0], pair.states[1])) <= 1e-12
+        assert q.concurrence(pair.states[1]) <= 1e-10
         # For gamma = 1/2, a = b = 1 the |00> amplitude is i/2.
-        assert pair.second[0] == pytest.approx(0.5j, abs=1e-12)
+        assert pair.states[1][0] == pytest.approx(0.5j, abs=1e-12)
 
     def test_minus_branch(self):
         pair = q.construct_ep(1 / 3, 1, 1, -1)
-        assert abs(q.inner(pair.first, pair.second)) <= 1e-12
-        assert q.concurrence(pair.second) <= 1e-10
+        assert abs(q.inner(pair.states[0], pair.states[1])) <= 1e-12
+        assert q.concurrence(pair.states[1]) <= 1e-10
 
     def test_gamma_bounds(self):
         for gamma in (0.0, 1.0, -0.2, 1.7):
@@ -154,15 +154,15 @@ class TestEP:
 class TestEEDiagonal:
     def test_a_zero_bell_member(self):
         pair = q.construct_ee_diagonal(0.5, 0, R12, R12)
-        np.testing.assert_allclose(pair.second, q.PSI_PLUS, atol=1e-15)
-        np.testing.assert_allclose(pair.schmidt_second.coeffs, [R12, R12],
+        np.testing.assert_allclose(pair.states[1], q.PSI_PLUS, atol=1e-15)
+        np.testing.assert_allclose(pair.schmidt[0].coeffs, [R12, R12],
                                    atol=1e-15)
 
     def test_complex_parameters(self):
         pair = q.construct_ee_diagonal(0.5, 0, 1j * R12, R12)
         assert_pair_invariants(pair, "EE")
-        o = q.oracle_schmidt(pair.second)
-        assert np.max(np.abs(pair.schmidt_second.coeffs - o.coeffs)) <= 1e-12
+        o = q.oracle_schmidt(pair.states[1])
+        assert np.max(np.abs(pair.schmidt[0].coeffs - o.coeffs)) <= 1e-12
 
     def test_generic_family(self):
         # With a != 0 the diagonality condition pins b; all conditions hold.
@@ -173,7 +173,7 @@ class TestEEDiagonal:
         scale = math.sqrt(abs(a) ** 2 / (1 - gamma) + abs(b) ** 2 + abs(c) ** 2)
         pair = q.construct_ee_diagonal(gamma, a / scale, b / scale, c / scale)
         assert_pair_invariants(pair, "EE")
-        zeta = pair.schmidt_second.coeffs
+        zeta = pair.schmidt[0].coeffs
         assert abs(zeta[0] ** 2 + zeta[1] ** 2 - 1.0) <= 1e-12
 
     def test_condition_guard(self):
@@ -192,8 +192,8 @@ class TestEENondiagonal:
     def test_balanced_input(self):
         pair = q.construct_ee_nondiagonal(0.4, 0.5, 0.5, 0.5)
         assert_pair_invariants(pair, "EE")
-        o = q.oracle_schmidt(pair.second)
-        assert np.max(np.abs(pair.schmidt_second.coeffs - o.coeffs)) <= 1e-12
+        o = q.oracle_schmidt(pair.states[1])
+        assert np.max(np.abs(pair.schmidt[0].coeffs - o.coeffs)) <= 1e-12
 
     def test_equal_parameters_at_half_gamma_are_diagonal(self):
         # At gamma = 1/2 equal real parameters satisfy the diagonal
@@ -204,9 +204,9 @@ class TestEENondiagonal:
     def test_coefficient_identity_sweep(self):
         for obj in q.sample(q.SampleSpec("ee", variant="nondiagonal",
                                          seed=3, count=300)):
-            c = obj.schmidt_second.coeffs
+            c = obj.schmidt[0].coeffs
             assert abs(c[0] ** 2 + c[1] ** 2 - 1.0) <= 1e-12
-            assert abs(q.inner(obj.first, obj.second)) <= 1e-12
+            assert abs(q.inner(obj.states[0], obj.states[1])) <= 1e-12
 
     def test_rejects_diagonal_parameters(self):
         with pytest.raises(q.AccidentallyDiagonalError):
@@ -225,9 +225,9 @@ class TestTypeInvariance:
         ]
         for pair in samples:
             ua, ub = q.random_unitary(rng), q.random_unitary(rng)
-            before = q.classify([pair.first, pair.second])
-            after = q.classify([q.apply_local(pair.first, ua, ub),
-                                q.apply_local(pair.second, ua, ub)])
+            before = q.classify([pair.states[0], pair.states[1]])
+            after = q.classify([q.apply_local(pair.states[0], ua, ub),
+                                q.apply_local(pair.states[1], ua, ub)])
             assert before == after == pair.type_label.replace("M", "E")
 
 

@@ -17,7 +17,7 @@ from helpers import (
 
 def assert_triple_invariants(triple):
     assert_orthonormal_set(triple.states)
-    assert_valid_decomposition(triple.schmidt_third, triple.states[2])
+    assert_valid_decomposition(triple.schmidt[0], triple.states[2])
     for state, label in zip(triple.states, triple.type_label):
         conc = q.concurrence(state)
         assert conc <= 1e-10 if label == "P" else conc > 1e-10
@@ -56,7 +56,7 @@ class TestPPECase1:
 
     def test_sorted_coefficients(self):
         t = q.construct_ppe_case1(1j * R13, R23)
-        np.testing.assert_allclose(t.schmidt_third.coeffs, [R23, R13],
+        np.testing.assert_allclose(t.schmidt[0].coeffs, [R23, R13],
                                    atol=1e-15)
 
     def test_disjoint_support_orthogonality(self):
@@ -75,12 +75,12 @@ class TestPPECase2:
         # 4|bcd|^2 = 1/2 pins the coefficient gap.
         h = np.sqrt(1.0 - 0.5)
         expect = [np.sqrt((1 + h) / 2), np.sqrt((1 - h) / 2)]
-        np.testing.assert_allclose(t.schmidt_third.coeffs, expect, atol=1e-15)
+        np.testing.assert_allclose(t.schmidt[0].coeffs, expect, atol=1e-15)
         assert_triple_invariants(t)
 
     def test_identity_and_orthogonality_sweep(self):
         for t in q.sample(q.SampleSpec("ppe", case_id=2, seed=8, count=300)):
-            c = t.schmidt_third.coeffs
+            c = t.schmidt[0].coeffs
             assert abs(c[0] ** 2 + c[1] ** 2 - 1.0) <= 1e-12
             assert_orthonormal_set(t.states)
             assert not q.is_diagonal(t.states[2])
@@ -88,7 +88,7 @@ class TestPPECase2:
     def test_oracle_agreement(self):
         t = q.construct_ppe_case2(0.3 + 0.2j, 0.9, 0.5 - 0.5j, 0.6)
         o = q.oracle_schmidt(t.states[2])
-        assert np.max(np.abs(t.schmidt_third.coeffs - o.coeffs)) <= 1e-12
+        assert np.max(np.abs(t.schmidt[0].coeffs - o.coeffs)) <= 1e-12
 
     def test_rejects_zero(self):
         with pytest.raises(q.ZeroParameterError):
@@ -100,7 +100,7 @@ class TestPPECase3:
         t = q.construct_ppe_case3(R12, R12, R12, R12)
         h = np.sqrt(1.0 - 0.5)
         expect = [np.sqrt((1 + h) / 2), np.sqrt((1 - h) / 2)]
-        np.testing.assert_allclose(t.schmidt_third.coeffs, expect, atol=1e-15)
+        np.testing.assert_allclose(t.schmidt[0].coeffs, expect, atol=1e-15)
         assert_triple_invariants(t)
 
     def test_second_member_is_product(self):
@@ -109,7 +109,7 @@ class TestPPECase3:
 
     def test_round_trip(self):
         t = q.construct_ppe_case3(0.3 + 0.2j, 0.9, 0.5 - 0.5j, 0.6)
-        rebuilt = q.reconstruct(t.schmidt_third)
+        rebuilt = q.reconstruct(t.schmidt[0])
         assert np.max(np.abs(rebuilt - t.states[2])) <= 1e-12
 
     def test_nondiagonal_third_sweep(self):
