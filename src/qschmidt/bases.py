@@ -6,8 +6,8 @@ and MMEE (two maximal members, with diagonal and non-diagonal variants for
 the remaining pair).  A PPPE basis cannot exist: completing any three
 orthonormal product states always yields a fourth product state, which
 `complete_ppp` demonstrates constructively.  Each basis constructor returns
-an `OrthoSet` of four states whose ``schmidt`` holds all four members'
-decompositions; `construct_pm` returns a pair.
+an `OrthoSet` of four states whose ``parts`` (and ``schmidt``) hold all four
+members' decompositions; `construct_pm` returns a pair.
 """
 
 from __future__ import annotations
@@ -15,9 +15,6 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
-from .core import _KET00, _KET01, _KET10, _KET11, concurrence
 from .errors import (
     AccidentallyDiagonalError,
     ConditionViolatedError,
@@ -27,21 +24,15 @@ from .errors import (
     ZeroParameterError,
 )
 from .pairs import A_SIDE, OrthoSet, _gamma_first, _require_nonzero, _rescale
-from .scalar import DEFAULT_TOL, _checked_complex, _dot, _norm, check_tol
-from .schmidt import _wrap, schmidt, schmidt_diagonal
+from .scalar import (DEFAULT_TOL, _KET00, _KET01, _KET10, _KET11, LazyNumpy,
+                     _checked_complex, _dot, _norm, amplitudes, check_tol,
+                     concurrence)
+from .schmidt import _diag_parts, _parts, _reconstruct_parts
 from .triples import construct_ppe_case2, construct_ppe_case3, construct_ppp
 
+np = LazyNumpy(globals())
+
 _SQRT_HALF = math.sqrt(0.5)
-
-
-def _tensor_rows(l0, l1, a0, a1, b0, b1) -> np.ndarray:
-    """sum_j l_j a_j (x) b_j for scalar 2-tuples, as a length-4 array."""
-    return np.array([
-        l0 * a0[0] * b0[0] + l1 * a1[0] * b1[0],
-        l0 * a0[0] * b0[1] + l1 * a1[0] * b1[1],
-        l0 * a0[1] * b0[0] + l1 * a1[1] * b1[0],
-        l0 * a0[1] * b0[1] + l1 * a1[1] * b1[1],
-    ])
 
 
 def _split_roots(total: float, product_neg: float) -> tuple[float, float]:
@@ -67,10 +58,11 @@ def construct_pppp(variant: str, basis, *, strict: bool = False,
     completed by |10> (a-side variant) or |01> (b-side variant)."""
     tol = check_tol(tol)
     triple = construct_ppp(variant, basis, strict=strict, tol=tol)
-    states = (*triple.states, (_KET10 if variant == A_SIDE else _KET01).copy())
-    return OrthoSet(states, "PPPP",
-                    (schmidt(states[0], tol), schmidt(states[1], tol),
-                     triple.schmidt[-1], schmidt(states[3], tol)),
+    members = (*triple.members, _KET10 if variant == A_SIDE else _KET01)
+    return OrthoSet(members, "PPPP",
+                    (_parts(*amplitudes(members[0]), tol),
+                     _parts(*amplitudes(members[1]), tol), triple.parts[-1],
+                     _parts(*amplitudes(members[3]), tol)),
                     triple.params, variant=variant)
 
 
@@ -91,7 +83,7 @@ def complete_ppp(triple, *, tol: float = DEFAULT_TOL):
     ``triple`` is an `OrthoSet` or a sequence of three states.
     """
     tol = check_tol(tol)
-    states = list(getattr(triple, "states", triple))
+    states = list(getattr(triple, "members", triple))
     if len(states) != 3:
         raise NotPPPError(f"need exactly 3 states, got {len(states)}")
     amps = []
@@ -139,12 +131,13 @@ def construct_ppee_case1(a, b, *, strict: bool = False,
     if 2.0 * abs(a * b) <= tol:
         raise ZeroParameterError(
             "parameters too small to yield entangled members")
-    third = np.array([0.0, a, b, 0.0], dtype=complex)
-    fourth = np.array([0.0, b.conjugate(), -a.conjugate(), 0.0], dtype=complex)
-    states = (_KET00.copy(), _KET11.copy(), third, fourth)
-    return OrthoSet(states, "PPEE",
-                    (schmidt(states[0], tol), schmidt(states[1], tol),
-                     schmidt_diagonal(third, tol), schmidt_diagonal(fourth, tol)),
+    third = (0.0j, a, b, 0.0j)
+    fourth = (0.0j, b.conjugate(), -a.conjugate(), 0.0j)
+    return OrthoSet((_KET00, _KET11, third, fourth), "PPEE",
+                    (_parts(*amplitudes(_KET00), tol),
+                     _parts(*amplitudes(_KET11), tol),
+                     _diag_parts(*amplitudes(third)),
+                     _diag_parts(*amplitudes(fourth))),
                     {"a": a, "b": b}, case_id=1)
 
 
@@ -163,8 +156,8 @@ def construct_ppee_case2(a, b, c, d, *, strict: bool = False,
     b = triple.params["b"]
     c = triple.params["c"]
     d = triple.params["d"]
-    dec3 = triple.schmidt[-1]
-    k0, k1 = dec3.coeffs.tolist()
+    dec3 = triple.parts[-1]
+    k0, k1 = dec3[0]
     # t_j = k_j^2 - |c|^2: roots of a quadratic with sum 1 - 2|c|^2 and
     # product -|acd|^2, evaluated without cancellation.
     c2 = c.real * c.real + c.imag * c.imag
@@ -179,13 +172,12 @@ def construct_ppee_case2(a, b, c, d, *, strict: bool = False,
     n1 = math.sqrt(abs(z1[0]) ** 2 + abs(z1[1]) ** 2)
     z0 = (z0[0] / n0, z0[1] / n0)
     z1 = (z1[0] / n1, z1[1] / n1)
-    bb0, bb1 = dec3.basis_b.tolist()
-    fourth = _tensor_rows(k0, k1, z0, z1, bb1, bb0)
-    dec4 = _wrap(((k0, k1), (z0, z1), (bb1, bb0), False))
-    states = (*triple.states, fourth)
-    return OrthoSet(states, "PPEE",
-                    (schmidt(states[0], tol), schmidt(states[1], tol),
-                     dec3, dec4),
+    bb0, bb1 = dec3[2]
+    dec4 = ((k0, k1), (z0, z1), (bb1, bb0), False)
+    members = (*triple.members, _reconstruct_parts(dec4))
+    return OrthoSet(members, "PPEE",
+                    (_parts(*amplitudes(members[0]), tol),
+                     _parts(*amplitudes(members[1]), tol), dec3, dec4),
                     {"a": a, "b": b, "c": c, "d": d}, case_id=2)
 
 
@@ -204,8 +196,8 @@ def construct_ppee_case3(a, b, c, d, *, strict: bool = False,
     b = triple.params["b"]
     c = triple.params["c"]
     d = triple.params["d"]
-    dec3 = triple.schmidt[-1]
-    n0, n1 = dec3.coeffs.tolist()
+    dec3 = triple.parts[-1]
+    n0, n1 = dec3[0]
     b2 = b.real * b.real + b.imag * b.imag
     c2 = c.real * c.real + c.imag * c.imag
     prod = (a.real * a.real + a.imag * a.imag) * b2 * c2 * c2
@@ -216,21 +208,20 @@ def construct_ppee_case3(a, b, c, d, *, strict: bool = False,
     m1 = math.sqrt(abs(w1[0]) ** 2 + u1 * u1)
     wc0 = (w0[0].conjugate() / m0, w0[1].conjugate() / m0)
     wc1 = (w1[0].conjugate() / m1, w1[1].conjugate() / m1)
-    aa0, aa1 = dec3.basis_a.tolist()
-    fourth = _tensor_rows(n0, n1, aa1, aa0, wc0, wc1)
-    dec4 = _wrap(((n0, n1), (aa1, aa0), (wc0, wc1), False))
-    states = (*triple.states, fourth)
-    return OrthoSet(states, "PPEE",
-                    (schmidt(states[0], tol), schmidt(states[1], tol),
-                     dec3, dec4),
+    aa0, aa1 = dec3[1]
+    dec4 = ((n0, n1), (aa1, aa0), (wc0, wc1), False)
+    members = (*triple.members, _reconstruct_parts(dec4))
+    return OrthoSet(members, "PPEE",
+                    (_parts(*amplitudes(members[0]), tol),
+                     _parts(*amplitudes(members[1]), tol), dec3, dec4),
                     {"a": a, "b": b, "c": c, "d": d}, case_id=3)
 
 
-def _pm_second(theta: float, theta_prime: float) -> np.ndarray:
+def _pm_second(theta: float, theta_prime: float) -> tuple:
     """(e^{i theta}|01> + e^{i theta'}|10>)/sqrt(2), the second member of the
     PM pair and of the PMEE and MMEE bases."""
-    return np.array([0.0, cmath.exp(1j * theta) * _SQRT_HALF,
-                     cmath.exp(1j * theta_prime) * _SQRT_HALF, 0.0])
+    return (0.0j, cmath.exp(1j * theta) * _SQRT_HALF,
+            cmath.exp(1j * theta_prime) * _SQRT_HALF, 0.0j)
 
 
 def construct_pm(theta: float, theta_prime: float, *,
@@ -244,8 +235,7 @@ def construct_pm(theta: float, theta_prime: float, *,
     theta = float(theta)
     theta_prime = float(theta_prime)
     second = _pm_second(theta, theta_prime)
-    return OrthoSet((_KET00.copy(), second), "PM",
-                    (schmidt_diagonal(second, tol),),
+    return OrthoSet((_KET00, second), "PM", (_diag_parts(*amplitudes(second)),),
                     {"theta": theta, "theta_prime": theta_prime})
 
 
@@ -293,7 +283,7 @@ def construct_pmee(theta: float, theta_prime: float, theta_dprime: float, c, *,
     x1 = (x1[0] / nx1, x1[1] / nx1)
     ys0 = (ys0[0] / nx0, ys0[1] / nx0)
     ys1 = (ys1[0] / nx1, ys1[1] / nx1)
-    third = _tensor_rows(xi0, xi1, x0, x1, ys0, ys1)
+    dec3 = ((xi0, xi1), (x0, x1), (ys0, ys1), False)
 
     cc = c.conjugate()
     z0 = (ph_dd.conjugate() * root_uu * mag, -cc * ups0)
@@ -306,14 +296,13 @@ def construct_pmee(theta: float, theta_prime: float, theta_dprime: float, c, *,
     z1 = (z1[0] / nz1, z1[1] / nz1)
     ws0 = (ws0[0] / nz0, ws0[1] / nz0)
     ws1 = (ws1[0] / nz1, ws1[1] / nz1)
-    fourth = _tensor_rows(ups0, ups1, z0, z1, ws0, ws1)
+    dec4 = ((ups0, ups1), (z0, z1), (ws0, ws1), False)
 
     pm = construct_pm(theta, theta_prime, tol=tol)
-    states = (*pm.states, third, fourth)
-    dec3 = _wrap(((xi0, xi1), (x0, x1), (ys0, ys1), False))
-    dec4 = _wrap(((ups0, ups1), (z0, z1), (ws0, ws1), False))
-    return OrthoSet(states, "PMEE",
-                    (schmidt(states[0], tol), *pm.schmidt, dec3, dec4),
+    members = (*pm.members, _reconstruct_parts(dec3), _reconstruct_parts(dec4))
+    return OrthoSet(members, "PMEE",
+                    (_parts(*amplitudes(members[0]), tol), *pm.parts, dec3,
+                     dec4),
                     {"theta": theta, "theta_prime": theta_prime,
                      "theta_dprime": theta_dprime, "c": c})
 
@@ -357,15 +346,16 @@ def construct_mmee_diagonal(theta: float, theta_prime: float, a, b, *,
     if abs(d_real) > tol:
         raise ConditionViolatedError(
             "diagonal", f"diagonality residual {abs(d_real)!r} exceeds {tol!r}")
-    third = np.array([a, b, -ph_full * b, -a])
-    fourth = np.array([b.conjugate(), -a.conjugate(),
-                       ph_full * a.conjugate(), -b.conjugate()])
+    third = (a, b, -ph_full * b, -a)
+    fourth = (b.conjugate(), -a.conjugate(), ph_full * a.conjugate(),
+              -b.conjugate())
     # math.sqrt(0.5) entries, one ulp above those of PHI_PLUS.
     first, second = _gamma_first(0.5), _pm_second(theta, theta_prime)
     return OrthoSet((first, second, third, fourth), "MMEE",
-                    (schmidt(first, tol), schmidt(second, tol),
-                     schmidt_diagonal(third, tol, check=False),
-                     schmidt_diagonal(fourth, tol, check=False)),
+                    (_parts(*amplitudes(first), tol),
+                     _parts(*amplitudes(second), tol),
+                     _diag_parts(*amplitudes(third)),
+                     _diag_parts(*amplitudes(fourth))),
                     {"theta": theta, "theta_prime": theta_prime, "a": a, "b": b},
                     variant="diagonal")
 
@@ -413,19 +403,19 @@ def construct_mmee_nondiagonal(theta: float, theta_prime: float, a, b, *,
     alpha1 = (a1 * alpha_col, -a1)
     beta0 = (beta_col * _SQRT_HALF, complex(_SQRT_HALF))
     beta1 = (beta_col * _SQRT_HALF, complex(-_SQRT_HALF))
-    third = _tensor_rows(tau0, tau1, alpha0, alpha1, beta0, beta1)
+    dec3 = ((tau0, tau1), (alpha0, alpha1), (beta0, beta1), False)
 
     bstar0 = (beta0[0].conjugate(), beta0[1].conjugate())
     bstar1 = (-beta1[0].conjugate(), -beta1[1].conjugate())
     astar0 = (alpha0[0].conjugate(), alpha0[1].conjugate())
     astar1 = (alpha1[0].conjugate(), alpha1[1].conjugate())
-    fourth = _tensor_rows(tau0, tau1, bstar0, bstar1, astar0, astar1)
+    dec4 = ((tau0, tau1), (bstar0, bstar1), (astar0, astar1), False)
 
     # math.sqrt(0.5) entries, one ulp above those of PHI_PLUS.
     first, second = _gamma_first(0.5), _pm_second(theta, theta_prime)
-    dec3 = _wrap(((tau0, tau1), (alpha0, alpha1), (beta0, beta1), False))
-    dec4 = _wrap(((tau0, tau1), (bstar0, bstar1), (astar0, astar1), False))
-    return OrthoSet((first, second, third, fourth), "MMEE",
-                    (schmidt(first, tol), schmidt(second, tol), dec3, dec4),
+    return OrthoSet((first, second, _reconstruct_parts(dec3),
+                     _reconstruct_parts(dec4)), "MMEE",
+                    (_parts(*amplitudes(first), tol),
+                     _parts(*amplitudes(second), tol), dec3, dec4),
                     {"theta": theta, "theta_prime": theta_prime, "a": a, "b": b},
                     variant="nondiagonal")

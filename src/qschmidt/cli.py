@@ -6,9 +6,9 @@ conventions on stdin/stdout: ``decompose``, ``construct``, ``verify``,
 error (error JSON on stderr), 2 usage error.
 
 Each verb imports the modules it needs when it runs, so one call loads
-only its own verb's part of the package.  ``decompose``, ``verify``,
-``classify`` and a refused ``sample`` or ``construct`` of a PPPE basis
-never import numpy.
+only its own verb's part of the package.  Only ``mix``, ``sample`` of the
+pp, ppp, pppp and ep families and ``construct`` of ep import numpy; every
+other call computes and encodes on Python numbers.
 """
 
 from __future__ import annotations
@@ -109,9 +109,9 @@ def _param(params: dict, name: str, kind: str):
     `sampling.Family`); a missing sign is '+'."""
     if kind == "sign":
         sign = params.get(name, "+")
-        if sign in ("+", 1, "+1"):
+        if sign in ("+", "+1") or jsonio.is_number(sign) and sign == 1:
             return 1
-        if sign in ("-", -1, "-1"):
+        if sign in ("-", "-1") or jsonio.is_number(sign) and sign == -1:
             return -1
         raise QuantumStateError(f"params[{name!r}] must be '+' or '-', got {sign!r}")
     if name not in params:
@@ -122,7 +122,7 @@ def _param(params: dict, name: str, kind: str):
     if kind == "qubit":
         return jsonio.qubit_from_obj(value)
     if kind == "real":
-        if not isinstance(value, (int, float)):
+        if not jsonio.is_number(value):
             raise QuantumStateError(f"params[{name!r}] must be a real number")
         return float(value)
     if not isinstance(value, (list, tuple)) or len(value) != 2:  # basis
@@ -184,8 +184,9 @@ def main(argv=None) -> int:
 
             states = jsonio.states_from_obj(_set_input(args), normalize=True)
             weights = _load_json(args.weights, "--weights")
-            if not isinstance(weights, list):
-                raise QuantumStateError("--weights must be a JSON list")
+            if not isinstance(weights, list) \
+                    or not all(map(jsonio.is_number, weights)):
+                raise QuantumStateError("--weights must be a JSON list of numbers")
             rho = mixed.spectral_mix(states, weights, tol=args.tol)
             if args.reduce == "a":
                 payload = {"system": "a", "density": jsonio.matrix_to_obj(mixed.reduce_a(rho))}

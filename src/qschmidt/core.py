@@ -9,9 +9,10 @@ All functions are pure: inputs are never mutated and identical inputs yield
 bit-identical outputs.
 
 Importing this module imports numpy: the named states and every function
-that returns an array need it.  The tolerances, `check_tol` and
-`amplitudes` live in the numpy-free `scalar` module and are re-exported
-here as the same objects.
+that returns an array need it.  The tolerances, `check_tol`, `amplitudes`
+and `concurrence` live in the numpy-free `scalar` module and are
+re-exported here as the same objects; `tensor` is the array form of
+`scalar._tensor`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import NotNormalizedError, NotUnitaryError
+from .errors import NotUnitaryError
 from .scalar import (  # noqa: F401  (re-exported)
     DEFAULT_TOL,
     VERIFY_TOL,
@@ -29,9 +30,11 @@ from .scalar import (  # noqa: F401  (re-exported)
     _checked_norm,
     _dot,
     _norm,
+    _tensor,
     _unit,
     amplitudes,
     check_tol,
+    concurrence,
     unit_state,
 )
 
@@ -39,12 +42,6 @@ KET0 = np.array([1.0 + 0.0j, 0.0 + 0.0j])
 KET1 = np.array([0.0 + 0.0j, 1.0 + 0.0j])
 PLUS = np.array([1.0 + 0.0j, 1.0 + 0.0j]) / math.sqrt(2.0)
 MINUS = np.array([1.0 + 0.0j, -1.0 + 0.0j]) / math.sqrt(2.0)
-
-# Constructors hand out copies of these.
-_KET00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-_KET01 = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
-_KET10 = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
-_KET11 = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
 
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
 PHI_MINUS = np.array([1.0, 0.0, 0.0, -1.0], dtype=complex) / math.sqrt(2.0)
@@ -92,13 +89,6 @@ def gram(state) -> np.ndarray:
     return m.conj().T @ m
 
 
-def concurrence(state) -> float:
-    """Concurrence 2|c00*c11 - c01*c10|: 0 for product states, 1 when
-    maximally entangled."""
-    c00, c01, c10, c11 = amplitudes(state)
-    return 2.0 * abs(c00 * c11 - c01 * c10)
-
-
 def gram_offdiagonal(state) -> complex:
     """The (0, 1) entry of the Gram matrix, c00^* c01 + c10^* c11.
 
@@ -117,16 +107,7 @@ def is_diagonal(state, tol: float = DEFAULT_TOL) -> bool:
 
 def tensor(a, b) -> np.ndarray:
     """Tensor product of two unit single-qubit vectors, c_jk = a_j * b_k."""
-    a0 = _checked_complex(a[0], "a0")
-    a1 = _checked_complex(a[1], "a1")
-    b0 = _checked_complex(b[0], "b0")
-    b1 = _checked_complex(b[1], "b1")
-    for name, (x, y) in (("a", (a0, a1)), ("b", (b0, b1))):
-        nrm = math.sqrt(x.real * x.real + x.imag * x.imag
-                        + y.real * y.real + y.imag * y.imag)
-        if abs(nrm - 1.0) > 1e-10:
-            raise NotNormalizedError(f"factor {name} has norm {nrm!r}")
-    return np.array([a0 * b0, a0 * b1, a1 * b0, a1 * b1])
+    return np.array(_tensor(a, b))
 
 
 def is_unitary(u, tol: float = VERIFY_TOL) -> bool:

@@ -6,13 +6,14 @@ of four such pairs in the fixed amplitude order; a Schmidt decomposition as
 where each basis row is a 2-vector of complex pairs.  Floats keep Python's
 shortest round-trip representation, so nothing is lost to formatting.
 `set_to_obj` is the one encoder of a constructed set (`OrthoSet`); the
-number of members picks the pair, triple or basis layout.
+number of members picks the pair, triple or basis layout.  A JSON boolean
+is never read as a number.
 
-Importing this module does not import numpy.  States parse to tuples of
-Python complex numbers and Schmidt data serializes from tuples
-(`parts_to_obj`), so ``decompose``, ``verify`` and ``classify`` need no
-arrays; `complex_array_to_obj` (and its aliases), `qubit_from_obj` and
-`params_to_obj` import numpy on first use.
+Importing this module does not import numpy.  States and qubit vectors
+parse to tuples of Python complex numbers, and sets and Schmidt data
+serialize from the tuples their constructors build (`set_to_obj`,
+`parts_to_obj`), so only `complex_array_to_obj` and its aliases, and
+`schmidt_to_obj` given a `SchmidtDecomposition`, work on arrays.
 """
 
 from __future__ import annotations
@@ -25,11 +26,6 @@ from .scalar import LazyNumpy, unit_state
 np = LazyNumpy(globals())
 
 
-def complex_to_pair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def complex_array_to_obj(a) -> list:
     """Nested lists of the shape of ``a`` with each complex entry as
     ``[re, im]``; one ``tolist`` call instead of a loop over entries."""
@@ -37,12 +33,17 @@ def complex_array_to_obj(a) -> list:
     return c.view(float).reshape(c.shape + (2,)).tolist()
 
 
+def is_number(x) -> bool:
+    """True for an int or float that is not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def pair_to_complex(obj) -> complex:
     """Parse ``[re, im]`` (or a bare real number) into a complex scalar."""
-    if isinstance(obj, (int, float)):
+    if is_number(obj):
         z = complex(float(obj), 0.0)
     elif isinstance(obj, (list, tuple)) and len(obj) == 2 \
-            and all(isinstance(x, (int, float)) for x in obj):
+            and is_number(obj[0]) and is_number(obj[1]):
         z = complex(float(obj[0]), float(obj[1]))
     else:
         raise QuantumStateError(
@@ -64,11 +65,12 @@ def state_from_obj(obj, *, normalize: bool = False) -> tuple:
     return unit_state(*[pair_to_complex(x) for x in obj], normalize=normalize)
 
 
-def qubit_from_obj(obj) -> np.ndarray:
+def qubit_from_obj(obj) -> tuple:
+    """A single-qubit vector as a tuple of two Python complex numbers."""
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise QuantumStateError(
             f"expected a single-qubit vector as 2 complex pairs, got {obj!r}")
-    return np.array([pair_to_complex(x) for x in obj])
+    return pair_to_complex(obj[0]), pair_to_complex(obj[1])
 
 
 def parts_to_obj(parts) -> dict:
@@ -84,30 +86,34 @@ def parts_to_obj(parts) -> dict:
 
 
 def schmidt_to_obj(d) -> dict:
+    """Serialize a `SchmidtDecomposition`, or Schmidt data already in the
+    plain-tuple form `parts_to_obj` takes (as `set_to_obj` passes it, so
+    each decomposition of a set is still encoded by this one call)."""
+    if type(d) is tuple:
+        return parts_to_obj(d)
     return parts_to_obj((d.coeffs.tolist(), d.basis_a.tolist(),
                          d.basis_b.tolist(), d.degenerate))
 
 
-def params_to_obj(params: dict) -> dict:
-    out = {}
-    for key, value in params.items():
-        if isinstance(value, complex):
-            out[key] = complex_to_pair(value)
-        elif isinstance(value, (list, tuple)):
-            out[key] = [complex_to_pair(v) if isinstance(v, (complex,)) else
-                        (vector2_to_obj(v) if not np.isscalar(v) else v)
-                        for v in value]
-        else:
-            out[key] = value
-    return out
+def params_to_obj(params):
+    """Constructor parameters with every complex number, also inside a
+    list or tuple, as ``[re, im]``."""
+    if isinstance(params, dict):
+        return {key: params_to_obj(value) for key, value in params.items()}
+    if isinstance(params, complex):
+        return [params.real, params.imag]
+    if isinstance(params, (list, tuple)):
+        return [params_to_obj(v) for v in params]
+    return params
 
 
 def set_to_obj(s) -> dict:
     """Serialize an `OrthoSet` in the layout its size selects: a pair as
     ``first``/``second``/``schmidt_second``, a triple as
-    ``states``/``schmidt_third``, a basis as ``states``/``schmidt``."""
-    states = complex_array_to_obj(s.states)
-    decs = [schmidt_to_obj(d) for d in s.schmidt]
+    ``states``/``schmidt_third``, a basis as ``states``/``schmidt``.  It
+    reads the set's tuples, so no array is built."""
+    states = [[[z.real, z.imag] for z in m] for m in s.members]
+    decs = [schmidt_to_obj(p) for p in s.parts]
     if len(states) == 2:
         out = {"type": s.type_label, "first": states[0], "second": states[1],
                "schmidt_second": decs[0]}

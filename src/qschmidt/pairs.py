@@ -7,17 +7,19 @@ Schmidt decomposition.  Pair patterns name the members in order: P product,
 E entangled (M maximally entangled).  Arbitrary pairs of a pattern follow by
 applying the same local unitaries to both members, which leaves the pattern
 unchanged.
+
+The constructors here, in `triples` and in `bases` compute on Python
+complex numbers and return members and Schmidt data as tuples, so building
+and serializing a set imports no numpy.  Only `construct_ep` does, for the
+``np.linalg.norm`` whose rounding its sampled stream is pinned to, and an
+`OrthoSet` builds arrays only when ``states`` or ``schmidt`` is read.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
 
-import numpy as np
-
-from .core import _KET00, tensor
 from .errors import (
     AccidentallyDiagonalError,
     ConditionViolatedError,
@@ -28,31 +30,56 @@ from .errors import (
     UnknownTypeError,
     ZeroParameterError,
 )
-from .scalar import DEFAULT_TOL, _checked_complex, _checked_norm, check_tol
-from .schmidt import schmidt, schmidt_diagonal, schmidt_nondiagonal
+from .scalar import (DEFAULT_TOL, _KET00, LazyNumpy, _checked_complex,
+                     _checked_norm, _tensor, amplitudes, check_tol)
+from .schmidt import _diag_parts, _nondiag_parts, _parts, _wrap
+
+np = LazyNumpy(globals())
 
 A_SIDE = "a-side"
 B_SIDE = "b-side"
 
 
-class OrthoSet(NamedTuple):
+class OrthoSet:
     """Two, three or four mutually orthonormal states, as a pair, triple or
     basis constructor builds them.
 
-    ``states`` holds the members in order.  ``schmidt`` holds the Schmidt
-    decompositions the constructor's closed forms give, which are those of
-    the last members: the second member of a pair, the third of a triple,
-    all four of a basis.  ``params`` are the constructor's arguments after
+    ``members`` holds the states in order, each a 4-tuple of Python complex
+    amplitudes.  ``parts`` holds the Schmidt decompositions the
+    constructor's closed forms give, as ``(coeffs, basis_a, basis_b,
+    degenerate)`` tuples (see `jsonio.parts_to_obj`); they are those of the
+    last members: the second member of a pair, the third of a triple, all
+    four of a basis.  ``params`` are the constructor's arguments after
     normalization; ``case_id`` and ``variant`` name the sub-family where the
     type has them.
+
+    ``states`` (complex arrays) and ``schmidt`` (`SchmidtDecomposition`
+    records) are the same data as arrays, built from the tuples on first
+    read and kept: every set owns its arrays, so writing into one changes
+    no other set.
     """
 
-    states: tuple
-    type_label: str
-    schmidt: tuple
-    params: dict
-    case_id: int | None = None
-    variant: str | None = None
+    __slots__ = ("members", "type_label", "parts", "params", "case_id",
+                 "variant", "_states", "_schmidt")
+
+    def __init__(self, members: tuple, type_label: str, parts: tuple,
+                 params: dict, case_id: int | None = None,
+                 variant: str | None = None):
+        self.members, self.type_label, self.parts = members, type_label, parts
+        self.params, self.case_id, self.variant = params, case_id, variant
+        self._states = self._schmidt = None
+
+    @property
+    def states(self) -> tuple:
+        if self._states is None:
+            self._states = tuple(np.array(m, complex) for m in self.members)
+        return self._states
+
+    @property
+    def schmidt(self) -> tuple:
+        if self._schmidt is None:
+            self._schmidt = tuple(map(_wrap, self.parts))
+        return self._schmidt
 
 
 def _require_nonzero(value: complex, name: str) -> complex:
@@ -83,7 +110,7 @@ def _check_variant(variant: str) -> str:
     return variant
 
 
-def _as_unit_qubit(v, strict: bool, name: str) -> np.ndarray:
+def _as_unit_qubit(v, strict: bool, name: str) -> tuple:
     a = _checked_complex(v[0], name + "[0]")
     b = _checked_complex(v[1], name + "[1]")
     nrm = _checked_norm(
@@ -91,14 +118,14 @@ def _as_unit_qubit(v, strict: bool, name: str) -> np.ndarray:
         f"{name} is the zero vector")
     if strict and abs(nrm - 1.0) > 1e-10:
         raise NotNormalizedError(f"{name} has norm {nrm!r} (strict mode)")
-    return np.array([a / nrm, b / nrm])
+    return a / nrm, b / nrm
 
 
-def _gamma_first(gamma: float) -> np.ndarray:
+def _gamma_first(gamma: float) -> tuple:
     """sqrt(gamma)|00> + sqrt(1-gamma)|11>, the first member of the EP and
     EE pairs (and, at gamma = 1/2, of the MMEE bases)."""
-    return np.array([math.sqrt(gamma), 0.0, 0.0, math.sqrt(1.0 - gamma)],
-                    dtype=complex)
+    return (complex(math.sqrt(gamma)), 0.0j, 0.0j,
+            complex(math.sqrt(1.0 - gamma)))
 
 
 def construct_pp(variant: str, single, *, strict: bool = False,
@@ -111,11 +138,10 @@ def construct_pp(variant: str, single, *, strict: bool = False,
     tol = check_tol(tol)
     _check_variant(variant)
     u = _as_unit_qubit(single, strict, "single")
-    e1 = np.array([0.0 + 0.0j, 1.0 + 0.0j])
-    second = tensor(u, e1) if variant == A_SIDE else tensor(e1, u)
-    return OrthoSet((_KET00.copy(), second), "PP", (schmidt(second, tol),),
-                    {"single": (complex(u[0]), complex(u[1]))},
-                    variant=variant)
+    e1 = (0.0j, 1.0 + 0.0j)
+    second = _tensor(u, e1) if variant == A_SIDE else _tensor(e1, u)
+    return OrthoSet((_KET00, second), "PP", (_parts(*amplitudes(second), tol),),
+                    {"single": u}, variant=variant)
 
 
 def construct_pe_diagonal(a, b, *, strict: bool = False,
@@ -129,11 +155,11 @@ def construct_pe_diagonal(a, b, *, strict: bool = False,
     a = _require_nonzero(a, "a")
     b = _require_nonzero(b, "b")
     a, b = _rescale((a, b), (1.0, 1.0), 1.0, strict, "pe-diagonal")
-    second = np.array([0.0, a, b, 0.0], dtype=complex)
+    second = (0.0j, a, b, 0.0j)
     if 2.0 * abs(a * b) <= tol:
         raise ZeroParameterError(
             "parameters too small to yield an entangled member")
-    return OrthoSet((_KET00.copy(), second), "PE", (schmidt(second, tol),),
+    return OrthoSet((_KET00, second), "PE", (_parts(*amplitudes(second), tol),),
                     {"a": a, "b": b}, variant="diagonal")
 
 
@@ -156,8 +182,8 @@ def construct_pe_nondiagonal(a, b, c, *, strict: bool = False,
     if abs(b.conjugate() * c) <= tol:
         raise ZeroParameterError(
             "parameters land on the diagonal branch; use the diagonal constructor")
-    second = np.array([0.0, a, b, c], dtype=complex)
-    return OrthoSet((_KET00.copy(), second), "PE", (schmidt(second, tol),),
+    second = (0.0j, a, b, c)
+    return OrthoSet((_KET00, second), "PE", (_parts(*amplitudes(second), tol),),
                     {"a": a, "b": b, "c": c}, variant="nondiagonal")
 
 
@@ -195,15 +221,15 @@ def construct_ep(gamma: float, a, b, sign: int = 1, *,
     nb = np.linalg.norm(factor_b)
     if na <= 1e-150 or nb <= 1e-150:
         raise DegenerateParametersError("constructed factor has zero norm")
-    second = tensor(factor_a / na, factor_b / nb)
+    second = _tensor(factor_a / na, factor_b / nb)
     return OrthoSet((_gamma_first(gamma), second), "EP",
-                    (schmidt(second, tol),),
+                    (_parts(*amplitudes(second), tol),),
                     {"gamma": gamma, "a": a, "b": b, "sign": sign})
 
 
-def _ee_second(gamma: float, a: complex, b: complex, c: complex) -> np.ndarray:
+def _ee_second(gamma: float, a: complex, b: complex, c: complex) -> tuple:
     ratio = math.sqrt(gamma / (1.0 - gamma))
-    return np.array([a, b, c, -ratio * a])
+    return (a, b, c, -ratio * a)
 
 
 def _ee_conditions(gamma, a, b, c):
@@ -252,7 +278,7 @@ def construct_ee_diagonal(gamma: float, a, b, c, *, strict: bool = False,
             "diagonal", f"diagonality residual {abs(diagonal)!r} exceeds {tol!r}")
     second = _ee_second(gamma, a, b, c)
     return OrthoSet((_gamma_first(gamma), second), "EE",
-                    (schmidt_diagonal(second, tol, check=False),),
+                    (_diag_parts(*amplitudes(second)),),
                     {"gamma": gamma, "a": a, "b": b, "c": c},
                     variant="diagonal")
 
@@ -277,6 +303,6 @@ def construct_ee_nondiagonal(gamma: float, a, b, c, *, strict: bool = False,
             "use construct_ee_diagonal")
     second = _ee_second(gamma, a, b, c)
     return OrthoSet((_gamma_first(gamma), second), "EE",
-                    (schmidt_nondiagonal(second, tol),),
+                    (_nondiag_parts(*amplitudes(second), tol),),
                     {"gamma": gamma, "a": a, "b": b, "c": c},
                     variant="nondiagonal")

@@ -10,14 +10,14 @@ exactly reproducible from the seed, in any language; the sampled sets are
 bit-identical per seed on one machine and numpy build, not across
 machines: the pp, ppp and pppp samplers and the ep constructor normalize
 through ``np.linalg.norm``, whose BLAS rounding can depend on the CPU.
+Those four families are the only ones whose sampling imports numpy; the
+other 14 draw and construct on Python numbers alone.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from .bases import (
     construct_mmee_diagonal,
@@ -41,7 +41,7 @@ from .pairs import (
     construct_pe_nondiagonal,
     construct_pp,
 )
-from .scalar import DEFAULT_TOL, check_tol
+from .scalar import DEFAULT_TOL, LazyNumpy, check_tol
 from .triples import (
     construct_ppe_case1,
     construct_ppe_case2,
@@ -49,6 +49,8 @@ from .triples import (
     construct_ppp,
 )
 
+
+np = LazyNumpy(globals())
 
 _MASK64 = (1 << 64) - 1
 _TWO_NEG53 = 2.0 ** -53

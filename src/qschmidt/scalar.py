@@ -1,8 +1,10 @@
 """Tolerances and amplitude handling on Python numbers.
 
 Amplitudes are parsed, checked and normalized here as tuples of Python
-complex numbers, so the command line's ``decompose``, ``verify`` and
-``classify`` run without importing numpy.  The normalization rounds as
+complex numbers, and the set constructors build their members from the
+product-basis kets, `_tensor` and `concurrence` below, so the command
+line's ``decompose``, ``verify``, ``classify`` and most ``construct`` and
+``sample`` calls run without importing numpy.  The normalization rounds as
 numpy divides a complex array by a real scalar, so the tuples hold the
 bits the array constructors in `core` return.
 """
@@ -27,6 +29,12 @@ VERIFY_TOL = 1e-12
 _ZERO_FLOOR = 1e-300
 
 _MODULES = sys.modules
+
+# The product basis |00>, |01>, |10>, |11> as amplitude tuples.
+_KET00 = (1.0 + 0.0j, 0.0j, 0.0j, 0.0j)
+_KET01 = (0.0j, 1.0 + 0.0j, 0.0j, 0.0j)
+_KET10 = (0.0j, 0.0j, 1.0 + 0.0j, 0.0j)
+_KET11 = (0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
 
 
 def check_tol(tol) -> float:
@@ -111,6 +119,28 @@ def amplitudes(state) -> tuple[complex, complex, complex, complex]:
     c10 = _checked_complex(state[2], "c10")
     c11 = _checked_complex(state[3], "c11")
     return c00, c01, c10, c11
+
+
+def concurrence(state) -> float:
+    """Concurrence 2|c00*c11 - c01*c10|: 0 for product states, 1 when
+    maximally entangled."""
+    c00, c01, c10, c11 = amplitudes(state)
+    return 2.0 * abs(c00 * c11 - c01 * c10)
+
+
+def _tensor(a, b) -> tuple:
+    """Tensor product c_jk = a_j * b_k of two unit single-qubit vectors, as
+    an amplitude tuple; see `core.tensor`."""
+    a0 = _checked_complex(a[0], "a0")
+    a1 = _checked_complex(a[1], "a1")
+    b0 = _checked_complex(b[0], "b0")
+    b1 = _checked_complex(b[1], "b1")
+    for name, (x, y) in (("a", (a0, a1)), ("b", (b0, b1))):
+        nrm = math.sqrt(x.real * x.real + x.imag * x.imag
+                        + y.real * y.real + y.imag * y.imag)
+        if abs(nrm - 1.0) > 1e-10:
+            raise NotNormalizedError(f"factor {name} has norm {nrm!r}")
+    return (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
 
 
 def _dot(a, b) -> complex:

@@ -50,10 +50,12 @@ class SchmidtDecomposition(NamedTuple):
 
 
 def _wrap(parts) -> SchmidtDecomposition:
-    """One array build for both bases: they are views of a (2, 2, 2) buffer."""
+    """One array build for both bases: they are views of a (2, 2, 2) buffer.
+    `tuple.__new__` skips the ``__new__`` that `NamedTuple` writes in Python."""
     coeffs, (a0, a1), (b0, b1), degenerate = parts
     m = np.fromiter((*a0, *a1, *b0, *b1), complex, 8).reshape(2, 2, 2)
-    return SchmidtDecomposition(np.array(coeffs), m[0], m[1], degenerate)
+    return tuple.__new__(SchmidtDecomposition,
+                         (np.array(coeffs), m[0], m[1], degenerate))
 
 
 def _perp(v):

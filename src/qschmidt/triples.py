@@ -10,30 +10,28 @@ cases according to the shape of the second product member:
 
 Cases 2 and 3 produce a non-diagonal third member whenever every parameter
 is nonzero.  Each constructor returns an `OrthoSet` of three states whose
-``schmidt`` holds the third member's decomposition.
+``parts`` (and ``schmidt``) hold the third member's decomposition.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .core import _KET00, _KET11
 from .errors import NotOrthonormalBasisError, ZeroParameterError
 from .pairs import (A_SIDE, OrthoSet, _as_unit_qubit, _check_variant,
                     _require_nonzero, _rescale)
-from .scalar import DEFAULT_TOL, check_tol
-from .schmidt import schmidt, schmidt_diagonal, schmidt_nondiagonal
+from .scalar import DEFAULT_TOL, _KET00, _KET11, amplitudes, check_tol
+from .schmidt import _diag_parts, _nondiag_parts, _parts
 
 
 def orthonormal_qubit_basis(basis, *, strict: bool = False,
                             tol: float = 1e-12):
-    """Validate and return a pair of orthonormal single-qubit vectors."""
+    """Validate a pair of orthonormal single-qubit vectors and return them,
+    normalized, as 2-tuples of Python complex numbers."""
     tol = check_tol(tol)
     if len(basis) != 2:
         raise NotOrthonormalBasisError("a qubit basis needs exactly 2 vectors")
     v0 = _as_unit_qubit(basis[0], strict, "basis[0]")
     v1 = _as_unit_qubit(basis[1], strict, "basis[1]")
-    (a0, a1), (b0, b1) = v0.tolist(), v1.tolist()
+    (a0, a1), (b0, b1) = v0, v1
     overlap = abs(a0.conjugate() * b0 + a1.conjugate() * b1)
     if overlap > tol:
         raise NotOrthonormalBasisError(
@@ -52,15 +50,13 @@ def construct_ppp(variant: str, basis, *, strict: bool = False,
     _check_variant(variant)
     v0, v1 = orthonormal_qubit_basis(basis, strict=strict)
     if variant == A_SIDE:
-        second = np.array([0.0, v0[0], 0.0, v0[1]], dtype=complex)
-        third = np.array([0.0, v1[0], 0.0, v1[1]], dtype=complex)
+        second = (0.0j, v0[0], 0.0j, v0[1])
+        third = (0.0j, v1[0], 0.0j, v1[1])
     else:
-        second = np.array([0.0, 0.0, v0[0], v0[1]], dtype=complex)
-        third = np.array([0.0, 0.0, v1[0], v1[1]], dtype=complex)
-    return OrthoSet((_KET00.copy(), second, third), "PPP",
-                    (schmidt(third, tol),),
-                    {"basis": [(complex(v0[0]), complex(v0[1])),
-                               (complex(v1[0]), complex(v1[1]))]},
+        second = (0.0j, 0.0j, v0[0], v0[1])
+        third = (0.0j, 0.0j, v1[0], v1[1])
+    return OrthoSet((_KET00, second, third), "PPP",
+                    (_parts(*amplitudes(third), tol),), {"basis": [v0, v1]},
                     variant=variant)
 
 
@@ -78,9 +74,9 @@ def construct_ppe_case1(c, d, *, strict: bool = False,
     if 2.0 * abs(c * d) <= tol:
         raise ZeroParameterError(
             "parameters too small to yield an entangled third member")
-    third = np.array([0.0, c, d, 0.0], dtype=complex)
-    return OrthoSet((_KET00.copy(), _KET11.copy(), third), "PPE",
-                    (schmidt_diagonal(third, tol),), {"c": c, "d": d},
+    third = (0.0j, c, d, 0.0j)
+    return OrthoSet((_KET00, _KET11, third), "PPE",
+                    (_diag_parts(*amplitudes(third)),), {"c": c, "d": d},
                     case_id=1)
 
 
@@ -110,11 +106,10 @@ def construct_ppe_case2(a, b, c, d, *, strict: bool = False,
     if abs(a * c * d) <= tol:
         raise ZeroParameterError(
             "parameters too small to keep the third member non-diagonal")
-    second = np.array([0.0, a, 0.0, b], dtype=complex)
-    third = np.array([0.0, c * b.conjugate(), d, -c * a.conjugate()],
-                     dtype=complex)
-    return OrthoSet((_KET00.copy(), second, third), "PPE",
-                    (schmidt_nondiagonal(third, tol),),
+    second = (0.0j, a, 0.0j, b)
+    third = (0.0j, c * b.conjugate(), d, -c * a.conjugate())
+    return OrthoSet((_KET00, second, third), "PPE",
+                    (_nondiag_parts(*amplitudes(third), tol),),
                     {"a": a, "b": b, "c": c, "d": d}, case_id=2)
 
 
@@ -134,9 +129,8 @@ def construct_ppe_case3(a, b, c, d, *, strict: bool = False,
     if abs(a * b) * abs(d) ** 2 <= tol:
         raise ZeroParameterError(
             "parameters too small to keep the third member non-diagonal")
-    second = np.array([0.0, 0.0, a, b], dtype=complex)
-    third = np.array([0.0, c, d * b.conjugate(), -d * a.conjugate()],
-                     dtype=complex)
-    return OrthoSet((_KET00.copy(), second, third), "PPE",
-                    (schmidt_nondiagonal(third, tol),),
+    second = (0.0j, 0.0j, a, b)
+    third = (0.0j, c, d * b.conjugate(), -d * a.conjugate())
+    return OrthoSet((_KET00, second, third), "PPE",
+                    (_nondiag_parts(*amplitudes(third), tol),),
                     {"a": a, "b": b, "c": c, "d": d}, case_id=3)

@@ -5,10 +5,11 @@ boundary (parsing, result wrapping, the mixed-state checks) were rewritten;
 any change to a coefficient, basis entry, reconstructed amplitude, sampled
 state or verification report changes them.  They come from CPython scalar
 arithmetic and exact numpy array builds (the pp, ppp and pppp sample
-streams also pass through ``np.linalg.norm``).  Density matrices and
-reduced states are products of numpy's complex multiply, which is fused
-(FMA) on some CPUs only, so they are compared bit for bit against the
-previous formulation on the running machine instead of being pinned.
+streams, and the ep constructor, also pass through ``np.linalg.norm``).
+Density matrices and reduced states are products of numpy's complex
+multiply, which is fused (FMA) on some CPUs only, so they are compared bit
+for bit against the previous formulation on the running machine instead of
+being pinned.
 """
 
 import hashlib

@@ -255,13 +255,28 @@ class TestDomainErrorsNotTracebacks:
           "--params", '{"a":[1e200,0],"b":[1e200,0]}'], "NotFiniteError"),
         (["sample", "--type", "pppe", "--count", "0"], "UnknownTypeError"),
         (["sample", "--type", "qqq", "--count", "0"], "UnknownTypeError"),
+        (["decompose", "--state", "[[true,0],[0,0],[0,0],[false,1]]"],
+         "QuantumStateError"),
+        (["construct", "--type", "pm",
+          "--params", '{"theta": true, "theta_prime": false}'],
+         "QuantumStateError"),
+        (["mix", "--set", "[" + _STATE + "]", "--weights", "[true]"],
+         "QuantumStateError"),
+        (["mix", "--set", "[" + _STATE + "]", "--weights", '["abc"]'],
+         "QuantumStateError"),
+        (["construct", "--type", "ep", "--params",
+          '{"gamma": 0.4, "a": [1, 0], "b": [0.5, 0.5], "sign": true}'],
+         "QuantumStateError"),
     ], ids=["count-0", "count-negative", "verify-5-states", "classify-5-states",
             "pp-diagonal-variant", "decompose-tol-nan", "verify-tol-nan",
             "tol-zero", "tol-negative", "tol-inf", "construct-unknown-type",
             "construct-pe-no-variant", "construct-ppe-no-case",
             "construct-pppe", "construct-pe-side-variant",
             "decompose-norm-overflow", "construct-rescale-overflow",
-            "sample-pppe-count-0", "sample-unknown-type-count-0"])
+            "sample-pppe-count-0", "sample-unknown-type-count-0",
+            "decompose-boolean-amplitude", "construct-boolean-real",
+            "mix-boolean-weight", "mix-string-weight",
+            "construct-boolean-sign"])
     def test_exit_1_with_error_json(self, capsys, argv, error):
         code, out, err = run(capsys, *argv)
         assert code == 1

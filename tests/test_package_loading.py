@@ -2,9 +2,12 @@
 names the package keeps while most of it loads on first use.
 
 Each check runs in a fresh interpreter, because this test process has long
-since imported every module.
+since imported every module; a call with no golden transcript is compared
+with the same call made in this process.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -14,6 +17,8 @@ from pathlib import Path
 import pytest
 
 import qschmidt as q
+from qschmidt import sampling
+from qschmidt.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text())
@@ -53,16 +58,21 @@ BASE_MODULES = ["cli", "errors", "jsonio", "scalar", "schmidt"]
 # The package modules each golden call adds to `import qschmidt.cli`.
 ADDED_MODULES = {
     "decompose": [],
-    "construct": ["bases", "core", "pairs", "sampling", "triples"],
+    "construct": ["bases", "pairs", "sampling", "triples"],
     "classify": ["oracle"],
     "mix": ["mixed"],
     "verify": ["oracle"],
-    "sample": ["bases", "core", "pairs", "sampling", "triples"],
+    "sample": ["bases", "pairs", "sampling", "triples"],
     "sample-refused": [],
 }
 
 # The golden calls that never import numpy.
-NUMPY_FREE = ("decompose", "classify", "verify", "sample-refused")
+NUMPY_FREE = ("decompose", "construct", "classify", "verify", "sample",
+              "sample-refused")
+
+# The families whose sampling normalizes through np.linalg.norm; ep's
+# constructor does too.
+BLAS_FAMILIES = ("pp", "ppp", "pppp", "ep")
 
 VERB_PROBE = """
 import contextlib, io, json, sys
@@ -134,18 +144,70 @@ def test_each_verb_loads_only_its_modules(entry):
     assert not got["dataclasses"]
 
 
+def without_site_packages(argv, stdin: str = "") -> tuple:
+    """Exit code, stdout and stderr of ``python -S -m qschmidt``: ``-S``
+    leaves site-packages, and so numpy, off the path."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    p = subprocess.run([sys.executable, "-S", "-m", "qschmidt", *argv],
+                       input=stdin, capture_output=True, text=True, env=env,
+                       cwd=ROOT, timeout=120)
+    return p.returncode, p.stdout, p.stderr
+
+
+def in_process(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def selectors(set_type, case_id, variant) -> list:
+    argv = ["--type", set_type]
+    if case_id is not None:
+        argv += ["--case", str(case_id)]
+    if variant is not None:
+        argv += ["--variant", variant]
+    return argv
+
+
+def family_id(key) -> str:
+    return "-".join(str(x) for x in key if x is not None)
+
+
 @pytest.mark.parametrize("entry", [e for e in GOLDEN if e["name"] in NUMPY_FREE],
                          ids=lambda e: e["name"])
 def test_numpy_free_call_runs_without_site_packages(entry):
-    """``-S`` leaves site-packages, and so numpy, off the path: these calls
-    give their golden bytes with no numpy to import."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    env["PYTHONPATH"] = str(ROOT / "src")
-    p = subprocess.run([sys.executable, "-S", "-m", "qschmidt", *entry["argv"]],
-                       input=entry["stdin"].encode(), capture_output=True,
-                       env=env, cwd=ROOT, timeout=120)
-    assert (p.returncode, p.stdout, p.stderr) == (
-        entry["exit"], entry["stdout"].encode(), entry["stderr"].encode())
+    """These calls give their golden bytes with no numpy to import."""
+    assert without_site_packages(entry["argv"], entry["stdin"]) == (
+        entry["exit"], entry["stdout"], entry["stderr"])
+
+
+@pytest.mark.parametrize(
+    "key", [k for k in sampling.FAMILIES if k[0] not in BLAS_FAMILIES],
+    ids=family_id)
+def test_sample_runs_without_site_packages(key):
+    argv = ["sample", *selectors(*key), "--seed", "11", "--count", "3"]
+    want = in_process(argv)
+    assert want[0] == 0
+    assert without_site_packages(argv) == want
+
+
+@pytest.mark.parametrize("key", [k for k in sampling.FAMILIES if k[0] != "ep"],
+                         ids=family_id)
+def test_construct_runs_without_site_packages(key):
+    """`construct` fed the params that `sample` printed; for pp, ppp and
+    pppp only the sampler needs numpy."""
+    code, out, _ = in_process(["sample", *selectors(*key), "--seed", "11",
+                               "--count", "3"])
+    assert code == 0
+    for item in json.loads(out):
+        argv = ["construct", *selectors(key[0], item.get("case"),
+                                        item.get("variant")),
+                "--params", json.dumps(item["params"])]
+        want = in_process(argv)
+        assert want[0] == 0
+        assert without_site_packages(argv) == want
 
 
 def test_public_names_resolve_lazily():

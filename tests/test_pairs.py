@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import qschmidt as q
+from qschmidt import jsonio, sampling, scalar
 from helpers import (
+    FAMILIES,
     GOLD_PE_COEFFS,
     KET00,
     KET01,
@@ -249,3 +251,34 @@ class TestRescaleOverflow:
         with pytest.raises(q.NotFiniteError,
                            match="squared norm overflows: amplitudes too large"):
             build()
+
+
+@pytest.mark.parametrize("key", FAMILIES,
+                         ids=lambda k: "-".join(str(x) for x in k if x))
+def test_orthoset_arrays_are_built_once_and_owned(key):
+    """``states`` and ``schmidt`` are built from the tuples on first read,
+    then kept; each set owns its arrays."""
+    f = sampling.FAMILIES[key]
+    first, second = (f.construct(*f.draw(q.SplitMix64(5))) for _ in range(2))
+    states, decs = first.states, first.schmidt
+    assert first.states is states and first.schmidt is decs
+    for s, m in zip(states, first.members):
+        assert s.dtype == np.complex128 and s.shape == (4,)
+        assert s.flags.c_contiguous and s.flags.writeable
+        assert s.tobytes() == np.array(m, dtype=complex).tobytes()
+    for d, p in zip(decs, first.parts):
+        assert d.coeffs.dtype == np.float64 and d.basis_a.dtype == np.complex128
+        assert d.basis_a.base is d.basis_b.base
+        assert d.basis_a.flags.c_contiguous and d.basis_b.flags.c_contiguous
+        assert jsonio.schmidt_to_obj(d) == jsonio.schmidt_to_obj(p)
+    for s in states:
+        s[:] = 7.0
+    for d in decs:
+        d.coeffs[:] = 7.0
+        d.basis_a[:] = 7.0
+    again = f.construct(*f.draw(q.SplitMix64(5)))
+    for s, t, m in zip(second.states, again.states, first.members):
+        assert s.tobytes() == t.tobytes() == np.array(m, dtype=complex).tobytes()
+    for d, e in zip(second.schmidt, again.schmidt):
+        assert jsonio.schmidt_to_obj(d) == jsonio.schmidt_to_obj(e)
+    assert (scalar._KET00, scalar._KET11) == ((1, 0, 0, 0), (0, 0, 0, 1))
