@@ -130,19 +130,29 @@ def _param(params: dict, name: str, kind: str):
     return [jsonio.qubit_from_obj(v) for v in value]
 
 
-def _construct(args):
-    params = _load_json(args.params, "--params")
-    if not isinstance(params, dict):
-        raise QuantumStateError("--params must be a JSON object")
+def _sets(args) -> str:
+    """The JSON text of the set ``construct`` builds, or of the list of sets
+    ``sample`` draws, each set written by `jsonio.set_to_json`."""
+    if args.verb == "construct":
+        params = _load_json(args.params, "--params")
+        if not isinstance(params, dict):
+            raise QuantumStateError("--params must be a JSON object")
     refuse_pppe(args.set_type)
     from . import sampling
 
+    if args.verb == "sample":
+        spec = sampling.SampleSpec(
+            set_type=args.set_type, case_id=args.case,
+            variant=args.variant, seed=args.seed, count=args.count)
+        # Joined as json.dumps joins the items of a list.
+        sets = map(jsonio.set_to_json, sampling.sample(spec, args.tol))
+        return "[" + ", ".join(sets) + "]"
     family = sampling.family(args.set_type, args.case, args.variant)
     # A side (a-side or b-side) is the one argument --variant carries.
     values = [args.variant if kind == "side" else _param(params, name, kind)
               for name, kind in family.params]
     strict = {"strict": args.strict} if family.strict else {}
-    return jsonio.set_to_obj(family.construct(*values, tol=args.tol, **strict))
+    return jsonio.set_to_json(family.construct(*values, tol=args.tol, **strict))
 
 
 def main(argv=None) -> int:
@@ -153,8 +163,9 @@ def main(argv=None) -> int:
             state = jsonio.state_from_obj(
                 _load_json(args.state, "--state"), normalize=not args.strict)
             payload = jsonio.parts_to_obj(_parts(*state, args.tol))
-        elif args.verb == "construct":
-            payload = _construct(args)
+        elif args.verb in ("construct", "sample"):
+            sys.stdout.write(_sets(args) + "\n")
+            return 0
         elif args.verb == "verify":
             from . import oracle
 
@@ -166,19 +177,6 @@ def main(argv=None) -> int:
             states = jsonio.states_from_obj(_set_input(args))
             payload = {"pattern": oracle.classify(states, args.tol,
                                                   refine_m=args.refine_m)}
-        elif args.verb == "sample":
-            refuse_pppe(args.set_type)
-            from . import sampling
-
-            spec = sampling.SampleSpec(
-                set_type=args.set_type, case_id=args.case,
-                variant=args.variant, seed=args.seed, count=args.count)
-            # One set at a time: the same bytes as dumping the whole list,
-            # without holding every set's payload at once.
-            sets = [json.dumps(jsonio.set_to_obj(s))
-                    for s in sampling.sample(spec, args.tol)]
-            sys.stdout.write("[" + ", ".join(sets) + "]\n")
-            return 0
         else:  # mix
             from . import mixed
 

@@ -5,19 +5,21 @@ of four such pairs in the fixed amplitude order; a Schmidt decomposition as
 ``{"coeffs": [l0, l1], "basis_a": [[..], [..]], "basis_b": [[..], [..]]}``
 where each basis row is a 2-vector of complex pairs.  Floats keep Python's
 shortest round-trip representation, so nothing is lost to formatting.
-`set_to_obj` is the one encoder of a constructed set (`OrthoSet`); the
-number of members picks the pair, triple or basis layout.  A JSON boolean
-is never read as a number.
+`set_to_obj` encodes a constructed set (`OrthoSet`) as a dict in the pair,
+triple or basis layout its size selects; `set_to_json`, the CLI's set
+writer, gives the bytes ``json.dumps`` makes of that dict from one
+``%``-format template per layout.  A JSON boolean is never read as a number.
 
 Importing this module does not import numpy.  States and qubit vectors
 parse to tuples of Python complex numbers, and sets and Schmidt data
-serialize from the tuples their constructors build (`set_to_obj`,
-`parts_to_obj`), so only `complex_array_to_obj` and its aliases, and
-`schmidt_to_obj` given a `SchmidtDecomposition`, work on arrays.
+serialize from the tuples their constructors build (`set_to_json`,
+`set_to_obj`, `parts_to_obj`), so only `complex_array_to_obj` and its
+aliases, and `schmidt_to_obj` given a `SchmidtDecomposition`, work on arrays.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 from .errors import NotFiniteError, QuantumStateError
@@ -121,12 +123,48 @@ def set_to_obj(s) -> dict:
         out = {"type": s.type_label, "states": states, "schmidt_third": decs[0]}
     else:
         out = {"type": s.type_label, "states": states, "schmidt": decs}
-    out["params"] = params_to_obj(s.params)
-    if s.case_id is not None:
-        out["case"] = s.case_id
-    if s.variant:
-        out["variant"] = s.variant
+    out.update(_trailing_keys(s))
     return out
+
+
+def _trailing_keys(s) -> dict:
+    """``params``, then ``case`` and ``variant`` where the set has them."""
+    keys = {"params": params_to_obj(s.params)}
+    if s.case_id is not None:
+        keys["case"] = s.case_id
+    if s.variant:
+        keys["variant"] = s.variant
+    return keys
+
+
+# The text of each set layout under ``json.dumps`` up to its params, keyed
+# by the number of members; ``%r`` prints a Python float as JSON does.
+_STATE = "[%s]" % ", ".join(["[%r, %r]"] * 4)
+_BASIS = "[[[%r, %r], [%r, %r]], [[%r, %r], [%r, %r]]]"
+_DEC = '{"coeffs": [%%r, %%r], "basis_a": %s, "basis_b": %s, "degenerate": %%s}' \
+    % (_BASIS, _BASIS)
+_SET_TEMPLATES = {
+    2: '{"type": %%s, "first": %s, "second": %s, "schmidt_second": %s, '
+       % (_STATE, _STATE, _DEC),
+    3: '{"type": %%s, "states": [%s], "schmidt_third": %s, '
+       % (", ".join([_STATE] * 3), _DEC),
+    4: '{"type": %%s, "states": [%s], "schmidt": [%s], '
+       % (", ".join([_STATE] * 4), ", ".join([_DEC] * 4))}
+
+
+def set_to_json(s) -> str:
+    """The text of ``json.dumps(set_to_obj(s))``: the set's floats, read
+    from its tuples, fill the template of its layout."""
+    values = [json.dumps(s.type_label)]
+    for a, b, c, d in s.members:
+        values += a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag
+    for coeffs, ((a, b), (c, d)), ((e, f), (g, h)), degenerate in s.parts:
+        values += (*coeffs, a.real, a.imag, b.real, b.imag, c.real, c.imag,
+                   d.real, d.imag, e.real, e.imag, f.real, f.imag, g.real,
+                   g.imag, h.real, h.imag, "true" if degenerate else "false")
+    # The trailing keys as json.dumps writes them, less the opening brace.
+    return _SET_TEMPLATES[len(s.members)] % tuple(values) \
+        + json.dumps(_trailing_keys(s))[1:]
 
 
 def states_from_obj(obj, *, normalize: bool = False) -> list:

@@ -36,11 +36,11 @@ from .scalar import DEFAULT_TOL, _dot, _norm, amplitudes, check_tol
 def spectral_mix(states, weights, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Density matrix sum_i w_i |s_i><s_i| from orthogonal unit states.
 
-    Weights must be strictly positive (a zero weight silently drops rank,
-    which is treated as caller error) and sum to 1 within 1e-12
-    (`BadWeightsError`); states must have unit norm within 1e-10
-    (`NotNormalizedError`) and be pairwise orthogonal within ``tol``
-    (`NotOrthogonalError`).
+    Weights must be numbers, not bools or strings, strictly positive (a
+    zero weight silently drops rank, which is treated as caller error) and
+    sum to 1 within 1e-12 (`BadWeightsError`); states must have unit norm
+    within 1e-10 (`NotNormalizedError`) and be pairwise orthogonal within
+    ``tol`` (`NotOrthogonalError`).
     """
     tol = check_tol(tol)
     if len(states) == 0:
@@ -48,7 +48,9 @@ def spectral_mix(states, weights, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     if len(states) != len(weights):
         raise BadWeightsError(
             f"{len(states)} states but {len(weights)} weights")
-    ws = [float(w) for w in weights]
+    ws = [float(w) for w in weights if not isinstance(w, (bool, np.bool_, str, bytes))]
+    if len(ws) != len(weights):
+        raise BadWeightsError(f"weights must be numbers, got {list(weights)!r}")
     for w in ws:
         if not math.isfinite(w) or w <= 0.0:
             raise BadWeightsError(f"weights must be positive, got {w!r}")

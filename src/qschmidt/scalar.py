@@ -95,16 +95,17 @@ def amplitudes(state) -> tuple[complex, complex, complex, complex]:
     """Return the four amplitudes of ``state`` as finite Python complex numbers.
 
     A 1-D ndarray of four entries is read with one ``tolist`` call (an
-    ndarray can only exist once numpy is loaded).  Any other input, and an
-    array whose entries fail to convert or are not all finite, takes the
-    per-element path, so the errors and their messages are the same for
-    every input type.
+    ndarray can only exist once numpy is loaded).  Any other input, and the
+    list of an array whose entries fail to convert or are not all finite,
+    takes the per-element path, so the errors and their messages are the
+    same for every input type.
     """
     numpy = _MODULES.get("numpy")
     if numpy is not None and type(state) is numpy.ndarray \
             and state.shape == (4,):
+        state = state.tolist()
         try:
-            c00, c01, c10, c11 = map(complex, state.tolist())
+            c00, c01, c10, c11 = map(complex, state)
         except (TypeError, ValueError, OverflowError):
             pass
         else:

@@ -64,8 +64,22 @@ class TestAmplitudesFastPath:
         a[k] = bad
         with pytest.raises(q.NotFiniteError) as info:
             core.amplitudes(a)
-        assert str(info.value) == f"{NAMES[k]} must be finite, got {a[k]!r}"
+        assert str(info.value) == \
+            f"{NAMES[k]} must be finite, got {a.tolist()[k]!r}"
         assert _outcome(core.amplitudes, list(a)) == _outcome(per_element, list(a))
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    @pytest.mark.parametrize("dtype", (float, complex), ids=("float", "complex"))
+    @pytest.mark.parametrize("k", range(4))
+    def test_non_finite_array_reports_like_its_list(self, k, dtype, bad):
+        """An array with a non-finite entry raises the type and message
+        its ``tolist()`` does, not the repr of a numpy scalar."""
+        a = np.array([0.5, 0.5, 0.5, 0.5], dtype=dtype)
+        a[k] = bad
+        got = _outcome(core.amplitudes, a)
+        assert got == _outcome(core.amplitudes, a.tolist())
+        assert got == (q.NotFiniteError,
+                       f"{NAMES[k]} must be finite, got {dtype(bad)!r}")
 
     @pytest.mark.parametrize("n", (3, 5))
     def test_wrong_length(self, n):

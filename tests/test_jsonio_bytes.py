@@ -2,7 +2,8 @@
 
 `old_*` below is the per-element encoder the array-level serializers in
 `jsonio` replaced, kept here as the reference: every emitted byte must
-match what it, fed to ``json.dumps``, produced.
+match what it, fed to ``json.dumps``, produced.  The CLI writes sets with
+`jsonio.set_to_json`, whose text must be ``json.dumps(set_to_obj(s))``.
 """
 
 import hashlib
@@ -108,6 +109,15 @@ def sample_argv(set_type, case_id, variant, seed):
     return argv
 
 
+def construct_argv(set_type, case_id, variant, params):
+    argv = ["construct", "--type", set_type, "--params", json.dumps(params)]
+    if case_id is not None:
+        argv += ["--case", str(case_id)]
+    if variant is not None:
+        argv += ["--variant", variant]
+    return argv
+
+
 @pytest.mark.parametrize("set_type,case_id,variant", FAMILIES)
 def test_sample_stdout_matches_reference_encoder(capsys, set_type, case_id,
                                                  variant):
@@ -116,8 +126,60 @@ def test_sample_stdout_matches_reference_encoder(capsys, set_type, case_id,
         out = capsys.readouterr().out
         spec = q.SampleSpec(set_type=set_type, case_id=case_id,
                             variant=variant, seed=seed, count=COUNT)
-        want = json.dumps([old_set_to_obj(s) for s in q.sample(spec)]) + "\n"
+        sets = q.sample(spec)
+        want = json.dumps([old_set_to_obj(s) for s in sets]) + "\n"
         assert out == want, (set_type, case_id, variant, seed)
+        for s in sets:
+            assert jsonio.set_to_json(s) == json.dumps(jsonio.set_to_obj(s))
+
+
+@pytest.mark.parametrize("set_type,case_id,variant", FAMILIES)
+def test_construct_stdout_is_set_to_json(capsys, monkeypatch, set_type,
+                                         case_id, variant):
+    """``construct`` fed the params, case and variant ``sample`` printed
+    writes ``json.dumps(set_to_obj(s))`` of the set it built."""
+    built = []
+    set_to_json = jsonio.set_to_json
+    monkeypatch.setattr(jsonio, "set_to_json",
+                        lambda s: built.append(s) or set_to_json(s))
+    for seed in SEEDS:
+        assert main(sample_argv(set_type, case_id, variant, seed)) == 0
+        printed = json.loads(capsys.readouterr().out)
+        for obj in printed:
+            built.clear()
+            argv = construct_argv(set_type, obj.get("case"),
+                                  obj.get("variant"), obj["params"])
+            assert main(argv) == 0
+            s, = built
+            want = json.dumps(jsonio.set_to_obj(s))
+            assert want == json.dumps(old_set_to_obj(s))
+            assert capsys.readouterr().out == want + "\n"
+
+
+def _hand_built_set():
+    """A pair whose floats include a negative zero and a real basis, with a
+    degenerate decomposition and both optional keys."""
+    members = ((1.0 + 0j, 0j, 0j, 0j), (0j, complex(-0.0, 1.0), 0j, 0j))
+    parts = ((1.0, 0.0), ((1.0, 0.0), (0.0, 1.0)), ((-0.0, 1j), (1.0, 0.0)),
+             True)
+    return q.OrthoSet(members, "PP", (parts,), {"a": complex(-0.0, 0.5)},
+                      case_id=1, variant="a-side")
+
+
+@pytest.mark.parametrize("s,fragments", [
+    (_hand_built_set(), ('"degenerate": true', "[-0.0, 1.0]", '"case": 1',
+                         '"variant": "a-side"')),
+    (q.construct_ppee_case2(0.6, 0.8, 0.6, 0.8),
+     ('"degenerate": true', "-0.0]", '"case": 2')),
+    (q.sample(q.SampleSpec(set_type="mmee", variant="nondiagonal", seed=0))[0],
+     ("-0.0", '"variant": "nondiagonal"')),
+], ids=["hand-built", "ppee-2", "mmee-nondiagonal"])
+def test_set_to_json_edge_values(s, fragments):
+    text = jsonio.set_to_json(s)
+    assert text == json.dumps(jsonio.set_to_obj(s))
+    assert text == json.dumps(old_set_to_obj(s))
+    for fragment in fragments:
+        assert fragment in text
 
 
 def test_sample_stdout_digest(capsys):

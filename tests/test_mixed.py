@@ -50,6 +50,20 @@ class TestSpectralMix:
         with pytest.raises(q.BadWeightsError):
             q.spectral_mix([KET00, GOLD_PE], [1.5, -0.5])
 
+    @pytest.mark.parametrize("weight", [True, np.True_, "1", b"1", np.str_("1")],
+                             ids=repr)
+    def test_rejects_bool_and_string_weights(self, weight):
+        with pytest.raises(q.BadWeightsError, match="must be numbers"):
+            q.spectral_mix([KET00], [weight])
+        with pytest.raises(q.BadWeightsError, match="must be numbers"):
+            q.spectral_mix([KET00, GOLD_PE], [0.5, weight])
+
+    @pytest.mark.parametrize("weight", [1, 1.0, np.float64(1.0), np.int64(1),
+                                        np.float32(1.0)], ids=repr)
+    def test_accepts_number_weights(self, weight):
+        np.testing.assert_array_equal(q.spectral_mix([KET00], [weight]),
+                                      np.outer(KET00, KET00.conj()))
+
 
 class TestReduce:
     @pytest.mark.parametrize("w0", [0.3, 0.5, 0.9, 0.42])
