@@ -25,7 +25,7 @@ from .errors import (
 )
 from .pairs import A_SIDE, OrthoSet, _gamma_first, _require_nonzero, _rescale
 from .scalar import (DEFAULT_TOL, _KET00, _KET01, _KET10, _KET11, LazyNumpy,
-                     _checked_complex, _dot, _norm, amplitudes, check_tol,
+                     _checked_complex, _checked_real, _dot, _norm, check_tol,
                      concurrence)
 from .schmidt import _diag_parts, _parts, _reconstruct_parts
 from .triples import construct_ppe_case2, construct_ppe_case3, construct_ppp
@@ -60,9 +60,8 @@ def construct_pppp(variant: str, basis, *, strict: bool = False,
     triple = construct_ppp(variant, basis, strict=strict, tol=tol)
     members = (*triple.members, _KET10 if variant == A_SIDE else _KET01)
     return OrthoSet(members, "PPPP",
-                    (_parts(*amplitudes(members[0]), tol),
-                     _parts(*amplitudes(members[1]), tol), triple.parts[-1],
-                     _parts(*amplitudes(members[3]), tol)),
+                    (_parts(*members[0], tol), _parts(*members[1], tol),
+                     triple.parts[-1], _parts(*members[3], tol)),
                     triple.params, variant=variant)
 
 
@@ -134,10 +133,8 @@ def construct_ppee_case1(a, b, *, strict: bool = False,
     third = (0.0j, a, b, 0.0j)
     fourth = (0.0j, b.conjugate(), -a.conjugate(), 0.0j)
     return OrthoSet((_KET00, _KET11, third, fourth), "PPEE",
-                    (_parts(*amplitudes(_KET00), tol),
-                     _parts(*amplitudes(_KET11), tol),
-                     _diag_parts(*amplitudes(third)),
-                     _diag_parts(*amplitudes(fourth))),
+                    (_parts(*_KET00, tol), _parts(*_KET11, tol),
+                     _diag_parts(*third), _diag_parts(*fourth)),
                     {"a": a, "b": b}, case_id=1)
 
 
@@ -176,8 +173,8 @@ def construct_ppee_case2(a, b, c, d, *, strict: bool = False,
     dec4 = ((k0, k1), (z0, z1), (bb1, bb0), False)
     members = (*triple.members, _reconstruct_parts(dec4))
     return OrthoSet(members, "PPEE",
-                    (_parts(*amplitudes(members[0]), tol),
-                     _parts(*amplitudes(members[1]), tol), dec3, dec4),
+                    (_parts(*members[0], tol),
+                     _parts(*members[1], tol), dec3, dec4),
                     {"a": a, "b": b, "c": c, "d": d}, case_id=2)
 
 
@@ -212,8 +209,8 @@ def construct_ppee_case3(a, b, c, d, *, strict: bool = False,
     dec4 = ((n0, n1), (aa1, aa0), (wc0, wc1), False)
     members = (*triple.members, _reconstruct_parts(dec4))
     return OrthoSet(members, "PPEE",
-                    (_parts(*amplitudes(members[0]), tol),
-                     _parts(*amplitudes(members[1]), tol), dec3, dec4),
+                    (_parts(*members[0], tol),
+                     _parts(*members[1], tol), dec3, dec4),
                     {"a": a, "b": b, "c": c, "d": d}, case_id=3)
 
 
@@ -232,10 +229,10 @@ def construct_pm(theta: float, theta_prime: float, *,
     second member's concurrence is exactly 1.
     """
     tol = check_tol(tol)
-    theta = float(theta)
-    theta_prime = float(theta_prime)
+    theta = _checked_real(theta, "theta")
+    theta_prime = _checked_real(theta_prime, "theta_prime")
     second = _pm_second(theta, theta_prime)
-    return OrthoSet((_KET00, second), "PM", (_diag_parts(*amplitudes(second)),),
+    return OrthoSet((_KET00, second), "PM", (_diag_parts(*second),),
                     {"theta": theta, "theta_prime": theta_prime})
 
 
@@ -252,9 +249,9 @@ def construct_pmee(theta: float, theta_prime: float, theta_dprime: float, c, *,
     member and ups_j = sqrt((1 +- 2|c| sqrt(1 - |c|^2)) / 2) for the fourth.
     """
     tol = check_tol(tol)
-    theta = float(theta)
-    theta_prime = float(theta_prime)
-    theta_dprime = float(theta_dprime)
+    theta = _checked_real(theta, "theta")
+    theta_prime = _checked_real(theta_prime, "theta_prime")
+    theta_dprime = _checked_real(theta_dprime, "theta_dprime")
     c = _checked_complex(c, "c")
     mag = abs(c)
     if mag <= tol or mag >= _SQRT_HALF - tol:
@@ -301,15 +298,14 @@ def construct_pmee(theta: float, theta_prime: float, theta_dprime: float, c, *,
     pm = construct_pm(theta, theta_prime, tol=tol)
     members = (*pm.members, _reconstruct_parts(dec3), _reconstruct_parts(dec4))
     return OrthoSet(members, "PMEE",
-                    (_parts(*amplitudes(members[0]), tol), *pm.parts, dec3,
-                     dec4),
+                    (_parts(*members[0], tol), *pm.parts, dec3, dec4),
                     {"theta": theta, "theta_prime": theta_prime,
                      "theta_dprime": theta_dprime, "c": c})
 
 
 def _mmee_prepare(theta, theta_prime, a, b, strict, what):
-    theta = float(theta)
-    theta_prime = float(theta_prime)
+    theta = _checked_real(theta, "theta")
+    theta_prime = _checked_real(theta_prime, "theta_prime")
     a = _checked_complex(a, "a")
     b = _checked_complex(b, "b")
     a, b = _rescale((a, b), (1.0, 1.0), 0.5, strict, what)
@@ -352,10 +348,8 @@ def construct_mmee_diagonal(theta: float, theta_prime: float, a, b, *,
     # math.sqrt(0.5) entries, one ulp above those of PHI_PLUS.
     first, second = _gamma_first(0.5), _pm_second(theta, theta_prime)
     return OrthoSet((first, second, third, fourth), "MMEE",
-                    (_parts(*amplitudes(first), tol),
-                     _parts(*amplitudes(second), tol),
-                     _diag_parts(*amplitudes(third)),
-                     _diag_parts(*amplitudes(fourth))),
+                    (_parts(*first, tol), _parts(*second, tol),
+                     _diag_parts(*third), _diag_parts(*fourth)),
                     {"theta": theta, "theta_prime": theta_prime, "a": a, "b": b},
                     variant="diagonal")
 
@@ -415,7 +409,6 @@ def construct_mmee_nondiagonal(theta: float, theta_prime: float, a, b, *,
     first, second = _gamma_first(0.5), _pm_second(theta, theta_prime)
     return OrthoSet((first, second, _reconstruct_parts(dec3),
                      _reconstruct_parts(dec4)), "MMEE",
-                    (_parts(*amplitudes(first), tol),
-                     _parts(*amplitudes(second), tol), dec3, dec4),
+                    (_parts(*first, tol), _parts(*second, tol), dec3, dec4),
                     {"theta": theta, "theta_prime": theta_prime, "a": a, "b": b},
                     variant="nondiagonal")

@@ -20,7 +20,7 @@ import sys
 
 from . import jsonio
 from .errors import QuantumStateError, refuse_pppe
-from .scalar import DEFAULT_TOL, check_tol
+from .scalar import DEFAULT_TOL, _number, check_tol
 from .schmidt import _parts
 
 
@@ -93,9 +93,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load_json(text: str, what: str):
+    """``json.loads(text)``.  Malformed text, an integer of more digits than
+    the interpreter converts (both `ValueError`) and nesting deeper than the
+    recursion limit (`RecursionError`) raise `QuantumStateError`."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise QuantumStateError(f"invalid JSON for {what}: {exc}") from exc
 
 
@@ -124,7 +127,7 @@ def _param(params: dict, name: str, kind: str):
     if kind == "real":
         if not jsonio.is_number(value):
             raise QuantumStateError(f"params[{name!r}] must be a real number")
-        return float(value)
+        return _number(float, value, f"params[{name!r}]")
     if not isinstance(value, (list, tuple)) or len(value) != 2:  # basis
         raise QuantumStateError(f"params[{name!r}] must hold two qubit vectors")
     return [jsonio.qubit_from_obj(v) for v in value]

@@ -30,6 +30,7 @@ from .scalar import (  # noqa: F401  (re-exported)
     _checked_norm,
     _dot,
     _norm,
+    _number,
     _tensor,
     _unit,
     amplitudes,
@@ -113,7 +114,10 @@ def tensor(a, b) -> np.ndarray:
 def is_unitary(u, tol: float = VERIFY_TOL) -> bool:
     """True when ``u`` is a 2x2 matrix with u^dagger u = I within ``tol``."""
     tol = check_tol(tol)
-    m = np.asarray(u, dtype=complex)
+    try:
+        m = np.asarray(u, dtype=complex)
+    except OverflowError:  # an integer too large for a float
+        return False
     if m.shape != (2, 2):
         return False
     if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
@@ -135,6 +139,6 @@ def apply_local(state, u_a, u_b) -> np.ndarray:
 
 def orthogonal_complement(v) -> np.ndarray:
     """The unit vector orthogonal to a unit single-qubit vector ``v``."""
-    v0 = complex(v[0])
-    v1 = complex(v[1])
+    v0 = _number(complex, v[0], "v[0]")
+    v1 = _number(complex, v[1], "v[1]")
     return np.array([-v1.conjugate(), v0.conjugate()])

@@ -23,7 +23,7 @@ import json
 import math
 
 from .errors import NotFiniteError, QuantumStateError
-from .scalar import LazyNumpy, unit_state
+from .scalar import LazyNumpy, _number, unit_state
 
 np = LazyNumpy(globals())
 
@@ -43,10 +43,11 @@ def is_number(x) -> bool:
 def pair_to_complex(obj) -> complex:
     """Parse ``[re, im]`` (or a bare real number) into a complex scalar."""
     if is_number(obj):
-        z = complex(float(obj), 0.0)
+        z = _number(complex, obj, "complex scalar")
     elif isinstance(obj, (list, tuple)) and len(obj) == 2 \
             and is_number(obj[0]) and is_number(obj[1]):
-        z = complex(float(obj[0]), float(obj[1]))
+        z = complex(_number(float, obj[0], "complex scalar"),
+                    _number(float, obj[1], "complex scalar"))
     else:
         raise QuantumStateError(
             f"expected a complex scalar as [re, im], got {obj!r}")

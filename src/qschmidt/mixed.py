@@ -30,7 +30,7 @@ from .errors import (
     NotNormalizedError,
     NotOrthogonalError,
 )
-from .scalar import DEFAULT_TOL, _dot, _norm, amplitudes, check_tol
+from .scalar import DEFAULT_TOL, _dot, _norm, _number, amplitudes, check_tol
 
 
 def spectral_mix(states, weights, *, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -48,7 +48,8 @@ def spectral_mix(states, weights, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     if len(states) != len(weights):
         raise BadWeightsError(
             f"{len(states)} states but {len(weights)} weights")
-    ws = [float(w) for w in weights if not isinstance(w, (bool, np.bool_, str, bytes))]
+    ws = [_number(float, w, "weights", BadWeightsError) for w in weights
+          if not isinstance(w, (bool, np.bool_, str, bytes))]
     if len(ws) != len(weights):
         raise BadWeightsError(f"weights must be numbers, got {list(weights)!r}")
     for w in ws:
@@ -69,7 +70,7 @@ def spectral_mix(states, weights, *, tol: float = DEFAULT_TOL) -> np.ndarray:
             if ov > tol:
                 raise NotOrthogonalError(
                     f"states {i} and {j} overlap by {ov!r} (> {tol!r})")
-    v = np.array(amps)
+    v = np.array(amps, complex)
     terms = np.array(ws)[:, None, None] * (v[:, :, None] * v.conj()[:, None, :])
     # Summed in state order from +0.0, as a running sum into a zero matrix.
     return np.add.reduce(terms, axis=0, initial=0.0)
@@ -121,7 +122,11 @@ def _check_density(rho) -> list:
     """Rows of ``rho`` as lists of Python complex, once it passes the density
     contract in the module docstring; each check raises
     `InvalidDensityError` in that order."""
-    m = np.asarray(rho, dtype=complex)
+    try:
+        m = np.asarray(rho, dtype=complex)
+    except OverflowError:  # an integer too large for a float
+        raise InvalidDensityError("density matrix has non-finite entries") \
+            from None
     if m.shape != (4, 4):
         raise InvalidDensityError(f"expected a 4x4 matrix, got {m.shape}")
     r0, r1, r2, r3 = rows = m.tolist()
@@ -152,12 +157,13 @@ def _check_density(rho) -> list:
 def reduce_a(rho) -> np.ndarray:
     """Partial trace over subsystem B, leaving the 2x2 state of A."""
     r0, r1, r2, r3 = _check_density(rho)
-    return np.array([[r0[0] + r1[1], r0[2] + r1[3]],
-                     [r2[0] + r3[1], r2[2] + r3[3]]])
+    # A flat tuple reshaped: numpy need not discover a nested list's shape.
+    return np.array((r0[0] + r1[1], r0[2] + r1[3],
+                     r2[0] + r3[1], r2[2] + r3[3])).reshape(2, 2)
 
 
 def reduce_b(rho) -> np.ndarray:
     """Partial trace over subsystem A, leaving the 2x2 state of B."""
     r0, r1, r2, r3 = _check_density(rho)
-    return np.array([[r0[0] + r2[2], r0[1] + r2[3]],
-                     [r1[0] + r3[2], r1[1] + r3[3]]])
+    return np.array((r0[0] + r2[2], r0[1] + r2[3],
+                     r1[0] + r3[2], r1[1] + r3[3])).reshape(2, 2)

@@ -144,16 +144,13 @@ def verify_set(states, tol: float = DEFAULT_TOL,
         rec = max(_max_dev(_reconstruct_parts(closed), a),
                   _max_dev(_reconstruct_parts(orac), a), abs(_norm(a) - 1.0))
         conc = _concurrence_scalar(*a)
-        per.append(StateReport(
-            reconstruction_error=rec,
-            coefficient_mismatch_vs_oracle=mismatch,
-            concurrence=conc,
-            label=_label(conc, tol),
-        ))
+        # `tuple.__new__` skips the ``__new__`` that `NamedTuple` writes in
+        # Python, as `schmidt._wrap` does.
+        per.append(tuple.__new__(StateReport,
+                                 (rec, mismatch, conc, _label(conc, tol))))
         if rec > check_tol or mismatch > check_tol:
             ok = False
-    return VerificationReport(max_pairwise_overlap=max_ov, per_state=per,
-                              passed=ok)
+    return tuple.__new__(VerificationReport, (max_ov, per, ok))
 
 
 def classify(states, tol: float = DEFAULT_TOL, refine_m: bool = False) -> str:

@@ -31,7 +31,7 @@ from .errors import (
     ZeroParameterError,
 )
 from .scalar import (DEFAULT_TOL, _KET00, LazyNumpy, _checked_complex,
-                     _checked_norm, _tensor, amplitudes, check_tol)
+                     _checked_norm, _number, _tensor, check_tol)
 from .schmidt import _diag_parts, _nondiag_parts, _parts, _wrap
 
 np = LazyNumpy(globals())
@@ -45,7 +45,10 @@ class OrthoSet:
     basis constructor builds them.
 
     ``members`` holds the states in order, each a 4-tuple of Python complex
-    amplitudes.  ``parts`` holds the Schmidt decompositions the
+    amplitudes.  Constructors build members only from numbers they have
+    checked (finite, nonzero or rescaled as each family requires) and pass
+    them to the Schmidt kernels as they are, not through `amplitudes`
+    again.  ``parts`` holds the Schmidt decompositions the
     constructor's closed forms give, as ``(coeffs, basis_a, basis_b,
     degenerate)`` tuples (see `jsonio.parts_to_obj`); they are those of the
     last members: the second member of a pair, the third of a triple, all
@@ -140,7 +143,7 @@ def construct_pp(variant: str, single, *, strict: bool = False,
     u = _as_unit_qubit(single, strict, "single")
     e1 = (0.0j, 1.0 + 0.0j)
     second = _tensor(u, e1) if variant == A_SIDE else _tensor(e1, u)
-    return OrthoSet((_KET00, second), "PP", (_parts(*amplitudes(second), tol),),
+    return OrthoSet((_KET00, second), "PP", (_parts(*second, tol),),
                     {"single": u}, variant=variant)
 
 
@@ -159,7 +162,7 @@ def construct_pe_diagonal(a, b, *, strict: bool = False,
     if 2.0 * abs(a * b) <= tol:
         raise ZeroParameterError(
             "parameters too small to yield an entangled member")
-    return OrthoSet((_KET00, second), "PE", (_parts(*amplitudes(second), tol),),
+    return OrthoSet((_KET00, second), "PE", (_parts(*second, tol),),
                     {"a": a, "b": b}, variant="diagonal")
 
 
@@ -183,7 +186,7 @@ def construct_pe_nondiagonal(a, b, c, *, strict: bool = False,
         raise ZeroParameterError(
             "parameters land on the diagonal branch; use the diagonal constructor")
     second = (0.0j, a, b, c)
-    return OrthoSet((_KET00, second), "PE", (_parts(*amplitudes(second), tol),),
+    return OrthoSet((_KET00, second), "PE", (_parts(*second, tol),),
                     {"a": a, "b": b, "c": c}, variant="nondiagonal")
 
 
@@ -202,7 +205,7 @@ def construct_ep(gamma: float, a, b, sign: int = 1, *,
     that are not both zero.
     """
     tol = check_tol(tol)
-    gamma = float(gamma)
+    gamma = _number(float, gamma, "gamma")
     if not (0.0 < gamma < 1.0) or math.isnan(gamma):
         raise GammaOutOfRangeError(f"gamma must lie in (0, 1), got {gamma!r}")
     a = _checked_complex(a, "a")
@@ -223,7 +226,7 @@ def construct_ep(gamma: float, a, b, sign: int = 1, *,
         raise DegenerateParametersError("constructed factor has zero norm")
     second = _tensor(factor_a / na, factor_b / nb)
     return OrthoSet((_gamma_first(gamma), second), "EP",
-                    (_parts(*amplitudes(second), tol),),
+                    (_parts(*second, tol),),
                     {"gamma": gamma, "a": a, "b": b, "sign": sign})
 
 
@@ -242,7 +245,7 @@ def _ee_conditions(gamma, a, b, c):
 
 
 def _ee_prepare(gamma, a, b, c, strict, what):
-    gamma = float(gamma)
+    gamma = _number(float, gamma, "gamma")
     if not (0.0 < gamma < 1.0) or math.isnan(gamma):
         raise GammaOutOfRangeError(f"gamma must lie in (0, 1), got {gamma!r}")
     a = _checked_complex(a, "a")
@@ -278,7 +281,7 @@ def construct_ee_diagonal(gamma: float, a, b, c, *, strict: bool = False,
             "diagonal", f"diagonality residual {abs(diagonal)!r} exceeds {tol!r}")
     second = _ee_second(gamma, a, b, c)
     return OrthoSet((_gamma_first(gamma), second), "EE",
-                    (_diag_parts(*amplitudes(second)),),
+                    (_diag_parts(*second),),
                     {"gamma": gamma, "a": a, "b": b, "c": c},
                     variant="diagonal")
 
@@ -303,6 +306,6 @@ def construct_ee_nondiagonal(gamma: float, a, b, c, *, strict: bool = False,
             "use construct_ee_diagonal")
     second = _ee_second(gamma, a, b, c)
     return OrthoSet((_gamma_first(gamma), second), "EE",
-                    (_nondiag_parts(*amplitudes(second), tol),),
+                    (_nondiag_parts(*second, tol),),
                     {"gamma": gamma, "a": a, "b": b, "c": c},
                     variant="nondiagonal")

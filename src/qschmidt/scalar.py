@@ -37,20 +37,38 @@ _KET10 = (0.0j, 0.0j, 1.0 + 0.0j, 0.0j)
 _KET11 = (0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
 
 
+def _number(kind, value, name: str, error=NotFiniteError):
+    """``kind(value)`` for ``kind`` float or complex.  An integer too large
+    for a float raises ``error`` instead of `OverflowError`; every scalar
+    input conversion goes through here."""
+    try:
+        return kind(value)
+    except OverflowError:
+        raise error(f"{name} must be finite, got an integer too large "
+                    "for a float") from None
+
+
 def check_tol(tol) -> float:
     """Return ``tol`` as a float when it is finite and positive; raise
     :class:`InvalidArgumentError` otherwise."""
-    tol = float(tol)
+    tol = _number(float, tol, "tol", InvalidArgumentError)
     if not 0.0 < tol < math.inf:
         raise InvalidArgumentError(f"tol must be finite and positive, got {tol!r}")
     return tol
 
 
 def _checked_complex(value, name: str) -> complex:
-    z = complex(value)
+    z = _number(complex, value, name)
     if not isfinite(z):
         raise NotFiniteError(f"{name} must be finite, got {value!r}")
     return z
+
+
+def _checked_real(value, name: str) -> float:
+    x = _number(float, value, name)
+    if not math.isfinite(x):
+        raise NotFiniteError(f"{name} must be finite, got {value!r}")
+    return x
 
 
 def _checked_norm(nrm2: float, zero_message: str) -> float:

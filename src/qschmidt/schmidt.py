@@ -94,11 +94,13 @@ def _diag_parts(c00, c01, c10, c11):
 def _nondiag_parts(c00, c01, c10, c11, tol):
     """Non-diagonal-branch decomposition from the four amplitudes."""
     g = c00.conjugate() * c01 + c10.conjugate() * c11
-    g2 = g.real * g.real + g.imag * g.imag
-    if g2 <= tol * tol:
+    # The test `_parts` and `schmidt_diagonal` make, so the two branches
+    # split the states exactly.
+    if abs(g) <= tol:
         raise DiagonalError(
             "state satisfies the diagonal condition; the non-diagonal "
             "formula's internal vectors vanish (use the diagonal branch)")
+    g2 = g.real * g.real + g.imag * g.imag
     r0 = c00.real * c00.real + c00.imag * c00.imag \
         + c10.real * c10.real + c10.imag * c10.imag
     r1 = c01.real * c01.real + c01.imag * c01.imag \

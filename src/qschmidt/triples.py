@@ -18,7 +18,7 @@ from __future__ import annotations
 from .errors import NotOrthonormalBasisError, ZeroParameterError
 from .pairs import (A_SIDE, OrthoSet, _as_unit_qubit, _check_variant,
                     _require_nonzero, _rescale)
-from .scalar import DEFAULT_TOL, _KET00, _KET11, amplitudes, check_tol
+from .scalar import DEFAULT_TOL, _KET00, _KET11, check_tol
 from .schmidt import _diag_parts, _nondiag_parts, _parts
 
 
@@ -56,7 +56,7 @@ def construct_ppp(variant: str, basis, *, strict: bool = False,
         second = (0.0j, 0.0j, v0[0], v0[1])
         third = (0.0j, 0.0j, v1[0], v1[1])
     return OrthoSet((_KET00, second, third), "PPP",
-                    (_parts(*amplitudes(third), tol),), {"basis": [v0, v1]},
+                    (_parts(*third, tol),), {"basis": [v0, v1]},
                     variant=variant)
 
 
@@ -76,7 +76,7 @@ def construct_ppe_case1(c, d, *, strict: bool = False,
             "parameters too small to yield an entangled third member")
     third = (0.0j, c, d, 0.0j)
     return OrthoSet((_KET00, _KET11, third), "PPE",
-                    (_diag_parts(*amplitudes(third)),), {"c": c, "d": d},
+                    (_diag_parts(*third),), {"c": c, "d": d},
                     case_id=1)
 
 
@@ -109,7 +109,7 @@ def construct_ppe_case2(a, b, c, d, *, strict: bool = False,
     second = (0.0j, a, 0.0j, b)
     third = (0.0j, c * b.conjugate(), d, -c * a.conjugate())
     return OrthoSet((_KET00, second, third), "PPE",
-                    (_nondiag_parts(*amplitudes(third), tol),),
+                    (_nondiag_parts(*third, tol),),
                     {"a": a, "b": b, "c": c, "d": d}, case_id=2)
 
 
@@ -132,5 +132,5 @@ def construct_ppe_case3(a, b, c, d, *, strict: bool = False,
     second = (0.0j, 0.0j, a, b)
     third = (0.0j, c, d * b.conjugate(), -d * a.conjugate())
     return OrthoSet((_KET00, second, third), "PPE",
-                    (_nondiag_parts(*amplitudes(third), tol),),
+                    (_nondiag_parts(*third, tol),),
                     {"a": a, "b": b, "c": c, "d": d}, case_id=3)

@@ -138,3 +138,85 @@ class TestToleranceChecks:
     @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
     def test_default_tol_still_works(self, entry):
         self.ENTRY_POINTS[entry](1e-10)
+
+
+_BIG = 10 ** 400  # an integer too large for a float
+
+
+class TestHugeIntegers:
+    """An integer too large for a float raises a `QuantumStateError` from
+    every entry point, never `OverflowError`."""
+
+    ENTRY_POINTS = {
+        "schmidt": (lambda: q.schmidt([_BIG, 0, 0, 1]), q.NotFiniteError),
+        "schmidt.tol": (lambda: q.schmidt(KET00, _BIG),
+                        q.InvalidArgumentError),
+        "make_state": (lambda: q.make_state(_BIG, 0, 0, 1), q.NotFiniteError),
+        "verify_set": (lambda: q.verify_set([[_BIG, 0, 0, 1]]),
+                       q.NotFiniteError),
+        "construct_pe_diagonal": (lambda: q.construct_pe_diagonal(_BIG, 1),
+                                  q.NotFiniteError),
+        "construct_ep.gamma": (lambda: q.construct_ep(_BIG, 1, 1),
+                               q.NotFiniteError),
+        "construct_ep.a": (lambda: q.construct_ep(0.4, _BIG, 1),
+                           q.NotFiniteError),
+        "construct_ee_diagonal.gamma": (
+            lambda: q.construct_ee_diagonal(_BIG, 1, 1, 1), q.NotFiniteError),
+        "construct_pm.theta": (lambda: q.construct_pm(_BIG, 0),
+                               q.NotFiniteError),
+        "construct_mmee_diagonal.theta": (
+            lambda: q.construct_mmee_diagonal(_BIG, 0, 0.3, 0.4),
+            q.NotFiniteError),
+        "spectral_mix.weights": (lambda: q.spectral_mix([KET00], [_BIG]),
+                                 q.BadWeightsError),
+        "spectral_mix.states": (lambda: q.spectral_mix([[_BIG, 0, 0, 0]], [1]),
+                                q.NotFiniteError),
+        "pair_to_complex": (lambda: jsonio.pair_to_complex([0, _BIG]),
+                            q.NotFiniteError),
+        "orthogonal_complement": (
+            lambda: core.orthogonal_complement([_BIG, 0]), q.NotFiniteError),
+        "apply_local": (lambda: q.apply_local(KET00, [[_BIG, 0], [0, 1]],
+                                              np.eye(2)), q.NotUnitaryError),
+        "reduce_a": (lambda: q.reduce_a([[_BIG, 0, 0, 0]] + [[0] * 4] * 3),
+                     q.InvalidDensityError),
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_raises_domain_error(self, entry):
+        call, error = self.ENTRY_POINTS[entry]
+        with pytest.raises(q.QuantumStateError) as info:
+            call()
+        assert type(info.value) is error
+
+    def test_is_unitary_is_false(self):
+        assert not q.is_unitary([[_BIG, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: q.construct_pm(x, 0.0),
+    lambda x: q.construct_pm(0.0, x),
+    lambda x: q.construct_pmee(x, 0.0, 0.0, 0.3),
+    lambda x: q.construct_pmee(0.0, 0.0, x, 0.3),
+    lambda x: q.construct_mmee_diagonal(x, 0.0, 0.3, 0.4j),
+    lambda x: q.construct_mmee_nondiagonal(0.0, x, 0.3, 0.4),
+], ids=["pm.theta", "pm.theta_prime", "pmee.theta", "pmee.theta_dprime",
+        "mmee_diagonal.theta", "mmee_nondiagonal.theta_prime"])
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf), ids=repr)
+def test_non_finite_angle_is_rejected(call, bad):
+    """Angles are checked where they enter, since the kernels take the
+    members a constructor builds without checking them again."""
+    with pytest.raises(q.NotFiniteError, match="must be finite"):
+        call(bad)
+
+
+@pytest.mark.parametrize("key", list(sampling.FAMILIES), ids=str)
+def test_members_are_finite_complex_tuples(key):
+    """Every member a constructor builds is a 4-tuple of finite Python
+    complex numbers, the form the kernels read without `amplitudes`."""
+    family = sampling.FAMILIES[key]
+    for seed in range(5):
+        s = family.construct(*family.draw(q.SplitMix64(seed)))
+        for m in s.members:
+            assert type(m) is tuple and len(m) == 4
+            assert all(type(z) is complex and math.isfinite(z.real)
+                       and math.isfinite(z.imag) for z in m)

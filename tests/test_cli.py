@@ -18,6 +18,18 @@ def run(capsys, *argv):
 
 
 class TestDecompose:
+    def test_state_just_above_tol(self, capsys):
+        """|g| one ulp above tol by hypot, not by the sum of squares: the
+        non-diagonal branch decomposes it."""
+        state = ("[[0.6, 0.0], [4.100057480134888e-11, -1.6154482549353533e-10],"
+                 " [0.0, 0.0], [0.8, 0.0]]")
+        code, out, err = run(capsys, "decompose", "--state", state)
+        assert code == 0, err
+        assert json.loads(out)["coeffs"] == pytest.approx([0.8, 0.6], abs=1e-15)
+        code, out, err = run(capsys, "verify", "--set", "[" + state + "]")
+        assert code == 0, err
+        assert json.loads(out)["passed"]
+
     def test_five_decimal_amplitudes_are_normalized(self, capsys):
         code, out, _ = run(capsys, "decompose", "--state",
                            "[[0.57735,0],[0.40825,0],[0.40825,0],[-0.57735,0]]")
@@ -223,6 +235,11 @@ class TestUsageErrors:
 _STATE = "[[0.5,0],[0.5,0],[0.5,0],[0.5,0]]"
 _FIVE_STATES = "[" + ",".join([_STATE] * 5) + "]"
 _AB = '{"a":[0.6,0],"b":[0.8,0]}'
+# An integer too large for a float, and one of more digits than the
+# interpreter converts from text.
+_BIG = "1" + "0" * 400
+_HUGE = "1" + "0" * 4300
+_DEEP = "[" * 100000
 
 
 class TestDomainErrorsNotTracebacks:
@@ -267,6 +284,25 @@ class TestDomainErrorsNotTracebacks:
         (["construct", "--type", "ep", "--params",
           '{"gamma": 0.4, "a": [1, 0], "b": [0.5, 0.5], "sign": true}'],
          "QuantumStateError"),
+        (["decompose", "--state", f"[[{_BIG},0],[0,0],[0,0],[1,0]]"],
+         "NotFiniteError"),
+        (["decompose", "--state", f"[{_BIG},0,0,1]"], "NotFiniteError"),
+        (["construct", "--type", "pe", "--variant", "diagonal",
+          "--params", f'{{"a":[{_BIG},0],"b":[1,0]}}'], "NotFiniteError"),
+        (["construct", "--type", "ep", "--params",
+          f'{{"gamma": {_BIG}, "a": [1, 0], "b": [0.5, 0.5]}}'],
+         "NotFiniteError"),
+        (["construct", "--type", "pm",
+          "--params", f'{{"theta": {_BIG}, "theta_prime": 0}}'],
+         "NotFiniteError"),
+        (["construct", "--type", "pmee", "--params",
+          '{"theta": 0, "theta_prime": 0, "theta_dprime": NaN, "c": 0.3}'],
+         "NotFiniteError"),
+        (["mix", "--set", "[" + _STATE + "]", "--weights", f"[{_BIG}]"],
+         "BadWeightsError"),
+        (["decompose", "--state", f"[[{_HUGE},0],[0,0],[0,0],[1,0]]"],
+         "QuantumStateError"),
+        (["verify", "--set", _DEEP], "QuantumStateError"),
     ], ids=["count-0", "count-negative", "verify-5-states", "classify-5-states",
             "pp-diagonal-variant", "decompose-tol-nan", "verify-tol-nan",
             "tol-zero", "tol-negative", "tol-inf", "construct-unknown-type",
@@ -276,12 +312,25 @@ class TestDomainErrorsNotTracebacks:
             "sample-pppe-count-0", "sample-unknown-type-count-0",
             "decompose-boolean-amplitude", "construct-boolean-real",
             "mix-boolean-weight", "mix-string-weight",
-            "construct-boolean-sign"])
+            "construct-boolean-sign", "decompose-huge-int-pair",
+            "decompose-huge-int-real", "construct-huge-int-complex",
+            "construct-huge-int-gamma", "construct-huge-int-theta",
+            "construct-nan-theta-dprime", "mix-huge-int-weight",
+            "decompose-int-over-digit-limit", "verify-deep-nesting"])
     def test_exit_1_with_error_json(self, capsys, argv, error):
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"] == error
+
+    @pytest.mark.parametrize("text", [_DEEP, "[" + _HUGE + "]"],
+                             ids=["deep-nesting", "int-over-digit-limit"])
+    def test_bad_json_on_stdin(self, capsys, monkeypatch, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "verify")
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "QuantumStateError"
 
 
 @pytest.mark.parametrize("set_type,case_id,variant", FAMILIES)

@@ -156,6 +156,43 @@ class TestDispatch:
             s = q.random_state(rng)
             assert_valid_decomposition(q.schmidt(s), s)
 
+    # |g| is one ulp above 1e-10 by hypot but not by the sum of squares.
+    BOUNDARY_STATE = [0.6, 4.100057480134888e-11 - 1.6154482549353533e-10j,
+                      0.0, 0.8]
+
+    def test_state_just_above_tol_takes_nondiagonal_branch(self):
+        d = q.schmidt(self.BOUNDARY_STATE)
+        np.testing.assert_allclose(d.coeffs, [0.8, 0.6], atol=1e-15)
+        assert_valid_decomposition(d, self.BOUNDARY_STATE)
+        assert q.verify_set([self.BOUNDARY_STATE]).passed
+
+    def test_branches_split_states_at_tol(self):
+        """States whose Gram off-diagonal g lies within a few ulps of tol,
+        in each coordinate: `schmidt` never raises, and exactly one of the
+        two branch functions accepts each state."""
+        def ulps(x, k):
+            for _ in range(abs(k)):
+                x = math.nextafter(x, math.copysign(math.inf, k))
+            return x
+
+        rng = q.SplitMix64(21)
+        for _ in range(200):
+            c00 = 0.5 + 0.3 * rng.uniform()
+            c11 = math.sqrt(1.0 - c00 * c00)
+            phi = 2.0 * math.pi * rng.uniform()
+            x, y = 1e-10 / c00 * math.cos(phi), 1e-10 / c00 * math.sin(phi)
+            for dx in range(-2, 3):
+                for dy in range(-2, 3):
+                    s = [c00, complex(ulps(x, dx), ulps(y, dy)), 0.0, c11]
+                    q.schmidt(s)
+                    diagonal = q.is_diagonal(s)
+                    try:
+                        q.schmidt_nondiagonal(s)
+                    except q.DiagonalError:
+                        assert diagonal
+                    else:
+                        assert not diagonal
+
 
 class TestReconstruct:
     def test_nondiagonal_round_trip(self):
