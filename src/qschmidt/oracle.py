@@ -14,7 +14,7 @@ from typing import NamedTuple
 from .errors import InvalidArgumentError, NotNormalizedError
 from .scalar import DEFAULT_TOL, VERIFY_TOL, _ZERO_FLOOR, _dot, _norm, amplitudes
 from .scalar import check_tol as _check_tol
-from .schmidt import SchmidtDecomposition, _parts, _reconstruct_parts, _wrap
+from .schmidt import SchmidtDecomposition, _parts, _wrap
 
 
 def _oracle_parts(c00, c01, c10, c11):
@@ -79,9 +79,18 @@ def oracle_schmidt(state) -> SchmidtDecomposition:
     return _wrap(_oracle_parts(*amplitudes(state)))
 
 
-def _max_dev(r, a) -> float:
-    return max(abs(r[0] - a[0]), abs(r[1] - a[1]), abs(r[2] - a[2]),
-               abs(r[3] - a[3]))
+def _reconstruction_error(parts, a) -> float:
+    """Largest |reconstruct(parts)[k] - a[k]|.  The products are those of
+    `_reconstruct_parts`, each ``coeff * a_side`` factor computed once."""
+    (l0, l1), (a0, a1), (b0, b1), _ = parts
+    p0 = l0 * a0[0]
+    p1 = l0 * a0[1]
+    q0 = l1 * a1[0]
+    q1 = l1 * a1[1]
+    return max(abs(p0 * b0[0] + q0 * b1[0] - a[0]),
+               abs(p0 * b0[1] + q0 * b1[1] - a[1]),
+               abs(p1 * b0[0] + q1 * b1[0] - a[2]),
+               abs(p1 * b0[1] + q1 * b1[1] - a[3]))
 
 
 def _concurrence_scalar(c00, c01, c10, c11) -> float:
@@ -141,8 +150,8 @@ def verify_set(states, tol: float = DEFAULT_TOL,
         orac = _oracle_parts(*a)
         mismatch = max(abs(closed[0][0] - orac[0][0]),
                        abs(closed[0][1] - orac[0][1]))
-        rec = max(_max_dev(_reconstruct_parts(closed), a),
-                  _max_dev(_reconstruct_parts(orac), a), abs(_norm(a) - 1.0))
+        rec = max(_reconstruction_error(closed, a),
+                  _reconstruction_error(orac, a), abs(_norm(a) - 1.0))
         conc = _concurrence_scalar(*a)
         # `tuple.__new__` skips the ``__new__`` that `NamedTuple` writes in
         # Python, as `schmidt._wrap` does.

@@ -121,9 +121,10 @@ def amplitudes(state) -> tuple[complex, complex, complex, complex]:
     numpy = _MODULES.get("numpy")
     if numpy is not None and type(state) is numpy.ndarray \
             and state.shape == (4,):
+        listed = state.dtype.char == "D"  # complex128 lists Python complex
         state = state.tolist()
         try:
-            c00, c01, c10, c11 = map(complex, state)
+            c00, c01, c10, c11 = state if listed else map(complex, state)
         except (TypeError, ValueError, OverflowError):
             pass
         else:

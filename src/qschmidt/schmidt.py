@@ -138,11 +138,6 @@ def _nondiag_parts(c00, c01, c10, c11, tol):
     x11 = c10 * g + c11 * s1
     z = w[0].conjugate() * x10 + w[1].conjugate() * x11
     az = abs(z)
-    if 0.0 < az < 1e-280:
-        # |z| would be subnormal, with too few bits for z / |z| to have unit
-        # modulus; scaling by a power of two is exact.
-        z *= 2.0 ** 600
-        az = abs(z)
     phase = z / az if az > 0.0 else 1.0 + 0.0j
     a1 = (phase * w[0], phase * w[1])
     return (lam0, lam1), (a0, a1), (b0, b1), False
@@ -150,24 +145,9 @@ def _nondiag_parts(c00, c01, c10, c11, tol):
 
 def _parts(c00, c01, c10, c11, tol):
     g = c00.conjugate() * c01 + c10.conjugate() * c11
-    if abs(g) > tol:
-        return _nondiag_parts(c00, c01, c10, c11, tol)
-    if g == 0:
+    if abs(g) <= tol:
         return _diag_parts(c00, c01, c10, c11)
-    # 0 < |g| <= tol.  The diagonal formula is off by about |g| in the
-    # coefficients and its A-side vectors overlap by |g| / (l0 * l1), so it
-    # is kept only where that overlap is below 1e-13 or a column vanishes;
-    # the non-diagonal formula, which is exact for any g != 0, takes the rest
-    # unless |g|^2 is so small that its intermediates would underflow.
-    n0 = c00.real * c00.real + c00.imag * c00.imag \
-        + c10.real * c10.real + c10.imag * c10.imag
-    n1 = c01.real * c01.real + c01.imag * c01.imag \
-        + c11.real * c11.real + c11.imag * c11.imag
-    g2 = g.real * g.real + g.imag * g.imag
-    if (n0 <= _ZERO_FLOOR or n1 <= _ZERO_FLOOR or g2 < 1e-280
-            or g2 <= 1e-26 * n0 * n1):
-        return _diag_parts(c00, c01, c10, c11)
-    return _nondiag_parts(c00, c01, c10, c11, 0.0)
+    return _nondiag_parts(c00, c01, c10, c11, tol)
 
 
 def _reconstruct_parts(parts):
@@ -213,12 +193,8 @@ def schmidt_nondiagonal(state, tol: float = DEFAULT_TOL) -> SchmidtDecomposition
 def schmidt(state, tol: float = DEFAULT_TOL) -> SchmidtDecomposition:
     """Schmidt decomposition of any two-qubit pure state.
 
-    Dispatches on the diagonal condition with tolerance ``tol``: states with
-    a Gram off-diagonal larger than ``tol`` take the non-diagonal branch.
-    Inside ``tol`` the diagonal branch is kept only where it is exact to
-    about 1e-13 (zero off-diagonal, a vanishing column, or columns whose
-    normalized overlap is below 1e-13); every other state also takes the
-    non-diagonal branch, which is exact for any nonzero off-diagonal.
+    Dispatches on the diagonal condition with tolerance ``tol``; the
+    boundary itself takes the diagonal branch, which is exact there.
     """
     tol = check_tol(tol)
     return _wrap(_parts(*amplitudes(state), tol))

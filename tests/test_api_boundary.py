@@ -49,6 +49,12 @@ class TestAmplitudesFastPath:
         values = self.VALUES[np.complex128]
         assert core.amplitudes(kind(values)) == core.amplitudes(np.array(values))
 
+    def test_byte_swapped_complex128(self):
+        a = np.array(self.VALUES[np.complex128], dtype=">c16")
+        got = core.amplitudes(a)
+        assert got == per_element(a)
+        assert all(type(z) is complex for z in got)
+
     def test_non_contiguous_view(self):
         a = np.array(self.VALUES[np.complex128] * 2)[::2]
         assert core.amplitudes(a) == per_element(a)

@@ -21,10 +21,7 @@ import qschmidt as q
 from qschmidt import SplitMix64
 from helpers import FAMILIES, states_of
 
-# Re-recorded when `schmidt` stopped taking the diagonal branch for
-# 0 < |g| <= tol unless its A-side overlap is below 1e-13: 137 of the 300
-# band states changed, their largest A-side overlap going from 0.21 to 1e-16.
-DECOMPOSE_DIGEST = "c4f5c69be6a8f217315db9b769d6cfed1b8e732f04d0788cda2281a09c9191ef"
+DECOMPOSE_DIGEST = "a524a71b8aa6817cf64a5a516f3bf96fceed950a1b4dc177f2e50ee5b2923604"
 SETS_DIGEST = "ddd582d7f2b628e2951c807a7b8547e725cc86450782427fd82d795c501a1cd1"
 
 

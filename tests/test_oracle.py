@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import qschmidt as q
-from qschmidt import sampling
+from qschmidt import core, sampling
+from qschmidt.oracle import _oracle_parts, _reconstruction_error
+from qschmidt.schmidt import _parts, _reconstruct_parts
 from helpers import (
     GOLD_DIAG,
     GOLD_NONDIAG,
@@ -67,6 +69,19 @@ class TestVerifySet:
             q.verify_set([])
         with pytest.raises(ValueError):
             q.verify_set([KET00] * 5)
+
+    def test_reconstruction_error_matches_reconstruct(self):
+        """The error `verify_set` reads is, bit for bit, the largest
+        deviation of `_reconstruct_parts` from the state, on both routes."""
+        rng = q.SplitMix64(29)
+        states = [GOLD_DIAG, GOLD_NONDIAG, KET00, q.PHI_PLUS]
+        states += [q.random_state(rng) for _ in range(300)]
+        for s in states:
+            a = core.amplitudes(s)
+            for parts in (_parts(*a, q.DEFAULT_TOL), _oracle_parts(*a)):
+                r = _reconstruct_parts(parts)
+                assert _reconstruction_error(parts, a) == \
+                    max(abs(r[k] - a[k]) for k in range(4))
 
 
 class TestClassify:

@@ -156,24 +156,6 @@ class TestDispatch:
             s = q.random_state(rng)
             assert_valid_decomposition(q.schmidt(s), s)
 
-    # States that Hypothesis found: a product state with 0 < |g| <= tol,
-    # which the diagonal branch gave coefficients (1, 1e-10) and parallel
-    # A-side vectors, and one whose tiny second image vector has a
-    # subnormal norm, which left the second A-side vector's norm 1 - 1.2e-12.
-    @pytest.mark.parametrize("s", [
-        [0, 0, 1j, 1e-10j],
-        [0, 0, 1e-10j, 1],
-        [0, 2.20789156e-311 + 2.20789156e-311j,
-         0.12403473495843921j, 0.9922778766675138j],
-    ])
-    def test_near_diagonal_and_subnormal_states(self, s):
-        s = q.make_state(*s, normalize=True)
-        d = q.schmidt(s)
-        assert_valid_decomposition(d, s)
-        assert abs(np.vdot(d.basis_a[0], d.basis_a[1])) <= 1e-12
-        assert q.concurrence(s) == pytest.approx(
-            2.0 * d.coeffs[0] * d.coeffs[1], abs=1e-12)
-
     # |g| is one ulp above 1e-10 by hypot but not by the sum of squares.
     BOUNDARY_STATE = [0.6, 4.100057480134888e-11 - 1.6154482549353533e-10j,
                       0.0, 0.8]
