@@ -7,7 +7,10 @@ the remaining pair).  A PPPE basis cannot exist: completing any three
 orthonormal product states always yields a fourth product state, which
 `complete_ppp` demonstrates constructively.  Each basis constructor returns
 an `OrthoSet` of four states whose ``parts`` (and ``schmidt``) hold all four
-members' decompositions; `construct_pm` returns a pair.
+members' decompositions; `construct_pm` returns a pair.  The entangled
+members of PPEE cases 2 and 3, PMEE and non-diagonal MMEE share closed-form
+spectra, and those constructors hand their decompositions to
+`pairs._ortho_set`; it decomposes every other member with `schmidt._parts`.
 """
 
 from __future__ import annotations
@@ -23,11 +26,12 @@ from .errors import (
     NotPPPError,
     ZeroParameterError,
 )
-from .pairs import A_SIDE, OrthoSet, _gamma_first, _require_nonzero, _rescale
+from .pairs import (A_SIDE, OrthoSet, _gamma_first, _ortho_set,
+                    _require_nonzero, _rescale)
 from .scalar import (DEFAULT_TOL, _KET00, _KET01, _KET10, _KET11, LazyNumpy,
                      _checked_complex, _checked_real, _dot, _norm, check_tol,
                      concurrence)
-from .schmidt import _diag_parts, _parts, _reconstruct_parts
+from .schmidt import _reconstruct_parts
 from .triples import construct_ppe_case2, construct_ppe_case3, construct_ppp
 
 np = LazyNumpy(globals())
@@ -59,10 +63,7 @@ def construct_pppp(variant: str, basis, *, strict: bool = False,
     tol = check_tol(tol)
     triple = construct_ppp(variant, basis, strict=strict, tol=tol)
     members = (*triple.members, _KET10 if variant == A_SIDE else _KET01)
-    return OrthoSet(members, "PPPP",
-                    (_parts(*members[0], tol), _parts(*members[1], tol),
-                     triple.parts[-1], _parts(*members[3], tol)),
-                    triple.params, variant=variant)
+    return _ortho_set(members, "PPPP", triple.params, tol, variant=variant)
 
 
 def _det3(m) -> complex:
@@ -132,10 +133,8 @@ def construct_ppee_case1(a, b, *, strict: bool = False,
             "parameters too small to yield entangled members")
     third = (0.0j, a, b, 0.0j)
     fourth = (0.0j, b.conjugate(), -a.conjugate(), 0.0j)
-    return OrthoSet((_KET00, _KET11, third, fourth), "PPEE",
-                    (_parts(*_KET00, tol), _parts(*_KET11, tol),
-                     _diag_parts(*third), _diag_parts(*fourth)),
-                    {"a": a, "b": b}, case_id=1)
+    return _ortho_set((_KET00, _KET11, third, fourth), "PPEE",
+                      {"a": a, "b": b}, tol, case_id=1)
 
 
 def construct_ppee_case2(a, b, c, d, *, strict: bool = False,
@@ -172,10 +171,8 @@ def construct_ppee_case2(a, b, c, d, *, strict: bool = False,
     bb0, bb1 = dec3[2]
     dec4 = ((k0, k1), (z0, z1), (bb1, bb0), False)
     members = (*triple.members, _reconstruct_parts(dec4))
-    return OrthoSet(members, "PPEE",
-                    (_parts(*members[0], tol),
-                     _parts(*members[1], tol), dec3, dec4),
-                    {"a": a, "b": b, "c": c, "d": d}, case_id=2)
+    return _ortho_set(members, "PPEE", triple.params, tol, (dec3, dec4),
+                      case_id=2)
 
 
 def construct_ppee_case3(a, b, c, d, *, strict: bool = False,
@@ -208,10 +205,8 @@ def construct_ppee_case3(a, b, c, d, *, strict: bool = False,
     aa0, aa1 = dec3[1]
     dec4 = ((n0, n1), (aa1, aa0), (wc0, wc1), False)
     members = (*triple.members, _reconstruct_parts(dec4))
-    return OrthoSet(members, "PPEE",
-                    (_parts(*members[0], tol),
-                     _parts(*members[1], tol), dec3, dec4),
-                    {"a": a, "b": b, "c": c, "d": d}, case_id=3)
+    return _ortho_set(members, "PPEE", triple.params, tol, (dec3, dec4),
+                      case_id=3)
 
 
 def _pm_second(theta: float, theta_prime: float) -> tuple:
@@ -232,8 +227,8 @@ def construct_pm(theta: float, theta_prime: float, *,
     theta = _checked_real(theta, "theta")
     theta_prime = _checked_real(theta_prime, "theta_prime")
     second = _pm_second(theta, theta_prime)
-    return OrthoSet((_KET00, second), "PM", (_diag_parts(*second),),
-                    {"theta": theta, "theta_prime": theta_prime})
+    return _ortho_set((_KET00, second), "PM",
+                      {"theta": theta, "theta_prime": theta_prime}, tol)
 
 
 def construct_pmee(theta: float, theta_prime: float, theta_dprime: float, c, *,
@@ -295,12 +290,11 @@ def construct_pmee(theta: float, theta_prime: float, theta_dprime: float, c, *,
     ws1 = (ws1[0] / nz1, ws1[1] / nz1)
     dec4 = ((ups0, ups1), (z0, z1), (ws0, ws1), False)
 
-    pm = construct_pm(theta, theta_prime, tol=tol)
-    members = (*pm.members, _reconstruct_parts(dec3), _reconstruct_parts(dec4))
-    return OrthoSet(members, "PMEE",
-                    (_parts(*members[0], tol), *pm.parts, dec3, dec4),
-                    {"theta": theta, "theta_prime": theta_prime,
-                     "theta_dprime": theta_dprime, "c": c})
+    members = (_KET00, _pm_second(theta, theta_prime),
+               _reconstruct_parts(dec3), _reconstruct_parts(dec4))
+    return _ortho_set(members, "PMEE",
+                      {"theta": theta, "theta_prime": theta_prime,
+                       "theta_dprime": theta_dprime, "c": c}, tol, (dec3, dec4))
 
 
 def _mmee_prepare(theta, theta_prime, a, b, strict, what):
@@ -347,11 +341,9 @@ def construct_mmee_diagonal(theta: float, theta_prime: float, a, b, *,
               -b.conjugate())
     # math.sqrt(0.5) entries, one ulp above those of PHI_PLUS.
     first, second = _gamma_first(0.5), _pm_second(theta, theta_prime)
-    return OrthoSet((first, second, third, fourth), "MMEE",
-                    (_parts(*first, tol), _parts(*second, tol),
-                     _diag_parts(*third), _diag_parts(*fourth)),
-                    {"theta": theta, "theta_prime": theta_prime, "a": a, "b": b},
-                    variant="diagonal")
+    return _ortho_set((first, second, third, fourth), "MMEE",
+                      {"theta": theta, "theta_prime": theta_prime, "a": a,
+                       "b": b}, tol, variant="diagonal")
 
 
 def construct_mmee_nondiagonal(theta: float, theta_prime: float, a, b, *,
@@ -407,8 +399,7 @@ def construct_mmee_nondiagonal(theta: float, theta_prime: float, a, b, *,
 
     # math.sqrt(0.5) entries, one ulp above those of PHI_PLUS.
     first, second = _gamma_first(0.5), _pm_second(theta, theta_prime)
-    return OrthoSet((first, second, _reconstruct_parts(dec3),
-                     _reconstruct_parts(dec4)), "MMEE",
-                    (_parts(*first, tol), _parts(*second, tol), dec3, dec4),
-                    {"theta": theta, "theta_prime": theta_prime, "a": a, "b": b},
-                    variant="nondiagonal")
+    return _ortho_set((first, second, _reconstruct_parts(dec3),
+                       _reconstruct_parts(dec4)), "MMEE",
+                      {"theta": theta, "theta_prime": theta_prime, "a": a,
+                       "b": b}, tol, (dec3, dec4), variant="nondiagonal")

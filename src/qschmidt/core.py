@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import NotUnitaryError
+from .errors import NotNormalizedError, NotUnitaryError
 from .scalar import (  # noqa: F401  (re-exported)
     DEFAULT_TOL,
     VERIFY_TOL,
@@ -116,7 +116,7 @@ def is_unitary(u, tol: float = VERIFY_TOL) -> bool:
     tol = check_tol(tol)
     try:
         m = np.asarray(u, dtype=complex)
-    except OverflowError:  # an integer too large for a float
+    except (OverflowError, TypeError, ValueError):  # too large, not numbers
         return False
     if m.shape != (2, 2):
         return False
@@ -138,7 +138,15 @@ def apply_local(state, u_a, u_b) -> np.ndarray:
 
 
 def orthogonal_complement(v) -> np.ndarray:
-    """The unit vector orthogonal to a unit single-qubit vector ``v``."""
-    v0 = _number(complex, v[0], "v[0]")
-    v1 = _number(complex, v[1], "v[1]")
+    """The unit vector orthogonal to a unit single-qubit vector ``v``.
+
+    Raises `NotNormalizedError` when the norm of ``v`` is off 1 by more
+    than 1e-10.
+    """
+    v0 = _checked_complex(v[0], "v[0]")
+    v1 = _checked_complex(v[1], "v[1]")
+    nrm = math.sqrt(v0.real * v0.real + v0.imag * v0.imag
+                    + v1.real * v1.real + v1.imag * v1.imag)
+    if abs(nrm - 1.0) > 1e-10:
+        raise NotNormalizedError(f"v has norm {nrm!r}")
     return np.array([-v1.conjugate(), v0.conjugate()])

@@ -127,6 +127,9 @@ def _check_density(rho) -> list:
     except OverflowError:  # an integer too large for a float
         raise InvalidDensityError("density matrix has non-finite entries") \
             from None
+    except (TypeError, ValueError):  # entries that are not numbers, ragged rows
+        raise InvalidDensityError(
+            "density matrix must be a 4x4 array of numbers") from None
     if m.shape != (4, 4):
         raise InvalidDensityError(f"expected a 4x4 matrix, got {m.shape}")
     r0, r1, r2, r3 = rows = m.tolist()

@@ -1,12 +1,13 @@
-"""Constructors for orthogonal pairs of two-qubit states, and `OrthoSet`,
-the result type of every set constructor.
+"""Constructors for orthogonal pairs of two-qubit states, `OrthoSet`, the
+result type of every set constructor, and `_ortho_set`, which every set
+constructor builds its result with.
 
 Each constructor fixes the first member in a canonical form and produces the
-general second member orthogonal to it, together with the second member's
-Schmidt decomposition.  Pair patterns name the members in order: P product,
-E entangled (M maximally entangled).  Arbitrary pairs of a pattern follow by
-applying the same local unitaries to both members, which leaves the pattern
-unchanged.
+general second member orthogonal to it; `_ortho_set` decomposes the second
+member with `schmidt._parts`.  Pair patterns name the members in order: P
+product, E entangled (M maximally entangled).  Arbitrary pairs of a pattern
+follow by applying the same local unitaries to both members, which leaves
+the pattern unchanged.
 
 The constructors here, in `triples` and in `bases` compute on Python
 complex numbers and return members and Schmidt data as tuples, so building
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .scalar import (DEFAULT_TOL, _KET00, LazyNumpy, _checked_complex,
                      _checked_norm, _number, _tensor, check_tol)
-from .schmidt import _diag_parts, _nondiag_parts, _parts, _wrap
+from .schmidt import _parts, _wrap
 
 np = LazyNumpy(globals())
 
@@ -47,14 +48,13 @@ class OrthoSet:
     ``members`` holds the states in order, each a 4-tuple of Python complex
     amplitudes.  Constructors build members only from numbers they have
     checked (finite, nonzero or rescaled as each family requires) and pass
-    them to the Schmidt kernels as they are, not through `amplitudes`
-    again.  ``parts`` holds the Schmidt decompositions the
-    constructor's closed forms give, as ``(coeffs, basis_a, basis_b,
-    degenerate)`` tuples (see `jsonio.parts_to_obj`); they are those of the
-    last members: the second member of a pair, the third of a triple, all
-    four of a basis.  ``params`` are the constructor's arguments after
-    normalization; ``case_id`` and ``variant`` name the sub-family where the
-    type has them.
+    them to `schmidt._parts` as they are, not through `amplitudes` again.
+    ``parts`` holds the Schmidt decompositions of the carried members (the
+    second member of a pair, the third of a triple, all four of a basis)
+    as ``(coeffs, basis_a, basis_b, degenerate)`` tuples (see
+    `jsonio.parts_to_obj`); `_ortho_set` makes them.  ``params`` are the
+    constructor's arguments after normalization; ``case_id`` and
+    ``variant`` name the sub-family where the type has them.
 
     ``states`` (complex arrays) and ``schmidt`` (`SchmidtDecomposition`
     records) are the same data as arrays, built from the tuples on first
@@ -83,6 +83,17 @@ class OrthoSet:
         if self._schmidt is None:
             self._schmidt = tuple(map(_wrap, self.parts))
         return self._schmidt
+
+
+def _ortho_set(members, type_label, params, tol, closed=(), *, case_id=None,
+               variant=None) -> OrthoSet:
+    """The `OrthoSet` every constructor returns: each carried member is
+    decomposed by ``_parts(*member, tol)``, except the trailing members whose
+    closed-form decompositions the constructor hands in as ``closed``."""
+    carried = members if len(members) == 4 else members[len(members) - 1:]
+    parts = tuple(_parts(*m, tol) for m in carried[:len(carried) - len(closed)])
+    return OrthoSet(members, type_label, parts + closed, params, case_id,
+                    variant)
 
 
 def _require_nonzero(value: complex, name: str) -> complex:
@@ -143,8 +154,8 @@ def construct_pp(variant: str, single, *, strict: bool = False,
     u = _as_unit_qubit(single, strict, "single")
     e1 = (0.0j, 1.0 + 0.0j)
     second = _tensor(u, e1) if variant == A_SIDE else _tensor(e1, u)
-    return OrthoSet((_KET00, second), "PP", (_parts(*second, tol),),
-                    {"single": u}, variant=variant)
+    return _ortho_set((_KET00, second), "PP", {"single": u}, tol,
+                      variant=variant)
 
 
 def construct_pe_diagonal(a, b, *, strict: bool = False,
@@ -162,8 +173,8 @@ def construct_pe_diagonal(a, b, *, strict: bool = False,
     if 2.0 * abs(a * b) <= tol:
         raise ZeroParameterError(
             "parameters too small to yield an entangled member")
-    return OrthoSet((_KET00, second), "PE", (_parts(*second, tol),),
-                    {"a": a, "b": b}, variant="diagonal")
+    return _ortho_set((_KET00, second), "PE", {"a": a, "b": b}, tol,
+                      variant="diagonal")
 
 
 def construct_pe_nondiagonal(a, b, c, *, strict: bool = False,
@@ -186,8 +197,8 @@ def construct_pe_nondiagonal(a, b, c, *, strict: bool = False,
         raise ZeroParameterError(
             "parameters land on the diagonal branch; use the diagonal constructor")
     second = (0.0j, a, b, c)
-    return OrthoSet((_KET00, second), "PE", (_parts(*second, tol),),
-                    {"a": a, "b": b, "c": c}, variant="nondiagonal")
+    return _ortho_set((_KET00, second), "PE", {"a": a, "b": b, "c": c}, tol,
+                      variant="nondiagonal")
 
 
 def construct_ep(gamma: float, a, b, sign: int = 1, *,
@@ -225,9 +236,8 @@ def construct_ep(gamma: float, a, b, sign: int = 1, *,
     if na <= 1e-150 or nb <= 1e-150:
         raise DegenerateParametersError("constructed factor has zero norm")
     second = _tensor(factor_a / na, factor_b / nb)
-    return OrthoSet((_gamma_first(gamma), second), "EP",
-                    (_parts(*second, tol),),
-                    {"gamma": gamma, "a": a, "b": b, "sign": sign})
+    return _ortho_set((_gamma_first(gamma), second), "EP",
+                      {"gamma": gamma, "a": a, "b": b, "sign": sign}, tol)
 
 
 def _ee_second(gamma: float, a: complex, b: complex, c: complex) -> tuple:
@@ -280,10 +290,9 @@ def construct_ee_diagonal(gamma: float, a, b, c, *, strict: bool = False,
         raise ConditionViolatedError(
             "diagonal", f"diagonality residual {abs(diagonal)!r} exceeds {tol!r}")
     second = _ee_second(gamma, a, b, c)
-    return OrthoSet((_gamma_first(gamma), second), "EE",
-                    (_diag_parts(*second),),
-                    {"gamma": gamma, "a": a, "b": b, "c": c},
-                    variant="diagonal")
+    return _ortho_set((_gamma_first(gamma), second), "EE",
+                      {"gamma": gamma, "a": a, "b": b, "c": c}, tol,
+                      variant="diagonal")
 
 
 def construct_ee_nondiagonal(gamma: float, a, b, c, *, strict: bool = False,
@@ -305,7 +314,6 @@ def construct_ee_nondiagonal(gamma: float, a, b, c, *, strict: bool = False,
             "parameters satisfy the diagonal condition; "
             "use construct_ee_diagonal")
     second = _ee_second(gamma, a, b, c)
-    return OrthoSet((_gamma_first(gamma), second), "EE",
-                    (_nondiag_parts(*second, tol),),
-                    {"gamma": gamma, "a": a, "b": b, "c": c},
-                    variant="nondiagonal")
+    return _ortho_set((_gamma_first(gamma), second), "EE",
+                      {"gamma": gamma, "a": a, "b": b, "c": c}, tol,
+                      variant="nondiagonal")

@@ -39,13 +39,16 @@ _KET11 = (0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
 
 def _number(kind, value, name: str, error=NotFiniteError):
     """``kind(value)`` for ``kind`` float or complex.  An integer too large
-    for a float raises ``error`` instead of `OverflowError`; every scalar
-    input conversion goes through here."""
+    for a float, and a value that is not a number, raise ``error`` instead
+    of `OverflowError`, `TypeError` or `ValueError`; every scalar input
+    conversion goes through here."""
     try:
         return kind(value)
     except OverflowError:
         raise error(f"{name} must be finite, got an integer too large "
                     "for a float") from None
+    except (TypeError, ValueError):
+        raise error(f"{name} must be a number, got {value!r}") from None
 
 
 def check_tol(tol) -> float:
@@ -131,9 +134,14 @@ def amplitudes(state) -> tuple[complex, complex, complex, complex]:
             if isfinite(c00) and isfinite(c01) and isfinite(c10) \
                     and isfinite(c11):
                 return c00, c01, c10, c11
-    if len(state) != 4:
+    try:
+        n = len(state)
+    except TypeError:  # not a sequence
+        raise InvalidArgumentError("a two-qubit state is a sequence of 4 "
+                                   f"amplitudes, got {state!r}") from None
+    if n != 4:
         raise InvalidArgumentError(
-            f"a two-qubit state has 4 amplitudes, got {len(state)}")
+            f"a two-qubit state has 4 amplitudes, got {n}")
     c00 = _checked_complex(state[0], "c00")
     c01 = _checked_complex(state[1], "c01")
     c10 = _checked_complex(state[2], "c10")

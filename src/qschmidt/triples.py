@@ -10,16 +10,17 @@ cases according to the shape of the second product member:
 
 Cases 2 and 3 produce a non-diagonal third member whenever every parameter
 is nonzero.  Each constructor returns an `OrthoSet` of three states whose
-``parts`` (and ``schmidt``) hold the third member's decomposition.
+``parts`` (and ``schmidt``) hold the third member's decomposition, which
+`pairs._ortho_set` computes with `schmidt._parts`: the diagonal formula
+for case 1, the non-diagonal one for cases 2 and 3.
 """
 
 from __future__ import annotations
 
 from .errors import NotOrthonormalBasisError, ZeroParameterError
 from .pairs import (A_SIDE, OrthoSet, _as_unit_qubit, _check_variant,
-                    _require_nonzero, _rescale)
+                    _ortho_set, _require_nonzero, _rescale)
 from .scalar import DEFAULT_TOL, _KET00, _KET11, check_tol
-from .schmidt import _diag_parts, _nondiag_parts, _parts
 
 
 def orthonormal_qubit_basis(basis, *, strict: bool = False,
@@ -55,9 +56,8 @@ def construct_ppp(variant: str, basis, *, strict: bool = False,
     else:
         second = (0.0j, 0.0j, v0[0], v0[1])
         third = (0.0j, 0.0j, v1[0], v1[1])
-    return OrthoSet((_KET00, second, third), "PPP",
-                    (_parts(*third, tol),), {"basis": [v0, v1]},
-                    variant=variant)
+    return _ortho_set((_KET00, second, third), "PPP", {"basis": [v0, v1]},
+                      tol, variant=variant)
 
 
 def construct_ppe_case1(c, d, *, strict: bool = False,
@@ -75,9 +75,8 @@ def construct_ppe_case1(c, d, *, strict: bool = False,
         raise ZeroParameterError(
             "parameters too small to yield an entangled third member")
     third = (0.0j, c, d, 0.0j)
-    return OrthoSet((_KET00, _KET11, third), "PPE",
-                    (_diag_parts(*third),), {"c": c, "d": d},
-                    case_id=1)
+    return _ortho_set((_KET00, _KET11, third), "PPE", {"c": c, "d": d}, tol,
+                      case_id=1)
 
 
 def _ppe_pairs(a, b, c, d, strict, what):
@@ -108,9 +107,8 @@ def construct_ppe_case2(a, b, c, d, *, strict: bool = False,
             "parameters too small to keep the third member non-diagonal")
     second = (0.0j, a, 0.0j, b)
     third = (0.0j, c * b.conjugate(), d, -c * a.conjugate())
-    return OrthoSet((_KET00, second, third), "PPE",
-                    (_nondiag_parts(*third, tol),),
-                    {"a": a, "b": b, "c": c, "d": d}, case_id=2)
+    return _ortho_set((_KET00, second, third), "PPE",
+                      {"a": a, "b": b, "c": c, "d": d}, tol, case_id=2)
 
 
 def construct_ppe_case3(a, b, c, d, *, strict: bool = False,
@@ -131,6 +129,5 @@ def construct_ppe_case3(a, b, c, d, *, strict: bool = False,
             "parameters too small to keep the third member non-diagonal")
     second = (0.0j, 0.0j, a, b)
     third = (0.0j, c, d * b.conjugate(), -d * a.conjugate())
-    return OrthoSet((_KET00, second, third), "PPE",
-                    (_nondiag_parts(*third, tol),),
-                    {"a": a, "b": b, "c": c, "d": d}, case_id=3)
+    return _ortho_set((_KET00, second, third), "PPE",
+                      {"a": a, "b": b, "c": c, "d": d}, tol, case_id=3)

@@ -198,6 +198,52 @@ class TestHugeIntegers:
         assert not q.is_unitary([[_BIG, 0], [0, 1]])
 
 
+_RAGGED = [[1, 0, 0, 0], [0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+
+
+class TestNonNumericScalars:
+    """A value that is not a number, or a state that is not a sequence,
+    raises a `QuantumStateError`, never a bare `TypeError` or `ValueError`."""
+
+    ENTRY_POINTS = {
+        "schmidt.str": (lambda: q.schmidt(["a", 0, 0, 1]), q.NotFiniteError),
+        "schmidt.none": (lambda: q.schmidt([None, 0, 0, 1]),
+                         q.NotFiniteError),
+        "schmidt.not_a_sequence": (lambda: q.schmidt(5),
+                                   q.InvalidArgumentError),
+        "schmidt.tol": (lambda: q.schmidt([1, 0, 0, 0], tol="x"),
+                        q.InvalidArgumentError),
+        "make_state": (lambda: q.make_state("x", 0, 0, 1), q.NotFiniteError),
+        "construct_pe_diagonal": (lambda: q.construct_pe_diagonal("x", 1),
+                                  q.NotFiniteError),
+        "construct_ep.gamma": (lambda: q.construct_ep(None, 1, 1),
+                               q.NotFiniteError),
+        "construct_pp.single": (lambda: q.construct_pp("a-side", ["a", 1]),
+                                q.NotFiniteError),
+        "spectral_mix.weights": (
+            lambda: q.spectral_mix([[1, 0, 0, 0]], [None]), q.BadWeightsError),
+        "reduce_a.str": (lambda: q.reduce_a("abc"), q.InvalidDensityError),
+        "reduce_a.ragged": (lambda: q.reduce_a(_RAGGED),
+                            q.InvalidDensityError),
+        "orthogonal_complement.nan": (
+            lambda: core.orthogonal_complement([math.nan, 0]),
+            q.NotFiniteError),
+        "orthogonal_complement.norm": (
+            lambda: core.orthogonal_complement([2, 0]), q.NotNormalizedError),
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_raises_domain_error(self, entry):
+        call, error = self.ENTRY_POINTS[entry]
+        with pytest.raises(q.QuantumStateError) as info:
+            call()
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize("u", ("abc", _RAGGED), ids=("str", "ragged"))
+    def test_is_unitary_is_false(self, u):
+        assert not q.is_unitary(u)
+
+
 @pytest.mark.parametrize("call", [
     lambda x: q.construct_pm(x, 0.0),
     lambda x: q.construct_pm(0.0, x),

@@ -116,8 +116,13 @@ class TestReduce:
 def parent_check_density(rho) -> np.ndarray:
     """The whole-array density check the Python-number rewrite replaced;
     the reference for every accept/reject decision, error class and
-    message."""
-    m = np.asarray(rho, dtype=complex)
+    message.  Input numpy cannot read as a complex array (entries that are
+    not numbers, ragged rows) is a domain error too."""
+    try:
+        m = np.asarray(rho, dtype=complex)
+    except (TypeError, ValueError):
+        raise q.InvalidDensityError(
+            "density matrix must be a 4x4 array of numbers") from None
     if m.shape != (4, 4):
         raise q.InvalidDensityError(f"expected a 4x4 matrix, got {m.shape}")
     if not np.isfinite(m).all():

@@ -5,6 +5,7 @@ import pytest
 
 import qschmidt as q
 from qschmidt import jsonio, sampling, scalar
+from qschmidt.schmidt import _parts
 from helpers import (
     FAMILIES,
     GOLD_PE_COEFFS,
@@ -189,6 +190,17 @@ class TestEEDiagonal:
             q.construct_ee_diagonal(0.5, 0, 1, 0)
         assert err.value.which == "entangled"
 
+    def test_admitted_member_off_the_diagonal_branch(self):
+        # The diagonality residual is within tol, but the member's Gram
+        # off-diagonal is 1.29e-10: the diagonal formula would return
+        # A-side vectors that overlap by 4.3e-10.
+        pair = q.construct_ee_diagonal(
+            0.9, 0.2 + 0.1j, 0.48000000127000014 + 1.1400000000000003j,
+            0.4 - 0.1j)
+        assert abs(q.gram_offdiagonal(pair.states[1])) > 1e-10
+        basis_a = pair.schmidt[0].basis_a
+        assert np.max(np.abs(basis_a.conj() @ basis_a.T - np.eye(2))) <= 1e-12
+
 
 class TestEENondiagonal:
     def test_balanced_input(self):
@@ -282,3 +294,25 @@ def test_orthoset_arrays_are_built_once_and_owned(key):
     for d, e in zip(second.schmidt, again.schmidt):
         assert jsonio.schmidt_to_obj(d) == jsonio.schmidt_to_obj(e)
     assert (scalar._KET00, scalar._KET11) == ((1, 0, 0, 0), (0, 0, 0, 1))
+
+
+#: Families whose last two members carry closed-form decompositions.
+_CLOSED_FORM = {("ppee", 2, None), ("ppee", 3, None), ("pmee", None, None),
+                ("mmee", None, "nondiagonal")}
+
+
+@pytest.mark.parametrize("key", FAMILIES,
+                         ids=lambda k: "-".join(str(x) for x in k if x))
+def test_carried_members_are_decomposed_by_parts(key):
+    """The second member of a pair, the third of a triple and all four of a
+    basis carry decompositions; each one that is not closed-form is
+    ``_parts(*member, tol)`` bit for bit."""
+    f = sampling.FAMILIES[key]
+    closed = 2 if key in _CLOSED_FORM else 0
+    for seed in range(20):
+        s = f.construct(*f.draw(q.SplitMix64(seed)))
+        n = len(s.members)
+        carried = s.members if n == 4 else s.members[n - 1:]
+        assert len(s.parts) == len(carried)
+        for m, p in zip(carried[:len(carried) - closed], s.parts):
+            assert repr(p) == repr(_parts(*m, q.DEFAULT_TOL))
