@@ -2,9 +2,9 @@
 
 Makes a fresh virtual environment (no system site-packages, so no numpy),
 runs ``pip install --no-deps`` of this checkout in it, then runs every
-golden call in ``perfbench/golden.json`` that needs no numpy through the
-installed ``qschmidt`` command and compares its exit code, stdout and
-stderr with the transcript.  Run it from anywhere:
+golden call in ``perfbench/golden.json`` through the installed ``qschmidt``
+command and compares its exit code, stdout and stderr with the transcript;
+no golden call imports numpy.  Run it from anywhere:
 
     python scripts/check_numpy_free_install.py [pip install options]
 
@@ -28,18 +28,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Golden calls that import numpy, so cannot run without it.
-NEEDS_NUMPY = ("mix",)
-
 
 def golden_mismatches(command: list, env: dict, cwd: str) -> int:
-    """Run every golden call that needs no numpy through ``command``, print
-    one line per call, and return how many differ from the transcript."""
+    """Run every golden call through ``command``, print one line per call,
+    and return how many differ from the transcript."""
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
     failed = 0
     for call in golden:
-        if call["name"] in NEEDS_NUMPY:
-            continue
         run = subprocess.run([*command, *call["argv"]], input=call["stdin"],
                              capture_output=True, text=True, env=env, cwd=cwd)
         got = (run.returncode, run.stdout, run.stderr)

@@ -40,7 +40,7 @@ from .schmidt import (
 # load on first access (PEP 562), so a process pays only for the parts it
 # uses; the command line relies on this to keep each verb's start-up small.
 # The eager imports above do not load numpy.  Of the modules below, `core`
-# and `mixed` load it on import, the others only once they build an array.
+# loads it on import, the others only once they build or read an array.
 _EXPORTS = {
     "core": (
         "KET0",

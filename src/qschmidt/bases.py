@@ -83,7 +83,11 @@ def complete_ppp(triple, *, tol: float = DEFAULT_TOL):
     ``triple`` is an `OrthoSet` or a sequence of three states.
     """
     tol = check_tol(tol)
-    states = list(getattr(triple, "members", triple))
+    try:
+        states = list(getattr(triple, "members", triple))
+    except TypeError:
+        raise NotPPPError(f"need a sequence of 3 states, got {triple!r}") \
+            from None
     if len(states) != 3:
         raise NotPPPError(f"need exactly 3 states, got {len(states)}")
     amps = []

@@ -6,9 +6,9 @@ conventions on stdin/stdout: ``decompose``, ``construct``, ``verify``,
 error (error JSON on stderr), 2 usage error.
 
 Each verb imports the modules it needs when it runs, so one call loads
-only its own verb's part of the package.  Only ``mix``, ``sample`` of the
-pp, ppp, pppp and ep families and ``construct`` of ep import numpy; every
-other call computes and encodes on Python numbers.
+only its own verb's part of the package.  Only ``sample`` of the pp, ppp,
+pppp and ep families and ``construct`` of ep import numpy; every other
+call, ``mix`` included, computes and encodes on Python numbers.
 """
 
 from __future__ import annotations
@@ -188,13 +188,11 @@ def main(argv=None) -> int:
             if not isinstance(weights, list) \
                     or not all(map(jsonio.is_number, weights)):
                 raise QuantumStateError("--weights must be a JSON list of numbers")
-            rho = mixed.spectral_mix(states, weights, tol=args.tol)
-            if args.reduce == "a":
-                payload = {"system": "a", "density": jsonio.matrix_to_obj(mixed.reduce_a(rho))}
-            elif args.reduce == "b":
-                payload = {"system": "b", "density": jsonio.matrix_to_obj(mixed.reduce_b(rho))}
-            else:
-                payload = {"system": "ab", "density": jsonio.matrix_to_obj(rho)}
+            rows = mixed._mix_rows(states, weights, args.tol)
+            if args.reduce:
+                rows = mixed._reduced_rows(mixed._check_rows(rows), args.reduce)
+            payload = {"system": args.reduce or "ab",
+                       "density": jsonio.rows_to_obj(rows)}
     except QuantumStateError as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__,
                                      "message": str(exc)}) + "\n")

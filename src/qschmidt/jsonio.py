@@ -11,10 +11,12 @@ writer, gives the bytes ``json.dumps`` makes of that dict from one
 ``%``-format template per layout.  A JSON boolean is never read as a number.
 
 Importing this module does not import numpy.  States and qubit vectors
-parse to tuples of Python complex numbers, and sets and Schmidt data
+parse to tuples of Python complex numbers, sets and Schmidt data
 serialize from the tuples their constructors build (`set_to_json`,
-`set_to_obj`, `parts_to_obj`), so only `complex_array_to_obj` and its
-aliases, and `schmidt_to_obj` given a `SchmidtDecomposition`, work on arrays.
+`set_to_obj`, `parts_to_obj`), and `rows_to_obj` writes the rows of
+Python numbers a ``mix`` density is made of, so only `complex_array_to_obj`
+and its aliases, and `schmidt_to_obj` given a `SchmidtDecomposition`, work
+on arrays.
 """
 
 from __future__ import annotations
@@ -76,14 +78,20 @@ def qubit_from_obj(obj) -> tuple:
     return pair_to_complex(obj[0]), pair_to_complex(obj[1])
 
 
+def rows_to_obj(rows) -> list:
+    """Rows of complex (or real) numbers, each entry as ``[re, im]``: the
+    layout of `complex_array_to_obj`, read from Python numbers."""
+    return [[[z.real, z.imag] for z in row] for row in rows]
+
+
 def parts_to_obj(parts) -> dict:
     """Serialize Schmidt data given as ``(coeffs, basis_a, basis_b,
     degenerate)``, each basis two rows of two complex (or real) numbers."""
     coeffs, basis_a, basis_b, degenerate = parts
     return {
         "coeffs": list(coeffs),
-        "basis_a": [[[z.real, z.imag] for z in row] for row in basis_a],
-        "basis_b": [[[z.real, z.imag] for z in row] for row in basis_b],
+        "basis_a": rows_to_obj(basis_a),
+        "basis_b": rows_to_obj(basis_b),
         "degenerate": bool(degenerate),
     }
 
@@ -115,7 +123,7 @@ def set_to_obj(s) -> dict:
     ``first``/``second``/``schmidt_second``, a triple as
     ``states``/``schmidt_third``, a basis as ``states``/``schmidt``.  It
     reads the set's tuples, so no array is built."""
-    states = [[[z.real, z.imag] for z in m] for m in s.members]
+    states = rows_to_obj(s.members)
     decs = [schmidt_to_obj(p) for p in s.parts]
     if len(states) == 2:
         out = {"type": s.type_label, "first": states[0], "second": states[1],

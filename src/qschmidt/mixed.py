@@ -15,14 +15,21 @@ LDL^H factorization of ``rho + (1e-12 - 1e-14) I``; only when a pivot is not
 positive does ``np.linalg.eigvalsh`` decide.  The certificate accepts only
 matrices whose ``eigvalsh`` spectrum starts at -1e-12 or above, so the
 verdict is the one ``eigvalsh`` alone would give.
+
+The densities are computed on Python numbers, one entry at a time, in the
+order `_mix_rows` states, so they are exactly Hermitian and do not depend
+on numpy's SIMD loops, which fuse the complex multiply on some CPUs only.
+`spectral_mix`, `reduce_a` and `reduce_b` wrap the result in arrays; the
+command line's ``mix`` writes the Python numbers themselves and never
+imports numpy.  The checks need numpy only to read an array-like density
+and when the positivity certificate fails.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from cmath import isfinite
-
-import numpy as np
 
 from .errors import (
     BadWeightsError,
@@ -30,27 +37,33 @@ from .errors import (
     NotNormalizedError,
     NotOrthogonalError,
 )
-from .scalar import DEFAULT_TOL, _dot, _norm, _number, amplitudes, check_tol
+from .scalar import (DEFAULT_TOL, LazyNumpy, _dot, _length, _norm, _number,
+                     amplitudes, check_tol)
+
+np = LazyNumpy(globals())
 
 
-def spectral_mix(states, weights, *, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Density matrix sum_i w_i |s_i><s_i| from orthogonal unit states.
+def _mix_rows(states, weights, tol) -> list:
+    """The four rows of sum_i w_i |s_i><s_i| as lists of Python complex,
+    after the checks `spectral_mix` documents.
 
-    Weights must be numbers, not bools or strings, strictly positive (a
-    zero weight silently drops rank, which is treated as caller error) and
-    sum to 1 within 1e-12 (`BadWeightsError`); states must have unit norm
-    within 1e-10 (`NotNormalizedError`) and be pairwise orthogonal within
-    ``tol`` (`NotOrthogonalError`).
+    Entry (r, c) is summed over the states in order from ``0j`` as
+    ``acc + w * (a[r] * a[c].conjugate())``.  Entry (c, r) then rounds to
+    the conjugate of entry (r, c), so the matrix is exactly Hermitian with
+    a real diagonal, and its bits depend on CPython's complex arithmetic
+    only, not on numpy's loops.
     """
     tol = check_tol(tol)
-    if len(states) == 0:
+    n = _length(states, "states", BadWeightsError)
+    if n == 0:
         raise BadWeightsError("need at least one state")
-    if len(states) != len(weights):
-        raise BadWeightsError(
-            f"{len(states)} states but {len(weights)} weights")
+    if n != _length(weights, "weights", BadWeightsError):
+        raise BadWeightsError(f"{n} states but {len(weights)} weights")
+    numpy = sys.modules.get("numpy")  # a numpy bool needs numpy loaded
+    not_numbers = (bool, str, bytes) + ((numpy.bool_,) if numpy else ())
     ws = [_number(float, w, "weights", BadWeightsError) for w in weights
-          if not isinstance(w, (bool, np.bool_, str, bytes))]
-    if len(ws) != len(weights):
+          if not isinstance(w, not_numbers)]
+    if len(ws) != n:
         raise BadWeightsError(f"weights must be numbers, got {list(weights)!r}")
     for w in ws:
         if not math.isfinite(w) or w <= 0.0:
@@ -64,16 +77,48 @@ def spectral_mix(states, weights, *, tol: float = DEFAULT_TOL) -> np.ndarray:
         if abs(nrm - 1.0) > 1e-10:
             raise NotNormalizedError(f"states[{i}] has norm {nrm!r}")
         amps.append(a)
-    for i in range(len(amps)):
-        for j in range(i + 1, len(amps)):
+    for i in range(n):
+        for j in range(i + 1, n):
             ov = abs(_dot(amps[i], amps[j]))
             if ov > tol:
                 raise NotOrthogonalError(
                     f"states {i} and {j} overlap by {ov!r} (> {tol!r})")
-    v = np.array(amps, complex)
-    terms = np.array(ws)[:, None, None] * (v[:, :, None] * v.conj()[:, None, :])
-    # Summed in state order from +0.0, as a running sum into a zero matrix.
-    return np.add.reduce(terms, axis=0, initial=0.0)
+    # Summed in place, so few complex objects are alive at once: more, laid
+    # between small results a caller keeps, fragment the allocator's pools.
+    rho = [0j] * 16
+    for w, (a0, a1, a2, a3) in zip(ws, amps):
+        b0, b1, b2, b3 = (a0.conjugate(), a1.conjugate(), a2.conjugate(),
+                          a3.conjugate())
+        rho[0] += w * (a0 * b0)
+        rho[1] += w * (a0 * b1)
+        rho[2] += w * (a0 * b2)
+        rho[3] += w * (a0 * b3)
+        rho[4] += w * (a1 * b0)
+        rho[5] += w * (a1 * b1)
+        rho[6] += w * (a1 * b2)
+        rho[7] += w * (a1 * b3)
+        rho[8] += w * (a2 * b0)
+        rho[9] += w * (a2 * b1)
+        rho[10] += w * (a2 * b2)
+        rho[11] += w * (a2 * b3)
+        rho[12] += w * (a3 * b0)
+        rho[13] += w * (a3 * b1)
+        rho[14] += w * (a3 * b2)
+        rho[15] += w * (a3 * b3)
+    return [rho[0:4], rho[4:8], rho[8:12], rho[12:16]]
+
+
+def spectral_mix(states, weights, *, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Density matrix sum_i w_i |s_i><s_i| from orthogonal unit states.
+
+    ``states`` and ``weights`` must be sequences of the same non-zero
+    length, and weights must be numbers, not bools or strings, strictly
+    positive (a zero weight silently drops rank, which is treated as caller
+    error) and sum to 1 within 1e-12 (all `BadWeightsError`); states must
+    have unit norm within 1e-10 (`NotNormalizedError`) and be pairwise
+    orthogonal within ``tol`` (`NotOrthogonalError`).
+    """
+    return np.array(_mix_rows(states, weights, tol))
 
 
 # The positivity certificate factors rho + _SHIFT * I.  Success proves every
@@ -132,7 +177,13 @@ def _check_density(rho) -> list:
             "density matrix must be a 4x4 array of numbers") from None
     if m.shape != (4, 4):
         raise InvalidDensityError(f"expected a 4x4 matrix, got {m.shape}")
-    r0, r1, r2, r3 = rows = m.tolist()
+    return _check_rows(m.tolist())
+
+
+def _check_rows(rows) -> list:
+    """``rows``, four sequences of four Python complex numbers, once they
+    pass the density contract after its shape check."""
+    r0, r1, r2, r3 = rows
     if not all(map(isfinite, r0 + r1 + r2 + r3)):
         raise InvalidDensityError("density matrix has non-finite entries")
     # |m[i, j] - conj(m[j, i])| is the same at (i, j) and (j, i), so the
@@ -152,21 +203,27 @@ def _check_density(rho) -> list:
     tr = (r0[0] + r1[1]) + (r2[2] + r3[3])
     if abs(tr.real - 1.0) > 1e-12 or abs(tr.imag) > 1e-12:
         raise InvalidDensityError("density matrix trace is not 1 within 1e-12")
-    if not _certified_positive(rows) and np.linalg.eigvalsh(m)[0] < -1e-12:
+    if not _certified_positive(rows) \
+            and np.linalg.eigvalsh(np.array(rows))[0] < -1e-12:
         raise InvalidDensityError("density matrix has an eigenvalue below -1e-12")
     return rows
 
 
+def _reduced_rows(rows, system: str) -> tuple:
+    """The 2x2 state of subsystem ``system`` ("a" or "b") of the density
+    ``rows``, as two rows of Python complex: the partial trace over the
+    other subsystem."""
+    r0, r1, r2, r3 = rows
+    if system == "a":
+        return ((r0[0] + r1[1], r0[2] + r1[3]), (r2[0] + r3[1], r2[2] + r3[3]))
+    return ((r0[0] + r2[2], r0[1] + r2[3]), (r1[0] + r3[2], r1[1] + r3[3]))
+
+
 def reduce_a(rho) -> np.ndarray:
     """Partial trace over subsystem B, leaving the 2x2 state of A."""
-    r0, r1, r2, r3 = _check_density(rho)
-    # A flat tuple reshaped: numpy need not discover a nested list's shape.
-    return np.array((r0[0] + r1[1], r0[2] + r1[3],
-                     r2[0] + r3[1], r2[2] + r3[3])).reshape(2, 2)
+    return np.array(_reduced_rows(_check_density(rho), "a"))
 
 
 def reduce_b(rho) -> np.ndarray:
     """Partial trace over subsystem A, leaving the 2x2 state of B."""
-    r0, r1, r2, r3 = _check_density(rho)
-    return np.array((r0[0] + r2[2], r0[1] + r2[3],
-                     r1[0] + r3[2], r1[1] + r3[3])).reshape(2, 2)
+    return np.array(_reduced_rows(_check_density(rho), "b"))

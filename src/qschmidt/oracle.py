@@ -12,7 +12,8 @@ import math
 from typing import NamedTuple
 
 from .errors import InvalidArgumentError, NotNormalizedError
-from .scalar import DEFAULT_TOL, VERIFY_TOL, _ZERO_FLOOR, _dot, _norm, amplitudes
+from .scalar import (DEFAULT_TOL, VERIFY_TOL, _ZERO_FLOOR, _dot, _length, _norm,
+                     amplitudes)
 from .scalar import check_tol as _check_tol
 from .schmidt import SchmidtDecomposition, _parts, _wrap
 
@@ -133,7 +134,7 @@ def verify_set(states, tol: float = DEFAULT_TOL,
     reconstruction errors and concurrence labels."""
     tol = _check_tol(tol)
     check_tol = _check_tol(check_tol)
-    n = len(states)
+    n = _length(states, "states", InvalidArgumentError)
     if not 1 <= n <= 4:
         raise InvalidArgumentError(f"verify_set takes 1..4 states, got {n}")
     amps = [amplitudes(s) for s in states]
@@ -169,7 +170,7 @@ def classify(states, tol: float = DEFAULT_TOL, refine_m: bool = False) -> str:
     All states must be unit norm within 1e-10.
     """
     tol = _check_tol(tol)
-    n = len(states)
+    n = _length(states, "states", InvalidArgumentError)
     if not 1 <= n <= 4:
         raise InvalidArgumentError(f"classify takes 1..4 states, got {n}")
     out = []

@@ -17,6 +17,7 @@ other 14 draw and construct on Python numbers alone.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, NamedTuple
 
 from .bases import (
@@ -373,11 +374,17 @@ def sample(spec: SampleSpec, tol: float = DEFAULT_TOL) -> list:
     """Draw ``spec.count`` constructed sets, deterministically from the seed.
 
     Raises :class:`UnknownTypeError` for a request `family` refuses, and
-    then :class:`InvalidArgumentError` for a count below 1.
+    then :class:`InvalidArgumentError` for a count that is not an integer
+    or is below 1.
     """
     tol = check_tol(tol)
     f = family(spec.set_type, spec.case_id, spec.variant)
-    if spec.count < 1:
+    try:
+        count = operator.index(spec.count)
+    except TypeError:
+        raise InvalidArgumentError(
+            f"count must be an integer, got {spec.count!r}") from None
+    if count < 1:
         raise InvalidArgumentError(f"count must be >= 1, got {spec.count!r}")
     rng = SplitMix64(spec.seed)
-    return [f.construct(*f.draw(rng), tol=tol) for _ in range(spec.count)]
+    return [f.construct(*f.draw(rng), tol=tol) for _ in range(count)]

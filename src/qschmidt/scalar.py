@@ -60,6 +60,15 @@ def check_tol(tol) -> float:
     return tol
 
 
+def _length(seq, name: str, error) -> int:
+    """``len(seq)``; an object with no length raises ``error`` instead of
+    `TypeError`."""
+    try:
+        return len(seq)
+    except TypeError:
+        raise error(f"{name} must be a sequence, got {seq!r}") from None
+
+
 def _checked_complex(value, name: str) -> complex:
     z = _number(complex, value, name)
     if not isfinite(z):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from .errors import NotOrthonormalBasisError, ZeroParameterError
 from .pairs import (A_SIDE, OrthoSet, _as_unit_qubit, _check_variant,
                     _ortho_set, _require_nonzero, _rescale)
-from .scalar import DEFAULT_TOL, _KET00, _KET11, check_tol
+from .scalar import DEFAULT_TOL, _KET00, _KET11, _length, check_tol
 
 
 def orthonormal_qubit_basis(basis, *, strict: bool = False,
@@ -28,7 +28,7 @@ def orthonormal_qubit_basis(basis, *, strict: bool = False,
     """Validate a pair of orthonormal single-qubit vectors and return them,
     normalized, as 2-tuples of Python complex numbers."""
     tol = check_tol(tol)
-    if len(basis) != 2:
+    if _length(basis, "basis", NotOrthonormalBasisError) != 2:
         raise NotOrthonormalBasisError("a qubit basis needs exactly 2 vectors")
     v0 = _as_unit_qubit(basis[0], strict, "basis[0]")
     v1 = _as_unit_qubit(basis[1], strict, "basis[1]")

@@ -244,6 +244,35 @@ class TestNonNumericScalars:
         assert not q.is_unitary(u)
 
 
+class TestContainerShapes:
+    """An argument that should be a sequence, or a count that is not an
+    integer, raises the `QuantumStateError` subclass its function uses for
+    a malformed argument, never a bare `TypeError`."""
+
+    ENTRY_POINTS = {
+        "verify_set": (lambda: q.verify_set(5), q.InvalidArgumentError),
+        "classify": (lambda: q.classify(5), q.InvalidArgumentError),
+        "spectral_mix.states": (lambda: q.spectral_mix(5, [1.0]),
+                                q.BadWeightsError),
+        "spectral_mix.weights": (lambda: q.spectral_mix([(1, 0, 0, 0)], 5),
+                                 q.BadWeightsError),
+        "spectral_mix.weights_none": (
+            lambda: q.spectral_mix([(1, 0, 0, 0)], None), q.BadWeightsError),
+        "construct_ppp": (lambda: q.construct_ppp("a-side", 5),
+                          q.NotOrthonormalBasisError),
+        "complete_ppp": (lambda: q.bases.complete_ppp(5), q.NotPPPError),
+        "sample.count": (lambda: q.sample(q.SampleSpec("pp", count="x")),
+                         q.InvalidArgumentError),
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_raises_domain_error(self, entry):
+        call, error = self.ENTRY_POINTS[entry]
+        with pytest.raises(q.QuantumStateError) as info:
+            call()
+        assert type(info.value) is error
+
+
 @pytest.mark.parametrize("call", [
     lambda x: q.construct_pm(x, 0.0),
     lambda x: q.construct_pm(0.0, x),

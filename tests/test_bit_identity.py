@@ -1,15 +1,15 @@
 """Every output bit of the scalar API is pinned.
 
-The digests below were recorded before the numpy round trips at the API
-boundary (parsing, result wrapping, the mixed-state checks) were rewritten;
-any change to a coefficient, basis entry, reconstructed amplitude, sampled
-state or verification report changes them.  They come from CPython scalar
-arithmetic and exact numpy array builds (the pp, ppp and pppp sample
-streams, and the ep constructor, also pass through ``np.linalg.norm``).
-Density matrices and reduced states are products of numpy's complex
-multiply, which is fused (FMA) on some CPUs only, so they are compared bit
-for bit against the previous formulation on the running machine instead of
-being pinned.
+The decomposition and set digests were recorded before the numpy round
+trips at the API boundary (parsing, result wrapping, the mixed-state
+checks) were rewritten; any change to a coefficient, basis entry,
+reconstructed amplitude, sampled state or verification report changes
+them.  They come from CPython scalar arithmetic and exact numpy array
+builds (the pp, ppp and pppp sample streams, and the ep constructor, also
+pass through ``np.linalg.norm``).  Density matrices and reduced states are
+sums of CPython complex products rather than numpy's SIMD loops, which
+fuse the complex multiply (FMA) on some CPUs only, so `MIXED_DIGEST` pins
+them as well; it holds wherever the sampled sets it mixes do.
 """
 
 import hashlib
@@ -23,6 +23,7 @@ from helpers import FAMILIES, states_of
 
 DECOMPOSE_DIGEST = "a524a71b8aa6817cf64a5a516f3bf96fceed950a1b4dc177f2e50ee5b2923604"
 SETS_DIGEST = "ddd582d7f2b628e2951c807a7b8547e725cc86450782427fd82d795c501a1cd1"
+MIXED_DIGEST = "9e948314ce1660fa7927352b68e1505476cd42e5b715f6004b717108ac75b18b"
 
 
 def _cplx(rng):
@@ -121,11 +122,17 @@ def sets_digest() -> str:
     return h.hexdigest()
 
 
-def old_spectral_mix(states, weights):
-    vecs = [np.array(q.core.amplitudes(s)) for s in states]
-    rho = np.zeros((4, 4), dtype=complex)
-    for w, v in zip(weights, vecs):
-        rho += w * np.outer(v, v.conj())
+def reference_spectral_mix(states, weights):
+    """sum_i w_i |s_i><s_i| one entry at a time on Python numbers, summed
+    over the states in order from 0j."""
+    amps = [q.core.amplitudes(s) for s in states]
+    rho = np.empty((4, 4), dtype=complex)
+    for r in range(4):
+        for c in range(4):
+            acc = 0j
+            for w, a in zip(weights, amps):
+                acc = acc + w * (a[r] * a[c].conjugate())
+            rho[r, c] = acc
     return rho
 
 
@@ -158,15 +165,28 @@ def test_sets_are_bit_identical():
     assert sets_digest() == SETS_DIGEST
 
 
+def mixed_digest() -> str:
+    h = hashlib.sha256()
+    for states, _, weights in family_sets():
+        rho = q.spectral_mix(states, weights)
+        for a in (rho, q.reduce_a(rho), q.reduce_b(rho)):
+            _feed(h, a)
+    return h.hexdigest()
+
+
 def test_mixed_states_match_previous_formulation():
-    """Density matrices and partial traces equal, bit for bit, what the
-    previous per-state ``np.outer`` sum and element loops give."""
+    """Density matrices and partial traces equal, bit for bit, the
+    entry-by-entry Python-number sum and the element loops."""
     n = 0
     for states, _, weights in family_sets():
         rho = q.spectral_mix(states, weights)
-        old = old_spectral_mix(states, weights)
-        assert _same_bits(rho, old)
-        assert _same_bits(q.reduce_a(rho), old_reduce_a(old))
-        assert _same_bits(q.reduce_b(rho), old_reduce_b(old))
+        ref = reference_spectral_mix(states, weights)
+        assert _same_bits(rho, ref)
+        assert _same_bits(q.reduce_a(rho), old_reduce_a(ref))
+        assert _same_bits(q.reduce_b(rho), old_reduce_b(ref))
         n += 1
     assert n == 6 * len(FAMILIES)
+
+
+def test_mixed_states_are_bit_identical():
+    assert mixed_digest() == MIXED_DIGEST

@@ -188,6 +188,18 @@ class TestSample:
         assert "exist" in payload["message"]
 
 
+_K00 = "[[1,0],[0,0],[0,0],[0,0]]"
+_K01 = "[[0,0],[1,0],[0,0],[0,0]]"
+# Two orthonormal states, and weights that sum to 1 + 0.99987e-12; the
+# trace of their mix rounds to 1 + 1.00009e-12, so only a reduction, which
+# checks the density, refuses them.
+_TRACE_EDGE = ("[[[0.9768736248974969, 0.0], [0.0, 0.0], [0.0, 0.0], "
+               "[0.21243979119438502, -0.024233367428210747]], "
+               "[[-0.21243979119438502, -0.024233367428210747], [0.0, 0.0], "
+               "[0.0, 0.0], [0.9768736248974969, -0.0]]]")
+_TRACE_EDGE_WEIGHTS = "[0.5780946061328242, 0.42190539386817577]"
+
+
 class TestMix:
     def test_full_density_and_reduction(self, capsys):
         set_json = json.dumps([jsonio.state_to_obj(KET00),
@@ -218,6 +230,44 @@ class TestMix:
                            "--weights", "[0.5]")
         assert code == 1
         assert json.loads(err)["error"] == "BadWeightsError"
+
+    @pytest.mark.parametrize("argv,error,message", [
+        (["--set", f"[{_K00}, {_K01}]", "--weights", "[0.5, 0.6]"],
+         "BadWeightsError", "weights sum to 1.1, expected 1"),
+        (["--set", f"[{_K00}, {_K01}]", "--weights", "[1.0, 0.0]"],
+         "BadWeightsError", "weights must be positive, got 0.0"),
+        (["--set", f"[{_K00}, {_K01}]", "--weights", "[1.0]"],
+         "BadWeightsError", "2 states but 1 weights"),
+        (["--set", f"[{_K00}]", "--weights", '{"w": 1}'],
+         "QuantumStateError", "--weights must be a JSON list of numbers"),
+        (["--set", f"[{_K00}, [[1,0],[0,0],[0,0],[1,0]]]",
+          "--weights", "[0.5, 0.5]"], "NotOrthogonalError",
+         "states 0 and 1 overlap by 0.7071067811865475 (> 1e-10)"),
+        (["--set", "[[[0,0],[0,0],[0,0],[0,0]]]", "--weights", "[1]"],
+         "ZeroVectorError", "all four amplitudes are zero"),
+        (["--set", "[[[1e200,0],[1e200,0],[0,0],[0,0]]]", "--weights", "[1]"],
+         "NotFiniteError", "squared norm overflows: amplitudes too large"),
+        (["--set", _TRACE_EDGE, "--weights", _TRACE_EDGE_WEIGHTS,
+          "--reduce", "a"], "InvalidDensityError",
+         "density matrix trace is not 1 within 1e-12"),
+        (["--set", _TRACE_EDGE, "--weights", _TRACE_EDGE_WEIGHTS,
+          "--reduce", "b"], "InvalidDensityError",
+         "density matrix trace is not 1 within 1e-12"),
+    ], ids=["weights-sum", "weights-zero", "weights-count", "weights-object",
+            "overlap", "zero-norm", "norm-overflow", "reduce-a-trace",
+            "reduce-b-trace"])
+    def test_error_class_and_message(self, capsys, argv, error, message):
+        """Each error as the array-based ``mix`` reported it, class and
+        message alike."""
+        code, out, err = run(capsys, "mix", *argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": error, "message": message}
+
+    def test_trace_is_checked_only_for_a_reduction(self, capsys):
+        code, out, _ = run(capsys, "mix", "--set", _TRACE_EDGE,
+                           "--weights", _TRACE_EDGE_WEIGHTS)
+        assert code == 0
+        assert json.loads(out)["system"] == "ab"
 
 
 class TestUsageErrors:

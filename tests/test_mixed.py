@@ -326,3 +326,34 @@ class TestDensityCheckAgreement:
     ], ids=["real", "list", "float32", "int-list", "fortran", "complex64"])
     def test_real_and_list_input(self, rho):
         assert assert_same_decision(rho)
+
+
+def _seeded_complex_mixes():
+    """1..4 columns of seeded Haar unitaries with seeded weights."""
+    rng = np.random.default_rng(2026)
+    for _ in range(200):
+        u = haar_unitary(rng)
+        k = int(rng.integers(1, 5))
+        e = rng.uniform(0.05, 1.0, k)
+        yield list(u.T[:k]), [float(x) for x in e / e.sum()]
+
+
+def _exactly_hermitian(m) -> bool:
+    n = len(m)
+    return all(m[r][c] == m[c][r].conjugate() for r in range(n)
+               for c in range(n)) and all(m[r][r].imag == 0.0 for r in range(n))
+
+
+def test_densities_are_exactly_hermitian():
+    """Every density and reduced state is Hermitian to the last bit, with a
+    real diagonal: numpy's FMA-fused complex multiply gave neither."""
+    from test_bit_identity import family_sets
+
+    mixes = [(states, weights) for states, _, weights in family_sets()]
+    mixes += _seeded_complex_mixes()
+    for states, weights in mixes:
+        rho = q.spectral_mix(states, weights)
+        assert _exactly_hermitian(rho.tolist())
+        assert _exactly_hermitian(q.reduce_a(rho).tolist())
+        assert _exactly_hermitian(q.reduce_b(rho).tolist())
+    assert len(mixes) == 6 * len(FAMILIES) + 200

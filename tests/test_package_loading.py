@@ -67,7 +67,7 @@ ADDED_MODULES = {
 }
 
 # The golden calls that never import numpy.
-NUMPY_FREE = ("decompose", "construct", "classify", "verify", "sample",
+NUMPY_FREE = ("decompose", "construct", "classify", "mix", "verify", "sample",
               "sample-refused")
 
 # The families whose sampling normalizes through np.linalg.norm; ep's
