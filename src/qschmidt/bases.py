@@ -24,13 +24,12 @@ from .errors import (
     COutOfRangeError,
     DegenerateParametersError,
     NotPPPError,
-    ZeroParameterError,
 )
-from .pairs import (A_SIDE, OrthoSet, _gamma_first, _ortho_set,
-                    _require_nonzero, _rescale)
+from .pairs import (A_SIDE, OrthoSet, _diagonal_pair, _gamma_first, _ortho_set,
+                    _rescale)
 from .scalar import (DEFAULT_TOL, _KET00, _KET01, _KET10, _KET11, LazyNumpy,
-                     _checked_complex, _checked_real, _dot, _norm, check_tol,
-                     concurrence)
+                     _checked_complex, _concurrence, _max_overlap, _total,
+                     _unit_members, check_tol)
 from .schmidt import _reconstruct_parts
 from .triples import construct_ppe_case2, construct_ppe_case3, construct_ppp
 
@@ -90,36 +89,28 @@ def complete_ppp(triple, *, tol: float = DEFAULT_TOL):
             from None
     if len(states) != 3:
         raise NotPPPError(f"need exactly 3 states, got {len(states)}")
-    amps = []
-    for i, s in enumerate(states):
-        a = [_checked_complex(s[k], f"states[{i}][{k}]") for k in range(4)]
-        nrm = _norm(a)
-        if abs(nrm - 1.0) > 1e-8:
-            raise NotPPPError(f"states[{i}] has norm {nrm!r}")
-        if concurrence(s) > tol:
+    amps = _unit_members(states, NotPPPError, 1e-8)
+    for i, a in enumerate(amps):
+        if _concurrence(*a) > tol:
             raise NotPPPError(f"states[{i}] is entangled; the triple is not PPP")
-        amps.append(a)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if abs(_dot(amps[i], amps[j])) > 1e-8:
-                raise NotPPPError(f"states {i} and {j} are not orthogonal")
+    ov, i, j = _max_overlap(amps)
+    if ov > 1e-8:
+        raise NotPPPError(f"states {i} and {j} are not orthogonal")
 
     rows = [[z.conjugate() for z in a] for a in amps]
     comp = []
     for k in range(4):
         minor = [[row[c] for c in range(4) if c != k] for row in rows]
         comp.append((-1) ** k * _det3(minor))
-    nrm = math.sqrt(sum(z.real * z.real + z.imag * z.imag for z in comp))
-    if nrm < 1e-6:
-        raise NotPPPError("states are linearly dependent")
+    # Cauchy-Binet: nrm^2 is the rows' Gram determinant, near 1 by now.
+    nrm = math.sqrt(_total(z.real * z.real + z.imag * z.imag for z in comp))
     comp = [z / nrm for z in comp]
     for z in comp:
         if abs(z) > 1e-9:
             phase = z.conjugate() / abs(z)
             comp = [w * phase for w in comp]
             break
-    completion = np.array(comp)
-    return completion, concurrence(completion)
+    return np.array(comp), _concurrence(*comp)
 
 
 def construct_ppee_case1(a, b, *, strict: bool = False,
@@ -129,13 +120,8 @@ def construct_ppee_case1(a, b, *, strict: bool = False,
     Both entangled members are diagonal and share the concurrence 2|ab|.
     """
     tol = check_tol(tol)
-    a = _require_nonzero(a, "a")
-    b = _require_nonzero(b, "b")
-    a, b = _rescale((a, b), (1.0, 1.0), 1.0, strict, "ppee-case1")
-    if 2.0 * abs(a * b) <= tol:
-        raise ZeroParameterError(
-            "parameters too small to yield entangled members")
-    third = (0.0j, a, b, 0.0j)
+    a, b, third = _diagonal_pair(a, b, "ab", strict, tol, "ppee-case1",
+                                 "entangled members")
     fourth = (0.0j, b.conjugate(), -a.conjugate(), 0.0j)
     return _ortho_set((_KET00, _KET11, third, fourth), "PPEE",
                       {"a": a, "b": b}, tol, case_id=1)
@@ -228,8 +214,8 @@ def construct_pm(theta: float, theta_prime: float, *,
     second member's concurrence is exactly 1.
     """
     tol = check_tol(tol)
-    theta = _checked_real(theta, "theta")
-    theta_prime = _checked_real(theta_prime, "theta_prime")
+    theta = _checked_complex(theta, "theta", float)
+    theta_prime = _checked_complex(theta_prime, "theta_prime", float)
     second = _pm_second(theta, theta_prime)
     return _ortho_set((_KET00, second), "PM",
                       {"theta": theta, "theta_prime": theta_prime}, tol)
@@ -248,9 +234,9 @@ def construct_pmee(theta: float, theta_prime: float, theta_dprime: float, c, *,
     member and ups_j = sqrt((1 +- 2|c| sqrt(1 - |c|^2)) / 2) for the fourth.
     """
     tol = check_tol(tol)
-    theta = _checked_real(theta, "theta")
-    theta_prime = _checked_real(theta_prime, "theta_prime")
-    theta_dprime = _checked_real(theta_dprime, "theta_dprime")
+    theta = _checked_complex(theta, "theta", float)
+    theta_prime = _checked_complex(theta_prime, "theta_prime", float)
+    theta_dprime = _checked_complex(theta_dprime, "theta_dprime", float)
     c = _checked_complex(c, "c")
     mag = abs(c)
     if mag <= tol or mag >= _SQRT_HALF - tol:
@@ -301,18 +287,26 @@ def construct_pmee(theta: float, theta_prime: float, theta_dprime: float, c, *,
                        "theta_dprime": theta_dprime, "c": c}, tol, (dec3, dec4))
 
 
-def _mmee_prepare(theta, theta_prime, a, b, strict, what):
-    theta = _checked_real(theta, "theta")
-    theta_prime = _checked_real(theta_prime, "theta_prime")
+def _mmee_conditions(theta, theta_prime, a, b) -> tuple:
+    """(e^{i Delta/2}, E, D) of the MMEE docstrings, Delta = theta' - theta."""
+    ph_half = cmath.exp(0.5j * (theta_prime - theta))
+    big_e = abs(a * a - ph_half * ph_half * b * b)
+    return ph_half, big_e, 2.0 * (ph_half * a.conjugate() * b).real
+
+
+def _mmee_prepare(theta, theta_prime, a, b, strict, tol, what):
+    """Checked, rescaled MMEE parameters with entangled members 3 and 4."""
+    theta = _checked_complex(theta, "theta", float)
+    theta_prime = _checked_complex(theta_prime, "theta_prime", float)
     a = _checked_complex(a, "a")
     b = _checked_complex(b, "b")
     a, b = _rescale((a, b), (1.0, 1.0), 0.5, strict, what)
-    delta = theta_prime - theta
-    ph_half = cmath.exp(0.5j * delta)
-    ph_full = ph_half * ph_half
-    entangled = a * a - ph_full * b * b
-    d_real = 2.0 * (ph_half * a.conjugate() * b).real
-    return theta, theta_prime, a, b, delta, ph_half, ph_full, entangled, d_real
+    ph_half, big_e, d_real = _mmee_conditions(theta, theta_prime, a, b)
+    if big_e <= tol:
+        raise ConditionViolatedError(
+            "entangled", "e^{i Delta} b^2 equals a^2; members 3 and 4 "
+            "would be product states")
+    return theta, theta_prime, a, b, ph_half, big_e, d_real
 
 
 def construct_mmee_diagonal(theta: float, theta_prime: float, a, b, *,
@@ -330,16 +324,12 @@ def construct_mmee_diagonal(theta: float, theta_prime: float, a, b, *,
     All four members then turn out maximally entangled.
     """
     tol = check_tol(tol)
-    (theta, theta_prime, a, b, delta, _ph_half, ph_full,
-     entangled, d_real) = _mmee_prepare(theta, theta_prime, a, b, strict,
-                                        "mmee-diagonal")
-    if abs(entangled) <= tol:
-        raise ConditionViolatedError(
-            "entangled", "e^{i Delta} b^2 equals a^2; members 3 and 4 "
-            "would be product states")
+    theta, theta_prime, a, b, ph_half, _, d_real = _mmee_prepare(
+        theta, theta_prime, a, b, strict, tol, "mmee-diagonal")
     if abs(d_real) > tol:
         raise ConditionViolatedError(
             "diagonal", f"diagonality residual {abs(d_real)!r} exceeds {tol!r}")
+    ph_full = ph_half * ph_half
     third = (a, b, -ph_full * b, -a)
     fourth = (b.conjugate(), -a.conjugate(), ph_full * a.conjugate(),
               -b.conjugate())
@@ -363,14 +353,8 @@ def construct_mmee_nondiagonal(theta: float, theta_prime: float, a, b, *,
     alternating sign.
     """
     tol = check_tol(tol)
-    (theta, theta_prime, a, b, delta, ph_half, ph_full,
-     entangled, d_real) = _mmee_prepare(theta, theta_prime, a, b, strict,
-                                        "mmee-nondiagonal")
-    big_e = abs(entangled)
-    if big_e <= tol:
-        raise ConditionViolatedError(
-            "entangled", "e^{i Delta} b^2 equals a^2; members 3 and 4 "
-            "would be product states")
+    theta, theta_prime, a, b, ph_half, big_e, d_real = _mmee_prepare(
+        theta, theta_prime, a, b, strict, tol, "mmee-nondiagonal")
     if abs(d_real) <= tol:
         raise AccidentallyDiagonalError(
             "diagonality scalar D vanishes; use construct_mmee_diagonal")

@@ -21,16 +21,14 @@ import math
 
 import numpy as np
 
-from .errors import NotNormalizedError, NotUnitaryError
+from .errors import NotUnitaryError
 from .scalar import (  # noqa: F401  (re-exported)
     DEFAULT_TOL,
     VERIFY_TOL,
-    _ZERO_FLOOR,
+    _check_unit,
     _checked_complex,
-    _checked_norm,
     _dot,
-    _norm,
-    _number,
+    _qubit,
     _tensor,
     _unit,
     amplitudes,
@@ -38,6 +36,7 @@ from .scalar import (  # noqa: F401  (re-exported)
     concurrence,
     unit_state,
 )
+from .schmidt import _offdiagonal
 
 KET0 = np.array([1.0 + 0.0j, 0.0 + 0.0j])
 KET1 = np.array([0.0 + 0.0j, 1.0 + 0.0j])
@@ -62,12 +61,9 @@ def make_state(c00, c01, c10, c11, normalize: bool = False) -> np.ndarray:
 
 def make_qubit(v0, v1, normalize: bool = False) -> np.ndarray:
     """Build a unit-norm single-qubit vector from two amplitudes."""
-    a = _checked_complex(v0, "v0")
-    b = _checked_complex(v1, "v1")
-    return np.array(_unit(
-        (a, b),
-        a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag,
-        normalize, "both amplitudes are zero", "vector"))
+    a, b, nrm2 = _qubit((v0, v1), "v", entries=("v0", "v1"))
+    return np.array(_unit((a, b), nrm2, normalize, "both amplitudes are zero",
+                          "vector"))
 
 
 def inner(a, b) -> complex:
@@ -97,8 +93,7 @@ def gram_offdiagonal(state) -> complex:
     applies: it vanishes exactly when the coefficient-matrix columns are
     orthogonal.
     """
-    c00, c01, c10, c11 = amplitudes(state)
-    return c00.conjugate() * c01 + c10.conjugate() * c11
+    return _offdiagonal(*amplitudes(state))
 
 
 def is_diagonal(state, tol: float = DEFAULT_TOL) -> bool:
@@ -143,10 +138,6 @@ def orthogonal_complement(v) -> np.ndarray:
     Raises `NotNormalizedError` when the norm of ``v`` is off 1 by more
     than 1e-10.
     """
-    v0 = _checked_complex(v[0], "v[0]")
-    v1 = _checked_complex(v[1], "v[1]")
-    nrm = math.sqrt(v0.real * v0.real + v0.imag * v0.imag
-                    + v1.real * v1.real + v1.imag * v1.imag)
-    if abs(nrm - 1.0) > 1e-10:
-        raise NotNormalizedError(f"v has norm {nrm!r}")
+    v0, v1, nrm2 = _qubit(v, "v")
+    _check_unit(math.sqrt(nrm2), "v")
     return np.array([-v1.conjugate(), v0.conjugate()])

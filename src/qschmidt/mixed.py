@@ -31,14 +31,9 @@ import math
 import sys
 from cmath import isfinite
 
-from .errors import (
-    BadWeightsError,
-    InvalidDensityError,
-    NotNormalizedError,
-    NotOrthogonalError,
-)
-from .scalar import (DEFAULT_TOL, LazyNumpy, _dot, _length, _norm, _number,
-                     amplitudes, check_tol)
+from .errors import BadWeightsError, InvalidDensityError, NotOrthogonalError
+from .scalar import (DEFAULT_TOL, LazyNumpy, _length, _max_overlap, _number,
+                     _total, _unit_members, check_tol)
 
 np = LazyNumpy(globals())
 
@@ -68,21 +63,13 @@ def _mix_rows(states, weights, tol) -> list:
     for w in ws:
         if not math.isfinite(w) or w <= 0.0:
             raise BadWeightsError(f"weights must be positive, got {w!r}")
-    if abs(sum(ws) - 1.0) > 1e-12:
-        raise BadWeightsError(f"weights sum to {sum(ws)!r}, expected 1")
-    amps = []
-    for i, s in enumerate(states):
-        a = amplitudes(s)
-        nrm = _norm(a)
-        if abs(nrm - 1.0) > 1e-10:
-            raise NotNormalizedError(f"states[{i}] has norm {nrm!r}")
-        amps.append(a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            ov = abs(_dot(amps[i], amps[j]))
-            if ov > tol:
-                raise NotOrthogonalError(
-                    f"states {i} and {j} overlap by {ov!r} (> {tol!r})")
+    if abs(_total(ws) - 1.0) > 1e-12:
+        raise BadWeightsError(f"weights sum to {_total(ws)!r}, expected 1")
+    amps = _unit_members(states)
+    ov, i, j = _max_overlap(amps)
+    if ov > tol:
+        raise NotOrthogonalError(
+            f"states {i} and {j} overlap by {ov!r} (> {tol!r})")
     # Summed in place, so few complex objects are alive at once: more, laid
     # between small results a caller keeps, fragment the allocator's pools.
     rho = [0j] * 16

@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import InvalidArgumentError, NotNormalizedError
-from .scalar import (DEFAULT_TOL, VERIFY_TOL, _ZERO_FLOOR, _dot, _length, _norm,
-                     amplitudes)
-from .scalar import check_tol as _check_tol
+from .errors import InvalidArgumentError
+from .scalar import (DEFAULT_TOL, VERIFY_TOL, _ZERO_FLOOR, _concurrence, _length,
+                     _max_overlap, _norm, _unit_members, amplitudes,
+                     check_tol as _check_tol)
 from .schmidt import SchmidtDecomposition, _parts, _wrap
 
 
@@ -94,8 +94,10 @@ def _reconstruction_error(parts, a) -> float:
                abs(p1 * b0[1] + q1 * b1[1] - a[3]))
 
 
-def _concurrence_scalar(c00, c01, c10, c11) -> float:
-    return 2.0 * abs(c00 * c11 - c01 * c10)
+def _check_size(states, verb: str) -> None:
+    n = _length(states, "states", InvalidArgumentError)
+    if not 1 <= n <= 4:
+        raise InvalidArgumentError(f"{verb} takes 1..4 states, got {n}")
 
 
 def _label(conc: float, tol: float, refine_m: bool = True) -> str:
@@ -134,16 +136,9 @@ def verify_set(states, tol: float = DEFAULT_TOL,
     reconstruction errors and concurrence labels."""
     tol = _check_tol(tol)
     check_tol = _check_tol(check_tol)
-    n = _length(states, "states", InvalidArgumentError)
-    if not 1 <= n <= 4:
-        raise InvalidArgumentError(f"verify_set takes 1..4 states, got {n}")
+    _check_size(states, "verify_set")
     amps = [amplitudes(s) for s in states]
-    max_ov = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            ov = abs(_dot(amps[i], amps[j]))
-            if ov > max_ov:
-                max_ov = ov
+    max_ov = _max_overlap(amps)[0]
     per = []
     ok = max_ov <= check_tol
     for a in amps:
@@ -153,7 +148,7 @@ def verify_set(states, tol: float = DEFAULT_TOL,
                        abs(closed[0][1] - orac[0][1]))
         rec = max(_reconstruction_error(closed, a),
                   _reconstruction_error(orac, a), abs(_norm(a) - 1.0))
-        conc = _concurrence_scalar(*a)
+        conc = _concurrence(*a)
         # `tuple.__new__` skips the ``__new__`` that `NamedTuple` writes in
         # Python, as `schmidt._wrap` does.
         per.append(tuple.__new__(StateReport,
@@ -170,14 +165,8 @@ def classify(states, tol: float = DEFAULT_TOL, refine_m: bool = False) -> str:
     All states must be unit norm within 1e-10.
     """
     tol = _check_tol(tol)
-    n = _length(states, "states", InvalidArgumentError)
-    if not 1 <= n <= 4:
-        raise InvalidArgumentError(f"classify takes 1..4 states, got {n}")
-    out = []
-    for i, s in enumerate(states):
-        a = amplitudes(s)
-        nrm = _norm(a)
-        if abs(nrm - 1.0) > 1e-10:
-            raise NotNormalizedError(f"states[{i}] has norm {nrm!r}")
-        out.append(_label(_concurrence_scalar(*a), tol, refine_m=refine_m))
-    return "".join(out)
+    _check_size(states, "classify")
+    out = ""
+    for a in _unit_members(states):
+        out += _label(_concurrence(*a), tol, refine_m)
+    return out

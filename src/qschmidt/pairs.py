@@ -31,8 +31,9 @@ from .errors import (
     UnknownTypeError,
     ZeroParameterError,
 )
-from .scalar import (DEFAULT_TOL, _KET00, LazyNumpy, _checked_complex,
-                     _checked_norm, _number, _tensor, check_tol)
+from .scalar import (DEFAULT_TOL, _KET00, LazyNumpy, _check_unit,
+                     _checked_complex, _checked_norm, _number, _qubit, _tensor,
+                     _total, check_tol)
 from .schmidt import _parts, _wrap
 
 np = LazyNumpy(globals())
@@ -107,8 +108,8 @@ def _rescale(values, weights, target, strict, what):
     """Scale a parameter group so that sum(w_i * |v_i|^2) equals ``target``.
     A sum that overflows raises `NotFiniteError` rather than scaling the
     group to zero."""
-    total = sum(w * (v.real * v.real + v.imag * v.imag)
-                for v, w in zip(values, weights))
+    total = _total(w * (v.real * v.real + v.imag * v.imag)
+                   for v, w in zip(values, weights))
     _checked_norm(total, f"{what}: parameters are all zero")
     if strict and abs(total - target) > 1e-10:
         raise NotNormalizedError(
@@ -124,14 +125,22 @@ def _check_variant(variant: str) -> str:
     return variant
 
 
-def _as_unit_qubit(v, strict: bool, name: str) -> tuple:
-    a = _checked_complex(v[0], name + "[0]")
-    b = _checked_complex(v[1], name + "[1]")
-    nrm = _checked_norm(
-        a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag,
-        f"{name} is the zero vector")
-    if strict and abs(nrm - 1.0) > 1e-10:
-        raise NotNormalizedError(f"{name} has norm {nrm!r} (strict mode)")
+def _diagonal_pair(x, y, names: str, strict, tol, what, member):
+    """Nonzero ``x``, ``y`` scaled to unit norm, and entangled x|01> + y|10>."""
+    x = _require_nonzero(x, names[0])
+    y = _require_nonzero(y, names[1])
+    x, y = _rescale((x, y), (1.0, 1.0), 1.0, strict, what)
+    if 2.0 * abs(x * y) <= tol:
+        raise ZeroParameterError(f"parameters too small to yield {member}")
+    return x, y, (0.0j, x, y, 0.0j)
+
+
+def _as_unit_qubit(v, strict: bool, name: str,
+                   error=InvalidArgumentError) -> tuple:
+    a, b, nrm2 = _qubit(v, name, error)
+    nrm = _checked_norm(nrm2, f"{name} is the zero vector")
+    if strict:
+        _check_unit(nrm, name, " (strict mode)")
     return a / nrm, b / nrm
 
 
@@ -166,13 +175,8 @@ def construct_pe_diagonal(a, b, *, strict: bool = False,
     The Schmidt coefficients are (|a|, |b|) sorted in descending order.
     """
     tol = check_tol(tol)
-    a = _require_nonzero(a, "a")
-    b = _require_nonzero(b, "b")
-    a, b = _rescale((a, b), (1.0, 1.0), 1.0, strict, "pe-diagonal")
-    second = (0.0j, a, b, 0.0j)
-    if 2.0 * abs(a * b) <= tol:
-        raise ZeroParameterError(
-            "parameters too small to yield an entangled member")
+    a, b, second = _diagonal_pair(a, b, "ab", strict, tol, "pe-diagonal",
+                                  "an entangled member")
     return _ortho_set((_KET00, second), "PE", {"a": a, "b": b}, tol,
                       variant="diagonal")
 
@@ -254,7 +258,8 @@ def _ee_conditions(gamma, a, b, c):
     return entangled, diagonal
 
 
-def _ee_prepare(gamma, a, b, c, strict, what):
+def _ee_prepare(gamma, a, b, c, strict, tol, what):
+    """Checked, rescaled EE parameters with an entangled second member."""
     gamma = _number(float, gamma, "gamma")
     if not (0.0 < gamma < 1.0) or math.isnan(gamma):
         raise GammaOutOfRangeError(f"gamma must lie in (0, 1), got {gamma!r}")
@@ -263,7 +268,11 @@ def _ee_prepare(gamma, a, b, c, strict, what):
     c = _checked_complex(c, "c")
     weights = (1.0 / (1.0 - gamma), 1.0, 1.0)
     a, b, c = _rescale((a, b, c), weights, 1.0, strict, what)
-    return gamma, a, b, c
+    entangled, diagonal = _ee_conditions(gamma, a, b, c)
+    if abs(entangled) <= tol:
+        raise ConditionViolatedError(
+            "entangled", "second member would be a product state")
+    return gamma, a, b, c, diagonal
 
 
 def construct_ee_diagonal(gamma: float, a, b, c, *, strict: bool = False,
@@ -281,11 +290,8 @@ def construct_ee_diagonal(gamma: float, a, b, c, *, strict: bool = False,
     sqrt(|b|^2 + gamma/(1-gamma) |a|^2), sorted.
     """
     tol = check_tol(tol)
-    gamma, a, b, c = _ee_prepare(gamma, a, b, c, strict, "ee-diagonal")
-    entangled, diagonal = _ee_conditions(gamma, a, b, c)
-    if abs(entangled) <= tol:
-        raise ConditionViolatedError(
-            "entangled", "second member would be a product state")
+    gamma, a, b, c, diagonal = _ee_prepare(gamma, a, b, c, strict, tol,
+                                           "ee-diagonal")
     if abs(diagonal) > tol:
         raise ConditionViolatedError(
             "diagonal", f"diagonality residual {abs(diagonal)!r} exceeds {tol!r}")
@@ -304,11 +310,8 @@ def construct_ee_nondiagonal(gamma: float, a, b, c, *, strict: bool = False,
     diagonal condition are rejected with AccidentallyDiagonalError.
     """
     tol = check_tol(tol)
-    gamma, a, b, c = _ee_prepare(gamma, a, b, c, strict, "ee-nondiagonal")
-    entangled, diagonal = _ee_conditions(gamma, a, b, c)
-    if abs(entangled) <= tol:
-        raise ConditionViolatedError(
-            "entangled", "second member would be a product state")
+    gamma, a, b, c, diagonal = _ee_prepare(gamma, a, b, c, strict, tol,
+                                           "ee-nondiagonal")
     if abs(diagonal) <= tol:
         raise AccidentallyDiagonalError(
             "parameters satisfy the diagonal condition; "

@@ -21,6 +21,7 @@ import operator
 from typing import Callable, NamedTuple
 
 from .bases import (
+    _mmee_conditions,
     construct_mmee_diagonal,
     construct_mmee_nondiagonal,
     construct_pm,
@@ -43,7 +44,7 @@ from .pairs import (
     construct_pe_nondiagonal,
     construct_pp,
 )
-from .scalar import DEFAULT_TOL, LazyNumpy, check_tol
+from .scalar import DEFAULT_TOL, LazyNumpy, _total, check_tol
 from .triples import (
     construct_ppe_case1,
     construct_ppe_case2,
@@ -110,7 +111,7 @@ class SplitMix64:
         """
         for _ in range(_MAX_DRAWS):
             e = [-math.log(1.0 - self.uniform()) for _ in range(k)]
-            total = sum(e)
+            total = _total(e)
             w = [x / total for x in e]
             if min(w) >= floor:
                 return w
@@ -259,10 +260,7 @@ def _draw_mmee_nondiagonal(rng: SplitMix64) -> tuple:
         w = rng.simplex(2)
         a = _complex_from(rng, 0.5 * w[0])
         b = _complex_from(rng, 0.5 * w[1])
-        delta_half = 0.5 * (theta_prime - theta)
-        ph = complex(math.cos(delta_half), math.sin(delta_half))
-        d_real = 2.0 * (ph * a.conjugate() * b).real
-        big_e = abs(a * a - ph * ph * b * b)
+        _, big_e, d_real = _mmee_conditions(theta, theta_prime, a, b)
         if not 1e-2 <= abs(d_real) <= 0.49:
             continue
         if big_e < 1e-2:
@@ -352,6 +350,9 @@ def family(set_type: str, case_id=None, variant=None) -> Family:
     :class:`UnknownTypeError` for any other request; in particular a PPPE
     basis cannot exist, so asking for one is an error.
     """
+    if not isinstance(set_type, str) or not isinstance(variant or "", str):
+        raise UnknownTypeError("type and variant must be strings, got "
+                               f"{set_type!r} and {variant!r}")
     refuse_pppe(set_type)
     t = set_type.strip().lower()
     v = variant.strip().lower() if variant else None
@@ -370,21 +371,25 @@ def family(set_type: str, case_id=None, variant=None) -> Family:
         f"got {variant!r}")
 
 
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(
+            f"{name} must be an integer, got {value!r}") from None
+
+
 def sample(spec: SampleSpec, tol: float = DEFAULT_TOL) -> list:
     """Draw ``spec.count`` constructed sets, deterministically from the seed.
 
     Raises :class:`UnknownTypeError` for a request `family` refuses, and
     then :class:`InvalidArgumentError` for a count that is not an integer
-    or is below 1.
+    or is below 1, or a seed that is not an integer.
     """
     tol = check_tol(tol)
     f = family(spec.set_type, spec.case_id, spec.variant)
-    try:
-        count = operator.index(spec.count)
-    except TypeError:
-        raise InvalidArgumentError(
-            f"count must be an integer, got {spec.count!r}") from None
+    count = _integer(spec.count, "count")
     if count < 1:
         raise InvalidArgumentError(f"count must be >= 1, got {spec.count!r}")
-    rng = SplitMix64(spec.seed)
+    rng = SplitMix64(_integer(spec.seed, "seed"))
     return [f.construct(*f.draw(rng), tol=tol) for _ in range(count)]

@@ -2,7 +2,7 @@
 
 Amplitudes are parsed, checked and normalized here as tuples of Python
 complex numbers, and the set constructors build their members from the
-product-basis kets, `_tensor` and `concurrence` below, so the command
+product-basis kets, `_tensor` and `_concurrence` below, so the command
 line's ``decompose``, ``verify``, ``classify`` and most ``construct`` and
 ``sample`` calls run without importing numpy.  The normalization rounds as
 numpy divides a complex array by a real scalar, so the tuples hold the
@@ -60,6 +60,15 @@ def check_tol(tol) -> float:
     return tol
 
 
+def _total(values) -> float:
+    """``values`` added in order from 0.0, as ``sum`` adds floats up to
+    Python 3.11; from 3.12 on ``sum`` compensates, which moves pinned bits."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def _length(seq, name: str, error) -> int:
     """``len(seq)``; an object with no length raises ``error`` instead of
     `TypeError`."""
@@ -69,18 +78,12 @@ def _length(seq, name: str, error) -> int:
         raise error(f"{name} must be a sequence, got {seq!r}") from None
 
 
-def _checked_complex(value, name: str) -> complex:
-    z = _number(complex, value, name)
+def _checked_complex(value, name: str, kind=complex):
+    """``value`` as a finite ``kind``, complex or float."""
+    z = _number(kind, value, name)
     if not isfinite(z):
         raise NotFiniteError(f"{name} must be finite, got {value!r}")
     return z
-
-
-def _checked_real(value, name: str) -> float:
-    x = _number(float, value, name)
-    if not math.isfinite(x):
-        raise NotFiniteError(f"{name} must be finite, got {value!r}")
-    return x
 
 
 def _checked_norm(nrm2: float, zero_message: str) -> float:
@@ -117,7 +120,7 @@ def unit_state(c00, c01, c10, c11, normalize: bool = False) -> tuple:
     """The four amplitudes as a unit-norm tuple; see `core.make_state`."""
     c = (_checked_complex(c00, "c00"), _checked_complex(c01, "c01"),
          _checked_complex(c10, "c10"), _checked_complex(c11, "c11"))
-    return _unit(c, sum(z.real * z.real + z.imag * z.imag for z in c),
+    return _unit(c, _total(z.real * z.real + z.imag * z.imag for z in c),
                  normalize, "all four amplitudes are zero", "state")
 
 
@@ -158,25 +161,40 @@ def amplitudes(state) -> tuple[complex, complex, complex, complex]:
     return c00, c01, c10, c11
 
 
+def _concurrence(c00, c01, c10, c11) -> float:
+    return 2.0 * abs(c00 * c11 - c01 * c10)
+
+
 def concurrence(state) -> float:
     """Concurrence 2|c00*c11 - c01*c10|: 0 for product states, 1 when
     maximally entangled."""
-    c00, c01, c10, c11 = amplitudes(state)
-    return 2.0 * abs(c00 * c11 - c01 * c10)
+    return _concurrence(*amplitudes(state))
+
+
+def _qubit(v, name: str, error=InvalidArgumentError, entries=None) -> tuple:
+    """``(v0, v1, |v|^2)`` of a qubit from outside; not a pair raises ``error``."""
+    n = _length(v, name, error)
+    if n != 2:
+        raise error(f"{name} is a single-qubit vector of 2 amplitudes, got {n}")
+    e0, e1 = entries or (name + "[0]", name + "[1]")
+    v0 = _checked_complex(v[0], e0)
+    v1 = _checked_complex(v[1], e1)
+    return (v0, v1, v0.real * v0.real + v0.imag * v0.imag
+            + v1.real * v1.real + v1.imag * v1.imag)
+
+
+def _check_unit(nrm: float, what: str, note: str = "") -> None:
+    if abs(nrm - 1.0) > 1e-10:
+        raise NotNormalizedError(f"{what} has norm {nrm!r}{note}")
 
 
 def _tensor(a, b) -> tuple:
     """Tensor product c_jk = a_j * b_k of two unit single-qubit vectors, as
     an amplitude tuple; see `core.tensor`."""
-    a0 = _checked_complex(a[0], "a0")
-    a1 = _checked_complex(a[1], "a1")
-    b0 = _checked_complex(b[0], "b0")
-    b1 = _checked_complex(b[1], "b1")
-    for name, (x, y) in (("a", (a0, a1)), ("b", (b0, b1))):
-        nrm = math.sqrt(x.real * x.real + x.imag * x.imag
-                        + y.real * y.real + y.imag * y.imag)
-        if abs(nrm - 1.0) > 1e-10:
-            raise NotNormalizedError(f"factor {name} has norm {nrm!r}")
+    a0, a1, na2 = _qubit(a, "a", entries=("a0", "a1"))
+    b0, b1, nb2 = _qubit(b, "b", entries=("b0", "b1"))
+    _check_unit(math.sqrt(na2), "factor a")
+    _check_unit(math.sqrt(nb2), "factor b")
     return (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
 
 
@@ -195,6 +213,31 @@ def _norm(a) -> float:
                      + (c01.real * c01.real + c01.imag * c01.imag)
                      + (c10.real * c10.real + c10.imag * c10.imag)
                      + (c11.real * c11.real + c11.imag * c11.imag))
+
+
+def _unit_members(states, error=NotNormalizedError, limit: float = 1e-10) -> list:
+    """Each state read by `amplitudes`, its norm checked to within ``limit``."""
+    amps = []
+    for i, s in enumerate(states):
+        a = amplitudes(s)
+        nrm = _norm(a)
+        if abs(nrm - 1.0) > limit:
+            raise error(f"states[{i}] has norm {nrm!r}")
+        amps.append(a)
+    return amps
+
+
+def _max_overlap(amps) -> tuple:
+    """``(overlap, i, j)``: the largest |<amps[i]|amps[j]>|, i < j, and the
+    first pair that reaches it; ``(0.0, 0, 0)`` when there is no pair."""
+    worst, wi, wj = 0.0, 0, 0
+    n = len(amps)
+    for i in range(n):
+        for j in range(i + 1, n):
+            ov = abs(_dot(amps[i], amps[j]))
+            if ov > worst:
+                worst, wi, wj = ov, i, j
+    return worst, wi, wj
 
 
 class LazyNumpy:

@@ -91,15 +91,8 @@ def _diag_parts(c00, c01, c10, c11):
     return (l0, l1), (a0, a1), (_E0, _E1), False
 
 
-def _nondiag_parts(c00, c01, c10, c11, tol):
-    """Non-diagonal-branch decomposition from the four amplitudes."""
-    g = c00.conjugate() * c01 + c10.conjugate() * c11
-    # The test `_parts` and `schmidt_diagonal` make, so the two branches
-    # split the states exactly.
-    if abs(g) <= tol:
-        raise DiagonalError(
-            "state satisfies the diagonal condition; the non-diagonal "
-            "formula's internal vectors vanish (use the diagonal branch)")
+def _nondiag_parts(c00, c01, c10, c11, g):
+    """Non-diagonal branch, given the Gram off-diagonal ``g`` (|g| > tol)."""
     g2 = g.real * g.real + g.imag * g.imag
     r0 = c00.real * c00.real + c00.imag * c00.imag \
         + c10.real * c10.real + c10.imag * c10.imag
@@ -143,11 +136,16 @@ def _nondiag_parts(c00, c01, c10, c11, tol):
     return (lam0, lam1), (a0, a1), (b0, b1), False
 
 
+def _offdiagonal(c00, c01, c10, c11) -> complex:
+    """Gram off-diagonal g = c00^* c01 + c10^* c11 (inline in `_parts`)."""
+    return c00.conjugate() * c01 + c10.conjugate() * c11
+
+
 def _parts(c00, c01, c10, c11, tol):
     g = c00.conjugate() * c01 + c10.conjugate() * c11
     if abs(g) <= tol:
         return _diag_parts(c00, c01, c10, c11)
-    return _nondiag_parts(c00, c01, c10, c11, tol)
+    return _nondiag_parts(c00, c01, c10, c11, g)
 
 
 def _reconstruct_parts(parts):
@@ -173,7 +171,7 @@ def schmidt_diagonal(state, tol: float = DEFAULT_TOL,
     tol = check_tol(tol)
     c00, c01, c10, c11 = amplitudes(state)
     if check:
-        g = c00.conjugate() * c01 + c10.conjugate() * c11
+        g = _offdiagonal(c00, c01, c10, c11)
         if abs(g) > tol:
             raise NotDiagonalError(
                 f"Gram off-diagonal magnitude {abs(g)!r} exceeds tol {tol!r}")
@@ -187,7 +185,13 @@ def schmidt_nondiagonal(state, tol: float = DEFAULT_TOL) -> SchmidtDecomposition
     eigenvector seeds are zero vectors.
     """
     tol = check_tol(tol)
-    return _wrap(_nondiag_parts(*amplitudes(state), tol))
+    c00, c01, c10, c11 = amplitudes(state)
+    g = _offdiagonal(c00, c01, c10, c11)
+    if abs(g) <= tol:
+        raise DiagonalError(
+            "state satisfies the diagonal condition; the non-diagonal "
+            "formula's internal vectors vanish (use the diagonal branch)")
+    return _wrap(_nondiag_parts(c00, c01, c10, c11, g))
 
 
 def schmidt(state, tol: float = DEFAULT_TOL) -> SchmidtDecomposition:

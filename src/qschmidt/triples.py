@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .errors import NotOrthonormalBasisError, ZeroParameterError
 from .pairs import (A_SIDE, OrthoSet, _as_unit_qubit, _check_variant,
-                    _ortho_set, _require_nonzero, _rescale)
+                    _diagonal_pair, _ortho_set, _require_nonzero, _rescale)
 from .scalar import DEFAULT_TOL, _KET00, _KET11, _length, check_tol
 
 
@@ -30,8 +30,8 @@ def orthonormal_qubit_basis(basis, *, strict: bool = False,
     tol = check_tol(tol)
     if _length(basis, "basis", NotOrthonormalBasisError) != 2:
         raise NotOrthonormalBasisError("a qubit basis needs exactly 2 vectors")
-    v0 = _as_unit_qubit(basis[0], strict, "basis[0]")
-    v1 = _as_unit_qubit(basis[1], strict, "basis[1]")
+    v0 = _as_unit_qubit(basis[0], strict, "basis[0]", NotOrthonormalBasisError)
+    v1 = _as_unit_qubit(basis[1], strict, "basis[1]", NotOrthonormalBasisError)
     (a0, a1), (b0, b1) = v0, v1
     overlap = abs(a0.conjugate() * b0 + a1.conjugate() * b1)
     if overlap > tol:
@@ -68,24 +68,23 @@ def construct_ppe_case1(c, d, *, strict: bool = False,
     sorted in descending order.
     """
     tol = check_tol(tol)
-    c = _require_nonzero(c, "c")
-    d = _require_nonzero(d, "d")
-    c, d = _rescale((c, d), (1.0, 1.0), 1.0, strict, "ppe-case1")
-    if 2.0 * abs(c * d) <= tol:
-        raise ZeroParameterError(
-            "parameters too small to yield an entangled third member")
-    third = (0.0j, c, d, 0.0j)
+    c, d, third = _diagonal_pair(c, d, "cd", strict, tol, "ppe-case1",
+                                 "an entangled third member")
     return _ortho_set((_KET00, _KET11, third), "PPE", {"c": c, "d": d}, tol,
                       case_id=1)
 
 
-def _ppe_pairs(a, b, c, d, strict, what):
+def _ppe_pairs(a, b, c, d, strict, tol, what):
+    """Nonzero, unit-norm pairs (a, b), (c, d) with an entangled third member."""
     a = _require_nonzero(a, "a")
     b = _require_nonzero(b, "b")
     c = _require_nonzero(c, "c")
     d = _require_nonzero(d, "d")
     a, b = _rescale((a, b), (1.0, 1.0), 1.0, strict, what + " (a, b)")
     c, d = _rescale((c, d), (1.0, 1.0), 1.0, strict, what + " (c, d)")
+    if 2.0 * abs(b * c * d) <= tol:
+        raise ZeroParameterError(
+            "parameters too small to yield an entangled third member")
     return a, b, c, d
 
 
@@ -98,10 +97,7 @@ def construct_ppe_case2(a, b, c, d, *, strict: bool = False,
     (a, b) and (c, d) are normalized independently and must be nonzero.
     """
     tol = check_tol(tol)
-    a, b, c, d = _ppe_pairs(a, b, c, d, strict, "ppe-case2")
-    if 2.0 * abs(b * c * d) <= tol:
-        raise ZeroParameterError(
-            "parameters too small to yield an entangled third member")
+    a, b, c, d = _ppe_pairs(a, b, c, d, strict, tol, "ppe-case2")
     if abs(a * c * d) <= tol:
         raise ZeroParameterError(
             "parameters too small to keep the third member non-diagonal")
@@ -120,10 +116,7 @@ def construct_ppe_case3(a, b, c, d, *, strict: bool = False,
     same coefficient formula as case 2.
     """
     tol = check_tol(tol)
-    a, b, c, d = _ppe_pairs(a, b, c, d, strict, "ppe-case3")
-    if 2.0 * abs(b * c * d) <= tol:
-        raise ZeroParameterError(
-            "parameters too small to yield an entangled third member")
+    a, b, c, d = _ppe_pairs(a, b, c, d, strict, tol, "ppe-case3")
     if abs(a * b) * abs(d) ** 2 <= tol:
         raise ZeroParameterError(
             "parameters too small to keep the third member non-diagonal")

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -31,6 +33,12 @@ KET11 = np.array([0, 0, 0, 1], dtype=complex)
 
 # The 18 constructible (type, case, variant) families.
 FAMILIES = tuple(sampling.FAMILIES)
+
+
+def in_order(values) -> float:
+    """Floats added in order from 0.0, as ``sum`` adds them up to Python
+    3.11; from 3.12 on ``sum`` compensates, so pinned references use this."""
+    return reduce(add, values, 0.0)
 
 
 def states_of(obj):

@@ -245,9 +245,11 @@ class TestNonNumericScalars:
 
 
 class TestContainerShapes:
-    """An argument that should be a sequence, or a count that is not an
-    integer, raises the `QuantumStateError` subclass its function uses for
-    a malformed argument, never a bare `TypeError`."""
+    """An argument that should be a sequence, a member of the wrong shape
+    inside one, or a `SampleSpec` field of the wrong type raises the
+    `QuantumStateError` subclass its function uses for a malformed
+    argument, never a bare `TypeError`, `IndexError`, `ValueError` or
+    `AttributeError`, and no entry is dropped silently."""
 
     ENTRY_POINTS = {
         "verify_set": (lambda: q.verify_set(5), q.InvalidArgumentError),
@@ -263,6 +265,36 @@ class TestContainerShapes:
         "complete_ppp": (lambda: q.bases.complete_ppp(5), q.NotPPPError),
         "sample.count": (lambda: q.sample(q.SampleSpec("pp", count="x")),
                          q.InvalidArgumentError),
+        "complete_ppp.member": (lambda: q.complete_ppp([5, 5, 5]),
+                                q.InvalidArgumentError),
+        "complete_ppp.short_member": (
+            lambda: q.complete_ppp([[1, 0, 0]] * 3), q.InvalidArgumentError),
+        "construct_ppp.basis_member": (
+            lambda: q.construct_ppp("a-side", [5, 5]),
+            q.NotOrthonormalBasisError),
+        "construct_pp.single": (lambda: q.construct_pp("a-side", 5),
+                                q.InvalidArgumentError),
+        "construct_pp.short_single": (lambda: q.construct_pp("a-side", [1]),
+                                      q.InvalidArgumentError),
+        "construct_pp.long_single": (
+            lambda: q.construct_pp("a-side", [1, 0, 7]),
+            q.InvalidArgumentError),
+        "tensor": (lambda: core.tensor(5, 5), q.InvalidArgumentError),
+        "orthogonal_complement": (lambda: core.orthogonal_complement(5),
+                                  q.InvalidArgumentError),
+        "orthogonal_complement.short": (
+            lambda: core.orthogonal_complement([1]), q.InvalidArgumentError),
+        "orthogonal_complement.long": (
+            lambda: core.orthogonal_complement([1, 0, 0]),
+            q.InvalidArgumentError),
+        "sample.seed": (lambda: q.sample(q.SampleSpec("pp", seed="x")),
+                        q.InvalidArgumentError),
+        "sample.float_seed": (lambda: q.sample(q.SampleSpec("pp", seed=1.5)),
+                              q.InvalidArgumentError),
+        "sample.set_type": (lambda: q.sample(q.SampleSpec(5)),
+                            q.UnknownTypeError),
+        "sample.variant": (lambda: q.sample(q.SampleSpec("pe", variant=5)),
+                           q.UnknownTypeError),
     }
 
     @pytest.mark.parametrize("entry", list(ENTRY_POINTS))

@@ -6,6 +6,7 @@ import pytest
 import qschmidt as q
 from helpers import (
     KET00,
+    KET01,
     KET10,
     R12,
     assert_orthonormal_set,
@@ -91,6 +92,16 @@ class TestCompletePPP:
         with pytest.raises(q.NotPPPError):
             q.complete_ppp([KET00, q.PSI_PLUS, KET10])
 
+    def test_rejects_member_off_unit_norm(self):
+        with pytest.raises(q.NotPPPError,
+                           match=r"^states\[0\] has norm 1\.001$"):
+            q.complete_ppp([[1.001, 0, 0, 0], KET01, KET10])
+
+    def test_rejects_overlapping_members(self):
+        with pytest.raises(q.NotPPPError,
+                           match="^states 0 and 1 are not orthogonal$"):
+            q.complete_ppp([KET00, KET00, KET10])
+
 
 class TestPPEECase1:
     def test_bell_basis_form(self):
@@ -98,6 +109,11 @@ class TestPPEECase1:
         np.testing.assert_allclose(b.states[2], q.PSI_PLUS, atol=1e-15)
         np.testing.assert_allclose(b.states[3], q.PSI_MINUS, atol=1e-15)
         assert_basis_invariants(b, "PPMM")
+
+    def test_rejects_product_members(self):
+        with pytest.raises(q.ZeroParameterError, match="^parameters too small "
+                           "to yield entangled members$"):
+            q.construct_ppee_case1(1, 1e-11)
 
     def test_shared_concurrence(self):
         b = q.construct_ppee_case1(0.6, 0.8j)

@@ -19,7 +19,7 @@ import numpy as np
 
 import qschmidt as q
 from qschmidt import SplitMix64
-from helpers import FAMILIES, states_of
+from helpers import FAMILIES, in_order, states_of
 
 DECOMPOSE_DIGEST = "a524a71b8aa6817cf64a5a516f3bf96fceed950a1b4dc177f2e50ee5b2923604"
 SETS_DIGEST = "ddd582d7f2b628e2951c807a7b8547e725cc86450782427fd82d795c501a1cd1"
@@ -31,7 +31,7 @@ def _cplx(rng):
 
 
 def _unit(c):
-    n = math.sqrt(sum(z.real * z.real + z.imag * z.imag for z in c))
+    n = math.sqrt(in_order(z.real * z.real + z.imag * z.imag for z in c))
     return [z / n for z in c]
 
 
@@ -107,7 +107,7 @@ def family_sets():
             states = states_of(s)
             decs = s.schmidt
             e = [0.05 + rng.uniform() for _ in states]
-            total = sum(e)
+            total = in_order(e)
             yield states, decs, [x / total for x in e]
 
 

@@ -20,6 +20,7 @@ import pytest
 import qschmidt as q
 from qschmidt import jsonio, scalar
 from qschmidt.cli import main
+from helpers import in_order
 from test_bit_identity import decompose_pool
 
 NAMES = ("c00", "c01", "c10", "c11")
@@ -29,8 +30,9 @@ def old_make_state(c, normalize):
     """`make_state` as written on arrays: checked amplitudes, the squared
     norm summed in order, then one complex array division by the norm."""
     c = [scalar._checked_complex(v, n) for v, n in zip(c, NAMES)]
-    nrm = scalar._checked_norm(sum(z.real * z.real + z.imag * z.imag for z in c),
-                               "all four amplitudes are zero")
+    nrm = scalar._checked_norm(
+        in_order(z.real * z.real + z.imag * z.imag for z in c),
+        "all four amplitudes are zero")
     if not normalize and abs(nrm - 1.0) > 1e-10:
         raise q.NotNormalizedError(
             f"state norm is {nrm!r}; pass normalize=True to rescale")
@@ -77,7 +79,7 @@ class TestNormalization:
         rows = amplitude_rows(self.N, seed=2027)
         near_unit = []
         for c in rows:
-            n = math.sqrt(sum(z.real * z.real + z.imag * z.imag for z in c))
+            n = math.sqrt(in_order(z.real * z.real + z.imag * z.imag for z in c))
             near_unit.append([z / n for z in c] if n > 1e-150 else c)
         mismatched = [c for c in near_unit
                       if outcome(scalar.unit_state, *c, False)

@@ -64,6 +64,13 @@ class TestVerifySet:
         assert not rep.passed
         assert rep.max_pairwise_overlap == pytest.approx(1.0)
 
+    def test_state_off_unit_norm_fails(self):
+        # The norm drift 1e-9 is read into the reconstruction error.
+        rep = q.verify_set([[1.0 + 1e-9, 0, 0, 0]])
+        assert rep.max_pairwise_overlap == 0.0
+        assert rep.per_state[0].reconstruction_error == pytest.approx(1e-9)
+        assert rep.passed is False
+
     def test_count_bounds(self):
         with pytest.raises(ValueError):
             q.verify_set([])
@@ -170,6 +177,13 @@ class TestSample:
     def test_unknown_type(self):
         with pytest.raises(q.UnknownTypeError):
             q.sample(q.SampleSpec("qqq", seed=1))
+
+    def test_integer_seed_types_share_a_stream(self):
+        spec = q.SampleSpec("pp", seed=7, count=2)
+        for seed in (np.int64(7), 7 + 2 ** 64):
+            same = q.sample(spec._replace(seed=seed))
+            assert [s.members for s in same] \
+                == [s.members for s in q.sample(spec)]
 
     def test_missing_variant(self):
         with pytest.raises(q.UnknownTypeError):

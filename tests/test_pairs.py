@@ -79,6 +79,11 @@ class TestPEDiagonal:
         with pytest.raises(q.ZeroParameterError):
             q.construct_pe_diagonal(0, 1)
 
+    def test_rejects_product_member(self):
+        with pytest.raises(q.ZeroParameterError, match="^parameters too small "
+                           "to yield an entangled member$"):
+            q.construct_pe_diagonal(1, 1e-11)
+
     def test_rescales_unnormalized_input(self):
         pair = q.construct_pe_diagonal(3, 4)
         np.testing.assert_allclose(pair.schmidt[0].coeffs, [0.8, 0.6],
@@ -225,6 +230,12 @@ class TestEENondiagonal:
     def test_rejects_diagonal_parameters(self):
         with pytest.raises(q.AccidentallyDiagonalError):
             q.construct_ee_nondiagonal(0.5, 0, R12, R12)
+
+    def test_entanglement_guard(self):
+        with pytest.raises(q.ConditionViolatedError, match="^second member "
+                           "would be a product state$") as err:
+            q.construct_ee_nondiagonal(0.5, 0, 1, 0)
+        assert err.value.which == "entangled"
 
 
 class TestTypeInvariance:

@@ -94,6 +94,11 @@ class TestPPECase2:
         with pytest.raises(q.ZeroParameterError):
             q.construct_ppe_case2(0, R12, R12, R12)
 
+    def test_rejects_product_third(self):
+        with pytest.raises(q.ZeroParameterError, match="^parameters too small "
+                           "to yield an entangled third member$"):
+            q.construct_ppe_case2(1, 1e-11, 1, 1)
+
 
 class TestPPECase3:
     def test_balanced_coefficients(self):
@@ -111,6 +116,11 @@ class TestPPECase3:
         t = q.construct_ppe_case3(0.3 + 0.2j, 0.9, 0.5 - 0.5j, 0.6)
         rebuilt = q.reconstruct(t.schmidt[0])
         assert np.max(np.abs(rebuilt - t.states[2])) <= 1e-12
+
+    def test_rejects_product_third(self):
+        with pytest.raises(q.ZeroParameterError, match="^parameters too small "
+                           "to yield an entangled third member$"):
+            q.construct_ppe_case3(1, 1e-11, 1, 1)
 
     def test_nondiagonal_third_sweep(self):
         for t in q.sample(q.SampleSpec("ppe", case_id=3, seed=9, count=300)):
