@@ -50,14 +50,15 @@ def main():
     # Rank-2 mixed state with prescribed eigenstates, and its reduction.
     rho = q.spectral_mix([q.make_state(1, 0, 0, 0), pe.states[1]], [0.3, 0.7])
     show("rank-2 mixed state, reduced to subsystem A",
-         jsonio.matrix_to_obj(q.reduce_a(rho)))
+         jsonio.complex_array_to_obj(q.reduce_a(rho)))
 
     # Completing any three orthonormal product states never yields
     # entanglement; show one completion.
     triple = q.construct_ppp("a-side", (q.PLUS, q.MINUS))
     completion, conc = q.complete_ppp(triple)
     print("--- completion of a product triple")
-    print(f"state: {jsonio.state_to_obj(completion)}  concurrence: {conc}")
+    state = jsonio.complex_array_to_obj(completion)
+    print(f"state: {state}  concurrence: {conc}")
 
 
 if __name__ == "__main__":

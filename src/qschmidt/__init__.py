@@ -27,7 +27,7 @@ from .errors import (
     ZeroParameterError,
     ZeroVectorError,
 )
-from .scalar import DEFAULT_TOL, VERIFY_TOL
+from .scalar import DEFAULT_TOL, VERIFY_TOL, concurrence
 from .schmidt import (
     SchmidtDecomposition,
     reconstruct,
@@ -53,7 +53,6 @@ _EXPORTS = {
         "PSI_PLUS",
         "apply_local",
         "coefficient_matrix",
-        "concurrence",
         "gram",
         "gram_offdiagonal",
         "inner",

@@ -165,7 +165,7 @@ def main(argv=None) -> int:
         if args.verb == "decompose":
             state = jsonio.state_from_obj(
                 _load_json(args.state, "--state"), normalize=not args.strict)
-            payload = jsonio.parts_to_obj(_parts(*state, args.tol))
+            payload = jsonio.schmidt_to_obj(_parts(*state, args.tol))
         elif args.verb in ("construct", "sample"):
             sys.stdout.write(_sets(args) + "\n")
             return 0

@@ -10,13 +10,13 @@ triple or basis layout its size selects; `set_to_json`, the CLI's set
 writer, gives the bytes ``json.dumps`` makes of that dict from one
 ``%``-format template per layout.  A JSON boolean is never read as a number.
 
-Importing this module does not import numpy.  States and qubit vectors
-parse to tuples of Python complex numbers, sets and Schmidt data
-serialize from the tuples their constructors build (`set_to_json`,
-`set_to_obj`, `parts_to_obj`), and `rows_to_obj` writes the rows of
-Python numbers a ``mix`` density is made of, so only `complex_array_to_obj`
-and its aliases, and `schmidt_to_obj` given a `SchmidtDecomposition`, work
-on arrays.
+Each record has one writer (`schmidt_to_obj`, `set_to_obj`, `report_to_obj`,
+and `complex_array_to_obj` for arrays).  Importing this module does not
+import numpy: states and qubit vectors parse to tuples of Python complex
+numbers, sets and Schmidt data serialize from their constructors' tuples,
+and `rows_to_obj` writes a ``mix`` density's rows of Python numbers; only
+`complex_array_to_obj`, and `schmidt_to_obj` given a `SchmidtDecomposition`,
+work on arrays.
 """
 
 from __future__ import annotations
@@ -58,9 +58,6 @@ def pair_to_complex(obj) -> complex:
     return z
 
 
-state_to_obj = vector2_to_obj = matrix_to_obj = complex_array_to_obj
-
-
 def state_from_obj(obj, *, normalize: bool = False) -> tuple:
     """A state as a tuple of four Python complex numbers, unit norm as
     `core.make_state` makes it (``np.array`` of it is that array)."""
@@ -84,26 +81,20 @@ def rows_to_obj(rows) -> list:
     return [[[z.real, z.imag] for z in row] for row in rows]
 
 
-def parts_to_obj(parts) -> dict:
-    """Serialize Schmidt data given as ``(coeffs, basis_a, basis_b,
-    degenerate)``, each basis two rows of two complex (or real) numbers."""
-    coeffs, basis_a, basis_b, degenerate = parts
+def schmidt_to_obj(d) -> dict:
+    """Serialize a `SchmidtDecomposition`, or Schmidt data as the plain tuple
+    ``(coeffs, basis_a, basis_b, degenerate)`` that `schmidt._parts` returns,
+    each basis two rows of two complex (or real) numbers."""
+    if type(d) is not tuple:
+        d = d.coeffs.tolist(), d.basis_a.tolist(), d.basis_b.tolist(), \
+            d.degenerate
+    coeffs, basis_a, basis_b, degenerate = d
     return {
         "coeffs": list(coeffs),
         "basis_a": rows_to_obj(basis_a),
         "basis_b": rows_to_obj(basis_b),
         "degenerate": bool(degenerate),
     }
-
-
-def schmidt_to_obj(d) -> dict:
-    """Serialize a `SchmidtDecomposition`, or Schmidt data already in the
-    plain-tuple form `parts_to_obj` takes (as `set_to_obj` passes it, so
-    each decomposition of a set is still encoded by this one call)."""
-    if type(d) is tuple:
-        return parts_to_obj(d)
-    return parts_to_obj((d.coeffs.tolist(), d.basis_a.tolist(),
-                         d.basis_b.tolist(), d.degenerate))
 
 
 def params_to_obj(params):
@@ -200,17 +191,6 @@ def states_from_obj(obj, *, normalize: bool = False) -> list:
 
 
 def report_to_obj(r) -> dict:
-    return {
-        "max_pairwise_overlap": float(r.max_pairwise_overlap),
-        "per_state": [
-            {
-                "reconstruction_error": float(s.reconstruction_error),
-                "coefficient_mismatch_vs_oracle":
-                    float(s.coefficient_mismatch_vs_oracle),
-                "concurrence": float(s.concurrence),
-                "label": s.label,
-            }
-            for s in r.per_state
-        ],
-        "passed": bool(r.passed),
-    }
+    """Serialize a `VerificationReport`: its fields, in order, are the keys,
+    and so are those of each `StateReport`."""
+    return {**r._asdict(), "per_state": [p._asdict() for p in r.per_state]}

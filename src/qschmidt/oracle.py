@@ -118,12 +118,12 @@ class StateReport(NamedTuple):
 
 
 class VerificationReport(NamedTuple):
-    """Outcome of verifying a 1..4-state set.
+    """Outcome of verifying a 1..4-state set.  Its fields, and those of each
+    `StateReport`, are the keys of the ``verify`` JSON, in this order.
 
     ``passed`` holds when every pairwise overlap, both routes' reconstruction
     errors (which fold in any unit-norm drift) and the closed-form/oracle
-    coefficient mismatches sit below ``check_tol``.
-    """
+    coefficient mismatches sit below ``check_tol``."""
 
     max_pairwise_overlap: float
     per_state: list

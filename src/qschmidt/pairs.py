@@ -53,7 +53,7 @@ class OrthoSet:
     ``parts`` holds the Schmidt decompositions of the carried members (the
     second member of a pair, the third of a triple, all four of a basis)
     as ``(coeffs, basis_a, basis_b, degenerate)`` tuples (see
-    `jsonio.parts_to_obj`); `_ortho_set` makes them.  ``params`` are the
+    `jsonio.schmidt_to_obj`); `_ortho_set` makes them.  ``params`` are the
     constructor's arguments after normalization; ``case_id`` and
     ``variant`` name the sub-family where the type has them.
 
@@ -221,7 +221,7 @@ def construct_ep(gamma: float, a, b, sign: int = 1, *,
     """
     tol = check_tol(tol)
     gamma = _number(float, gamma, "gamma")
-    if not (0.0 < gamma < 1.0) or math.isnan(gamma):
+    if not 0.0 < gamma < 1.0:
         raise GammaOutOfRangeError(f"gamma must lie in (0, 1), got {gamma!r}")
     a = _checked_complex(a, "a")
     b = _checked_complex(b, "b")
@@ -261,7 +261,7 @@ def _ee_conditions(gamma, a, b, c):
 def _ee_prepare(gamma, a, b, c, strict, tol, what):
     """Checked, rescaled EE parameters with an entangled second member."""
     gamma = _number(float, gamma, "gamma")
-    if not (0.0 < gamma < 1.0) or math.isnan(gamma):
+    if not 0.0 < gamma < 1.0:
         raise GammaOutOfRangeError(f"gamma must lie in (0, 1), got {gamma!r}")
     a = _checked_complex(a, "a")
     b = _checked_complex(b, "b")

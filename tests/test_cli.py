@@ -46,7 +46,7 @@ class TestDecompose:
         assert json.loads(err)["error"] == "NotNormalizedError"
 
     def test_exact_state_round_trips(self, capsys):
-        state_json = json.dumps(jsonio.state_to_obj(GOLD_PE))
+        state_json = json.dumps(jsonio.complex_array_to_obj(GOLD_PE))
         code, out, _ = run(capsys, "decompose", "--state", state_json)
         assert code == 0
         payload = json.loads(out)
@@ -159,8 +159,8 @@ class TestConstruct:
 
 class TestClassify:
     def test_pattern_and_refinement(self, capsys):
-        set_json = json.dumps([jsonio.state_to_obj(KET00),
-                               jsonio.state_to_obj(q.PSI_PLUS)])
+        set_json = json.dumps([jsonio.complex_array_to_obj(KET00),
+                               jsonio.complex_array_to_obj(q.PSI_PLUS)])
         code, out, _ = run(capsys, "classify", "--set", set_json)
         assert code == 0 and json.loads(out)["pattern"] == "PE"
         code, out, _ = run(capsys, "classify", "--refine-m", "--set", set_json)
@@ -202,8 +202,8 @@ _TRACE_EDGE_WEIGHTS = "[0.5780946061328242, 0.42190539386817577]"
 
 class TestMix:
     def test_full_density_and_reduction(self, capsys):
-        set_json = json.dumps([jsonio.state_to_obj(KET00),
-                               jsonio.state_to_obj(GOLD_PE)])
+        set_json = json.dumps([jsonio.complex_array_to_obj(KET00),
+                               jsonio.complex_array_to_obj(GOLD_PE)])
         code, out, _ = run(capsys, "mix", "--set", set_json,
                            "--weights", "[0.3, 0.7]")
         assert code == 0
@@ -225,7 +225,7 @@ class TestMix:
         np.testing.assert_allclose(ra, expect, atol=1e-12)
 
     def test_bad_weights_domain_error(self, capsys):
-        set_json = json.dumps([jsonio.state_to_obj(KET00)])
+        set_json = json.dumps([jsonio.complex_array_to_obj(KET00)])
         code, _, err = run(capsys, "mix", "--set", set_json,
                            "--weights", "[0.5]")
         assert code == 1

@@ -4,6 +4,9 @@
 `jsonio` replaced, kept here as the reference: every emitted byte must
 match what it, fed to ``json.dumps``, produced.  The CLI writes sets with
 `jsonio.set_to_json`, whose text must be ``json.dumps(set_to_obj(s))``.
+`old_report_to_obj` and `old_parts_writer` are the key-by-key writers of
+the ``verify`` report and the ``decompose`` Schmidt data that
+`report_to_obj` and `schmidt_to_obj` replaced.
 """
 
 import hashlib
@@ -17,7 +20,8 @@ import pytest
 import qschmidt as q
 from qschmidt import jsonio
 from qschmidt.cli import main
-from helpers import FAMILIES
+from qschmidt.schmidt import _parts
+from helpers import FAMILIES, R12
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
@@ -52,6 +56,33 @@ def old_schmidt_to_obj(d) -> dict:
         "basis_a": [old_vector_to_obj(d.basis_a[0]), old_vector_to_obj(d.basis_a[1])],
         "basis_b": [old_vector_to_obj(d.basis_b[0]), old_vector_to_obj(d.basis_b[1])],
         "degenerate": bool(d.degenerate),
+    }
+
+
+def old_parts_writer(parts) -> dict:
+    coeffs, basis_a, basis_b, degenerate = parts
+    return {
+        "coeffs": list(coeffs),
+        "basis_a": [[[z.real, z.imag] for z in row] for row in basis_a],
+        "basis_b": [[[z.real, z.imag] for z in row] for row in basis_b],
+        "degenerate": bool(degenerate),
+    }
+
+
+def old_report_to_obj(r) -> dict:
+    return {
+        "max_pairwise_overlap": float(r.max_pairwise_overlap),
+        "per_state": [
+            {
+                "reconstruction_error": float(s.reconstruction_error),
+                "coefficient_mismatch_vs_oracle":
+                    float(s.coefficient_mismatch_vs_oracle),
+                "concurrence": float(s.concurrence),
+                "label": s.label,
+            }
+            for s in r.per_state
+        ],
+        "passed": bool(r.passed),
     }
 
 
@@ -207,14 +238,45 @@ def test_non_contiguous_matrix_matches_reference():
                   for _ in range(4)])
     for view in (m.T, m[::2, 1::2], m.T[:, ::-1]):
         assert not view.flags.c_contiguous
-        assert jsonio.matrix_to_obj(view) == old_matrix_to_obj(view)
-        assert json.dumps(jsonio.matrix_to_obj(view)) == \
+        assert jsonio.complex_array_to_obj(view) == old_matrix_to_obj(view)
+        assert json.dumps(jsonio.complex_array_to_obj(view)) == \
             json.dumps(old_matrix_to_obj(view))
 
 
 def test_signed_zero_and_real_input_match_reference():
     v = np.array([-0.0, 0.0, -0.0 - 0.0j, 1.0])
-    assert json.dumps(jsonio.state_to_obj(v)) == json.dumps(old_vector_to_obj(v))
+    assert json.dumps(jsonio.complex_array_to_obj(v)) == \
+        json.dumps(old_vector_to_obj(v))
     real = np.array([0.25, -0.5])
-    assert json.dumps(jsonio.vector2_to_obj(real)) == \
+    assert json.dumps(jsonio.complex_array_to_obj(real)) == \
         json.dumps(old_vector_to_obj(real))
+
+
+def test_verify_report_bytes_match_reference():
+    """Reports on every family's sets, on one state and on a failing set."""
+    from test_bit_identity import family_sets
+
+    reports = [q.verify_set(states) for states, _, _ in family_sets()]
+    reports.append(q.verify_set([q.PSI_PLUS]))
+    failing = q.verify_set([[1.0 + 1e-9, 0, 0, 0]])
+    assert not failing.passed
+    reports.append(failing)
+    for r in reports:
+        assert json.dumps(jsonio.report_to_obj(r)) == \
+            json.dumps(old_report_to_obj(r))
+
+
+def test_decompose_stdout_matches_reference(capsys):
+    """Haar states, an exactly diagonal state, and two rank-1 states: one
+    diagonal (a degenerate decomposition), one not."""
+    rng = q.SplitMix64(31)
+    states = [q.random_state(rng) for _ in range(200)]
+    states += [np.array([0.6, 0, 0, 0.8]), np.array([0, 0, 1, 0]),
+               q.tensor([0.6, 0.8], [R12, 1j * R12])]
+    for v in states:
+        obj = jsonio.complex_array_to_obj(v)
+        assert main(["decompose", "--state", json.dumps(obj)]) == 0
+        parts = _parts(*jsonio.state_from_obj(obj, normalize=True),
+                       q.DEFAULT_TOL)
+        assert capsys.readouterr().out == \
+            json.dumps(old_parts_writer(parts)) + "\n"

@@ -230,3 +230,13 @@ def test_unknown_attribute_raises_attribute_error():
     assert not hasattr(q, "no_such_name")
     with pytest.raises(AttributeError, match="no_such_name"):
         q.no_such_name
+
+
+def test_concurrence_does_not_load_numpy():
+    """`concurrence` is the numpy-free `scalar` function, bound on import."""
+    got = fresh(
+        "import json, sys\n"
+        "import qschmidt\n"
+        "c = qschmidt.concurrence([0.6, 0, 0, 0.8])\n"
+        "print(json.dumps([c, 'numpy' in sys.modules]))\n")
+    assert got == [q.concurrence([0.6, 0, 0, 0.8]), False]

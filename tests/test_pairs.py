@@ -131,9 +131,16 @@ class TestEP:
         assert q.concurrence(pair.states[1]) <= 1e-10
 
     def test_gamma_bounds(self):
-        for gamma in (0.0, 1.0, -0.2, 1.7):
-            with pytest.raises(q.GammaOutOfRangeError):
-                q.construct_ep(gamma, 1, 1)
+        constructors = (
+            lambda gamma: q.construct_ep(gamma, 1, 1),
+            lambda gamma: q.construct_ee_diagonal(gamma, 0, R12, R12),
+            lambda gamma: q.construct_ee_nondiagonal(gamma, 0.5, 0.5, 0.5),
+        )
+        for gamma in (0.0, 1.0, -0.2, 1.7, math.nan, math.inf, -math.inf):
+            message = f"^gamma must lie in \\(0, 1\\), got {gamma!r}$"
+            for construct in constructors:
+                with pytest.raises(q.GammaOutOfRangeError, match=message):
+                    construct(gamma)
 
     def test_rejects_double_zero(self):
         with pytest.raises(q.DegenerateParametersError):
