@@ -107,9 +107,16 @@ def _set_input(args):
     return _load_json(text, "--set")
 
 
-def _param(params: dict, name: str, kind: str):
-    """``params[name]`` parsed as a constructor argument of ``kind`` (see
-    `sampling.Family`); a missing sign is '+'."""
+# The JSON kind of each constructor parameter that is not a complex pair.
+_KINDS = {"gamma": "real", "theta": "real", "theta_prime": "real",
+          "theta_dprime": "real", "sign": "sign", "single": "qubit",
+          "basis": "basis"}
+
+
+def _param(params: dict, name: str):
+    """``params[name]`` parsed as constructor argument ``name``, of kind
+    ``_KINDS[name]`` or else a ``[re, im]`` pair; a missing sign is '+'."""
+    kind = _KINDS.get(name, "complex")
     if kind == "sign":
         sign = params.get(name, "+")
         if sign in ("+", "+1") or jsonio.is_number(sign) and sign == 1:
@@ -150,12 +157,14 @@ def _sets(args) -> str:
         # Joined as json.dumps joins the items of a list.
         sets = map(jsonio.set_to_json, sampling.sample(spec, args.tol))
         return "[" + ", ".join(sets) + "]"
-    family = sampling.family(args.set_type, args.case, args.variant)
-    # A side (a-side or b-side) is the one argument --variant carries.
-    values = [args.variant if kind == "side" else _param(params, name, kind)
-              for name, kind in family.params]
-    strict = {"strict": args.strict} if family.strict else {}
-    return jsonio.set_to_json(family.construct(*values, tol=args.tol, **strict))
+    construct = sampling.family(args.set_type, args.case, args.variant).construct
+    # Positional names are --params keys; --variant carries the side.
+    code = construct.__code__
+    values = [args.variant if name == "variant" else _param(params, name)
+              for name in code.co_varnames[:code.co_argcount]]
+    strict = ({"strict": args.strict} if "strict" in construct.__kwdefaults__
+              else {})
+    return jsonio.set_to_json(construct(*values, tol=args.tol, **strict))
 
 
 def main(argv=None) -> int:

@@ -54,8 +54,7 @@ class DegenerateParametersError(QuantumStateError):
 class ConditionViolatedError(QuantumStateError):
     """One of a constructor's admissibility conditions fails.
 
-    The ``which`` attribute names the failed condition: ``"normal"``,
-    ``"entangled"`` or ``"diagonal"``.
+    ``which`` names the failed condition: ``"entangled"`` or ``"diagonal"``.
     """
 
     def __init__(self, which: str, message: str):

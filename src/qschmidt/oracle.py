@@ -76,7 +76,8 @@ def _oracle_parts(c00, c01, c10, c11):
 
 
 def oracle_schmidt(state) -> SchmidtDecomposition:
-    """Schmidt decomposition through the eigensolver route."""
+    """Schmidt decomposition through the eigensolver route; like `schmidt`,
+    of the state as given, not normalized."""
     return _wrap(_oracle_parts(*amplitudes(state)))
 
 

@@ -1,8 +1,9 @@
 """Seeded random samplers and the table of constructible families.
 
 `FAMILIES` lists the 18 constructible (type, case, variant) families once:
-each entry holds the constructor, its parameter schema and a draw of its
-arguments.  `sample` and the CLI's ``construct`` verb both select from it.
+each entry holds the constructor, whose signature is the family's parameter
+schema, and a draw of its arguments.  `sample` and the CLI's ``construct``
+verb both select from it.
 
 `sample` draws constructor parameters uniformly on each constructor's
 constraint manifold from a splitmix64 stream.  The integer stream is
@@ -270,75 +271,43 @@ def _draw_mmee_nondiagonal(rng: SplitMix64) -> tuple:
 
 
 class Family(NamedTuple):
-    """One constructible family.
-
-    ``params`` names the constructor's arguments in order as (name, kind)
-    pairs; a kind is ``complex``, ``real``, ``qubit``, ``basis``, ``sign``
-    or ``side`` (a-side or b-side, which the CLI reads from ``--variant``).
-    ``strict`` says whether the constructor takes ``strict``; ``draw``
-    returns seeded constructor arguments from a `SplitMix64`.
-    """
+    """One constructible family: its constructor, whose signature is the
+    family's parameter schema, and ``draw``, which returns seeded
+    constructor arguments from a `SplitMix64`."""
 
     construct: Callable
-    params: tuple
-    strict: bool
     draw: Callable
 
-
-def _complex(*names: str) -> tuple:
-    return tuple((name, "complex") for name in names)
-
-
-_AB = _complex("a", "b")
-_ABCD = _complex("a", "b", "c", "d")
-_GAMMA_ABC = (("gamma", "real"), *_complex("a", "b", "c"))
-_THETAS = (("theta", "real"), ("theta_prime", "real"))
-_SIDE_BASIS = (("variant", "side"), ("basis", "basis"))
 
 #: Every constructible family by (type, case, variant), in a fixed order.
 #: `sample` and the CLI's ``construct`` both select from this table.
 FAMILIES = {
     ("pp", None, None): Family(
-        construct_pp, (("variant", "side"), ("single", "qubit")), True,
-        lambda rng: (_draw_side(rng), random_qubit(rng))),
-    ("pe", None, "diagonal"): Family(
-        construct_pe_diagonal, _AB, True, _draw_unit),
+        construct_pp, lambda rng: (_draw_side(rng), random_qubit(rng))),
+    ("pe", None, "diagonal"): Family(construct_pe_diagonal, _draw_unit),
     ("pe", None, "nondiagonal"): Family(
-        construct_pe_nondiagonal, _complex("a", "b", "c"), True,
-        lambda rng: _draw_unit(rng, 3)),
+        construct_pe_nondiagonal, lambda rng: _draw_unit(rng, 3)),
     ("ep", None, None): Family(
-        construct_ep, (("gamma", "real"), *_AB, ("sign", "sign")), False,
+        construct_ep,
         lambda rng: (_draw_gamma(rng), *_draw_unit(rng), rng.sign())),
-    ("ee", None, "diagonal"): Family(
-        construct_ee_diagonal, _GAMMA_ABC, True, _draw_ee_diagonal),
+    ("ee", None, "diagonal"): Family(construct_ee_diagonal, _draw_ee_diagonal),
     ("ee", None, "nondiagonal"): Family(
-        construct_ee_nondiagonal, _GAMMA_ABC, True, _draw_ee_nondiagonal),
-    ("ppp", None, None): Family(
-        construct_ppp, _SIDE_BASIS, True, _draw_side_basis),
-    ("ppe", 1, None): Family(
-        construct_ppe_case1, _complex("c", "d"), True, _draw_unit),
-    ("ppe", 2, None): Family(
-        construct_ppe_case2, _ABCD, True, _draw_two_units),
-    ("ppe", 3, None): Family(
-        construct_ppe_case3, _ABCD, True, _draw_two_units),
-    ("pppp", None, None): Family(
-        construct_pppp, _SIDE_BASIS, True, _draw_side_basis),
-    ("ppee", 1, None): Family(
-        construct_ppee_case1, _AB, True, _draw_unit),
-    ("ppee", 2, None): Family(
-        construct_ppee_case2, _ABCD, True, _draw_two_units),
-    ("ppee", 3, None): Family(
-        construct_ppee_case3, _ABCD, True, _draw_two_units),
+        construct_ee_nondiagonal, _draw_ee_nondiagonal),
+    ("ppp", None, None): Family(construct_ppp, _draw_side_basis),
+    ("ppe", 1, None): Family(construct_ppe_case1, _draw_unit),
+    ("ppe", 2, None): Family(construct_ppe_case2, _draw_two_units),
+    ("ppe", 3, None): Family(construct_ppe_case3, _draw_two_units),
+    ("pppp", None, None): Family(construct_pppp, _draw_side_basis),
+    ("ppee", 1, None): Family(construct_ppee_case1, _draw_unit),
+    ("ppee", 2, None): Family(construct_ppee_case2, _draw_two_units),
+    ("ppee", 3, None): Family(construct_ppee_case3, _draw_two_units),
     ("pm", None, None): Family(
-        construct_pm, _THETAS, False, lambda rng: (rng.angle(), rng.angle())),
-    ("pmee", None, None): Family(
-        construct_pmee, (*_THETAS, ("theta_dprime", "real"), *_complex("c")),
-        False, _draw_pmee),
+        construct_pm, lambda rng: (rng.angle(), rng.angle())),
+    ("pmee", None, None): Family(construct_pmee, _draw_pmee),
     ("mmee", None, "diagonal"): Family(
-        construct_mmee_diagonal, (*_THETAS, *_AB), True, _draw_mmee_diagonal),
+        construct_mmee_diagonal, _draw_mmee_diagonal),
     ("mmee", None, "nondiagonal"): Family(
-        construct_mmee_nondiagonal, (*_THETAS, *_AB), True,
-        _draw_mmee_nondiagonal),
+        construct_mmee_nondiagonal, _draw_mmee_nondiagonal),
 }
 
 

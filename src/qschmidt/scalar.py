@@ -166,8 +166,9 @@ def _concurrence(c00, c01, c10, c11) -> float:
 
 
 def concurrence(state) -> float:
-    """Concurrence 2|c00*c11 - c01*c10|: 0 for product states, 1 when
-    maximally entangled."""
+    """Concurrence 2|c00*c11 - c01*c10| of the state s as given: for unit s,
+    0 when product and 1 when maximally entangled; |s|^2 times that for
+    other norms (`make_state`, ``decompose --strict``, `classify` check it)."""
     return _concurrence(*amplitudes(state))
 
 

@@ -34,13 +34,15 @@ _E1 = (0.0 + 0.0j, 1.0 + 0.0j)
 class SchmidtDecomposition(NamedTuple):
     """Coefficients and single-qubit bases of a two-qubit decomposition.
 
-    ``coeffs`` holds the two non-negative coefficients in descending order
-    with ``coeffs[0]**2 + coeffs[1]**2 == 1``.  ``basis_a`` and ``basis_b``
-    are 2x2 complex arrays whose *rows* are the A-side and B-side basis
-    vectors; row ``j`` pairs with ``coeffs[j]``.  ``degenerate`` marks
-    rank-1 inputs whose second basis pair was completed arbitrarily.
-    Decompositions built here hold ``basis_a`` and ``basis_b`` as views of
-    one (2, 2, 2) buffer; each is C-contiguous.
+    ``coeffs`` holds the two non-negative coefficients in descending order;
+    their squares sum to the input's squared norm, 1 for a unit state (the
+    kernels take a state as given; `make_state`, ``decompose --strict`` and
+    `classify` check the norm).  ``basis_a`` and ``basis_b`` are 2x2 complex
+    arrays whose *rows* are the A-side and B-side basis vectors; row ``j``
+    pairs with ``coeffs[j]``.  ``degenerate`` marks rank-1 inputs whose
+    second basis pair was completed arbitrarily.  Decompositions built here
+    hold ``basis_a`` and ``basis_b`` as views of one (2, 2, 2) buffer; each
+    is C-contiguous.
     """
 
     coeffs: np.ndarray
@@ -198,7 +200,8 @@ def schmidt(state, tol: float = DEFAULT_TOL) -> SchmidtDecomposition:
     """Schmidt decomposition of any two-qubit pure state.
 
     Dispatches on the diagonal condition with tolerance ``tol``; the
-    boundary itself takes the diagonal branch, which is exact there.
+    boundary itself takes the diagonal branch, which is exact there.  The
+    state is taken as given, not normalized (see `SchmidtDecomposition`).
     """
     tol = check_tol(tol)
     return _wrap(_parts(*amplitudes(state), tol))

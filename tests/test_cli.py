@@ -1,13 +1,16 @@
 import io
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qschmidt as q
 from qschmidt.cli import main
-from qschmidt import jsonio
+from qschmidt import jsonio, sampling
 from helpers import FAMILIES, GOLD_PE, KET00, R12
 
 
@@ -383,30 +386,110 @@ class TestDomainErrorsNotTracebacks:
         assert json.loads(err)["error"] == "QuantumStateError"
 
 
+def _selectors(set_type, case_id, variant) -> list:
+    argv = ["--type", set_type]
+    if case_id is not None:
+        argv += ["--case", str(case_id)]
+    if variant is not None:
+        argv += ["--variant", variant]
+    return argv
+
+
+def _construct_argv(set_type, item, params) -> list:
+    """``construct`` argv rebuilding a `sample` output ``item`` from
+    ``params``, with the case and variant the item prints."""
+    argv = ["construct", "--type", set_type, "--params", json.dumps(params)]
+    if "case" in item:
+        argv += ["--case", str(item["case"])]
+    if "variant" in item:
+        argv += ["--variant", item["variant"]]
+    return argv
+
+
 @pytest.mark.parametrize("set_type,case_id,variant", FAMILIES)
 def test_sample_params_construct_again(capsys, set_type, case_id, variant):
     """The params, case and variant that `sample` prints rebuild a valid set
     through `construct`: both verbs read one family table."""
-    selectors = ["--type", set_type]
-    if case_id is not None:
-        selectors += ["--case", str(case_id)]
-    if variant is not None:
-        selectors += ["--variant", variant]
+    selectors = _selectors(set_type, case_id, variant)
     for seed in range(20):
         code, out, err = run(capsys, "sample", *selectors, "--seed", str(seed),
                              "--count", "3")
         assert code == 0, err
         for item in json.loads(out):
-            argv = ["construct", "--type", set_type,
-                    "--params", json.dumps(item["params"])]
-            if "case" in item:
-                argv += ["--case", str(item["case"])]
-            if "variant" in item:
-                argv += ["--variant", item["variant"]]
+            argv = _construct_argv(set_type, item, item["params"])
             code, out2, err = run(capsys, *argv)
             assert code == 0, (argv, err)
             states = jsonio.states_from_obj(json.loads(out2))
             assert q.verify_set(states).passed, argv
+
+
+#: Every constructor's positional parameter names.  `construct` reads them
+#: as its --params keys (but ``variant``, which --variant carries), so a new
+#: name must first be given its JSON kind in `cli._KINDS`.
+PARAM_NAMES = {"variant", "single", "basis", "gamma", "sign", "theta",
+               "theta_prime", "theta_dprime", "a", "b", "c", "d"}
+#: The families whose constructor takes no ``strict``.
+NO_STRICT = {"ep", "pm", "pmee"}
+
+
+def _scaled(value):
+    """Every number in a list-valued param times 1.1: each complex pair and
+    each entry of a qubit or a basis."""
+    return [_scaled(v) for v in value] if isinstance(value, list) else 1.1 * value
+
+
+def test_construct_strict_rejects_off_norm_params(capsys):
+    """With every complex param and qubit entry 10 % too large, ``--strict``
+    makes each of the 15 constructors that take ``strict`` refuse the
+    params, and changes nothing for ep, pm and pmee."""
+    names = set()
+    for set_type, case_id, variant in FAMILIES:
+        code = sampling.FAMILIES[set_type, case_id, variant].construct.__code__
+        names.update(code.co_varnames[:code.co_argcount])
+        _, out, _ = run(capsys, "sample", *_selectors(set_type, case_id, variant),
+                        "--seed", "1")
+        item = json.loads(out)[0]
+        params = {k: _scaled(v) if isinstance(v, list) else v
+                  for k, v in item["params"].items()}
+        argv = _construct_argv(set_type, item, params)
+        plain = run(capsys, *argv)
+        strict = run(capsys, *argv, "--strict")
+        if set_type in NO_STRICT:
+            assert strict == plain, argv
+        else:
+            assert strict[:2] == (1, ""), argv
+            assert json.loads(strict[2])["error"] == "NotNormalizedError", argv
+    assert names == PARAM_NAMES
+
+
+def _readme_commands() -> list:
+    """The ``qschmidt`` command lines of the ``sh`` block under "Command
+    line" in README.md, continuations joined, each with the exit code its
+    ``# exit N`` comment documents (0 where there is none)."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+    return [(line, int(m[1]) if (m := re.search(r"# exit (\d+)", line)) else 0)
+            for line in lines if line.startswith("qschmidt ")]
+
+
+def test_readme_command_line_examples_run(capsys, monkeypatch):
+    """Each README example runs through `main`, each stage of a pipeline
+    reading the previous stage's stdout, and exits as documented."""
+    commands = _readme_commands()
+    assert len(commands) == 7
+    for line, expected in commands:
+        stdin, stages = "", [[]]
+        for token in shlex.split(line, comments=True):
+            if token == "|":
+                stages.append([])
+            else:
+                stages[-1].append(token)
+        for i, argv in enumerate(stages):
+            assert argv[0] == "qschmidt", line
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            code, stdin, err = run(capsys, *argv[1:])
+            assert code == (expected if i == len(stages) - 1 else 0), (line, err)
 
 
 class TestJsonRoundTrip:
