@@ -31,7 +31,7 @@ from .scalar import (DEFAULT_TOL, _KET00, _KET01, _KET10, _KET11, LazyNumpy,
                      _checked_complex, _concurrence, _max_overlap, _total,
                      _unit_members, check_tol)
 from .schmidt import _reconstruct_parts
-from .triples import construct_ppe_case2, construct_ppe_case3, construct_ppp
+from .triples import _ppe_triple, construct_ppp
 
 np = LazyNumpy(globals())
 
@@ -137,7 +137,7 @@ def construct_ppee_case2(a, b, c, d, *, strict: bool = False,
     shared coefficients.
     """
     tol = check_tol(tol)
-    triple = construct_ppe_case2(a, b, c, d, strict=strict, tol=tol)
+    triple = _ppe_triple(2, a, b, c, d, strict, tol, "ppee-case2")
     a = triple.params["a"]
     b = triple.params["b"]
     c = triple.params["c"]
@@ -175,7 +175,7 @@ def construct_ppee_case3(a, b, c, d, *, strict: bool = False,
     the shared coefficients.
     """
     tol = check_tol(tol)
-    triple = construct_ppe_case3(a, b, c, d, strict=strict, tol=tol)
+    triple = _ppe_triple(3, a, b, c, d, strict, tol, "ppee-case3")
     a = triple.params["a"]
     b = triple.params["b"]
     c = triple.params["c"]

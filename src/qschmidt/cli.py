@@ -9,6 +9,11 @@ Each verb imports the modules it needs when it runs, so one call loads
 only its own verb's part of the package.  Only ``sample`` of the pp, ppp,
 pppp and ep families and ``construct`` of ep import numpy; every other
 call, ``mix`` included, computes and encodes on Python numbers.
+
+``sample`` encodes each set as it is drawn, holding one set at a time, and
+encodes every set before it writes a byte, so a draw that fails leaves
+stdout empty.  It then writes the texts with their brackets and separators
+16 sets at a time; no joined copy of the whole output is built.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import argparse
 import gc
 import json
 import sys
+from typing import Iterable
 
 from . import jsonio
 from .errors import QuantumStateError, refuse_pppe
@@ -140,9 +146,10 @@ def _param(params: dict, name: str):
     return [jsonio.qubit_from_obj(v) for v in value]
 
 
-def _sets(args) -> str:
-    """The JSON text of the set ``construct`` builds, or of the list of sets
-    ``sample`` draws, each set written by `jsonio.set_to_json`."""
+def _sets(args) -> Iterable[str]:
+    """The JSON text, newline included, of the set ``construct`` builds or
+    of the list of sets ``sample`` draws, as pieces to write in turn (see
+    the module docstring); each set is written by `jsonio.set_to_json`."""
     if args.verb == "construct":
         params = _load_json(args.params, "--params")
         if not isinstance(params, dict):
@@ -154,9 +161,13 @@ def _sets(args) -> str:
         spec = sampling.SampleSpec(
             set_type=args.set_type, case_id=args.case,
             variant=args.variant, seed=args.seed, count=args.count)
-        # Joined as json.dumps joins the items of a list.
-        sets = map(jsonio.set_to_json, sampling.sample(spec, args.tol))
-        return "[" + ", ".join(sets) + "]"
+        texts = list(map(jsonio.set_to_json, sampling._stream(spec, args.tol)))
+        # Separated as json.dumps separates the items of a list, and written
+        # 16 sets at a time: on an unbuffered stdout (python -u) each write
+        # is a system call, and 1,000 of them cost more than the copy.
+        pieces = [", "] * (2 * len(texts) + 1)
+        pieces[0], pieces[1::2], pieces[-1] = "[", texts, "]\n"
+        return ("".join(pieces[i:i + 32]) for i in range(0, len(pieces), 32))
     construct = sampling.family(args.set_type, args.case, args.variant).construct
     # Positional names are --params keys; --variant carries the side.
     code = construct.__code__
@@ -164,7 +175,8 @@ def _sets(args) -> str:
               for name in code.co_varnames[:code.co_argcount]]
     strict = ({"strict": args.strict} if "strict" in construct.__kwdefaults__
               else {})
-    return jsonio.set_to_json(construct(*values, tol=args.tol, **strict))
+    text = jsonio.set_to_json(construct(*values, tol=args.tol, **strict))
+    return [text + "\n"]
 
 
 def main(argv=None) -> int:
@@ -176,7 +188,7 @@ def main(argv=None) -> int:
                 _load_json(args.state, "--state"), normalize=not args.strict)
             payload = jsonio.schmidt_to_obj(_parts(*state, args.tol))
         elif args.verb in ("construct", "sample"):
-            sys.stdout.write(_sets(args) + "\n")
+            sys.stdout.writelines(_sets(args))
             return 0
         elif args.verb == "verify":
             from . import oracle

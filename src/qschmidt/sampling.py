@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .bases import (
     _mmee_conditions,
@@ -348,6 +348,19 @@ def _integer(value, name: str) -> int:
             f"{name} must be an integer, got {value!r}") from None
 
 
+def _stream(spec: SampleSpec, tol: float) -> Iterator:
+    """`sample`'s sets as an iterator that draws and constructs each set
+    when it is asked for the next one.  The request is checked, and raises
+    as `sample` documents, before this returns."""
+    tol = check_tol(tol)
+    f = family(spec.set_type, spec.case_id, spec.variant)
+    count = _integer(spec.count, "count")
+    if count < 1:
+        raise InvalidArgumentError(f"count must be >= 1, got {spec.count!r}")
+    rng = SplitMix64(_integer(spec.seed, "seed"))
+    return (f.construct(*f.draw(rng), tol=tol) for _ in range(count))
+
+
 def sample(spec: SampleSpec, tol: float = DEFAULT_TOL) -> list:
     """Draw ``spec.count`` constructed sets, deterministically from the seed.
 
@@ -355,10 +368,4 @@ def sample(spec: SampleSpec, tol: float = DEFAULT_TOL) -> list:
     then :class:`InvalidArgumentError` for a count that is not an integer
     or is below 1, or a seed that is not an integer.
     """
-    tol = check_tol(tol)
-    f = family(spec.set_type, spec.case_id, spec.variant)
-    count = _integer(spec.count, "count")
-    if count < 1:
-        raise InvalidArgumentError(f"count must be >= 1, got {spec.count!r}")
-    rng = SplitMix64(_integer(spec.seed, "seed"))
-    return [f.construct(*f.draw(rng), tol=tol) for _ in range(count)]
+    return list(_stream(spec, tol))

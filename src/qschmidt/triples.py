@@ -74,8 +74,11 @@ def construct_ppe_case1(c, d, *, strict: bool = False,
                       case_id=1)
 
 
-def _ppe_pairs(a, b, c, d, strict, tol, what):
-    """Nonzero, unit-norm pairs (a, b), (c, d) with an entangled third member."""
+def _ppe_triple(case_id, a, b, c, d, strict, tol, what) -> OrthoSet:
+    """The case-2 or case-3 PPE triple of `construct_ppe_case2`/`3`, whose
+    errors name the family ``what`` (a PPE case or the PPEE case built on
+    it).  The pairs (a, b) and (c, d) must be nonzero and are normalized
+    independently."""
     a = _require_nonzero(a, "a")
     b = _require_nonzero(b, "b")
     c = _require_nonzero(c, "c")
@@ -85,7 +88,19 @@ def _ppe_pairs(a, b, c, d, strict, tol, what):
     if 2.0 * abs(b * c * d) <= tol:
         raise ZeroParameterError(
             "parameters too small to yield an entangled third member")
-    return a, b, c, d
+    if case_id == 2:
+        nondiagonal = abs(a * c * d)
+        second = (0.0j, a, 0.0j, b)
+        third = (0.0j, c * b.conjugate(), d, -c * a.conjugate())
+    else:
+        nondiagonal = abs(a * b) * abs(d) ** 2
+        second = (0.0j, 0.0j, a, b)
+        third = (0.0j, c, d * b.conjugate(), -d * a.conjugate())
+    if nondiagonal <= tol:
+        raise ZeroParameterError(
+            "parameters too small to keep the third member non-diagonal")
+    return _ortho_set((_KET00, second, third), "PPE",
+                      {"a": a, "b": b, "c": c, "d": d}, tol, case_id=case_id)
 
 
 def construct_ppe_case2(a, b, c, d, *, strict: bool = False,
@@ -96,15 +111,7 @@ def construct_ppe_case2(a, b, c, d, *, strict: bool = False,
     Schmidt coefficients sqrt((1 +- sqrt(1 - 4|bcd|^2)) / 2).  The pairs
     (a, b) and (c, d) are normalized independently and must be nonzero.
     """
-    tol = check_tol(tol)
-    a, b, c, d = _ppe_pairs(a, b, c, d, strict, tol, "ppe-case2")
-    if abs(a * c * d) <= tol:
-        raise ZeroParameterError(
-            "parameters too small to keep the third member non-diagonal")
-    second = (0.0j, a, 0.0j, b)
-    third = (0.0j, c * b.conjugate(), d, -c * a.conjugate())
-    return _ortho_set((_KET00, second, third), "PPE",
-                      {"a": a, "b": b, "c": c, "d": d}, tol, case_id=2)
+    return _ppe_triple(2, a, b, c, d, strict, check_tol(tol), "ppe-case2")
 
 
 def construct_ppe_case3(a, b, c, d, *, strict: bool = False,
@@ -115,12 +122,4 @@ def construct_ppe_case3(a, b, c, d, *, strict: bool = False,
     The third member is c|01> + d(b^*|10> - a^*|11>), non-diagonal, with the
     same coefficient formula as case 2.
     """
-    tol = check_tol(tol)
-    a, b, c, d = _ppe_pairs(a, b, c, d, strict, tol, "ppe-case3")
-    if abs(a * b) * abs(d) ** 2 <= tol:
-        raise ZeroParameterError(
-            "parameters too small to keep the third member non-diagonal")
-    second = (0.0j, 0.0j, a, b)
-    third = (0.0j, c, d * b.conjugate(), -d * a.conjugate())
-    return _ortho_set((_KET00, second, third), "PPE",
-                      {"a": a, "b": b, "c": c, "d": d}, tol, case_id=3)
+    return _ppe_triple(3, a, b, c, d, strict, check_tol(tol), "ppe-case3")

@@ -1,8 +1,10 @@
+import contextlib
 import io
 import json
 import math
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +191,43 @@ class TestSample:
         payload = json.loads(err)
         assert payload["error"] == "UnknownTypeError"
         assert "exist" in payload["message"]
+
+    def test_failing_draw_writes_no_set(self, capsys):
+        """Set 129 (counted from 0) of this stream is too close to diagonal
+        for the tolerance; the 129 sets drawn before it are never written."""
+        code, out, err = run(capsys, "sample", "--type", "ppee", "--case", "2",
+                             "--seed", "0", "--count", "200", "--tol", "0.05")
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert json.loads(line)["error"] == "ZeroParameterError"
+
+    def test_bulk_peak_memory_is_about_its_output(self):
+        """The bulk call holds one drawn set at a time and writes its texts
+        without a joined copy, so the memory it allocates at its peak is
+        close to the bytes it writes, not a multiple of them."""
+        argv = ["sample", "--type", "ppee", "--case", "2", "--seed", "3"]
+        sink = _ByteCount()
+        with contextlib.redirect_stdout(sink):
+            assert main(argv) == 0  # imports and first-call caches
+            sink.n = 0
+            tracemalloc.start()
+            try:
+                code = main(argv + ["--count", "500"])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak <= 1.5 * sink.n, (peak, sink.n)
+
+
+class _ByteCount(io.TextIOBase):
+    """A text stream that keeps only the count of UTF-8 bytes written."""
+
+    n = 0
+
+    def write(self, text):
+        self.n += len(text.encode())
+        return len(text)
 
 
 _K00 = "[[1,0],[0,0],[0,0],[0,0]]"
@@ -460,6 +499,26 @@ def test_construct_strict_rejects_off_norm_params(capsys):
             assert strict[:2] == (1, ""), argv
             assert json.loads(strict[2])["error"] == "NotNormalizedError", argv
     assert names == PARAM_NAMES
+
+
+def test_strict_message_names_the_family_asked_for(capsys):
+    """PPEE cases 2 and 3 check their params as the PPE triple they extend
+    does, but a ``--strict`` refusal names the PPEE case."""
+    unit = {"a": [0.6, 0], "b": [0.8, 0], "c": [0.6, 0], "d": [0.8, 0]}
+    long = {"a": [0.66, 0], "b": [0.88, 0], "c": [0.66, 0], "d": [0.88, 0]}
+    for set_type in ("ppe", "ppee"):
+        for case_id in (2, 3):
+            for names in ("ab", "cd"):
+                params = {k: (long if k in names else unit)[k] for k in "abcd"}
+                code, out, err = run(
+                    capsys, "construct", "--type", set_type, "--case",
+                    str(case_id), "--params", json.dumps(params), "--strict")
+                assert (code, out) == (1, ""), err
+                assert json.loads(err) == {
+                    "error": "NotNormalizedError",
+                    "message": f"{set_type}-case{case_id} ({names[0]}, "
+                               f"{names[1]}): weighted squared magnitudes "
+                               "sum to 1.21, expected 1.0 (strict mode)"}
 
 
 def _readme_commands() -> list:
