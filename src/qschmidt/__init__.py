@@ -20,7 +20,6 @@ from .errors import (
     NotOrthogonalError,
     NotOrthonormalBasisError,
     NotPPPError,
-    NotUnitaryError,
     QuantumStateError,
     RejectionLimitError,
     UnknownTypeError,
@@ -51,16 +50,8 @@ _EXPORTS = {
         "PLUS",
         "PSI_MINUS",
         "PSI_PLUS",
-        "apply_local",
-        "coefficient_matrix",
-        "gram",
-        "gram_offdiagonal",
-        "inner",
-        "is_diagonal",
-        "is_unitary",
         "make_qubit",
         "make_state",
-        "orthogonal_complement",
         "tensor",
     ),
     "pairs": (
@@ -104,8 +95,6 @@ _EXPORTS = {
         "SplitMix64",
         "random_qubit",
         "random_qubit_basis",
-        "random_state",
-        "random_unitary",
         "sample",
     ),
     "mixed": ("reduce_a", "reduce_b", "spectral_mix"),

@@ -138,10 +138,7 @@ def construct_ppee_case2(a, b, c, d, *, strict: bool = False,
     """
     tol = check_tol(tol)
     triple = _ppe_triple(2, a, b, c, d, strict, tol, "ppee-case2")
-    a = triple.params["a"]
-    b = triple.params["b"]
-    c = triple.params["c"]
-    d = triple.params["d"]
+    a, b, c, d = (triple.params[k] for k in "abcd")
     dec3 = triple.parts[-1]
     k0, k1 = dec3[0]
     # t_j = k_j^2 - |c|^2: roots of a quadratic with sum 1 - 2|c|^2 and
@@ -176,10 +173,7 @@ def construct_ppee_case3(a, b, c, d, *, strict: bool = False,
     """
     tol = check_tol(tol)
     triple = _ppe_triple(3, a, b, c, d, strict, tol, "ppee-case3")
-    a = triple.params["a"]
-    b = triple.params["b"]
-    c = triple.params["c"]
-    d = triple.params["d"]
+    a, b, c, d = (triple.params[k] for k in "abcd")
     dec3 = triple.parts[-1]
     n0, n1 = dec3[0]
     b2 = b.real * b.real + b.imag * b.imag

@@ -19,10 +19,6 @@ class NotNormalizedError(QuantumStateError):
     """A vector that must be unit norm is not, and normalization was not requested."""
 
 
-class NotUnitaryError(QuantumStateError):
-    """A matrix passed as a local unitary fails the unitarity check."""
-
-
 class NotDiagonalError(QuantumStateError):
     """The diagonal-branch decomposition was applied to a state whose
     coefficient-matrix columns are not orthogonal."""

@@ -134,22 +134,6 @@ def random_qubit_basis(rng: SplitMix64):
     return v0, v1
 
 
-def random_state(rng: SplitMix64) -> np.ndarray:
-    """Haar-random two-qubit pure state."""
-    v = np.array([complex(rng.gauss(), rng.gauss()) for _ in range(4)])
-    return v / np.linalg.norm(v)
-
-
-def random_unitary(rng: SplitMix64) -> np.ndarray:
-    """Haar-random 2x2 unitary."""
-    col0 = random_qubit(rng)
-    phase = complex(math.cos(t := rng.angle()), math.sin(t))
-    return np.array([
-        [col0[0], -phase * col0[1].conjugate()],
-        [col0[1], phase * col0[0].conjugate()],
-    ])
-
-
 class SampleSpec(NamedTuple):
     """Request for seeded random sets of one constructible type.
 

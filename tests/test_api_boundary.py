@@ -128,7 +128,6 @@ class TestToleranceChecks:
             [[1, 0], [0, 1]], tol=tol),
         "complete_ppp": lambda tol: q.complete_ppp(
             [KET00, KET11, q.make_state(0, 1, 0, 0)], tol=tol),
-        "is_unitary": lambda tol: q.is_unitary(np.eye(2), tol=tol),
         # Each constructor on its family's seeded draw.
         **{f.construct.__name__: (lambda tol, f=f, args=f.draw(q.SplitMix64(3)):
                                   f.construct(*args, tol=tol))
@@ -179,10 +178,6 @@ class TestHugeIntegers:
                                 q.NotFiniteError),
         "pair_to_complex": (lambda: jsonio.pair_to_complex([0, _BIG]),
                             q.NotFiniteError),
-        "orthogonal_complement": (
-            lambda: core.orthogonal_complement([_BIG, 0]), q.NotFiniteError),
-        "apply_local": (lambda: q.apply_local(KET00, [[_BIG, 0], [0, 1]],
-                                              np.eye(2)), q.NotUnitaryError),
         "reduce_a": (lambda: q.reduce_a([[_BIG, 0, 0, 0]] + [[0] * 4] * 3),
                      q.InvalidDensityError),
     }
@@ -193,9 +188,6 @@ class TestHugeIntegers:
         with pytest.raises(q.QuantumStateError) as info:
             call()
         assert type(info.value) is error
-
-    def test_is_unitary_is_false(self):
-        assert not q.is_unitary([[_BIG, 0], [0, 1]])
 
 
 _RAGGED = [[1, 0, 0, 0], [0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
@@ -225,11 +217,6 @@ class TestNonNumericScalars:
         "reduce_a.str": (lambda: q.reduce_a("abc"), q.InvalidDensityError),
         "reduce_a.ragged": (lambda: q.reduce_a(_RAGGED),
                             q.InvalidDensityError),
-        "orthogonal_complement.nan": (
-            lambda: core.orthogonal_complement([math.nan, 0]),
-            q.NotFiniteError),
-        "orthogonal_complement.norm": (
-            lambda: core.orthogonal_complement([2, 0]), q.NotNormalizedError),
     }
 
     @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
@@ -238,10 +225,6 @@ class TestNonNumericScalars:
         with pytest.raises(q.QuantumStateError) as info:
             call()
         assert type(info.value) is error
-
-    @pytest.mark.parametrize("u", ("abc", _RAGGED), ids=("str", "ragged"))
-    def test_is_unitary_is_false(self, u):
-        assert not q.is_unitary(u)
 
 
 class TestContainerShapes:
@@ -280,13 +263,6 @@ class TestContainerShapes:
             lambda: q.construct_pp("a-side", [1, 0, 7]),
             q.InvalidArgumentError),
         "tensor": (lambda: core.tensor(5, 5), q.InvalidArgumentError),
-        "orthogonal_complement": (lambda: core.orthogonal_complement(5),
-                                  q.InvalidArgumentError),
-        "orthogonal_complement.short": (
-            lambda: core.orthogonal_complement([1]), q.InvalidArgumentError),
-        "orthogonal_complement.long": (
-            lambda: core.orthogonal_complement([1, 0, 0]),
-            q.InvalidArgumentError),
         "sample.seed": (lambda: q.sample(q.SampleSpec("pp", seed="x")),
                         q.InvalidArgumentError),
         "sample.float_seed": (lambda: q.sample(q.SampleSpec("pp", seed=1.5)),

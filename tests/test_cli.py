@@ -395,6 +395,9 @@ class TestDomainErrorsNotTracebacks:
         (["decompose", "--state", f"[[{_HUGE},0],[0,0],[0,0],[1,0]]"],
          "QuantumStateError"),
         (["verify", "--set", _DEEP], "QuantumStateError"),
+        (["construct", "--type", "pp", "--variant", "a-side",
+          "--params", '{"single": 5}'], "QuantumStateError"),
+        (["decompose", "--state", "[[1,0],[0,0],[0,0]]"], "QuantumStateError"),
     ], ids=["count-0", "count-negative", "verify-5-states", "classify-5-states",
             "pp-diagonal-variant", "decompose-tol-nan", "verify-tol-nan",
             "tol-zero", "tol-negative", "tol-inf", "construct-unknown-type",
@@ -408,7 +411,8 @@ class TestDomainErrorsNotTracebacks:
             "decompose-huge-int-real", "construct-huge-int-complex",
             "construct-huge-int-gamma", "construct-huge-int-theta",
             "construct-nan-theta-dprime", "mix-huge-int-weight",
-            "decompose-int-over-digit-limit", "verify-deep-nesting"])
+            "decompose-int-over-digit-limit", "verify-deep-nesting",
+            "construct-scalar-single", "decompose-3-pair-state"])
     def test_exit_1_with_error_json(self, capsys, argv, error):
         code, out, err = run(capsys, *argv)
         assert code == 1

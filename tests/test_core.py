@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qschmidt as q
-from helpers import GOLD_DIAG, GOLD_NONDIAG, GOLD_PE, KET00
+from helpers import GOLD_DIAG, GOLD_PE, KET00
 
 
 def states():
@@ -68,42 +68,6 @@ class TestMakeState:
                 build()
 
 
-class TestInner:
-    def test_self_overlap(self):
-        assert q.inner(KET00, KET00) == 1.0
-
-    def test_orthogonal_to_pe_member(self):
-        assert q.inner(KET00, GOLD_PE) == 0.0
-
-    def test_bell_orthogonality(self):
-        assert abs(q.inner(q.PHI_PLUS, q.PHI_MINUS)) == 0.0
-
-    @given(states(), states())
-    def test_conjugate_symmetry(self, a, b):
-        assert q.inner(a, b) == pytest.approx(q.inner(b, a).conjugate())
-
-
-class TestGram:
-    def test_product_state(self):
-        np.testing.assert_array_equal(q.gram(KET00), np.diag([1.0, 0.0]))
-
-    def test_golden_diagonal_state(self):
-        np.testing.assert_allclose(q.gram(GOLD_DIAG), np.eye(2) / 2, atol=1e-15)
-
-    def test_maximally_entangled(self):
-        np.testing.assert_allclose(q.gram(q.PHI_PLUS), np.eye(2) / 2, atol=1e-16)
-
-    @given(states())
-    def test_trace_one_hermitian(self, s):
-        g = q.gram(s)
-        assert abs(np.trace(g) - 1.0) <= 1e-12
-        assert np.max(np.abs(g - g.conj().T)) <= 1e-14
-
-    @given(states())
-    def test_offdiagonal_matches_dedicated_scalar(self, s):
-        assert q.gram(s)[0, 1] == pytest.approx(q.gram_offdiagonal(s), abs=1e-15)
-
-
 class TestConcurrence:
     def test_product(self):
         assert q.concurrence(KET00) == 0.0
@@ -116,19 +80,8 @@ class TestConcurrence:
 
     @given(states())
     def test_half_concurrence_is_det_magnitude(self, s):
-        det = np.linalg.det(q.coefficient_matrix(s))
+        det = np.linalg.det(np.reshape(s, (2, 2)))
         assert q.concurrence(s) == pytest.approx(2 * abs(det), abs=1e-12)
-
-
-class TestDiagonalCondition:
-    def test_golden_states(self):
-        assert q.is_diagonal(GOLD_DIAG)
-        assert not q.is_diagonal(GOLD_NONDIAG)
-        assert q.is_diagonal(KET00)
-
-    def test_tol_must_be_positive(self):
-        with pytest.raises(ValueError):
-            q.is_diagonal(KET00, tol=0.0)
 
 
 class TestTensor:
@@ -150,36 +103,18 @@ class TestTensor:
 
 
 class TestApplyLocal:
-    X = np.array([[0, 1], [1, 0]], dtype=complex)
-
-    def test_identity(self):
-        out = q.apply_local(GOLD_PE, np.eye(2), np.eye(2))
-        np.testing.assert_array_equal(out, GOLD_PE)
-
-    def test_bit_flips(self):
-        out = q.apply_local(KET00, self.X, self.X)
-        np.testing.assert_array_equal(out, [0, 0, 0, 1])
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(q.NotUnitaryError):
-            q.apply_local(KET00, np.ones((2, 2)), np.eye(2))
+    """Concurrence under local unitaries u_a (x) u_b."""
 
     @given(states(), unitaries(), unitaries())
     def test_concurrence_invariant(self, s, ua, ub):
-        out = q.apply_local(s, ua, ub)
+        out = np.kron(ua, ub) @ s
         assert q.concurrence(out) == pytest.approx(q.concurrence(s), abs=1e-12)
 
     def test_one_sided_keeps_maximal(self):
         rng = q.SplitMix64(5)
-        out = q.apply_local(q.PHI_PLUS, q.random_unitary(rng), np.eye(2))
+        ua = np.column_stack(q.random_qubit_basis(rng))
+        out = np.kron(ua, np.eye(2)) @ q.PHI_PLUS
         assert q.concurrence(out) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_orthogonal_complement():
-    v = q.make_qubit(0.6, 0.8j)
-    w = q.orthogonal_complement(v)
-    assert abs(np.vdot(v, w)) <= 1e-16
-    assert abs(np.linalg.norm(w) - 1.0) <= 1e-15
 
 
 def test_named_states_are_unit():

@@ -270,7 +270,9 @@ def test_decompose_stdout_matches_reference(capsys):
     """Haar states, an exactly diagonal state, and two rank-1 states: one
     diagonal (a degenerate decomposition), one not."""
     rng = q.SplitMix64(31)
-    states = [q.random_state(rng) for _ in range(200)]
+    states = [q.make_state(*(complex(rng.gauss(), rng.gauss())
+                             for _ in range(4)), normalize=True)
+              for _ in range(200)]
     states += [np.array([0.6, 0, 0, 0.8]), np.array([0, 0, 1, 0]),
                q.tensor([0.6, 0.8], [R12, 1j * R12])]
     for v in states:

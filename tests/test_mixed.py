@@ -90,7 +90,8 @@ class TestReduce:
     def test_reduced_eigenvalues_are_squared_coefficients(self):
         rng = q.SplitMix64(33)
         for _ in range(300):
-            s = q.random_state(rng)
+            s = q.make_state(*(complex(rng.gauss(), rng.gauss())
+                               for _ in range(4)), normalize=True)
             d = q.schmidt(s)
             ev = np.sort(np.linalg.eigvalsh(q.reduce_a(np.outer(s, s.conj()))))
             expect = np.sort(np.array(d.coeffs) ** 2)
@@ -98,7 +99,8 @@ class TestReduce:
 
     def test_trace_preserved(self):
         rng = q.SplitMix64(34)
-        s = q.random_state(rng)
+        s = q.make_state(*(complex(rng.gauss(), rng.gauss())
+                           for _ in range(4)), normalize=True)
         rho = q.spectral_mix([s], [1.0])
         assert np.trace(q.reduce_a(rho)) == pytest.approx(1.0, abs=1e-12)
 

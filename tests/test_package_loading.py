@@ -32,25 +32,22 @@ PUBLIC_NAMES = (
     "InvalidArgumentError", "InvalidDensityError", "KET0", "KET1", "MINUS",
     "NotDiagonalError", "NotFiniteError", "NotNormalizedError",
     "NotOrthogonalError", "NotOrthonormalBasisError", "NotPPPError",
-    "NotUnitaryError", "OrthoSet", "PHI_MINUS",
-    "PHI_PLUS", "PLUS", "PSI_MINUS", "PSI_PLUS", "QuantumStateError",
-    "SampleSpec", "SchmidtDecomposition", "SplitMix64", "StateReport",
-    "UnknownTypeError", "VERIFY_TOL", "VerificationReport",
-    "ZeroParameterError", "ZeroVectorError", "apply_local", "bases",
-    "classify", "coefficient_matrix", "complete_ppp", "concurrence",
-    "construct_ee_diagonal", "construct_ee_nondiagonal", "construct_ep",
-    "construct_mmee_diagonal", "construct_mmee_nondiagonal",
-    "construct_pe_diagonal", "construct_pe_nondiagonal", "construct_pm",
-    "construct_pmee", "construct_pp", "construct_ppe_case1",
-    "construct_ppe_case2", "construct_ppe_case3", "construct_ppee_case1",
-    "construct_ppee_case2", "construct_ppee_case3", "construct_ppp",
-    "construct_pppp", "core", "errors", "gram", "gram_offdiagonal", "inner",
-    "is_diagonal", "is_unitary", "make_qubit", "make_state", "mixed",
-    "oracle", "oracle_schmidt", "orthogonal_complement",
+    "OrthoSet", "PHI_MINUS", "PHI_PLUS", "PLUS", "PSI_MINUS", "PSI_PLUS",
+    "QuantumStateError", "SampleSpec", "SchmidtDecomposition", "SplitMix64",
+    "StateReport", "UnknownTypeError", "VERIFY_TOL", "VerificationReport",
+    "ZeroParameterError", "ZeroVectorError", "bases", "classify",
+    "complete_ppp", "concurrence", "construct_ee_diagonal",
+    "construct_ee_nondiagonal", "construct_ep", "construct_mmee_diagonal",
+    "construct_mmee_nondiagonal", "construct_pe_diagonal",
+    "construct_pe_nondiagonal", "construct_pm", "construct_pmee",
+    "construct_pp", "construct_ppe_case1", "construct_ppe_case2",
+    "construct_ppe_case3", "construct_ppee_case1", "construct_ppee_case2",
+    "construct_ppee_case3", "construct_ppp", "construct_pppp", "core",
+    "errors", "make_qubit", "make_state", "mixed", "oracle", "oracle_schmidt",
     "orthonormal_qubit_basis", "pairs", "random_qubit", "random_qubit_basis",
-    "random_state", "random_unitary", "reconstruct", "reduce_a", "reduce_b",
-    "sample", "schmidt", "schmidt_diagonal", "schmidt_nondiagonal",
-    "spectral_mix", "tensor", "triples", "verify_set",
+    "reconstruct", "reduce_a", "reduce_b", "sample", "schmidt",
+    "schmidt_diagonal", "schmidt_nondiagonal", "spectral_mix", "tensor",
+    "triples", "verify_set",
 )
 
 BASE_MODULES = ["cli", "errors", "jsonio", "scalar", "schmidt"]
@@ -240,3 +237,17 @@ def test_concurrence_does_not_load_numpy():
         "c = qschmidt.concurrence([0.6, 0, 0, 0.8])\n"
         "print(json.dumps([c, 'numpy' in sys.modules]))\n")
     assert got == [q.concurrence([0.6, 0, 0, 0.8]), False]
+
+
+def test_benchmark_trace_targets_resolve():
+    """Every public call the benchmark traces by name still exists, so
+    dropping one fails here rather than in every benchmark run."""
+    got = fresh(
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import run\n"
+        "print(json.dumps({span: callable(fn)\n"
+        "                  for fn, span, _ in run.trace_targets()}))\n",
+        str(ROOT / "perfbench"))
+    assert "core.amplitudes" in got
+    assert all(got.values()), got

@@ -145,15 +145,17 @@ class TestDispatch:
     def test_maximally_entangled_coefficient(self):
         rng = q.SplitMix64(12)
         for _ in range(300):
-            s = q.apply_local(q.PHI_PLUS, q.random_unitary(rng),
-                              q.random_unitary(rng))
+            ua, ub = (np.column_stack(q.random_qubit_basis(rng))
+                      for _ in range(2))
+            s = np.kron(ua, ub) @ q.PHI_PLUS
             d = q.schmidt(s)
             assert abs(d.coeffs[0] - R12) <= 1e-12
 
     def test_seeded_round_trip_sweep(self):
         rng = q.SplitMix64(13)
         for _ in range(500):
-            s = q.random_state(rng)
+            s = q.make_state(*(complex(rng.gauss(), rng.gauss())
+                               for _ in range(4)), normalize=True)
             assert_valid_decomposition(q.schmidt(s), s)
 
     # |g| is one ulp above 1e-10 by hypot but not by the sum of squares.
@@ -185,7 +187,12 @@ class TestDispatch:
                 for dy in range(-2, 3):
                     s = [c00, complex(ulps(x, dx), ulps(y, dy)), 0.0, c11]
                     q.schmidt(s)
-                    diagonal = q.is_diagonal(s)
+                    try:
+                        q.schmidt_diagonal(s)
+                    except q.NotDiagonalError:
+                        diagonal = False
+                    else:
+                        diagonal = True
                     try:
                         q.schmidt_nondiagonal(s)
                     except q.DiagonalError:

@@ -16,6 +16,7 @@ import sys
 from functools import reduce
 from operator import add
 
+import numpy as np
 import pytest
 
 import qschmidt as q
@@ -101,8 +102,8 @@ def test_ppp_completion_holds(compensated):
     rng = q.SplitMix64(12)
     triples = []
     for _ in range(200):
-        ua, ub = q.random_unitary(rng), q.random_unitary(rng)
-        triples.append([q.apply_local(s, ua, ub) for s in (KET00, KET01, KET10)])
+        ua, ub = (np.column_stack(q.random_qubit_basis(rng)) for _ in range(2))
+        triples.append([np.kron(ua, ub) @ s for s in (KET00, KET01, KET10)])
 
     def completions():
         return [(c.tobytes(), conc) for c, conc in map(q.complete_ppp, triples)]

@@ -61,8 +61,8 @@ class TestPPECase1:
 
     def test_disjoint_support_orthogonality(self):
         t = q.construct_ppe_case1(0.6j, 0.8)
-        assert q.inner(t.states[0], t.states[2]) == 0.0
-        assert q.inner(t.states[1], t.states[2]) == 0.0
+        assert np.vdot(t.states[0], t.states[2]) == 0.0
+        assert np.vdot(t.states[1], t.states[2]) == 0.0
 
     def test_rejects_zero(self):
         with pytest.raises(q.ZeroParameterError):
@@ -83,7 +83,7 @@ class TestPPECase2:
             c = t.schmidt[0].coeffs
             assert abs(c[0] ** 2 + c[1] ** 2 - 1.0) <= 1e-12
             assert_orthonormal_set(t.states)
-            assert not q.is_diagonal(t.states[2])
+            q.schmidt_nondiagonal(t.states[2])  # DiagonalError if diagonal
 
     def test_oracle_agreement(self):
         t = q.construct_ppe_case2(0.3 + 0.2j, 0.9, 0.5 - 0.5j, 0.6)
@@ -124,5 +124,5 @@ class TestPPECase3:
 
     def test_nondiagonal_third_sweep(self):
         for t in q.sample(q.SampleSpec("ppe", case_id=3, seed=9, count=300)):
-            assert not q.is_diagonal(t.states[2])
+            q.schmidt_nondiagonal(t.states[2])  # DiagonalError if diagonal
             assert_orthonormal_set(t.states)
