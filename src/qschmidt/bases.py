@@ -29,7 +29,7 @@ from .pairs import (A_SIDE, OrthoSet, _diagonal_pair, _gamma_first, _ortho_set,
                     _rescale)
 from .scalar import (DEFAULT_TOL, _KET00, _KET01, _KET10, _KET11, LazyNumpy,
                      _checked_complex, _concurrence, _max_overlap, _total,
-                     _unit_members, check_tol)
+                     _unit_members)
 from .schmidt import _reconstruct_parts
 from .triples import _ppe_triple, construct_ppp
 
@@ -55,14 +55,12 @@ def _split_roots(total: float, product_neg: float) -> tuple[float, float]:
     return t0, t1
 
 
-def construct_pppp(variant: str, basis, *, strict: bool = False,
-                   tol: float = DEFAULT_TOL) -> OrthoSet:
+def construct_pppp(variant: str, basis, *, strict: bool = False) -> OrthoSet:
     """All-product orthonormal basis: the PPP triple of :func:`construct_ppp`
     completed by |10> (a-side variant) or |01> (b-side variant)."""
-    tol = check_tol(tol)
-    triple = construct_ppp(variant, basis, strict=strict, tol=tol)
+    triple = construct_ppp(variant, basis, strict=strict)
     members = (*triple.members, _KET10 if variant == A_SIDE else _KET01)
-    return _ortho_set(members, "PPPP", triple.params, tol, variant=variant)
+    return _ortho_set(members, "PPPP", triple.params, variant=variant)
 
 
 def _det3(m) -> complex:
@@ -71,17 +69,16 @@ def _det3(m) -> complex:
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
-def complete_ppp(triple, *, tol: float = DEFAULT_TOL):
+def complete_ppp(triple):
     """Complete a PPP triple to an orthonormal basis.
 
     Returns the unique (up to phase) unit vector orthogonal to all three
     states, phase fixed so its first nonzero amplitude is real positive,
     together with that vector's concurrence.  No product triple has an
     entangled completion, so the returned concurrence never exceeds the
-    product threshold; callers may assert it rather than trust it.
-    ``triple`` is an `OrthoSet` or a sequence of three states.
+    product threshold `DEFAULT_TOL`; callers may assert it rather than
+    trust it.  ``triple`` is an `OrthoSet` or a sequence of three states.
     """
-    tol = check_tol(tol)
     try:
         states = list(getattr(triple, "members", triple))
     except TypeError:
@@ -91,7 +88,7 @@ def complete_ppp(triple, *, tol: float = DEFAULT_TOL):
         raise NotPPPError(f"need exactly 3 states, got {len(states)}")
     amps = _unit_members(states, NotPPPError, 1e-8)
     for i, a in enumerate(amps):
-        if _concurrence(*a) > tol:
+        if _concurrence(*a) > DEFAULT_TOL:
             raise NotPPPError(f"states[{i}] is entangled; the triple is not PPP")
     ov, i, j = _max_overlap(amps)
     if ov > 1e-8:
@@ -113,22 +110,19 @@ def complete_ppp(triple, *, tol: float = DEFAULT_TOL):
     return np.array(comp), _concurrence(*comp)
 
 
-def construct_ppee_case1(a, b, *, strict: bool = False,
-                         tol: float = DEFAULT_TOL) -> OrthoSet:
+def construct_ppee_case1(a, b, *, strict: bool = False) -> OrthoSet:
     """Basis (|00>, |11>, a|01> + b|10>, b^*|01> - a^*|10>).
 
     Both entangled members are diagonal and share the concurrence 2|ab|.
     """
-    tol = check_tol(tol)
-    a, b, third = _diagonal_pair(a, b, "ab", strict, tol, "ppee-case1",
+    a, b, third = _diagonal_pair(a, b, "ab", strict, "ppee-case1",
                                  "entangled members")
     fourth = (0.0j, b.conjugate(), -a.conjugate(), 0.0j)
     return _ortho_set((_KET00, _KET11, third, fourth), "PPEE",
-                      {"a": a, "b": b}, tol, case_id=1)
+                      {"a": a, "b": b}, case_id=1)
 
 
-def construct_ppee_case2(a, b, c, d, *, strict: bool = False,
-                         tol: float = DEFAULT_TOL) -> OrthoSet:
+def construct_ppee_case2(a, b, c, d, *, strict: bool = False) -> OrthoSet:
     """Basis extending the case-2 PPE triple.
 
     The fourth member shares the third's Schmidt coefficients and, with the
@@ -136,8 +130,7 @@ def construct_ppee_case2(a, b, c, d, *, strict: bool = False,
     z_j = (b^* (k_j^2 - |c|^2), -a^* k_j^2) normalized, where k_j are the
     shared coefficients.
     """
-    tol = check_tol(tol)
-    triple = _ppe_triple(2, a, b, c, d, strict, tol, "ppee-case2")
+    triple = _ppe_triple(2, a, b, c, d, strict, "ppee-case2")
     a, b, c, d = (triple.params[k] for k in "abcd")
     dec3 = triple.parts[-1]
     k0, k1 = dec3[0]
@@ -158,12 +151,10 @@ def construct_ppee_case2(a, b, c, d, *, strict: bool = False,
     bb0, bb1 = dec3[2]
     dec4 = ((k0, k1), (z0, z1), (bb1, bb0), False)
     members = (*triple.members, _reconstruct_parts(dec4))
-    return _ortho_set(members, "PPEE", triple.params, tol, (dec3, dec4),
-                      case_id=2)
+    return _ortho_set(members, "PPEE", triple.params, (dec3, dec4), case_id=2)
 
 
-def construct_ppee_case3(a, b, c, d, *, strict: bool = False,
-                         tol: float = DEFAULT_TOL) -> OrthoSet:
+def construct_ppee_case3(a, b, c, d, *, strict: bool = False) -> OrthoSet:
     """Basis extending the case-3 PPE triple.
 
     Here the two entangled members share the A-side Schmidt basis with the
@@ -171,8 +162,7 @@ def construct_ppee_case3(a, b, c, d, *, strict: bool = False,
     conjugates of w_j = (-a^* b |c|^2, n_j^2 - |bc|^2) normalized, with n_j
     the shared coefficients.
     """
-    tol = check_tol(tol)
-    triple = _ppe_triple(3, a, b, c, d, strict, tol, "ppee-case3")
+    triple = _ppe_triple(3, a, b, c, d, strict, "ppee-case3")
     a, b, c, d = (triple.params[k] for k in "abcd")
     dec3 = triple.parts[-1]
     n0, n1 = dec3[0]
@@ -189,8 +179,7 @@ def construct_ppee_case3(a, b, c, d, *, strict: bool = False,
     aa0, aa1 = dec3[1]
     dec4 = ((n0, n1), (aa1, aa0), (wc0, wc1), False)
     members = (*triple.members, _reconstruct_parts(dec4))
-    return _ortho_set(members, "PPEE", triple.params, tol, (dec3, dec4),
-                      case_id=3)
+    return _ortho_set(members, "PPEE", triple.params, (dec3, dec4), case_id=3)
 
 
 def _pm_second(theta: float, theta_prime: float) -> tuple:
@@ -200,23 +189,21 @@ def _pm_second(theta: float, theta_prime: float) -> tuple:
             cmath.exp(1j * theta_prime) * _SQRT_HALF, 0.0j)
 
 
-def construct_pm(theta: float, theta_prime: float, *,
-                 tol: float = DEFAULT_TOL) -> OrthoSet:
+def construct_pm(theta: float, theta_prime: float) -> OrthoSet:
     """Pair (|00>, (e^{i theta}|01> + e^{i theta'}|10>)/sqrt(2)).
 
     Every maximally entangled state orthogonal to |00> has this form; the
     second member's concurrence is exactly 1.
     """
-    tol = check_tol(tol)
     theta = _checked_complex(theta, "theta", float)
     theta_prime = _checked_complex(theta_prime, "theta_prime", float)
     second = _pm_second(theta, theta_prime)
     return _ortho_set((_KET00, second), "PM",
-                      {"theta": theta, "theta_prime": theta_prime}, tol)
+                      {"theta": theta, "theta_prime": theta_prime})
 
 
-def construct_pmee(theta: float, theta_prime: float, theta_dprime: float, c, *,
-                   tol: float = DEFAULT_TOL) -> OrthoSet:
+def construct_pmee(theta: float, theta_prime: float, theta_dprime: float,
+                   c) -> OrthoSet:
     """Basis with one product member, one maximally entangled member and two
     entangled members.
 
@@ -227,13 +214,12 @@ def construct_pmee(theta: float, theta_prime: float, theta_dprime: float, c, *,
     Coefficients: xi_j = sqrt((1 +- sqrt(1 - 4|c|^4)) / 2) for the third
     member and ups_j = sqrt((1 +- 2|c| sqrt(1 - |c|^2)) / 2) for the fourth.
     """
-    tol = check_tol(tol)
     theta = _checked_complex(theta, "theta", float)
     theta_prime = _checked_complex(theta_prime, "theta_prime", float)
     theta_dprime = _checked_complex(theta_dprime, "theta_dprime", float)
     c = _checked_complex(c, "c")
     mag = abs(c)
-    if mag <= tol or mag >= _SQRT_HALF - tol:
+    if mag <= DEFAULT_TOL or mag >= _SQRT_HALF - DEFAULT_TOL:
         raise COutOfRangeError(
             f"|c| must lie strictly inside (0, 1/sqrt(2)), got {mag!r}; "
             "at the boundaries the basis degrades to a PPEE pattern, "
@@ -278,7 +264,7 @@ def construct_pmee(theta: float, theta_prime: float, theta_dprime: float, c, *,
                _reconstruct_parts(dec3), _reconstruct_parts(dec4))
     return _ortho_set(members, "PMEE",
                       {"theta": theta, "theta_prime": theta_prime,
-                       "theta_dprime": theta_dprime, "c": c}, tol, (dec3, dec4))
+                       "theta_dprime": theta_dprime, "c": c}, (dec3, dec4))
 
 
 def _mmee_conditions(theta, theta_prime, a, b) -> tuple:
@@ -288,7 +274,7 @@ def _mmee_conditions(theta, theta_prime, a, b) -> tuple:
     return ph_half, big_e, 2.0 * (ph_half * a.conjugate() * b).real
 
 
-def _mmee_prepare(theta, theta_prime, a, b, strict, tol, what):
+def _mmee_prepare(theta, theta_prime, a, b, strict, what):
     """Checked, rescaled MMEE parameters with entangled members 3 and 4."""
     theta = _checked_complex(theta, "theta", float)
     theta_prime = _checked_complex(theta_prime, "theta_prime", float)
@@ -296,7 +282,7 @@ def _mmee_prepare(theta, theta_prime, a, b, strict, tol, what):
     b = _checked_complex(b, "b")
     a, b = _rescale((a, b), (1.0, 1.0), 0.5, strict, what)
     ph_half, big_e, d_real = _mmee_conditions(theta, theta_prime, a, b)
-    if big_e <= tol:
+    if big_e <= DEFAULT_TOL:
         raise ConditionViolatedError(
             "entangled", "e^{i Delta} b^2 equals a^2; members 3 and 4 "
             "would be product states")
@@ -304,8 +290,7 @@ def _mmee_prepare(theta, theta_prime, a, b, strict, tol, what):
 
 
 def construct_mmee_diagonal(theta: float, theta_prime: float, a, b, *,
-                            strict: bool = False,
-                            tol: float = DEFAULT_TOL) -> OrthoSet:
+                            strict: bool = False) -> OrthoSet:
     """Basis of two maximally entangled members plus two diagonal members.
 
     The first two members are (|00> + |11>)/sqrt(2) and
@@ -317,12 +302,11 @@ def construct_mmee_diagonal(theta: float, theta_prime: float, a, b, *,
 
     All four members then turn out maximally entangled.
     """
-    tol = check_tol(tol)
     theta, theta_prime, a, b, ph_half, _, d_real = _mmee_prepare(
-        theta, theta_prime, a, b, strict, tol, "mmee-diagonal")
-    if abs(d_real) > tol:
-        raise ConditionViolatedError(
-            "diagonal", f"diagonality residual {abs(d_real)!r} exceeds {tol!r}")
+        theta, theta_prime, a, b, strict, "mmee-diagonal")
+    if abs(d_real) > DEFAULT_TOL:
+        raise ConditionViolatedError("diagonal", "diagonality residual "
+                                     f"{abs(d_real)!r} exceeds {DEFAULT_TOL!r}")
     ph_full = ph_half * ph_half
     third = (a, b, -ph_full * b, -a)
     fourth = (b.conjugate(), -a.conjugate(), ph_full * a.conjugate(),
@@ -331,12 +315,11 @@ def construct_mmee_diagonal(theta: float, theta_prime: float, a, b, *,
     first, second = _gamma_first(0.5), _pm_second(theta, theta_prime)
     return _ortho_set((first, second, third, fourth), "MMEE",
                       {"theta": theta, "theta_prime": theta_prime, "a": a,
-                       "b": b}, tol, variant="diagonal")
+                       "b": b}, variant="diagonal")
 
 
 def construct_mmee_nondiagonal(theta: float, theta_prime: float, a, b, *,
-                               strict: bool = False,
-                               tol: float = DEFAULT_TOL) -> OrthoSet:
+                               strict: bool = False) -> OrthoSet:
     """Basis of two maximally entangled members plus two non-diagonal members.
 
     Same first two members and normalization as the diagonal variant, but
@@ -346,10 +329,9 @@ def construct_mmee_nondiagonal(theta: float, theta_prime: float, a, b, *,
     the conjugates of the third's with the subsystems swapped and an
     alternating sign.
     """
-    tol = check_tol(tol)
     theta, theta_prime, a, b, ph_half, big_e, d_real = _mmee_prepare(
-        theta, theta_prime, a, b, strict, tol, "mmee-nondiagonal")
-    if abs(d_real) <= tol:
+        theta, theta_prime, a, b, strict, "mmee-nondiagonal")
+    if abs(d_real) <= DEFAULT_TOL:
         raise AccidentallyDiagonalError(
             "diagonality scalar D vanishes; use construct_mmee_diagonal")
     sigma = 1.0 if d_real > 0.0 else -1.0
@@ -384,4 +366,4 @@ def construct_mmee_nondiagonal(theta: float, theta_prime: float, a, b, *,
     return _ortho_set((first, second, _reconstruct_parts(dec3),
                        _reconstruct_parts(dec4)), "MMEE",
                       {"theta": theta, "theta_prime": theta_prime, "a": a,
-                       "b": b}, tol, (dec3, dec4), variant="nondiagonal")
+                       "b": b}, (dec3, dec4), variant="nondiagonal")

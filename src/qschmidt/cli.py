@@ -26,11 +26,10 @@ from typing import Iterable
 
 from . import jsonio
 from .errors import QuantumStateError, refuse_pppe
-from .scalar import DEFAULT_TOL, _number, check_tol
+from .scalar import _number
 from .schmidt import _parts
 
 
-_TOL = ("--tol", {"type": float, "default": DEFAULT_TOL})
 _TYPE = ("--type", {"required": True, "dest": "set_type"})
 _CASE = ("--case", {"type": int, "choices": [1, 2, 3]})
 _VARIANT = ("--variant",
@@ -41,7 +40,6 @@ _VERBS = {
     "decompose": ("Schmidt-decompose a state", [
         ("--state", {"required": True, "help": "state as JSON: "
                      "[[re,im],[re,im],[re,im],[re,im]]"}),
-        _TOL,
         ("--strict", {"action": "store_true",
                       "help": "reject input whose norm is off by more than "
                               "1e-10 instead of normalizing"}),
@@ -52,19 +50,16 @@ _VERBS = {
         _VARIANT,
         ("--params", {"required": True,
                       "help": "constructor parameters as JSON"}),
-        _TOL,
         ("--strict", {"action": "store_true"}),
     ]),
     "verify": ("verify a set of 1..4 states", [
         ("--set", {"dest": "set_json", "help": "states as JSON (defaults to "
                    "stdin; accepts construct output)"}),
-        _TOL,
     ]),
     "classify": ("label a set of states", [
         ("--set", {"dest": "set_json"}),
         ("--refine-m", {"action": "store_true", "help": "label maximally "
                         "entangled members M instead of E"}),
-        _TOL,
     ]),
     "sample": ("draw seeded random sets of one type", [
         _TYPE,
@@ -72,7 +67,6 @@ _VERBS = {
         _VARIANT,
         ("--seed", {"type": int, "default": 0}),
         ("--count", {"type": int, "default": 1}),
-        _TOL,
     ]),
     "mix": ("spectrally mix orthogonal states", [
         ("--set", {"dest": "set_json"}),
@@ -80,7 +74,6 @@ _VERBS = {
                        "help": "positive weights as JSON"}),
         ("--reduce", {"choices": ["a", "b"],
                       "help": "also trace out the other subsystem"}),
-        _TOL,
     ]),
 }
 
@@ -161,7 +154,7 @@ def _sets(args) -> Iterable[str]:
         spec = sampling.SampleSpec(
             set_type=args.set_type, case_id=args.case,
             variant=args.variant, seed=args.seed, count=args.count)
-        texts = list(map(jsonio.set_to_json, sampling._stream(spec, args.tol)))
+        texts = list(map(jsonio.set_to_json, sampling._stream(spec)))
         # Separated as json.dumps separates the items of a list, and written
         # 16 sets at a time: on an unbuffered stdout (python -u) each write
         # is a system call, and 1,000 of them cost more than the copy.
@@ -173,20 +166,19 @@ def _sets(args) -> Iterable[str]:
     code = construct.__code__
     values = [args.variant if name == "variant" else _param(params, name)
               for name in code.co_varnames[:code.co_argcount]]
-    strict = ({"strict": args.strict} if "strict" in construct.__kwdefaults__
-              else {})
-    text = jsonio.set_to_json(construct(*values, tol=args.tol, **strict))
+    strict = ({"strict": args.strict}
+              if "strict" in (construct.__kwdefaults__ or ()) else {})
+    text = jsonio.set_to_json(construct(*values, **strict))
     return [text + "\n"]
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        check_tol(args.tol)
         if args.verb == "decompose":
             state = jsonio.state_from_obj(
                 _load_json(args.state, "--state"), normalize=not args.strict)
-            payload = jsonio.schmidt_to_obj(_parts(*state, args.tol))
+            payload = jsonio.schmidt_to_obj(_parts(*state))
         elif args.verb in ("construct", "sample"):
             sys.stdout.writelines(_sets(args))
             return 0
@@ -194,12 +186,12 @@ def main(argv=None) -> int:
             from . import oracle
 
             states = jsonio.states_from_obj(_set_input(args))
-            payload = jsonio.report_to_obj(oracle.verify_set(states, args.tol))
+            payload = jsonio.report_to_obj(oracle.verify_set(states))
         elif args.verb == "classify":
             from . import oracle
 
             states = jsonio.states_from_obj(_set_input(args))
-            payload = {"pattern": oracle.classify(states, args.tol,
+            payload = {"pattern": oracle.classify(states,
                                                   refine_m=args.refine_m)}
         else:  # mix
             from . import mixed
@@ -209,7 +201,7 @@ def main(argv=None) -> int:
             if not isinstance(weights, list) \
                     or not all(map(jsonio.is_number, weights)):
                 raise QuantumStateError("--weights must be a JSON list of numbers")
-            rows = mixed._mix_rows(states, weights, args.tol)
+            rows = mixed._mix_rows(states, weights)
             if args.reduce:
                 rows = mixed._reduced_rows(mixed._check_rows(rows), args.reduce)
             payload = {"system": args.reduce or "ab",

@@ -9,10 +9,9 @@ All functions are pure: inputs are never mutated and identical inputs yield
 bit-identical outputs.
 
 Importing this module imports numpy: the named states and every function
-that returns an array need it.  The tolerances, `check_tol`, `amplitudes`
-and `concurrence` live in the numpy-free `scalar` module and are
-re-exported here as the same objects; `tensor` is the array form of
-`scalar._tensor`.
+that returns an array need it.  `amplitudes` lives in the numpy-free
+`scalar` module and is re-exported here as the same object; `tensor` is the
+array form of `scalar._tensor`.
 """
 
 from __future__ import annotations
@@ -22,15 +21,10 @@ import math
 import numpy as np
 
 from .scalar import (  # noqa: F401  (re-exported)
-    DEFAULT_TOL,
-    VERIFY_TOL,
-    _checked_complex,
     _qubit,
     _tensor,
     _unit,
     amplitudes,
-    check_tol,
-    concurrence,
     unit_state,
 )
 

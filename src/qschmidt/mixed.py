@@ -33,12 +33,12 @@ from cmath import isfinite
 
 from .errors import BadWeightsError, InvalidDensityError, NotOrthogonalError
 from .scalar import (DEFAULT_TOL, LazyNumpy, _length, _max_overlap, _number,
-                     _total, _unit_members, check_tol)
+                     _total, _unit_members)
 
 np = LazyNumpy(globals())
 
 
-def _mix_rows(states, weights, tol) -> list:
+def _mix_rows(states, weights) -> list:
     """The four rows of sum_i w_i |s_i><s_i| as lists of Python complex,
     after the checks `spectral_mix` documents.
 
@@ -48,7 +48,6 @@ def _mix_rows(states, weights, tol) -> list:
     a real diagonal, and its bits depend on CPython's complex arithmetic
     only, not on numpy's loops.
     """
-    tol = check_tol(tol)
     n = _length(states, "states", BadWeightsError)
     if n == 0:
         raise BadWeightsError("need at least one state")
@@ -67,9 +66,9 @@ def _mix_rows(states, weights, tol) -> list:
         raise BadWeightsError(f"weights sum to {_total(ws)!r}, expected 1")
     amps = _unit_members(states)
     ov, i, j = _max_overlap(amps)
-    if ov > tol:
+    if ov > DEFAULT_TOL:
         raise NotOrthogonalError(
-            f"states {i} and {j} overlap by {ov!r} (> {tol!r})")
+            f"states {i} and {j} overlap by {ov!r} (> {DEFAULT_TOL!r})")
     # Summed in place, so few complex objects are alive at once: more, laid
     # between small results a caller keeps, fragment the allocator's pools.
     rho = [0j] * 16
@@ -95,7 +94,7 @@ def _mix_rows(states, weights, tol) -> list:
     return [rho[0:4], rho[4:8], rho[8:12], rho[12:16]]
 
 
-def spectral_mix(states, weights, *, tol: float = DEFAULT_TOL) -> np.ndarray:
+def spectral_mix(states, weights) -> np.ndarray:
     """Density matrix sum_i w_i |s_i><s_i| from orthogonal unit states.
 
     ``states`` and ``weights`` must be sequences of the same non-zero
@@ -103,9 +102,9 @@ def spectral_mix(states, weights, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     positive (a zero weight silently drops rank, which is treated as caller
     error) and sum to 1 within 1e-12 (all `BadWeightsError`); states must
     have unit norm within 1e-10 (`NotNormalizedError`) and be pairwise
-    orthogonal within ``tol`` (`NotOrthogonalError`).
+    orthogonal within `DEFAULT_TOL` (`NotOrthogonalError`).
     """
-    return np.array(_mix_rows(states, weights, tol))
+    return np.array(_mix_rows(states, weights))
 
 
 # The positivity certificate factors rho + _SHIFT * I.  Success proves every

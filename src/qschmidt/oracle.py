@@ -13,8 +13,7 @@ from typing import NamedTuple
 
 from .errors import InvalidArgumentError
 from .scalar import (DEFAULT_TOL, VERIFY_TOL, _ZERO_FLOOR, _concurrence, _length,
-                     _max_overlap, _norm, _unit_members, amplitudes,
-                     check_tol as _check_tol)
+                     _max_overlap, _norm, _unit_members, amplitudes)
 from .schmidt import SchmidtDecomposition, _parts, _wrap
 
 
@@ -101,10 +100,10 @@ def _check_size(states, verb: str) -> None:
         raise InvalidArgumentError(f"{verb} takes 1..4 states, got {n}")
 
 
-def _label(conc: float, tol: float, refine_m: bool = True) -> str:
-    if conc <= tol:
+def _label(conc: float, refine_m: bool = True) -> str:
+    if conc <= DEFAULT_TOL:
         return "P"
-    if refine_m and abs(conc - 1.0) <= tol:
+    if refine_m and abs(conc - 1.0) <= DEFAULT_TOL:
         return "M"
     return "E"
 
@@ -124,26 +123,24 @@ class VerificationReport(NamedTuple):
 
     ``passed`` holds when every pairwise overlap, both routes' reconstruction
     errors (which fold in any unit-norm drift) and the closed-form/oracle
-    coefficient mismatches sit below ``check_tol``."""
+    coefficient mismatches sit below `VERIFY_TOL`; each ``label`` is drawn
+    at `DEFAULT_TOL`."""
 
     max_pairwise_overlap: float
     per_state: list
     passed: bool
 
 
-def verify_set(states, tol: float = DEFAULT_TOL,
-               check_tol: float = VERIFY_TOL) -> VerificationReport:
+def verify_set(states) -> VerificationReport:
     """Grade a set of 1..4 states: overlaps, dual-route decompositions,
     reconstruction errors and concurrence labels."""
-    tol = _check_tol(tol)
-    check_tol = _check_tol(check_tol)
     _check_size(states, "verify_set")
     amps = [amplitudes(s) for s in states]
     max_ov = _max_overlap(amps)[0]
     per = []
-    ok = max_ov <= check_tol
+    ok = max_ov <= VERIFY_TOL
     for a in amps:
-        closed = _parts(*a, tol)
+        closed = _parts(*a)
         orac = _oracle_parts(*a)
         mismatch = max(abs(closed[0][0] - orac[0][0]),
                        abs(closed[0][1] - orac[0][1]))
@@ -153,21 +150,21 @@ def verify_set(states, tol: float = DEFAULT_TOL,
         # `tuple.__new__` skips the ``__new__`` that `NamedTuple` writes in
         # Python, as `schmidt._wrap` does.
         per.append(tuple.__new__(StateReport,
-                                 (rec, mismatch, conc, _label(conc, tol))))
-        if rec > check_tol or mismatch > check_tol:
+                                 (rec, mismatch, conc, _label(conc))))
+        if rec > VERIFY_TOL or mismatch > VERIFY_TOL:
             ok = False
     return tuple.__new__(VerificationReport, (max_ov, per, ok))
 
 
-def classify(states, tol: float = DEFAULT_TOL, refine_m: bool = False) -> str:
-    """Ordered pattern of product/entangled labels, e.g. ``"PPEE"``.
+def classify(states, *, refine_m: bool = False) -> str:
+    """Ordered pattern of product/entangled labels, e.g. ``"PPEE"``: a state
+    is product when its concurrence is at most `DEFAULT_TOL`.
 
     With ``refine_m`` the maximally entangled members are labeled ``M``.
     All states must be unit norm within 1e-10.
     """
-    tol = _check_tol(tol)
     _check_size(states, "classify")
     out = ""
     for a in _unit_members(states):
-        out += _label(_concurrence(*a), tol, refine_m)
+        out += _label(_concurrence(*a), refine_m)
     return out

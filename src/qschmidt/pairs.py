@@ -33,7 +33,7 @@ from .errors import (
 )
 from .scalar import (DEFAULT_TOL, _KET00, LazyNumpy, _check_unit,
                      _checked_complex, _checked_norm, _number, _qubit, _tensor,
-                     _total, check_tol)
+                     _total)
 from .schmidt import _parts, _wrap
 
 np = LazyNumpy(globals())
@@ -86,13 +86,13 @@ class OrthoSet:
         return self._schmidt
 
 
-def _ortho_set(members, type_label, params, tol, closed=(), *, case_id=None,
+def _ortho_set(members, type_label, params, closed=(), *, case_id=None,
                variant=None) -> OrthoSet:
     """The `OrthoSet` every constructor returns: each carried member is
-    decomposed by ``_parts(*member, tol)``, except the trailing members whose
+    decomposed by ``_parts(*member)``, except the trailing members whose
     closed-form decompositions the constructor hands in as ``closed``."""
     carried = members if len(members) == 4 else members[len(members) - 1:]
-    parts = tuple(_parts(*m, tol) for m in carried[:len(carried) - len(closed)])
+    parts = tuple(_parts(*m) for m in carried[:len(carried) - len(closed)])
     return OrthoSet(members, type_label, parts + closed, params, case_id,
                     variant)
 
@@ -125,12 +125,12 @@ def _check_variant(variant: str) -> str:
     return variant
 
 
-def _diagonal_pair(x, y, names: str, strict, tol, what, member):
+def _diagonal_pair(x, y, names: str, strict, what, member):
     """Nonzero ``x``, ``y`` scaled to unit norm, and entangled x|01> + y|10>."""
     x = _require_nonzero(x, names[0])
     y = _require_nonzero(y, names[1])
     x, y = _rescale((x, y), (1.0, 1.0), 1.0, strict, what)
-    if 2.0 * abs(x * y) <= tol:
+    if 2.0 * abs(x * y) <= DEFAULT_TOL:
         raise ZeroParameterError(f"parameters too small to yield {member}")
     return x, y, (0.0j, x, y, 0.0j)
 
@@ -151,62 +151,54 @@ def _gamma_first(gamma: float) -> tuple:
             complex(math.sqrt(1.0 - gamma)))
 
 
-def construct_pp(variant: str, single, *, strict: bool = False,
-                 tol: float = DEFAULT_TOL) -> OrthoSet:
+def construct_pp(variant: str, single, *, strict: bool = False) -> OrthoSet:
     """Product state orthogonal to |00>.
 
     ``variant`` chooses which subsystem carries the free single-qubit vector:
     ``"a-side"`` gives single (x) |1>, ``"b-side"`` gives |1> (x) single.
     """
-    tol = check_tol(tol)
     _check_variant(variant)
     u = _as_unit_qubit(single, strict, "single")
     e1 = (0.0j, 1.0 + 0.0j)
     second = _tensor(u, e1) if variant == A_SIDE else _tensor(e1, u)
-    return _ortho_set((_KET00, second), "PP", {"single": u}, tol,
-                      variant=variant)
+    return _ortho_set((_KET00, second), "PP", {"single": u}, variant=variant)
 
 
-def construct_pe_diagonal(a, b, *, strict: bool = False,
-                          tol: float = DEFAULT_TOL) -> OrthoSet:
+def construct_pe_diagonal(a, b, *, strict: bool = False) -> OrthoSet:
     """Entangled diagonal state a|01> + b|10| orthogonal to |00>.
 
     Both parameters must be nonzero; they are scaled so |a|^2 + |b|^2 = 1.
     The Schmidt coefficients are (|a|, |b|) sorted in descending order.
     """
-    tol = check_tol(tol)
-    a, b, second = _diagonal_pair(a, b, "ab", strict, tol, "pe-diagonal",
+    a, b, second = _diagonal_pair(a, b, "ab", strict, "pe-diagonal",
                                   "an entangled member")
-    return _ortho_set((_KET00, second), "PE", {"a": a, "b": b}, tol,
+    return _ortho_set((_KET00, second), "PE", {"a": a, "b": b},
                       variant="diagonal")
 
 
-def construct_pe_nondiagonal(a, b, c, *, strict: bool = False,
-                             tol: float = DEFAULT_TOL) -> OrthoSet:
+def construct_pe_nondiagonal(a, b, c, *, strict: bool = False) -> OrthoSet:
     """Entangled non-diagonal state a|01> + b|10> + c|11> orthogonal to |00>.
 
     All three parameters must be nonzero (c = 0 belongs to the diagonal
     constructor); they are scaled to a unit state.  The Schmidt coefficients
     come out as sqrt((1 +- sqrt(1 - 4|ab|^2)) / 2).
     """
-    tol = check_tol(tol)
     a = _require_nonzero(a, "a")
     b = _require_nonzero(b, "b")
     c = _require_nonzero(c, "c")
     a, b, c = _rescale((a, b, c), (1.0, 1.0, 1.0), 1.0, strict, "pe-nondiagonal")
-    if 2.0 * abs(a * b) <= tol:
+    if 2.0 * abs(a * b) <= DEFAULT_TOL:
         raise ZeroParameterError(
             "parameters too small to yield an entangled member")
-    if abs(b.conjugate() * c) <= tol:
+    if abs(b.conjugate() * c) <= DEFAULT_TOL:
         raise ZeroParameterError(
             "parameters land on the diagonal branch; use the diagonal constructor")
     second = (0.0j, a, b, c)
-    return _ortho_set((_KET00, second), "PE", {"a": a, "b": b, "c": c}, tol,
+    return _ortho_set((_KET00, second), "PE", {"a": a, "b": b, "c": c},
                       variant="nondiagonal")
 
 
-def construct_ep(gamma: float, a, b, sign: int = 1, *,
-                 tol: float = DEFAULT_TOL) -> OrthoSet:
+def construct_ep(gamma: float, a, b, sign: int = 1) -> OrthoSet:
     """Product state orthogonal to sqrt(gamma)|00> + sqrt(1-gamma)|11>.
 
     The second member is the tensor product of the two single-qubit factors
@@ -219,7 +211,6 @@ def construct_ep(gamma: float, a, b, sign: int = 1, *,
     use the principal branch.  ``a`` and ``b`` may be any complex numbers
     that are not both zero.
     """
-    tol = check_tol(tol)
     gamma = _number(float, gamma, "gamma")
     if not 0.0 < gamma < 1.0:
         raise GammaOutOfRangeError(f"gamma must lie in (0, 1), got {gamma!r}")
@@ -227,8 +218,9 @@ def construct_ep(gamma: float, a, b, sign: int = 1, *,
     b = _checked_complex(b, "b")
     if a == 0 and b == 0:
         raise DegenerateParametersError("a and b must not both be zero")
-    if sign not in (1, -1):
+    if isinstance(sign, (bool, np.bool_)) or sign not in (1, -1):
         raise InvalidArgumentError(f"sign must be +1 or -1, got {sign!r}")
+    sign = 1 if sign == 1 else -1  # recorded as the int --params reads
     sa = cmath.sqrt(a)
     sb = cmath.sqrt(b)
     ratio_ab = (gamma / (1.0 - gamma)) ** 0.25
@@ -241,7 +233,7 @@ def construct_ep(gamma: float, a, b, sign: int = 1, *,
         raise DegenerateParametersError("constructed factor has zero norm")
     second = _tensor(factor_a / na, factor_b / nb)
     return _ortho_set((_gamma_first(gamma), second), "EP",
-                      {"gamma": gamma, "a": a, "b": b, "sign": sign}, tol)
+                      {"gamma": gamma, "a": a, "b": b, "sign": sign})
 
 
 def _ee_second(gamma: float, a: complex, b: complex, c: complex) -> tuple:
@@ -258,7 +250,7 @@ def _ee_conditions(gamma, a, b, c):
     return entangled, diagonal
 
 
-def _ee_prepare(gamma, a, b, c, strict, tol, what):
+def _ee_prepare(gamma, a, b, c, strict, what):
     """Checked, rescaled EE parameters with an entangled second member."""
     gamma = _number(float, gamma, "gamma")
     if not 0.0 < gamma < 1.0:
@@ -269,19 +261,19 @@ def _ee_prepare(gamma, a, b, c, strict, tol, what):
     weights = (1.0 / (1.0 - gamma), 1.0, 1.0)
     a, b, c = _rescale((a, b, c), weights, 1.0, strict, what)
     entangled, diagonal = _ee_conditions(gamma, a, b, c)
-    if abs(entangled) <= tol:
+    if abs(entangled) <= DEFAULT_TOL:
         raise ConditionViolatedError(
             "entangled", "second member would be a product state")
     return gamma, a, b, c, diagonal
 
 
-def construct_ee_diagonal(gamma: float, a, b, c, *, strict: bool = False,
-                          tol: float = DEFAULT_TOL) -> OrthoSet:
+def construct_ee_diagonal(gamma: float, a, b, c, *,
+                          strict: bool = False) -> OrthoSet:
     """Entangled diagonal state orthogonal to sqrt(gamma)|00> + sqrt(1-gamma)|11>.
 
     The second member is a|00> + b|01> + c|10> - sqrt(gamma/(1-gamma)) a |11>.
     Parameters are scaled so |a|^2/(1-gamma) + |b|^2 + |c|^2 = 1 and must
-    satisfy, within ``tol``:
+    satisfy, within `DEFAULT_TOL`:
 
     * entanglement:  sqrt(gamma) a^2 + sqrt(1-gamma) b c != 0
     * diagonality:   sqrt(gamma) a c^* - sqrt(1-gamma) a^* b  = 0
@@ -289,34 +281,32 @@ def construct_ee_diagonal(gamma: float, a, b, c, *, strict: bool = False,
     The Schmidt coefficients are sqrt(|a|^2 + |c|^2) and
     sqrt(|b|^2 + gamma/(1-gamma) |a|^2), sorted.
     """
-    tol = check_tol(tol)
-    gamma, a, b, c, diagonal = _ee_prepare(gamma, a, b, c, strict, tol,
+    gamma, a, b, c, diagonal = _ee_prepare(gamma, a, b, c, strict,
                                            "ee-diagonal")
-    if abs(diagonal) > tol:
-        raise ConditionViolatedError(
-            "diagonal", f"diagonality residual {abs(diagonal)!r} exceeds {tol!r}")
+    if abs(diagonal) > DEFAULT_TOL:
+        raise ConditionViolatedError("diagonal", "diagonality residual "
+                                     f"{abs(diagonal)!r} exceeds {DEFAULT_TOL!r}")
     second = _ee_second(gamma, a, b, c)
     return _ortho_set((_gamma_first(gamma), second), "EE",
-                      {"gamma": gamma, "a": a, "b": b, "c": c}, tol,
+                      {"gamma": gamma, "a": a, "b": b, "c": c},
                       variant="diagonal")
 
 
-def construct_ee_nondiagonal(gamma: float, a, b, c, *, strict: bool = False,
-                             tol: float = DEFAULT_TOL) -> OrthoSet:
+def construct_ee_nondiagonal(gamma: float, a, b, c, *,
+                             strict: bool = False) -> OrthoSet:
     """Entangled non-diagonal state orthogonal to the same first member.
 
     Same state form and normalization as the diagonal variant, but the
-    diagonality residual must exceed ``tol``; parameters that satisfy the
+    diagonality residual must exceed `DEFAULT_TOL`; parameters that satisfy the
     diagonal condition are rejected with AccidentallyDiagonalError.
     """
-    tol = check_tol(tol)
-    gamma, a, b, c, diagonal = _ee_prepare(gamma, a, b, c, strict, tol,
+    gamma, a, b, c, diagonal = _ee_prepare(gamma, a, b, c, strict,
                                            "ee-nondiagonal")
-    if abs(diagonal) <= tol:
+    if abs(diagonal) <= DEFAULT_TOL:
         raise AccidentallyDiagonalError(
             "parameters satisfy the diagonal condition; "
             "use construct_ee_diagonal")
     second = _ee_second(gamma, a, b, c)
     return _ortho_set((_gamma_first(gamma), second), "EE",
-                      {"gamma": gamma, "a": a, "b": b, "c": c}, tol,
+                      {"gamma": gamma, "a": a, "b": b, "c": c},
                       variant="nondiagonal")

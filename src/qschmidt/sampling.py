@@ -45,7 +45,7 @@ from .pairs import (
     construct_pe_nondiagonal,
     construct_pp,
 )
-from .scalar import DEFAULT_TOL, LazyNumpy, _total, check_tol
+from .scalar import LazyNumpy, _total
 from .triples import (
     construct_ppe_case1,
     construct_ppe_case2,
@@ -332,24 +332,23 @@ def _integer(value, name: str) -> int:
             f"{name} must be an integer, got {value!r}") from None
 
 
-def _stream(spec: SampleSpec, tol: float) -> Iterator:
+def _stream(spec: SampleSpec) -> Iterator:
     """`sample`'s sets as an iterator that draws and constructs each set
     when it is asked for the next one.  The request is checked, and raises
     as `sample` documents, before this returns."""
-    tol = check_tol(tol)
     f = family(spec.set_type, spec.case_id, spec.variant)
     count = _integer(spec.count, "count")
     if count < 1:
         raise InvalidArgumentError(f"count must be >= 1, got {spec.count!r}")
     rng = SplitMix64(_integer(spec.seed, "seed"))
-    return (f.construct(*f.draw(rng), tol=tol) for _ in range(count))
+    return (f.construct(*f.draw(rng)) for _ in range(count))
 
 
-def sample(spec: SampleSpec, tol: float = DEFAULT_TOL) -> list:
+def sample(spec: SampleSpec) -> list:
     """Draw ``spec.count`` constructed sets, deterministically from the seed.
 
     Raises :class:`UnknownTypeError` for a request `family` refuses, and
     then :class:`InvalidArgumentError` for a count that is not an integer
     or is below 1, or a seed that is not an integer.
     """
-    return list(_stream(spec, tol))
+    return list(_stream(spec))

@@ -19,7 +19,8 @@ from .errors import (InvalidArgumentError, NotFiniteError, NotNormalizedError,
                      ZeroVectorError)
 
 #: Classification tolerance: product/entangled/maximal labels, diagonality
-#: dispatch, and constructor admissibility checks.
+#: dispatch, and constructor admissibility checks.  Fixed: no call takes a
+#: tolerance of its own.
 DEFAULT_TOL = 1e-10
 
 #: Verification tolerance: orthonormality, reconstruction, cross-checks.
@@ -49,15 +50,6 @@ def _number(kind, value, name: str, error=NotFiniteError):
                     "for a float") from None
     except (TypeError, ValueError):
         raise error(f"{name} must be a number, got {value!r}") from None
-
-
-def check_tol(tol) -> float:
-    """Return ``tol`` as a float when it is finite and positive; raise
-    :class:`InvalidArgumentError` otherwise."""
-    tol = _number(float, tol, "tol", InvalidArgumentError)
-    if not 0.0 < tol < math.inf:
-        raise InvalidArgumentError(f"tol must be finite and positive, got {tol!r}")
-    return tol
 
 
 def _total(values) -> float:

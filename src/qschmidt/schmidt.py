@@ -23,7 +23,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DiagonalError, NotDiagonalError, ZeroVectorError
-from .scalar import DEFAULT_TOL, _ZERO_FLOOR, LazyNumpy, amplitudes, check_tol
+from .scalar import DEFAULT_TOL, _ZERO_FLOOR, LazyNumpy, amplitudes
 
 np = LazyNumpy(globals())
 
@@ -94,7 +94,8 @@ def _diag_parts(c00, c01, c10, c11):
 
 
 def _nondiag_parts(c00, c01, c10, c11, g):
-    """Non-diagonal branch, given the Gram off-diagonal ``g`` (|g| > tol)."""
+    """Non-diagonal branch, given the Gram off-diagonal ``g``
+    (|g| > `DEFAULT_TOL`)."""
     g2 = g.real * g.real + g.imag * g.imag
     r0 = c00.real * c00.real + c00.imag * c00.imag \
         + c10.real * c10.real + c10.imag * c10.imag
@@ -143,9 +144,9 @@ def _offdiagonal(c00, c01, c10, c11) -> complex:
     return c00.conjugate() * c01 + c10.conjugate() * c11
 
 
-def _parts(c00, c01, c10, c11, tol):
+def _parts(c00, c01, c10, c11):
     g = c00.conjugate() * c01 + c10.conjugate() * c11
-    if abs(g) <= tol:
+    if abs(g) <= DEFAULT_TOL:
         return _diag_parts(c00, c01, c10, c11)
     return _nondiag_parts(c00, c01, c10, c11, g)
 
@@ -160,9 +161,9 @@ def _reconstruct_parts(parts):
     )
 
 
-def schmidt_diagonal(state, tol: float = DEFAULT_TOL,
-                     check: bool = True) -> SchmidtDecomposition:
-    """Decompose a state whose coefficient-matrix columns are orthogonal.
+def schmidt_diagonal(state, *, check: bool = True) -> SchmidtDecomposition:
+    """Decompose a state whose coefficient-matrix columns are orthogonal,
+    to within `DEFAULT_TOL`.
 
     Coefficients are the column norms sorted in descending order, the A-side
     basis the normalized columns, the B-side basis computational.  With
@@ -170,41 +171,39 @@ def schmidt_diagonal(state, tol: float = DEFAULT_TOL,
     condition; on a non-diagonal state this reproduces the well-known
     failure mode in which the returned A-side vectors are not orthogonal.
     """
-    tol = check_tol(tol)
     c00, c01, c10, c11 = amplitudes(state)
     if check:
         g = _offdiagonal(c00, c01, c10, c11)
-        if abs(g) > tol:
-            raise NotDiagonalError(
-                f"Gram off-diagonal magnitude {abs(g)!r} exceeds tol {tol!r}")
+        if abs(g) > DEFAULT_TOL:
+            raise NotDiagonalError(f"Gram off-diagonal magnitude {abs(g)!r} "
+                                   f"exceeds tol {DEFAULT_TOL!r}")
     return _wrap(_diag_parts(c00, c01, c10, c11))
 
 
-def schmidt_nondiagonal(state, tol: float = DEFAULT_TOL) -> SchmidtDecomposition:
+def schmidt_nondiagonal(state) -> SchmidtDecomposition:
     """Decompose a state that violates the diagonal condition.
 
     Raises :class:`DiagonalError` on diagonal input, where the formula's
     eigenvector seeds are zero vectors.
     """
-    tol = check_tol(tol)
     c00, c01, c10, c11 = amplitudes(state)
     g = _offdiagonal(c00, c01, c10, c11)
-    if abs(g) <= tol:
+    if abs(g) <= DEFAULT_TOL:
         raise DiagonalError(
             "state satisfies the diagonal condition; the non-diagonal "
             "formula's internal vectors vanish (use the diagonal branch)")
     return _wrap(_nondiag_parts(c00, c01, c10, c11, g))
 
 
-def schmidt(state, tol: float = DEFAULT_TOL) -> SchmidtDecomposition:
+def schmidt(state) -> SchmidtDecomposition:
     """Schmidt decomposition of any two-qubit pure state.
 
-    Dispatches on the diagonal condition with tolerance ``tol``; the
-    boundary itself takes the diagonal branch, which is exact there.  The
-    state is taken as given, not normalized (see `SchmidtDecomposition`).
+    Dispatches on the diagonal condition, |g| <= `DEFAULT_TOL` for the
+    Gram off-diagonal g; the boundary itself takes the diagonal branch,
+    which is exact there.  The state is taken as given, not normalized (see
+    `SchmidtDecomposition`).
     """
-    tol = check_tol(tol)
-    return _wrap(_parts(*amplitudes(state), tol))
+    return _wrap(_parts(*amplitudes(state)))
 
 
 def reconstruct(decomposition: SchmidtDecomposition) -> np.ndarray:

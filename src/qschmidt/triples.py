@@ -20,34 +20,31 @@ from __future__ import annotations
 from .errors import NotOrthonormalBasisError, ZeroParameterError
 from .pairs import (A_SIDE, OrthoSet, _as_unit_qubit, _check_variant,
                     _diagonal_pair, _ortho_set, _require_nonzero, _rescale)
-from .scalar import DEFAULT_TOL, _KET00, _KET11, _length, check_tol
+from .scalar import DEFAULT_TOL, VERIFY_TOL, _KET00, _KET11, _length
 
 
-def orthonormal_qubit_basis(basis, *, strict: bool = False,
-                            tol: float = 1e-12):
-    """Validate a pair of orthonormal single-qubit vectors and return them,
-    normalized, as 2-tuples of Python complex numbers."""
-    tol = check_tol(tol)
+def orthonormal_qubit_basis(basis, *, strict: bool = False):
+    """Validate a pair of single-qubit vectors orthogonal to within
+    `VERIFY_TOL` and return them, normalized, as 2-tuples of Python complex
+    numbers."""
     if _length(basis, "basis", NotOrthonormalBasisError) != 2:
         raise NotOrthonormalBasisError("a qubit basis needs exactly 2 vectors")
     v0 = _as_unit_qubit(basis[0], strict, "basis[0]", NotOrthonormalBasisError)
     v1 = _as_unit_qubit(basis[1], strict, "basis[1]", NotOrthonormalBasisError)
     (a0, a1), (b0, b1) = v0, v1
     overlap = abs(a0.conjugate() * b0 + a1.conjugate() * b1)
-    if overlap > tol:
+    if overlap > VERIFY_TOL:
         raise NotOrthonormalBasisError(
-            f"basis vectors overlap by {overlap!r} (> {tol!r})")
+            f"basis vectors overlap by {overlap!r} (> {VERIFY_TOL!r})")
     return v0, v1
 
 
-def construct_ppp(variant: str, basis, *, strict: bool = False,
-                  tol: float = DEFAULT_TOL) -> OrthoSet:
+def construct_ppp(variant: str, basis, *, strict: bool = False) -> OrthoSet:
     """Three orthonormal product states from |00> and a qubit basis.
 
     The a-side variant is (|00>, basis0 (x) |1>, basis1 (x) |1>); the b-side
     variant mirrors it as (|00>, |1> (x) basis0, |1> (x) basis1).
     """
-    tol = check_tol(tol)
     _check_variant(variant)
     v0, v1 = orthonormal_qubit_basis(basis, strict=strict)
     if variant == A_SIDE:
@@ -57,24 +54,22 @@ def construct_ppp(variant: str, basis, *, strict: bool = False,
         second = (0.0j, 0.0j, v0[0], v0[1])
         third = (0.0j, 0.0j, v1[0], v1[1])
     return _ortho_set((_KET00, second, third), "PPP", {"basis": [v0, v1]},
-                      tol, variant=variant)
+                      variant=variant)
 
 
-def construct_ppe_case1(c, d, *, strict: bool = False,
-                        tol: float = DEFAULT_TOL) -> OrthoSet:
+def construct_ppe_case1(c, d, *, strict: bool = False) -> OrthoSet:
     """(|00>, |11>, c|01> + d|10>) with both parameters nonzero.
 
     The third member is diagonal; its Schmidt coefficients are (|c|, |d|)
     sorted in descending order.
     """
-    tol = check_tol(tol)
-    c, d, third = _diagonal_pair(c, d, "cd", strict, tol, "ppe-case1",
+    c, d, third = _diagonal_pair(c, d, "cd", strict, "ppe-case1",
                                  "an entangled third member")
-    return _ortho_set((_KET00, _KET11, third), "PPE", {"c": c, "d": d}, tol,
+    return _ortho_set((_KET00, _KET11, third), "PPE", {"c": c, "d": d},
                       case_id=1)
 
 
-def _ppe_triple(case_id, a, b, c, d, strict, tol, what) -> OrthoSet:
+def _ppe_triple(case_id, a, b, c, d, strict, what) -> OrthoSet:
     """The case-2 or case-3 PPE triple of `construct_ppe_case2`/`3`, whose
     errors name the family ``what`` (a PPE case or the PPEE case built on
     it).  The pairs (a, b) and (c, d) must be nonzero and are normalized
@@ -85,7 +80,7 @@ def _ppe_triple(case_id, a, b, c, d, strict, tol, what) -> OrthoSet:
     d = _require_nonzero(d, "d")
     a, b = _rescale((a, b), (1.0, 1.0), 1.0, strict, what + " (a, b)")
     c, d = _rescale((c, d), (1.0, 1.0), 1.0, strict, what + " (c, d)")
-    if 2.0 * abs(b * c * d) <= tol:
+    if 2.0 * abs(b * c * d) <= DEFAULT_TOL:
         raise ZeroParameterError(
             "parameters too small to yield an entangled third member")
     if case_id == 2:
@@ -96,30 +91,28 @@ def _ppe_triple(case_id, a, b, c, d, strict, tol, what) -> OrthoSet:
         nondiagonal = abs(a * b) * abs(d) ** 2
         second = (0.0j, 0.0j, a, b)
         third = (0.0j, c, d * b.conjugate(), -d * a.conjugate())
-    if nondiagonal <= tol:
+    if nondiagonal <= DEFAULT_TOL:
         raise ZeroParameterError(
             "parameters too small to keep the third member non-diagonal")
     return _ortho_set((_KET00, second, third), "PPE",
-                      {"a": a, "b": b, "c": c, "d": d}, tol, case_id=case_id)
+                      {"a": a, "b": b, "c": c, "d": d}, case_id=case_id)
 
 
-def construct_ppe_case2(a, b, c, d, *, strict: bool = False,
-                        tol: float = DEFAULT_TOL) -> OrthoSet:
+def construct_ppe_case2(a, b, c, d, *, strict: bool = False) -> OrthoSet:
     """PPE set whose second member is a|01> + b|11>.
 
     The third member is c(b^*|01> - a^*|11>) + d|10>, non-diagonal, with
     Schmidt coefficients sqrt((1 +- sqrt(1 - 4|bcd|^2)) / 2).  The pairs
     (a, b) and (c, d) are normalized independently and must be nonzero.
     """
-    return _ppe_triple(2, a, b, c, d, strict, check_tol(tol), "ppe-case2")
+    return _ppe_triple(2, a, b, c, d, strict, "ppe-case2")
 
 
-def construct_ppe_case3(a, b, c, d, *, strict: bool = False,
-                        tol: float = DEFAULT_TOL) -> OrthoSet:
+def construct_ppe_case3(a, b, c, d, *, strict: bool = False) -> OrthoSet:
     """PPE set whose second member is a|10> + b|11> (a product of |1> with a
     B-side vector).
 
     The third member is c|01> + d(b^*|10> - a^*|11>), non-diagonal, with the
     same coefficient formula as case 2.
     """
-    return _ppe_triple(3, a, b, c, d, strict, check_tol(tol), "ppe-case3")
+    return _ppe_triple(3, a, b, c, d, strict, "ppe-case3")

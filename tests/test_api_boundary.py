@@ -1,12 +1,13 @@
-"""Input parsing, tolerance checks and result layout at the public API."""
+"""Input parsing, fixed tolerances and result layout at the public API."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 import qschmidt as q
-from qschmidt import core, jsonio, sampling
+from qschmidt import core, jsonio, sampling, scalar
 from helpers import GOLD_NONDIAG, KET00, KET11
 
 BAD_TOLS = (math.nan, math.inf, 0.0, -1e-10)
@@ -25,7 +26,7 @@ def per_element(state):
     if len(state) != 4:
         raise q.InvalidArgumentError(
             f"a two-qubit state has 4 amplitudes, got {len(state)}")
-    return tuple(core._checked_complex(state[k], NAMES[k]) for k in range(4))
+    return tuple(scalar._checked_complex(state[k], NAMES[k]) for k in range(4))
 
 
 class TestAmplitudesFastPath:
@@ -113,36 +114,68 @@ def test_result_layout(d):
 
 
 class TestToleranceChecks:
+    """The thresholds are the fixed `DEFAULT_TOL` and `VERIFY_TOL`.  No entry
+    point takes a tolerance, so a value passed for one, bad or not, is
+    refused with `TypeError`, and each entry point runs without one."""
+
+    # Each entry point, passing on its keyword arguments, and the name its
+    # tolerance parameter had.
     ENTRY_POINTS = {
-        "schmidt": lambda tol: q.schmidt(GOLD_NONDIAG, tol),
-        "schmidt_diagonal": lambda tol: q.schmidt_diagonal(KET00, tol),
-        "schmidt_nondiagonal": lambda tol: q.schmidt_nondiagonal(
-            GOLD_NONDIAG, tol),
-        "verify_set.tol": lambda tol: q.verify_set([KET00, KET11], tol=tol),
-        "verify_set.check_tol": lambda tol: q.verify_set(
-            [KET00, KET11], check_tol=tol),
-        "classify": lambda tol: q.classify([KET00], tol=tol),
-        "sample": lambda tol: q.sample(q.SampleSpec("pp"), tol=tol),
-        "spectral_mix": lambda tol: q.spectral_mix([KET00], [1.0], tol=tol),
-        "orthonormal_qubit_basis": lambda tol: q.orthonormal_qubit_basis(
-            [[1, 0], [0, 1]], tol=tol),
-        "complete_ppp": lambda tol: q.complete_ppp(
-            [KET00, KET11, q.make_state(0, 1, 0, 0)], tol=tol),
+        "schmidt": (lambda **kw: q.schmidt(GOLD_NONDIAG, **kw), "tol"),
+        "schmidt_diagonal": (lambda **kw: q.schmidt_diagonal(KET00, **kw),
+                             "tol"),
+        "schmidt_nondiagonal": (
+            lambda **kw: q.schmidt_nondiagonal(GOLD_NONDIAG, **kw), "tol"),
+        "verify_set.tol": (lambda **kw: q.verify_set([KET00, KET11], **kw),
+                           "tol"),
+        "verify_set.check_tol": (
+            lambda **kw: q.verify_set([KET00, KET11], **kw), "check_tol"),
+        "classify": (lambda **kw: q.classify([KET00], **kw), "tol"),
+        "sample": (lambda **kw: q.sample(q.SampleSpec("pp"), **kw), "tol"),
+        "spectral_mix": (lambda **kw: q.spectral_mix([KET00], [1.0], **kw),
+                         "tol"),
+        "orthonormal_qubit_basis": (
+            lambda **kw: q.orthonormal_qubit_basis([[1, 0], [0, 1]], **kw),
+            "tol"),
+        "complete_ppp": (lambda **kw: q.complete_ppp(
+            [KET00, KET11, q.make_state(0, 1, 0, 0)], **kw), "tol"),
         # Each constructor on its family's seeded draw.
-        **{f.construct.__name__: (lambda tol, f=f, args=f.draw(q.SplitMix64(3)):
-                                  f.construct(*args, tol=tol))
+        **{f.construct.__name__: (lambda f=f, args=f.draw(q.SplitMix64(3)), **kw:
+                                  f.construct(*args, **kw), "tol")
            for f in sampling.FAMILIES.values()},
     }
 
     @pytest.mark.parametrize("tol", BAD_TOLS, ids=repr)
     @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
     def test_bad_tol_is_rejected(self, entry, tol):
-        with pytest.raises(q.InvalidArgumentError, match="tol must be finite"):
-            self.ENTRY_POINTS[entry](tol)
+        call, name = self.ENTRY_POINTS[entry]
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            call(**{name: tol})
 
     @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
     def test_default_tol_still_works(self, entry):
-        self.ENTRY_POINTS[entry](1e-10)
+        self.ENTRY_POINTS[entry][0]()
+
+    @pytest.mark.parametrize("call", [
+        lambda: q.schmidt_diagonal(GOLD_NONDIAG, 1e-8),
+        lambda: q.classify([q.PHI_PLUS], 1e-10),
+    ], ids=["schmidt_diagonal", "classify"])
+    def test_positional_tol_is_refused(self, call):
+        """A tolerance passed by position, where the second parameter once
+        was ``tol``, must not land in ``check`` or ``refine_m``."""
+        with pytest.raises(TypeError):
+            call()
+
+    def test_no_public_callable_takes_a_tolerance(self):
+        """Checked on every signature, so a new public call cannot bring a
+        tolerance parameter back."""
+        for name in q.__all__:
+            obj = getattr(q, name)
+            try:
+                params = inspect.signature(obj).parameters
+            except (TypeError, ValueError):  # a module, or a builtin __init__
+                continue
+            assert not {"tol", "check_tol"} & set(params), name
 
 
 _BIG = 10 ** 400  # an integer too large for a float
@@ -154,8 +187,6 @@ class TestHugeIntegers:
 
     ENTRY_POINTS = {
         "schmidt": (lambda: q.schmidt([_BIG, 0, 0, 1]), q.NotFiniteError),
-        "schmidt.tol": (lambda: q.schmidt(KET00, _BIG),
-                        q.InvalidArgumentError),
         "make_state": (lambda: q.make_state(_BIG, 0, 0, 1), q.NotFiniteError),
         "verify_set": (lambda: q.verify_set([[_BIG, 0, 0, 1]]),
                        q.NotFiniteError),
@@ -203,8 +234,6 @@ class TestNonNumericScalars:
                          q.NotFiniteError),
         "schmidt.not_a_sequence": (lambda: q.schmidt(5),
                                    q.InvalidArgumentError),
-        "schmidt.tol": (lambda: q.schmidt([1, 0, 0, 0], tol="x"),
-                        q.InvalidArgumentError),
         "make_state": (lambda: q.make_state("x", 0, 0, 1), q.NotFiniteError),
         "construct_pe_diagonal": (lambda: q.construct_pe_diagonal("x", 1),
                                   q.NotFiniteError),

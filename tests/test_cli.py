@@ -192,12 +192,23 @@ class TestSample:
         assert payload["error"] == "UnknownTypeError"
         assert "exist" in payload["message"]
 
-    def test_failing_draw_writes_no_set(self, capsys):
-        """Set 129 (counted from 0) of this stream is too close to diagonal
-        for the tolerance; the 129 sets drawn before it are never written."""
+    def test_failing_draw_writes_no_set(self, capsys, monkeypatch):
+        """Set 129 (counted from 0) of this stream is drawn with a zero
+        parameter; the 129 sets drawn before it are never written."""
+        key = ("ppee", 2, None)
+        construct, draw = sampling.FAMILIES[key]
+        calls = []
+
+        def failing_draw(rng):
+            calls.append(None)
+            args = draw(rng)
+            return args[:3] + (0j,) if len(calls) == 130 else args
+
+        monkeypatch.setitem(sampling.FAMILIES, key,
+                            sampling.Family(construct, failing_draw))
         code, out, err = run(capsys, "sample", "--type", "ppee", "--case", "2",
-                             "--seed", "0", "--count", "200", "--tol", "0.05")
-        assert (code, out) == (1, "")
+                             "--seed", "0", "--count", "200")
+        assert (code, out, len(calls)) == (1, "", 130)
         [line] = err.splitlines()
         assert json.loads(line)["error"] == "ZeroParameterError"
 
@@ -334,6 +345,31 @@ _HUGE = "1" + "0" * 4300
 _DEEP = "[" * 100000
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["decompose", "--state", _STATE], ["--tol", "nan"]),
+    (["decompose", "--state", _STATE], ["--tol", "0"]),
+    (["construct", "--type", "pm", "--params",
+      '{"theta": 0, "theta_prime": 0}'], ["--tol", "1e-10"]),
+    (["verify", "--set", "[" + _STATE + "]"], ["--tol", "nan"]),
+    (["classify", "--set", "[" + _STATE + "]"], ["--tol=-1e-10"]),
+    (["sample", "--type", "pm"], ["--tol", "inf"]),
+    (["mix", "--set", "[" + _STATE + "]", "--weights", "[1]"],
+     ["--tol", "1e-10"]),
+], ids=["decompose", "decompose-tol-zero", "construct", "verify", "classify",
+        "sample", "mix"])
+def test_tol_flag_is_a_usage_error(capsys, argv, flag):
+    """The tolerances are fixed, so ``--tol`` is an unknown flag on every
+    verb, whatever its value: argparse exits 2 with its usage message, not
+    a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: " + " ".join(flag) in err
+    assert "Traceback" not in err
+
+
 class TestDomainErrorsNotTracebacks:
     """Bad arguments that once escaped as tracebacks exit 1 with error JSON."""
 
@@ -344,14 +380,6 @@ class TestDomainErrorsNotTracebacks:
         (["classify", "--set", _FIVE_STATES], "InvalidArgumentError"),
         (["construct", "--type", "pp", "--variant", "diagonal",
           "--params", '{"single":[[1,0],[0,0]]}'], "UnknownTypeError"),
-        (["decompose", "--tol", "nan", "--state", _STATE],
-         "InvalidArgumentError"),
-        (["verify", "--tol", "nan", "--set", "[" + _STATE + "]"],
-         "InvalidArgumentError"),
-        (["decompose", "--tol", "0", "--state", _STATE], "InvalidArgumentError"),
-        (["classify", "--tol=-1e-10", "--set", "[" + _STATE + "]"],
-         "InvalidArgumentError"),
-        (["sample", "--type", "pm", "--tol", "inf"], "InvalidArgumentError"),
         (["construct", "--type", "qqq", "--params", _AB], "UnknownTypeError"),
         (["construct", "--type", "pe", "--params", _AB], "UnknownTypeError"),
         (["construct", "--type", "ppe", "--params", _AB], "UnknownTypeError"),
@@ -399,8 +427,7 @@ class TestDomainErrorsNotTracebacks:
           "--params", '{"single": 5}'], "QuantumStateError"),
         (["decompose", "--state", "[[1,0],[0,0],[0,0]]"], "QuantumStateError"),
     ], ids=["count-0", "count-negative", "verify-5-states", "classify-5-states",
-            "pp-diagonal-variant", "decompose-tol-nan", "verify-tol-nan",
-            "tol-zero", "tol-negative", "tol-inf", "construct-unknown-type",
+            "pp-diagonal-variant", "construct-unknown-type",
             "construct-pe-no-variant", "construct-ppe-no-case",
             "construct-pppe", "construct-pe-side-variant",
             "decompose-norm-overflow", "construct-rescale-overflow",

@@ -278,7 +278,6 @@ def test_decompose_stdout_matches_reference(capsys):
     for v in states:
         obj = jsonio.complex_array_to_obj(v)
         assert main(["decompose", "--state", json.dumps(obj)]) == 0
-        parts = _parts(*jsonio.state_from_obj(obj, normalize=True),
-                       q.DEFAULT_TOL)
+        parts = _parts(*jsonio.state_from_obj(obj, normalize=True))
         assert capsys.readouterr().out == \
             json.dumps(old_parts_writer(parts)) + "\n"

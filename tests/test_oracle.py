@@ -88,7 +88,7 @@ class TestVerifySet:
                    for _ in range(300)]
         for s in states:
             a = core.amplitudes(s)
-            for parts in (_parts(*a, q.DEFAULT_TOL), _oracle_parts(*a)):
+            for parts in (_parts(*a), _oracle_parts(*a)):
                 r = _reconstruct_parts(parts)
                 assert _reconstruction_error(parts, a) == \
                     max(abs(r[k] - a[k]) for k in range(4))

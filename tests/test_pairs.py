@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import qschmidt as q
 from qschmidt import jsonio, sampling, scalar
+from qschmidt.cli import main
 from qschmidt.schmidt import _parts
 from helpers import (
     FAMILIES,
@@ -145,6 +147,20 @@ class TestEP:
     def test_rejects_double_zero(self):
         with pytest.raises(q.DegenerateParametersError):
             q.construct_ep(0.5, 0, 0)
+
+    @pytest.mark.parametrize("sign", (True, np.True_), ids=repr)
+    def test_rejects_bool_sign(self, sign):
+        with pytest.raises(q.InvalidArgumentError, match="sign must be"):
+            q.construct_ep(0.5, 1, 1, sign=sign)
+
+    @pytest.mark.parametrize("sign", (1, -1, 1.0, -1.0), ids=repr)
+    def test_sign_is_recorded_as_the_int_construct_reads(self, capsys, sign):
+        params = json.loads(jsonio.set_to_json(
+            q.construct_ep(0.4, 1, 0.5j, sign)))["params"]
+        assert type(params["sign"]) is int and params["sign"] == sign
+        assert main(["construct", "--type", "ep",
+                     "--params", json.dumps(params)]) == 0
+        assert json.loads(capsys.readouterr().out)["params"] == params
 
     def test_unnormalized_norm_identity(self):
         # The squared norm of the raw (unnormalized) product form factors as
@@ -326,7 +342,7 @@ _CLOSED_FORM = {("ppee", 2, None), ("ppee", 3, None), ("pmee", None, None),
 def test_carried_members_are_decomposed_by_parts(key):
     """The second member of a pair, the third of a triple and all four of a
     basis carry decompositions; each one that is not closed-form is
-    ``_parts(*member, tol)`` bit for bit."""
+    ``_parts(*member)`` bit for bit."""
     f = sampling.FAMILIES[key]
     closed = 2 if key in _CLOSED_FORM else 0
     for seed in range(20):
@@ -335,4 +351,4 @@ def test_carried_members_are_decomposed_by_parts(key):
         carried = s.members if n == 4 else s.members[n - 1:]
         assert len(s.parts) == len(carried)
         for m, p in zip(carried[:len(carried) - closed], s.parts):
-            assert repr(p) == repr(_parts(*m, q.DEFAULT_TOL))
+            assert repr(p) == repr(_parts(*m))
