@@ -89,9 +89,9 @@ class UnknownTypeError(QuantumStateError):
 
 
 class InvalidArgumentError(QuantumStateError):
-    """An argument lies outside its allowed values: a tolerance that is not
-    finite and positive, a state without 4 amplitudes, a set of other than
-    1..4 states, a sample count below 1, or a sign other than +1 or -1."""
+    """An argument lies outside its allowed values: a state without 4
+    amplitudes, a set of other than 1..4 states, a sample count below 1, or
+    a sign other than +1 or -1."""
 
 
 class RejectionLimitError(QuantumStateError):

@@ -26,6 +26,7 @@ import math
 
 from .errors import NotFiniteError, QuantumStateError
 from .scalar import LazyNumpy, _number, unit_state
+from .schmidt import _unwrap
 
 np = LazyNumpy(globals())
 
@@ -85,10 +86,7 @@ def schmidt_to_obj(d) -> dict:
     """Serialize a `SchmidtDecomposition`, or Schmidt data as the plain tuple
     ``(coeffs, basis_a, basis_b, degenerate)`` that `schmidt._parts` returns,
     each basis two rows of two complex (or real) numbers."""
-    if type(d) is not tuple:
-        d = d.coeffs.tolist(), d.basis_a.tolist(), d.basis_b.tolist(), \
-            d.degenerate
-    coeffs, basis_a, basis_b, degenerate = d
+    coeffs, basis_a, basis_b, degenerate = d if type(d) is tuple else _unwrap(d)
     return {
         "coeffs": list(coeffs),
         "basis_a": rows_to_obj(basis_a),

@@ -14,7 +14,7 @@ from typing import NamedTuple
 from .errors import InvalidArgumentError
 from .scalar import (DEFAULT_TOL, VERIFY_TOL, _ZERO_FLOOR, _concurrence, _length,
                      _max_overlap, _norm, _unit_members, amplitudes)
-from .schmidt import SchmidtDecomposition, _parts, _wrap
+from .schmidt import SchmidtDecomposition, _parts, _reconstruct_parts, _wrap
 
 
 def _oracle_parts(c00, c01, c10, c11):
@@ -81,17 +81,9 @@ def oracle_schmidt(state) -> SchmidtDecomposition:
 
 
 def _reconstruction_error(parts, a) -> float:
-    """Largest |reconstruct(parts)[k] - a[k]|.  The products are those of
-    `_reconstruct_parts`, each ``coeff * a_side`` factor computed once."""
-    (l0, l1), (a0, a1), (b0, b1), _ = parts
-    p0 = l0 * a0[0]
-    p1 = l0 * a0[1]
-    q0 = l1 * a1[0]
-    q1 = l1 * a1[1]
-    return max(abs(p0 * b0[0] + q0 * b1[0] - a[0]),
-               abs(p0 * b0[1] + q0 * b1[1] - a[1]),
-               abs(p1 * b0[0] + q1 * b1[0] - a[2]),
-               abs(p1 * b0[1] + q1 * b1[1] - a[3]))
+    """Largest |reconstruct(parts)[k] - a[k]|."""
+    r0, r1, r2, r3 = _reconstruct_parts(parts)
+    return max(abs(r0 - a[0]), abs(r1 - a[1]), abs(r2 - a[2]), abs(r3 - a[3]))
 
 
 def _check_size(states, verb: str) -> None:

@@ -4,10 +4,12 @@ constructor builds its result with.
 
 Each constructor fixes the first member in a canonical form and produces the
 general second member orthogonal to it; `_ortho_set` decomposes the second
-member with `schmidt._parts`.  Pair patterns name the members in order: P
-product, E entangled (M maximally entangled).  Arbitrary pairs of a pattern
-follow by applying the same local unitaries to both members, which leaves
-the pattern unchanged.
+member with `schmidt._parts`.  A guard that promises an entangled or a
+non-diagonal member tests the member it built (`scalar._concurrence`,
+`schmidt._branch`).  Pair patterns name the members in order: P product, E
+entangled (M maximally entangled).  Arbitrary pairs of a pattern follow by
+applying the same local unitaries to both members, which leaves the pattern
+unchanged.
 
 The constructors here, in `triples` and in `bases` compute on Python
 complex numbers and return members and Schmidt data as tuples, so building
@@ -32,9 +34,9 @@ from .errors import (
     ZeroParameterError,
 )
 from .scalar import (DEFAULT_TOL, _KET00, LazyNumpy, _check_unit,
-                     _checked_complex, _checked_norm, _number, _qubit, _tensor,
-                     _total)
-from .schmidt import _parts, _wrap
+                     _checked_complex, _checked_norm, _concurrence, _number,
+                     _qubit, _tensor, _total)
+from .schmidt import _branch, _parts, _wrap
 
 np = LazyNumpy(globals())
 
@@ -130,9 +132,10 @@ def _diagonal_pair(x, y, names: str, strict, what, member):
     x = _require_nonzero(x, names[0])
     y = _require_nonzero(y, names[1])
     x, y = _rescale((x, y), (1.0, 1.0), 1.0, strict, what)
-    if 2.0 * abs(x * y) <= DEFAULT_TOL:
+    state = (0.0j, x, y, 0.0j)
+    if _concurrence(*state) <= DEFAULT_TOL:
         raise ZeroParameterError(f"parameters too small to yield {member}")
-    return x, y, (0.0j, x, y, 0.0j)
+    return x, y, state
 
 
 def _as_unit_qubit(v, strict: bool, name: str,
@@ -187,13 +190,13 @@ def construct_pe_nondiagonal(a, b, c, *, strict: bool = False) -> OrthoSet:
     b = _require_nonzero(b, "b")
     c = _require_nonzero(c, "c")
     a, b, c = _rescale((a, b, c), (1.0, 1.0, 1.0), 1.0, strict, "pe-nondiagonal")
-    if 2.0 * abs(a * b) <= DEFAULT_TOL:
+    second = (0.0j, a, b, c)
+    if _concurrence(*second) <= DEFAULT_TOL:
         raise ZeroParameterError(
             "parameters too small to yield an entangled member")
-    if abs(b.conjugate() * c) <= DEFAULT_TOL:
+    if _branch(*second)[2] is None:
         raise ZeroParameterError(
             "parameters land on the diagonal branch; use the diagonal constructor")
-    second = (0.0j, a, b, c)
     return _ortho_set((_KET00, second), "PE", {"a": a, "b": b, "c": c},
                       variant="nondiagonal")
 

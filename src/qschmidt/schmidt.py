@@ -9,8 +9,9 @@ Gram matrix is diagonal:
 * non-diagonal branch: the coefficients follow from the concurrence and the
   bases from the Gram-matrix eigenvectors written in closed form.
 
-`schmidt` dispatches between the branches; `reconstruct` inverts any valid
-decomposition exactly.
+`_branch` alone decides the diagonal condition, for `schmidt`'s dispatch,
+both single-branch functions and the PE and PPE constructors' guards;
+`reconstruct` inverts any valid decomposition exactly.
 
 The branches compute on tuples of Python complex numbers.  Importing this
 module does not import numpy: the first `SchmidtDecomposition` built or
@@ -23,7 +24,8 @@ import math
 from typing import NamedTuple
 
 from .errors import DiagonalError, NotDiagonalError, ZeroVectorError
-from .scalar import DEFAULT_TOL, _ZERO_FLOOR, LazyNumpy, amplitudes
+from .scalar import (DEFAULT_TOL, _ZERO_FLOOR, LazyNumpy, _concurrence,
+                     amplitudes)
 
 np = LazyNumpy(globals())
 
@@ -60,16 +62,30 @@ def _wrap(parts) -> SchmidtDecomposition:
                          (np.array(coeffs), m[0], m[1], degenerate))
 
 
+def _unwrap(d: SchmidtDecomposition) -> tuple:
+    """The Schmidt data `_wrap` was given, as lists of Python numbers."""
+    return d.coeffs.tolist(), d.basis_a.tolist(), d.basis_b.tolist(), \
+        d.degenerate
+
+
 def _perp(v):
     return (-v[1].conjugate(), v[0].conjugate())
 
 
-def _diag_parts(c00, c01, c10, c11):
-    """Diagonal-branch decomposition from the four amplitudes."""
+def _branch(c00, c01, c10, c11):
+    """``(n0, n1, g)``: squared column norms and Gram off-diagonal, g
+    ``None`` where |g| <= `DEFAULT_TOL` (the diagonal branch; a NaN g fails
+    that test and takes the non-diagonal one)."""
     n0 = c00.real * c00.real + c00.imag * c00.imag \
         + c10.real * c10.real + c10.imag * c10.imag
     n1 = c01.real * c01.real + c01.imag * c01.imag \
         + c11.real * c11.real + c11.imag * c11.imag
+    g = c00.conjugate() * c01 + c10.conjugate() * c11
+    return n0, n1, (None if abs(g) <= DEFAULT_TOL else g)
+
+
+def _diag_parts(c00, c01, c10, c11, n0, n1):
+    """Diagonal branch, given the squared column norms of `_branch`."""
     if n0 <= _ZERO_FLOOR or n1 <= _ZERO_FLOOR:
         if n0 <= _ZERO_FLOOR and n1 <= _ZERO_FLOOR:
             raise ZeroVectorError("state vector is zero")
@@ -93,20 +109,14 @@ def _diag_parts(c00, c01, c10, c11):
     return (l0, l1), (a0, a1), (_E0, _E1), False
 
 
-def _nondiag_parts(c00, c01, c10, c11, g):
-    """Non-diagonal branch, given the Gram off-diagonal ``g``
-    (|g| > `DEFAULT_TOL`)."""
+def _nondiag_parts(c00, c01, c10, c11, n0, n1, g):
+    """Non-diagonal branch, given `_branch`'s norms and its g, not None."""
     g2 = g.real * g.real + g.imag * g.imag
-    r0 = c00.real * c00.real + c00.imag * c00.imag \
-        + c10.real * c10.real + c10.imag * c10.imag
-    r1 = c01.real * c01.real + c01.imag * c01.imag \
-        + c11.real * c11.real + c11.imag * c11.imag
-    u = 0.5 * (r1 - r0)
+    u = 0.5 * (n1 - n0)
     half_gap = math.sqrt(u * u + g2)
-    lam0 = math.sqrt(0.5 * (r0 + r1) + half_gap)
-    det = c00 * c11 - c01 * c10
-    conc = 2.0 * abs(det)
-    lam1 = conc / (2.0 * lam0)  # stable for small concurrence
+    lam0 = math.sqrt(0.5 * (n0 + n1) + half_gap)
+    # stable for small concurrence
+    lam1 = _concurrence(c00, c01, c10, c11) / (2.0 * lam0)
 
     # Second components of the eigenvector pair (g, s_j).  The smaller one
     # follows from s0 * s1 = -|g|^2, avoiding cancellation.
@@ -139,26 +149,22 @@ def _nondiag_parts(c00, c01, c10, c11, g):
     return (lam0, lam1), (a0, a1), (b0, b1), False
 
 
-def _offdiagonal(c00, c01, c10, c11) -> complex:
-    """Gram off-diagonal g = c00^* c01 + c10^* c11 (inline in `_parts`)."""
-    return c00.conjugate() * c01 + c10.conjugate() * c11
-
-
 def _parts(c00, c01, c10, c11):
-    g = c00.conjugate() * c01 + c10.conjugate() * c11
-    if abs(g) <= DEFAULT_TOL:
-        return _diag_parts(c00, c01, c10, c11)
-    return _nondiag_parts(c00, c01, c10, c11, g)
+    n0, n1, g = _branch(c00, c01, c10, c11)
+    if g is None:
+        return _diag_parts(c00, c01, c10, c11, n0, n1)
+    return _nondiag_parts(c00, c01, c10, c11, n0, n1, g)
 
 
 def _reconstruct_parts(parts):
+    """sum_j l_j a_j (x) b_j, each ``l_j * a_j`` entry formed once."""
     (l0, l1), (a0, a1), (b0, b1), _ = parts
-    return (
-        l0 * a0[0] * b0[0] + l1 * a1[0] * b1[0],
-        l0 * a0[0] * b0[1] + l1 * a1[0] * b1[1],
-        l0 * a0[1] * b0[0] + l1 * a1[1] * b1[0],
-        l0 * a0[1] * b0[1] + l1 * a1[1] * b1[1],
-    )
+    p0 = l0 * a0[0]
+    p1 = l0 * a0[1]
+    q0 = l1 * a1[0]
+    q1 = l1 * a1[1]
+    return (p0 * b0[0] + q0 * b1[0], p0 * b0[1] + q0 * b1[1],
+            p1 * b0[0] + q1 * b1[0], p1 * b0[1] + q1 * b1[1])
 
 
 def schmidt_diagonal(state, *, check: bool = True) -> SchmidtDecomposition:
@@ -171,13 +177,12 @@ def schmidt_diagonal(state, *, check: bool = True) -> SchmidtDecomposition:
     condition; on a non-diagonal state this reproduces the well-known
     failure mode in which the returned A-side vectors are not orthogonal.
     """
-    c00, c01, c10, c11 = amplitudes(state)
-    if check:
-        g = _offdiagonal(c00, c01, c10, c11)
-        if abs(g) > DEFAULT_TOL:
-            raise NotDiagonalError(f"Gram off-diagonal magnitude {abs(g)!r} "
-                                   f"exceeds tol {DEFAULT_TOL!r}")
-    return _wrap(_diag_parts(c00, c01, c10, c11))
+    c = amplitudes(state)
+    n0, n1, g = _branch(*c)
+    if check and g is not None:
+        raise NotDiagonalError(f"Gram off-diagonal magnitude {abs(g)!r} "
+                               f"exceeds tol {DEFAULT_TOL!r}")
+    return _wrap(_diag_parts(*c, n0, n1))
 
 
 def schmidt_nondiagonal(state) -> SchmidtDecomposition:
@@ -186,13 +191,13 @@ def schmidt_nondiagonal(state) -> SchmidtDecomposition:
     Raises :class:`DiagonalError` on diagonal input, where the formula's
     eigenvector seeds are zero vectors.
     """
-    c00, c01, c10, c11 = amplitudes(state)
-    g = _offdiagonal(c00, c01, c10, c11)
-    if abs(g) <= DEFAULT_TOL:
+    c = amplitudes(state)
+    n0, n1, g = _branch(*c)
+    if g is None:
         raise DiagonalError(
             "state satisfies the diagonal condition; the non-diagonal "
             "formula's internal vectors vanish (use the diagonal branch)")
-    return _wrap(_nondiag_parts(c00, c01, c10, c11, g))
+    return _wrap(_nondiag_parts(*c, n0, n1, g))
 
 
 def schmidt(state) -> SchmidtDecomposition:
@@ -208,8 +213,4 @@ def schmidt(state) -> SchmidtDecomposition:
 
 def reconstruct(decomposition: SchmidtDecomposition) -> np.ndarray:
     """Rebuild the state  sum_j coeffs[j] * basis_a[j] (x) basis_b[j]."""
-    d = decomposition
-    return np.array(_reconstruct_parts(
-        (d.coeffs.tolist(), d.basis_a.tolist(), d.basis_b.tolist(),
-         d.degenerate)),
-        dtype=complex)
+    return np.array(_reconstruct_parts(_unwrap(decomposition)), dtype=complex)

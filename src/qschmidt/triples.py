@@ -9,10 +9,10 @@ cases according to the shape of the second product member:
 * case 3: second member a|10> + b|11>, third c|01> + d(b^*|10> - a^*|11>)
 
 Cases 2 and 3 produce a non-diagonal third member whenever every parameter
-is nonzero.  Each constructor returns an `OrthoSet` of three states whose
-``parts`` (and ``schmidt``) hold the third member's decomposition, which
-`pairs._ortho_set` computes with `schmidt._parts`: the diagonal formula
-for case 1, the non-diagonal one for cases 2 and 3.
+is nonzero, and refuse parameters whose third member `schmidt._branch` puts
+on the diagonal branch.  Each constructor returns an `OrthoSet` of three
+states whose ``parts`` (and ``schmidt``) hold the third member's
+decomposition, made by `pairs._ortho_set` with `schmidt._parts`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from __future__ import annotations
 from .errors import NotOrthonormalBasisError, ZeroParameterError
 from .pairs import (A_SIDE, OrthoSet, _as_unit_qubit, _check_variant,
                     _diagonal_pair, _ortho_set, _require_nonzero, _rescale)
-from .scalar import DEFAULT_TOL, VERIFY_TOL, _KET00, _KET11, _length
+from .scalar import (DEFAULT_TOL, VERIFY_TOL, _KET00, _KET11, _concurrence,
+                     _length)
+from .schmidt import _branch
 
 
 def orthonormal_qubit_basis(basis, *, strict: bool = False):
@@ -80,18 +82,16 @@ def _ppe_triple(case_id, a, b, c, d, strict, what) -> OrthoSet:
     d = _require_nonzero(d, "d")
     a, b = _rescale((a, b), (1.0, 1.0), 1.0, strict, what + " (a, b)")
     c, d = _rescale((c, d), (1.0, 1.0), 1.0, strict, what + " (c, d)")
-    if 2.0 * abs(b * c * d) <= DEFAULT_TOL:
-        raise ZeroParameterError(
-            "parameters too small to yield an entangled third member")
     if case_id == 2:
-        nondiagonal = abs(a * c * d)
         second = (0.0j, a, 0.0j, b)
         third = (0.0j, c * b.conjugate(), d, -c * a.conjugate())
     else:
-        nondiagonal = abs(a * b) * abs(d) ** 2
         second = (0.0j, 0.0j, a, b)
         third = (0.0j, c, d * b.conjugate(), -d * a.conjugate())
-    if nondiagonal <= DEFAULT_TOL:
+    if _concurrence(*third) <= DEFAULT_TOL:
+        raise ZeroParameterError(
+            "parameters too small to yield an entangled third member")
+    if _branch(*third)[2] is None:
         raise ZeroParameterError(
             "parameters too small to keep the third member non-diagonal")
     return _ortho_set((_KET00, second, third), "PPE",

@@ -170,14 +170,20 @@ class TestDispatch:
 
     def test_branches_split_states_at_tol(self):
         """States whose Gram off-diagonal g lies within a few ulps of tol,
-        in each coordinate: `schmidt` never raises, and exactly one of the
-        two branch functions accepts each state."""
+        in each coordinate and in either row: exactly one of the two branch
+        functions accepts each state, and `schmidt` returns its result bit
+        for bit."""
         def ulps(x, k):
             for _ in range(abs(k)):
                 x = math.nextafter(x, math.copysign(math.inf, k))
             return x
 
+        def bits(d):
+            return (d.coeffs.tobytes(), d.basis_a.tobytes(),
+                    d.basis_b.tobytes(), d.degenerate)
+
         rng = q.SplitMix64(21)
+        seen = set()
         for _ in range(200):
             c00 = 0.5 + 0.3 * rng.uniform()
             c11 = math.sqrt(1.0 - c00 * c00)
@@ -185,20 +191,25 @@ class TestDispatch:
             x, y = 1e-10 / c00 * math.cos(phi), 1e-10 / c00 * math.sin(phi)
             for dx in range(-2, 3):
                 for dy in range(-2, 3):
-                    s = [c00, complex(ulps(x, dx), ulps(y, dy)), 0.0, c11]
-                    q.schmidt(s)
-                    try:
-                        q.schmidt_diagonal(s)
-                    except q.NotDiagonalError:
-                        diagonal = False
-                    else:
-                        diagonal = True
-                    try:
-                        q.schmidt_nondiagonal(s)
-                    except q.DiagonalError:
-                        assert diagonal
-                    else:
-                        assert not diagonal
+                    t = complex(ulps(x, dx), ulps(y, dy))
+                    # g = c00 t, in the first row or, with c00 = 0, the second.
+                    for s in ([c00, t, 0.0, c11], [0.0, c11, c00, t]):
+                        try:
+                            taken = q.schmidt_diagonal(s)
+                        except q.NotDiagonalError:
+                            diagonal = False
+                        else:
+                            diagonal = True
+                        try:
+                            nondiag = q.schmidt_nondiagonal(s)
+                        except q.DiagonalError:
+                            assert diagonal
+                        else:
+                            assert not diagonal
+                            taken = nondiag
+                        assert bits(q.schmidt(s)) == bits(taken)
+                        seen.add(diagonal)
+        assert seen == {True, False}
 
 
 class TestReconstruct:
