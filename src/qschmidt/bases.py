@@ -55,10 +55,10 @@ def _split_roots(total: float, product_neg: float) -> tuple[float, float]:
     return t0, t1
 
 
-def construct_pppp(variant: str, basis, *, strict: bool = False) -> OrthoSet:
+def construct_pppp(variant: str, basis) -> OrthoSet:
     """All-product orthonormal basis: the PPP triple of :func:`construct_ppp`
     completed by |10> (a-side variant) or |01> (b-side variant)."""
-    triple = construct_ppp(variant, basis, strict=strict)
+    triple = construct_ppp(variant, basis)
     members = (*triple.members, _KET10 if variant == A_SIDE else _KET01)
     return _ortho_set(members, "PPPP", triple.params, variant=variant)
 
@@ -110,19 +110,19 @@ def complete_ppp(triple):
     return np.array(comp), _concurrence(*comp)
 
 
-def construct_ppee_case1(a, b, *, strict: bool = False) -> OrthoSet:
+def construct_ppee_case1(a, b) -> OrthoSet:
     """Basis (|00>, |11>, a|01> + b|10>, b^*|01> - a^*|10>).
 
     Both entangled members are diagonal and share the concurrence 2|ab|.
     """
-    a, b, third = _diagonal_pair(a, b, "ab", strict, "ppee-case1",
+    a, b, third = _diagonal_pair(a, b, "ab", "ppee-case1",
                                  "entangled members")
     fourth = (0.0j, b.conjugate(), -a.conjugate(), 0.0j)
     return _ortho_set((_KET00, _KET11, third, fourth), "PPEE",
                       {"a": a, "b": b}, case_id=1)
 
 
-def construct_ppee_case2(a, b, c, d, *, strict: bool = False) -> OrthoSet:
+def construct_ppee_case2(a, b, c, d) -> OrthoSet:
     """Basis extending the case-2 PPE triple.
 
     The fourth member shares the third's Schmidt coefficients and, with the
@@ -130,7 +130,7 @@ def construct_ppee_case2(a, b, c, d, *, strict: bool = False) -> OrthoSet:
     z_j = (b^* (k_j^2 - |c|^2), -a^* k_j^2) normalized, where k_j are the
     shared coefficients.
     """
-    triple = _ppe_triple(2, a, b, c, d, strict, "ppee-case2")
+    triple = _ppe_triple(2, a, b, c, d, "ppee-case2")
     a, b, c, d = (triple.params[k] for k in "abcd")
     dec3 = triple.parts[-1]
     k0, k1 = dec3[0]
@@ -154,7 +154,7 @@ def construct_ppee_case2(a, b, c, d, *, strict: bool = False) -> OrthoSet:
     return _ortho_set(members, "PPEE", triple.params, (dec3, dec4), case_id=2)
 
 
-def construct_ppee_case3(a, b, c, d, *, strict: bool = False) -> OrthoSet:
+def construct_ppee_case3(a, b, c, d) -> OrthoSet:
     """Basis extending the case-3 PPE triple.
 
     Here the two entangled members share the A-side Schmidt basis with the
@@ -162,7 +162,7 @@ def construct_ppee_case3(a, b, c, d, *, strict: bool = False) -> OrthoSet:
     conjugates of w_j = (-a^* b |c|^2, n_j^2 - |bc|^2) normalized, with n_j
     the shared coefficients.
     """
-    triple = _ppe_triple(3, a, b, c, d, strict, "ppee-case3")
+    triple = _ppe_triple(3, a, b, c, d, "ppee-case3")
     a, b, c, d = (triple.params[k] for k in "abcd")
     dec3 = triple.parts[-1]
     n0, n1 = dec3[0]
@@ -274,13 +274,13 @@ def _mmee_conditions(theta, theta_prime, a, b) -> tuple:
     return ph_half, big_e, 2.0 * (ph_half * a.conjugate() * b).real
 
 
-def _mmee_prepare(theta, theta_prime, a, b, strict, what):
+def _mmee_prepare(theta, theta_prime, a, b, what):
     """Checked, rescaled MMEE parameters with entangled members 3 and 4."""
     theta = _checked_complex(theta, "theta", float)
     theta_prime = _checked_complex(theta_prime, "theta_prime", float)
     a = _checked_complex(a, "a")
     b = _checked_complex(b, "b")
-    a, b = _rescale((a, b), (1.0, 1.0), 0.5, strict, what)
+    a, b = _rescale((a, b), (1.0, 1.0), 0.5, what)
     ph_half, big_e, d_real = _mmee_conditions(theta, theta_prime, a, b)
     if big_e <= DEFAULT_TOL:
         raise ConditionViolatedError(
@@ -289,8 +289,7 @@ def _mmee_prepare(theta, theta_prime, a, b, strict, what):
     return theta, theta_prime, a, b, ph_half, big_e, d_real
 
 
-def construct_mmee_diagonal(theta: float, theta_prime: float, a, b, *,
-                            strict: bool = False) -> OrthoSet:
+def construct_mmee_diagonal(theta: float, theta_prime: float, a, b) -> OrthoSet:
     """Basis of two maximally entangled members plus two diagonal members.
 
     The first two members are (|00> + |11>)/sqrt(2) and
@@ -303,7 +302,7 @@ def construct_mmee_diagonal(theta: float, theta_prime: float, a, b, *,
     All four members then turn out maximally entangled.
     """
     theta, theta_prime, a, b, ph_half, _, d_real = _mmee_prepare(
-        theta, theta_prime, a, b, strict, "mmee-diagonal")
+        theta, theta_prime, a, b, "mmee-diagonal")
     if abs(d_real) > DEFAULT_TOL:
         raise ConditionViolatedError("diagonal", "diagonality residual "
                                      f"{abs(d_real)!r} exceeds {DEFAULT_TOL!r}")
@@ -318,8 +317,7 @@ def construct_mmee_diagonal(theta: float, theta_prime: float, a, b, *,
                        "b": b}, variant="diagonal")
 
 
-def construct_mmee_nondiagonal(theta: float, theta_prime: float, a, b, *,
-                               strict: bool = False) -> OrthoSet:
+def construct_mmee_nondiagonal(theta: float, theta_prime: float, a, b) -> OrthoSet:
     """Basis of two maximally entangled members plus two non-diagonal members.
 
     Same first two members and normalization as the diagonal variant, but
@@ -330,7 +328,7 @@ def construct_mmee_nondiagonal(theta: float, theta_prime: float, a, b, *,
     alternating sign.
     """
     theta, theta_prime, a, b, ph_half, big_e, d_real = _mmee_prepare(
-        theta, theta_prime, a, b, strict, "mmee-nondiagonal")
+        theta, theta_prime, a, b, "mmee-nondiagonal")
     if abs(d_real) <= DEFAULT_TOL:
         raise AccidentallyDiagonalError(
             "diagonality scalar D vanishes; use construct_mmee_diagonal")

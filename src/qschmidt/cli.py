@@ -50,7 +50,6 @@ _VERBS = {
         _VARIANT,
         ("--params", {"required": True,
                       "help": "constructor parameters as JSON"}),
-        ("--strict", {"action": "store_true"}),
     ]),
     "verify": ("verify a set of 1..4 states", [
         ("--set", {"dest": "set_json", "help": "states as JSON (defaults to "
@@ -166,9 +165,7 @@ def _sets(args) -> Iterable[str]:
     code = construct.__code__
     values = [args.variant if name == "variant" else _param(params, name)
               for name in code.co_varnames[:code.co_argcount]]
-    strict = ({"strict": args.strict}
-              if "strict" in (construct.__kwdefaults__ or ()) else {})
-    text = jsonio.set_to_json(construct(*values, **strict))
+    text = jsonio.set_to_json(construct(*values))
     return [text + "\n"]
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ZeroVectorError
 from .scalar import (DEFAULT_TOL, VERIFY_TOL, _ZERO_FLOOR, _concurrence, _length,
                      _max_overlap, _norm, _unit_members, amplitudes)
 from .schmidt import SchmidtDecomposition, _parts, _reconstruct_parts, _wrap
@@ -24,6 +24,8 @@ def _oracle_parts(c00, c01, c10, c11):
         + c10.real * c10.real + c10.imag * c10.imag
     g11 = c01.real * c01.real + c01.imag * c01.imag \
         + c11.real * c11.real + c11.imag * c11.imag
+    if g00 <= _ZERO_FLOOR and g11 <= _ZERO_FLOOR:
+        raise ZeroVectorError("state vector is zero")
     g01 = c00.conjugate() * c01 + c10.conjugate() * c11
     q = g01.real * g01.real + g01.imag * g01.imag
     half_diff = 0.5 * (g00 - g11)

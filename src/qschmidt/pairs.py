@@ -29,13 +29,12 @@ from .errors import (
     DegenerateParametersError,
     GammaOutOfRangeError,
     InvalidArgumentError,
-    NotNormalizedError,
     UnknownTypeError,
     ZeroParameterError,
 )
-from .scalar import (DEFAULT_TOL, _KET00, LazyNumpy, _check_unit,
-                     _checked_complex, _checked_norm, _concurrence, _number,
-                     _qubit, _tensor, _total)
+from .scalar import (DEFAULT_TOL, _KET00, LazyNumpy, _checked_complex,
+                     _checked_norm, _concurrence, _number, _qubit, _tensor,
+                     _total)
 from .schmidt import _branch, _parts, _wrap
 
 np = LazyNumpy(globals())
@@ -56,8 +55,9 @@ class OrthoSet:
     second member of a pair, the third of a triple, all four of a basis)
     as ``(coeffs, basis_a, basis_b, degenerate)`` tuples (see
     `jsonio.schmidt_to_obj`); `_ortho_set` makes them.  ``params`` are the
-    constructor's arguments after normalization; ``case_id`` and
-    ``variant`` name the sub-family where the type has them.
+    constructor's arguments as it used them, rescaled to the paper's
+    normalization except in EP, PM and PMEE; ``case_id`` and ``variant``
+    name the sub-family where the type has them.
 
     ``states`` (complex arrays) and ``schmidt`` (`SchmidtDecomposition`
     records) are the same data as arrays, built from the tuples on first
@@ -106,17 +106,13 @@ def _require_nonzero(value: complex, name: str) -> complex:
     return z
 
 
-def _rescale(values, weights, target, strict, what):
+def _rescale(values, weights, target, what):
     """Scale a parameter group so that sum(w_i * |v_i|^2) equals ``target``.
     A sum that overflows raises `NotFiniteError` rather than scaling the
     group to zero."""
     total = _total(w * (v.real * v.real + v.imag * v.imag)
                    for v, w in zip(values, weights))
     _checked_norm(total, f"{what}: parameters are all zero")
-    if strict and abs(total - target) > 1e-10:
-        raise NotNormalizedError(
-            f"{what}: weighted squared magnitudes sum to {total!r}, "
-            f"expected {target!r} (strict mode)")
     t = math.sqrt(target / total)
     return [v * t for v in values]
 
@@ -127,23 +123,20 @@ def _check_variant(variant: str) -> str:
     return variant
 
 
-def _diagonal_pair(x, y, names: str, strict, what, member):
+def _diagonal_pair(x, y, names: str, what, member):
     """Nonzero ``x``, ``y`` scaled to unit norm, and entangled x|01> + y|10>."""
     x = _require_nonzero(x, names[0])
     y = _require_nonzero(y, names[1])
-    x, y = _rescale((x, y), (1.0, 1.0), 1.0, strict, what)
+    x, y = _rescale((x, y), (1.0, 1.0), 1.0, what)
     state = (0.0j, x, y, 0.0j)
     if _concurrence(*state) <= DEFAULT_TOL:
         raise ZeroParameterError(f"parameters too small to yield {member}")
     return x, y, state
 
 
-def _as_unit_qubit(v, strict: bool, name: str,
-                   error=InvalidArgumentError) -> tuple:
+def _as_unit_qubit(v, name: str, error=InvalidArgumentError) -> tuple:
     a, b, nrm2 = _qubit(v, name, error)
     nrm = _checked_norm(nrm2, f"{name} is the zero vector")
-    if strict:
-        _check_unit(nrm, name, " (strict mode)")
     return a / nrm, b / nrm
 
 
@@ -154,32 +147,32 @@ def _gamma_first(gamma: float) -> tuple:
             complex(math.sqrt(1.0 - gamma)))
 
 
-def construct_pp(variant: str, single, *, strict: bool = False) -> OrthoSet:
+def construct_pp(variant: str, single) -> OrthoSet:
     """Product state orthogonal to |00>.
 
     ``variant`` chooses which subsystem carries the free single-qubit vector:
     ``"a-side"`` gives single (x) |1>, ``"b-side"`` gives |1> (x) single.
     """
     _check_variant(variant)
-    u = _as_unit_qubit(single, strict, "single")
+    u = _as_unit_qubit(single, "single")
     e1 = (0.0j, 1.0 + 0.0j)
     second = _tensor(u, e1) if variant == A_SIDE else _tensor(e1, u)
     return _ortho_set((_KET00, second), "PP", {"single": u}, variant=variant)
 
 
-def construct_pe_diagonal(a, b, *, strict: bool = False) -> OrthoSet:
+def construct_pe_diagonal(a, b) -> OrthoSet:
     """Entangled diagonal state a|01> + b|10| orthogonal to |00>.
 
     Both parameters must be nonzero; they are scaled so |a|^2 + |b|^2 = 1.
     The Schmidt coefficients are (|a|, |b|) sorted in descending order.
     """
-    a, b, second = _diagonal_pair(a, b, "ab", strict, "pe-diagonal",
+    a, b, second = _diagonal_pair(a, b, "ab", "pe-diagonal",
                                   "an entangled member")
     return _ortho_set((_KET00, second), "PE", {"a": a, "b": b},
                       variant="diagonal")
 
 
-def construct_pe_nondiagonal(a, b, c, *, strict: bool = False) -> OrthoSet:
+def construct_pe_nondiagonal(a, b, c) -> OrthoSet:
     """Entangled non-diagonal state a|01> + b|10> + c|11> orthogonal to |00>.
 
     All three parameters must be nonzero (c = 0 belongs to the diagonal
@@ -189,7 +182,7 @@ def construct_pe_nondiagonal(a, b, c, *, strict: bool = False) -> OrthoSet:
     a = _require_nonzero(a, "a")
     b = _require_nonzero(b, "b")
     c = _require_nonzero(c, "c")
-    a, b, c = _rescale((a, b, c), (1.0, 1.0, 1.0), 1.0, strict, "pe-nondiagonal")
+    a, b, c = _rescale((a, b, c), (1.0, 1.0, 1.0), 1.0, "pe-nondiagonal")
     second = (0.0j, a, b, c)
     if _concurrence(*second) <= DEFAULT_TOL:
         raise ZeroParameterError(
@@ -253,7 +246,7 @@ def _ee_conditions(gamma, a, b, c):
     return entangled, diagonal
 
 
-def _ee_prepare(gamma, a, b, c, strict, what):
+def _ee_prepare(gamma, a, b, c, what):
     """Checked, rescaled EE parameters with an entangled second member."""
     gamma = _number(float, gamma, "gamma")
     if not 0.0 < gamma < 1.0:
@@ -262,7 +255,7 @@ def _ee_prepare(gamma, a, b, c, strict, what):
     b = _checked_complex(b, "b")
     c = _checked_complex(c, "c")
     weights = (1.0 / (1.0 - gamma), 1.0, 1.0)
-    a, b, c = _rescale((a, b, c), weights, 1.0, strict, what)
+    a, b, c = _rescale((a, b, c), weights, 1.0, what)
     entangled, diagonal = _ee_conditions(gamma, a, b, c)
     if abs(entangled) <= DEFAULT_TOL:
         raise ConditionViolatedError(
@@ -270,8 +263,7 @@ def _ee_prepare(gamma, a, b, c, strict, what):
     return gamma, a, b, c, diagonal
 
 
-def construct_ee_diagonal(gamma: float, a, b, c, *,
-                          strict: bool = False) -> OrthoSet:
+def construct_ee_diagonal(gamma: float, a, b, c) -> OrthoSet:
     """Entangled diagonal state orthogonal to sqrt(gamma)|00> + sqrt(1-gamma)|11>.
 
     The second member is a|00> + b|01> + c|10> - sqrt(gamma/(1-gamma)) a |11>.
@@ -284,8 +276,7 @@ def construct_ee_diagonal(gamma: float, a, b, c, *,
     The Schmidt coefficients are sqrt(|a|^2 + |c|^2) and
     sqrt(|b|^2 + gamma/(1-gamma) |a|^2), sorted.
     """
-    gamma, a, b, c, diagonal = _ee_prepare(gamma, a, b, c, strict,
-                                           "ee-diagonal")
+    gamma, a, b, c, diagonal = _ee_prepare(gamma, a, b, c, "ee-diagonal")
     if abs(diagonal) > DEFAULT_TOL:
         raise ConditionViolatedError("diagonal", "diagonality residual "
                                      f"{abs(diagonal)!r} exceeds {DEFAULT_TOL!r}")
@@ -295,16 +286,14 @@ def construct_ee_diagonal(gamma: float, a, b, c, *,
                       variant="diagonal")
 
 
-def construct_ee_nondiagonal(gamma: float, a, b, c, *,
-                             strict: bool = False) -> OrthoSet:
+def construct_ee_nondiagonal(gamma: float, a, b, c) -> OrthoSet:
     """Entangled non-diagonal state orthogonal to the same first member.
 
     Same state form and normalization as the diagonal variant, but the
     diagonality residual must exceed `DEFAULT_TOL`; parameters that satisfy the
     diagonal condition are rejected with AccidentallyDiagonalError.
     """
-    gamma, a, b, c, diagonal = _ee_prepare(gamma, a, b, c, strict,
-                                           "ee-nondiagonal")
+    gamma, a, b, c, diagonal = _ee_prepare(gamma, a, b, c, "ee-nondiagonal")
     if abs(diagonal) <= DEFAULT_TOL:
         raise AccidentallyDiagonalError(
             "parameters satisfy the diagonal condition; "

@@ -70,7 +70,7 @@ class SplitMix64:
     __slots__ = ("state", "_spare_gauss")
 
     def __init__(self, seed: int):
-        self.state = int(seed) & _MASK64
+        self.state = _integer(seed, "seed") & _MASK64
         self._spare_gauss = None
 
     def next_u64(self) -> int:
@@ -336,19 +336,24 @@ def _stream(spec: SampleSpec) -> Iterator:
     """`sample`'s sets as an iterator that draws and constructs each set
     when it is asked for the next one.  The request is checked, and raises
     as `sample` documents, before this returns."""
-    f = family(spec.set_type, spec.case_id, spec.variant)
-    count = _integer(spec.count, "count")
-    if count < 1:
-        raise InvalidArgumentError(f"count must be >= 1, got {spec.count!r}")
-    rng = SplitMix64(_integer(spec.seed, "seed"))
+    try:
+        set_type, case_id, variant = spec.set_type, spec.case_id, spec.variant
+        count, seed = spec.count, spec.seed
+    except AttributeError:
+        raise InvalidArgumentError(f"need a SampleSpec, got {spec!r}") from None
+    f = family(set_type, case_id, variant)
+    if _integer(count, "count") < 1:
+        raise InvalidArgumentError(f"count must be >= 1, got {count!r}")
+    rng = SplitMix64(seed)
     return (f.construct(*f.draw(rng)) for _ in range(count))
 
 
 def sample(spec: SampleSpec) -> list:
     """Draw ``spec.count`` constructed sets, deterministically from the seed.
 
-    Raises :class:`UnknownTypeError` for a request `family` refuses, and
-    then :class:`InvalidArgumentError` for a count that is not an integer
-    or is below 1, or a seed that is not an integer.
+    Raises :class:`InvalidArgumentError` for a ``spec`` without the
+    `SampleSpec` fields, then :class:`UnknownTypeError` for a request
+    `family` refuses, and then :class:`InvalidArgumentError` for a count
+    that is not an integer or is below 1, or a seed that is not an integer.
     """
     return list(_stream(spec))

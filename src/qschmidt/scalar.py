@@ -176,9 +176,9 @@ def _qubit(v, name: str, error=InvalidArgumentError, entries=None) -> tuple:
             + v1.real * v1.real + v1.imag * v1.imag)
 
 
-def _check_unit(nrm: float, what: str, note: str = "") -> None:
+def _check_unit(nrm: float, what: str) -> None:
     if abs(nrm - 1.0) > 1e-10:
-        raise NotNormalizedError(f"{what} has norm {nrm!r}{note}")
+        raise NotNormalizedError(f"{what} has norm {nrm!r}")
 
 
 def _tensor(a, b) -> tuple:

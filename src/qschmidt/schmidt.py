@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DiagonalError, NotDiagonalError, ZeroVectorError
+from .errors import (DiagonalError, InvalidArgumentError, NotDiagonalError,
+                     ZeroVectorError)
 from .scalar import (DEFAULT_TOL, _ZERO_FLOOR, LazyNumpy, _concurrence,
                      amplitudes)
 
@@ -64,8 +65,12 @@ def _wrap(parts) -> SchmidtDecomposition:
 
 def _unwrap(d: SchmidtDecomposition) -> tuple:
     """The Schmidt data `_wrap` was given, as lists of Python numbers."""
-    return d.coeffs.tolist(), d.basis_a.tolist(), d.basis_b.tolist(), \
-        d.degenerate
+    try:
+        return d.coeffs.tolist(), d.basis_a.tolist(), d.basis_b.tolist(), \
+            d.degenerate
+    except AttributeError:
+        raise InvalidArgumentError(
+            f"need a SchmidtDecomposition of arrays, got {d!r}") from None
 
 
 def _perp(v):

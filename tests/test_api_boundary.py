@@ -168,14 +168,15 @@ class TestToleranceChecks:
 
     def test_no_public_callable_takes_a_tolerance(self):
         """Checked on every signature, so a new public call cannot bring a
-        tolerance parameter back."""
+        tolerance parameter, or the ``strict`` switch that refused off-norm
+        constructor parameters, back."""
         for name in q.__all__:
             obj = getattr(q, name)
             try:
                 params = inspect.signature(obj).parameters
             except (TypeError, ValueError):  # a module, or a builtin __init__
                 continue
-            assert not {"tol", "check_tol"} & set(params), name
+            assert not {"tol", "check_tol", "strict"} & set(params), name
 
 
 _BIG = 10 ** 400  # an integer too large for a float
@@ -257,8 +258,9 @@ class TestNonNumericScalars:
 
 
 class TestContainerShapes:
-    """An argument that should be a sequence, a member of the wrong shape
-    inside one, or a `SampleSpec` field of the wrong type raises the
+    """An argument that should be a sequence, a `SampleSpec` or a
+    decomposition of arrays, a member of the wrong shape inside one, or a
+    `SampleSpec` field or seed of the wrong type raises the
     `QuantumStateError` subclass its function uses for a malformed
     argument, never a bare `TypeError`, `IndexError`, `ValueError` or
     `AttributeError`, and no entry is dropped silently."""
@@ -300,6 +302,28 @@ class TestContainerShapes:
                             q.UnknownTypeError),
         "sample.variant": (lambda: q.sample(q.SampleSpec("pe", variant=5)),
                            q.UnknownTypeError),
+        "sample.not_a_spec": (lambda: q.sample("pp"), q.InvalidArgumentError),
+        "sample.tuple": (lambda: q.sample(("pp", None, None, 0, 1)),
+                         q.InvalidArgumentError),
+        "SplitMix64.float_seed": (lambda: q.SplitMix64(2.7),
+                                  q.InvalidArgumentError),
+        "SplitMix64.str_seed": (lambda: q.SplitMix64("7"),
+                                q.InvalidArgumentError),
+        "SplitMix64.none_seed": (lambda: q.SplitMix64(None),
+                                 q.InvalidArgumentError),
+        "reconstruct.tuple": (lambda: q.reconstruct(([1, 0], [[1, 0], [0, 1]],
+                                                     [[1, 0], [0, 1]], False)),
+                              q.InvalidArgumentError),
+        "reconstruct.list_fields": (
+            lambda: q.reconstruct(q.SchmidtDecomposition(
+                [1, 0], [[1, 0], [0, 1]], [[1, 0], [0, 1]])),
+            q.InvalidArgumentError),
+        "reconstruct.number": (lambda: q.reconstruct(5),
+                               q.InvalidArgumentError),
+        "schmidt_to_obj.list_fields": (
+            lambda: jsonio.schmidt_to_obj(q.SchmidtDecomposition(
+                [1, 0], [[1, 0], [0, 1]], [[1, 0], [0, 1]])),
+            q.InvalidArgumentError),
     }
 
     @pytest.mark.parametrize("entry", list(ENTRY_POINTS))

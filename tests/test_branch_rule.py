@@ -78,7 +78,7 @@ def check_guard(build, member, set_index) -> bool:
 
 
 def unit(*values):
-    return _rescale(values, (1.0,) * len(values), 1.0, False, "test")
+    return _rescale(values, (1.0,) * len(values), 1.0, "test")
 
 
 def test_pe_nondiagonal_guards_follow_the_member():

@@ -355,12 +355,15 @@ _DEEP = "[" * 100000
     (["sample", "--type", "pm"], ["--tol", "inf"]),
     (["mix", "--set", "[" + _STATE + "]", "--weights", "[1]"],
      ["--tol", "1e-10"]),
+    (["construct", "--type", "pe", "--variant", "diagonal", "--params", _AB],
+     ["--strict"]),
 ], ids=["decompose", "decompose-tol-zero", "construct", "verify", "classify",
-        "sample", "mix"])
+        "sample", "mix", "construct-strict"])
 def test_tol_flag_is_a_usage_error(capsys, argv, flag):
     """The tolerances are fixed, so ``--tol`` is an unknown flag on every
-    verb, whatever its value: argparse exits 2 with its usage message, not
-    a traceback."""
+    verb, whatever its value, and ``construct`` always rescales its params,
+    so ``--strict`` is unknown there: argparse exits 2 with its usage
+    message, not a traceback."""
     with pytest.raises(SystemExit) as exc:
         main(argv + flag)
     assert exc.value.code == 2
@@ -498,8 +501,9 @@ def test_sample_params_construct_again(capsys, set_type, case_id, variant):
 #: name must first be given its JSON kind in `cli._KINDS`.
 PARAM_NAMES = {"variant", "single", "basis", "gamma", "sign", "theta",
                "theta_prime", "theta_dprime", "a", "b", "c", "d"}
-#: The families whose constructor takes no ``strict``.
-NO_STRICT = {"ep", "pm", "pmee"}
+#: The families whose constructor records its params as given: ep's a and
+#: b need no normalization, pm takes angles only and pmee's c is bounded.
+AS_GIVEN = {"ep", "pm", "pmee"}
 
 
 def _scaled(value):
@@ -508,10 +512,18 @@ def _scaled(value):
     return [_scaled(v) for v in value] if isinstance(value, list) else 1.1 * value
 
 
-def test_construct_strict_rejects_off_norm_params(capsys):
-    """With every complex param and qubit entry 10 % too large, ``--strict``
-    makes each of the 15 constructors that take ``strict`` refuse the
-    params, and changes nothing for ep, pm and pmee."""
+def _floats(value) -> list:
+    """The numbers of a param value, flattened."""
+    if isinstance(value, list):
+        return [x for v in value for x in _floats(v)]
+    return [value]
+
+
+def test_construct_rescales_off_norm_params(capsys):
+    """With every complex param and qubit entry 10 % too large, each of the
+    15 constructors that normalize their params still builds the set and
+    records the params the sampled set recorded, to rounding; ep, pm and
+    pmee record the scaled params as given."""
     names = set()
     for set_type, case_id, variant in FAMILIES:
         code = sampling.FAMILIES[set_type, case_id, variant].construct.__code__
@@ -522,34 +534,36 @@ def test_construct_strict_rejects_off_norm_params(capsys):
         params = {k: _scaled(v) if isinstance(v, list) else v
                   for k, v in item["params"].items()}
         argv = _construct_argv(set_type, item, params)
-        plain = run(capsys, *argv)
-        strict = run(capsys, *argv, "--strict")
-        if set_type in NO_STRICT:
-            assert strict == plain, argv
-        else:
-            assert strict[:2] == (1, ""), argv
-            assert json.loads(strict[2])["error"] == "NotNormalizedError", argv
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        got = json.loads(out)["params"]
+        want = params if set_type in AS_GIVEN else item["params"]
+        assert got.keys() == want.keys(), argv
+        for k in want:
+            assert _floats(got[k]) == pytest.approx(_floats(want[k]),
+                                                    rel=0, abs=1e-15), (argv, k)
     assert names == PARAM_NAMES
 
 
-def test_strict_message_names_the_family_asked_for(capsys):
+def test_underflow_message_names_the_family_asked_for(capsys):
     """PPEE cases 2 and 3 check their params as the PPE triple they extend
-    does, but a ``--strict`` refusal names the PPEE case."""
+    does, but a refusal of a parameter pair whose squares underflow names
+    the PPEE case."""
     unit = {"a": [0.6, 0], "b": [0.8, 0], "c": [0.6, 0], "d": [0.8, 0]}
-    long = {"a": [0.66, 0], "b": [0.88, 0], "c": [0.66, 0], "d": [0.88, 0]}
+    tiny = {"a": [1e-160, 0], "b": [1e-160, 0], "c": [1e-160, 0],
+            "d": [1e-160, 0]}
     for set_type in ("ppe", "ppee"):
         for case_id in (2, 3):
             for names in ("ab", "cd"):
-                params = {k: (long if k in names else unit)[k] for k in "abcd"}
+                params = {k: (tiny if k in names else unit)[k] for k in "abcd"}
                 code, out, err = run(
                     capsys, "construct", "--type", set_type, "--case",
-                    str(case_id), "--params", json.dumps(params), "--strict")
+                    str(case_id), "--params", json.dumps(params))
                 assert (code, out) == (1, ""), err
                 assert json.loads(err) == {
-                    "error": "NotNormalizedError",
+                    "error": "ZeroVectorError",
                     "message": f"{set_type}-case{case_id} ({names[0]}, "
-                               f"{names[1]}): weighted squared magnitudes "
-                               "sum to 1.21, expected 1.0 (strict mode)"}
+                               f"{names[1]}): parameters are all zero"}
 
 
 def _readme_commands() -> list:

@@ -36,6 +36,49 @@ COUNT = 20
 SAMPLE_STDOUT_DIGEST = \
     "ed8237942f0580944b4e8ba22169c510bf6757702ceffcbf1f50bb9e11ded0c6"
 
+# The same stream per family: sha256 of each ``sample`` call's exit code, a
+# newline and its stdout, at every seed in SEEDS, as
+# ``scripts/check_interpreters.py`` hashes it, so that a moved stream names
+# its family and the script's lines compare with these.
+FAMILY_SAMPLE_DIGESTS = {
+    "pp":
+        "ac6555e910646dba1856a1dbaf36db210a6f978ea934f06dbab2b2fb8669910c",
+    "pe-diagonal":
+        "a6f08cdd7a54b2a5d5fa884ecacd8aa564598947c713d1ae4fb15cbefd4b559a",
+    "pe-nondiagonal":
+        "2c0d5149af379972ac3f6a9e370ac1c08b11a4c55d4d8fa22f909075ef18e0b5",
+    "ep":
+        "9912a71e9d7a8f0ea0031441e4c08d4a144ac238df11f68656934448c9bf4a79",
+    "ee-diagonal":
+        "6468c8792c46fe3600465796c69083f7cfa1da1803a3987f2e557ac4601de8df",
+    "ee-nondiagonal":
+        "b0b572014540b9a19c34a2d26854d9aff5e4a318510c0c070c91da9d11ef5f02",
+    "ppp":
+        "b4c18d2f2e0249b5748396789313b5ff431bfa524d7420d1154ea05229ef8984",
+    "ppe-1":
+        "36a2b33028c7beb49b06e5a210ed650228754eb2e8b50c54e324133cc2c235fd",
+    "ppe-2":
+        "d3f3c264c37ddbfe634c700eb89f57901f8b0864be6e24716674614cf1718b0e",
+    "ppe-3":
+        "f30e7911b37dd842dc03eb3159d516544ad1307497f8b865a97848bd16ed9034",
+    "pppp":
+        "2349be96cedcf4056e6c232a817af7340db069548d475ccd994b071f02b86029",
+    "ppee-1":
+        "974ded76cdb9d1d7bb590ea18e21a8af2b0797ce1ceea9a520e625474da4e4b0",
+    "ppee-2":
+        "08b104ceb76e5121fa9b7df54db3f7cf6fcbe7bec373e25a14072cc3e2cbcab7",
+    "ppee-3":
+        "aa6effd8ee6fdf89496000e3c24cc585f027825cff3446870806ca45263b3838",
+    "pm":
+        "970b3bcc2630221afa8f75b9d9de2114b9c3181262546e0864cb3c028e3e8843",
+    "pmee":
+        "304a94d85e544622d175c1c627e1d83da8be87d4d751e31cd3d488f43e5cff01",
+    "mmee-diagonal":
+        "edc442c9758aa9add66e714dbd557c69fbfa3322b813a100ad225477caff0b75",
+    "mmee-nondiagonal":
+        "c640f940d1f1622bde863ebdb44b084f4e22b59b1fd16fe8858faccf19850c8f",
+}
+
 
 def old_complex_to_pair(z) -> list:
     z = complex(z)
@@ -220,6 +263,17 @@ def test_sample_stdout_digest(capsys):
             assert main(sample_argv(set_type, case_id, variant, seed)) == 0
             h.update(capsys.readouterr().out.encode())
     assert h.hexdigest() == SAMPLE_STDOUT_DIGEST
+
+
+@pytest.mark.parametrize("set_type,case_id,variant", FAMILIES)
+def test_sample_stdout_digest_per_family(capsys, set_type, case_id, variant):
+    h = hashlib.sha256()
+    for seed in SEEDS:
+        code = main(sample_argv(set_type, case_id, variant, seed))
+        h.update(f"{code}\n{capsys.readouterr().out}".encode())
+    name = "-".join(str(x) for x in (set_type, case_id, variant)
+                    if x is not None)
+    assert h.hexdigest() == FAMILY_SAMPLE_DIGESTS[name]
 
 
 @pytest.mark.parametrize("entry", json.loads(GOLDEN.read_text()),

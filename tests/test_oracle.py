@@ -48,6 +48,24 @@ class TestOracleSchmidt:
             assert_valid_decomposition(d, s)
             assert np.max(np.abs(d.coeffs - numpy_schmidt_coeffs(s))) <= 1e-8
 
+    def test_refuses_the_states_schmidt_refuses(self):
+        """A state is zero on both routes when both squared column norms
+        are at or below the zero floor (1e-300), and on neither otherwise."""
+        refused = 0
+        for x in (0.0, 1e-200, 1e-160, 1e-151, 1e-150, 1e-149, 1e-140):
+            for state in ([x, 0, 0, 0], [0, x, 0, x], [x, x, x, x]):
+                outcomes = []
+                for route in (q.schmidt, q.oracle_schmidt):
+                    try:
+                        route(state)
+                    except q.ZeroVectorError as exc:
+                        outcomes.append(str(exc))
+                    else:
+                        outcomes.append(None)
+                assert outcomes[0] == outcomes[1], state
+                refused += outcomes[0] is not None
+        assert refused == 13  # 1e-150 squared is not above the floor
+
 
 class TestVerifySet:
     def test_bell_basis(self):

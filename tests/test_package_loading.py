@@ -7,6 +7,7 @@ with the same call made in this process.
 """
 
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -48,6 +49,17 @@ PUBLIC_NAMES = (
     "reconstruct", "reduce_a", "reduce_b", "sample", "schmidt",
     "schmidt_diagonal", "schmidt_nondiagonal", "spectral_mix", "tensor",
     "triples", "verify_set",
+)
+
+# Every defaulted parameter of a public callable, as (name, parameter): the
+# knobs the CI "Source size" step counts.  A new knob has to edit this pin.
+DEFAULTED_PARAMETERS = (
+    ("OrthoSet", "case_id"), ("OrthoSet", "variant"),
+    ("SampleSpec", "case_id"), ("SampleSpec", "count"),
+    ("SampleSpec", "seed"), ("SampleSpec", "variant"),
+    ("SchmidtDecomposition", "degenerate"), ("classify", "refine_m"),
+    ("construct_ep", "sign"), ("make_qubit", "normalize"),
+    ("make_state", "normalize"), ("schmidt_diagonal", "check"),
 )
 
 BASE_MODULES = ["cli", "errors", "jsonio", "scalar", "schmidt"]
@@ -211,6 +223,19 @@ def test_public_names_resolve_lazily():
     got = fresh(SURFACE_PROBE, json.dumps(PUBLIC_NAMES))
     assert got == {"unresolved": [], "not_in_dir": [], "not_star_bound": [],
                    "not_same": []}
+
+
+def test_defaulted_public_parameters_are_pinned():
+    """Read as the CI "Source size" step reads them."""
+    got = []
+    for name in q.__all__:
+        try:
+            params = inspect.signature(getattr(q, name)).parameters
+        except (TypeError, ValueError):  # a module, or a builtin __init__
+            continue
+        got += [(name, p.name) for p in params.values()
+                if p.default is not p.empty]
+    assert sorted(got) == sorted(DEFAULTED_PARAMETERS)
 
 
 def test_schmidt_stays_the_function_after_submodule_imports():

@@ -55,8 +55,10 @@ class TestPP:
         with pytest.raises(ValueError):
             q.construct_pp("sideways", q.KET0)
 
-    def test_strict_rejects_off_norm(self):
-        with pytest.raises(q.NotNormalizedError):
+    def test_off_norm_single_is_rescaled(self):
+        pair = q.construct_pp("a-side", [1.0, 1.0])
+        assert pair.params["single"] == (R12 + 0j, R12 + 0j)
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
             q.construct_pp("a-side", [1.0, 1.0], strict=True)
 
 
