@@ -68,6 +68,9 @@ def _oracle_parts(c00, c01, c10, c11):
     x11 = c10 * phi1[0] + c11 * phi1[1]
     z = w[0].conjugate() * x10 + w[1].conjugate() * x11
     az = abs(z)
+    if 0.0 < az < 1e-280:  # too few bits in a subnormal |z| for a unit z/|z|
+        z *= 2.0 ** 600  # a power of two scales exactly
+        az = abs(z)
     phase = z / az if az > 0.0 else 1.0 + 0.0j
     a1 = (phase * w[0], phase * w[1])
 

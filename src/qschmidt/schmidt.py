@@ -149,6 +149,9 @@ def _nondiag_parts(c00, c01, c10, c11, n0, n1, g):
     x11 = c10 * g + c11 * s1
     z = w[0].conjugate() * x10 + w[1].conjugate() * x11
     az = abs(z)
+    if 0.0 < az < 1e-280:  # too few bits in a subnormal |z| for a unit z/|z|
+        z *= 2.0 ** 600  # a power of two scales exactly
+        az = abs(z)
     phase = z / az if az > 0.0 else 1.0 + 0.0j
     a1 = (phase * w[0], phase * w[1])
     return (lam0, lam1), (a0, a1), (b0, b1), False
