@@ -11,9 +11,8 @@ script:
   0, 7 and 2024 with count 20, the stream ``tests/test_jsonio_bytes.py``
   pins in ``SAMPLE_STDOUT_DIGEST``, run in one child through ``cli.main``.
 
-A family whose sampling imports numpy cannot run without it on any
-interpreter; it is skipped with a note.  Prints one line per golden call and
-per family and interpreter.  Run it from anywhere:
+Prints one line per golden call and per family and interpreter.  Run it
+from anywhere:
 
     python scripts/check_interpreters.py PYTHON [PYTHON ...]
 
@@ -39,7 +38,7 @@ RUN_CLI = BLOCK_NUMPY + (
     "alter_sys=True)")
 
 # Prints [Python version, {family: sha256 of its sample exit codes and
-# stdout, or null when it needs numpy}].
+# stdout}].
 FAMILY_HASHES = BLOCK_NUMPY + """
 import contextlib, hashlib, io, json, platform
 from qschmidt.cli import main
@@ -48,22 +47,18 @@ out = {}
 for set_type, case_id, variant in FAMILIES:
     name = '-'.join(str(x) for x in (set_type, case_id, variant) if x is not None)
     h = hashlib.sha256()
-    try:
-        for seed in (0, 7, 2024):
-            argv = ['sample', '--type', set_type, '--seed', str(seed),
-                    '--count', '20']
-            if case_id is not None:
-                argv += ['--case', str(case_id)]
-            if variant is not None:
-                argv += ['--variant', variant]
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                code = main(argv)
-            h.update(f'{code}\\n{buf.getvalue()}'.encode())
-    except ImportError:
-        out[name] = None
-    else:
-        out[name] = h.hexdigest()
+    for seed in (0, 7, 2024):
+        argv = ['sample', '--type', set_type, '--seed', str(seed),
+                '--count', '20']
+        if case_id is not None:
+            argv += ['--case', str(case_id)]
+        if variant is not None:
+            argv += ['--variant', variant]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        h.update(f'{code}\\n{buf.getvalue()}'.encode())
+    out[name] = h.hexdigest()
 print(json.dumps([platform.python_version(), out]))
 """
 
@@ -75,7 +70,7 @@ def child_env() -> dict:
 
 
 def family_hashes(python: str, env: dict, cwd: str) -> tuple:
-    """``(version, {family: hash or None})`` of one interpreter."""
+    """``(version, {family: hash})`` of one interpreter."""
     run = subprocess.run([python, "-B", "-c", FAMILY_HASHES], env=env,
                          cwd=cwd, capture_output=True, text=True, check=True)
     return tuple(json.loads(run.stdout))
@@ -96,9 +91,6 @@ def main(pythons: list) -> int:
             print(f"{tag} ({python}):")
             failed += golden_mismatches([python, "-B", "-c", RUN_CLI], env, cwd)
             for name, want in reference.items():
-                if want is None:
-                    print(f"skipped: {tag} family {name!r} needs numpy")
-                    continue
                 ok = got.get(name) == want
                 failed += not ok
                 print(f"{'ok' if ok else 'MISMATCH'}: {tag} family {name!r} "

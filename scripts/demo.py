@@ -50,14 +50,14 @@ def main():
     # Rank-2 mixed state with prescribed eigenstates, and its reduction.
     rho = q.spectral_mix([q.make_state(1, 0, 0, 0), pe.states[1]], [0.3, 0.7])
     show("rank-2 mixed state, reduced to subsystem A",
-         jsonio.complex_array_to_obj(q.reduce_a(rho)))
+         jsonio.rows_to_obj(q.reduce_a(rho).tolist()))
 
     # Completing any three orthonormal product states never yields
     # entanglement; show one completion.
     triple = q.construct_ppp("a-side", (q.PLUS, q.MINUS))
     completion, conc = q.complete_ppp(triple)
     print("--- completion of a product triple")
-    state = jsonio.complex_array_to_obj(completion)
+    state = [[z.real, z.imag] for z in completion.tolist()]
     print(f"state: {state}  concurrence: {conc}")
 
 

@@ -6,9 +6,9 @@ conventions on stdin/stdout: ``decompose``, ``construct``, ``verify``,
 error (error JSON on stderr), 2 usage error.
 
 Each verb imports the modules it needs when it runs, so one call loads
-only its own verb's part of the package.  Only ``sample`` of the pp, ppp,
-pppp and ep families and ``construct`` of ep import numpy; every other
-call, ``mix`` included, computes and encodes on Python numbers.
+only its own verb's part of the package.  No call imports numpy: every
+verb, ``construct`` and ``sample`` of all 18 families and ``mix``
+included, computes and encodes on Python numbers.
 
 ``sample`` encodes each set as it is drawn, holding one set at a time, and
 encodes every set before it writes a byte, so a draw that fails leaves
@@ -218,8 +218,8 @@ def entry() -> int:
 
     It freezes the garbage collector's view of everything imported so far,
     so full collections skip that heap, and freezes again after `main`,
-    whose verb may have imported numpy, so the collections that interpreter
-    shutdown runs skip that heap too.  `main` never freezes: tests and
+    whose verb imported its own modules, so the collections that
+    interpreter shutdown runs skip that heap too.  `main` never freezes: tests and
     benchmarks call it in-process.
     """
     gc.freeze()

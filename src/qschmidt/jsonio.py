@@ -11,12 +11,12 @@ writer, gives the bytes ``json.dumps`` makes of that dict from one
 ``%``-format template per layout.  A JSON boolean is never read as a number.
 
 Each record has one writer (`schmidt_to_obj`, `set_to_obj`, `report_to_obj`,
-and `complex_array_to_obj` for arrays).  Importing this module does not
-import numpy: states and qubit vectors parse to tuples of Python complex
-numbers, sets and Schmidt data serialize from their constructors' tuples,
-and `rows_to_obj` writes a ``mix`` density's rows of Python numbers; only
-`complex_array_to_obj`, and `schmidt_to_obj` given a `SchmidtDecomposition`,
-work on arrays.
+and `rows_to_obj` for rows of numbers).  This module never imports numpy:
+states and qubit vectors parse to tuples of Python complex numbers, sets
+and Schmidt data serialize from their constructors' tuples, and
+`rows_to_obj` writes a ``mix`` density's rows of Python numbers; only
+`schmidt_to_obj` given a `SchmidtDecomposition` reads arrays, through their
+``tolist``.
 """
 
 from __future__ import annotations
@@ -25,17 +25,8 @@ import json
 import math
 
 from .errors import NotFiniteError, QuantumStateError
-from .scalar import LazyNumpy, _number, unit_state
+from .scalar import _number, unit_state
 from .schmidt import _unwrap
-
-np = LazyNumpy(globals())
-
-
-def complex_array_to_obj(a) -> list:
-    """Nested lists of the shape of ``a`` with each complex entry as
-    ``[re, im]``; one ``tolist`` call instead of a loop over entries."""
-    c = np.ascontiguousarray(a, dtype=complex)
-    return c.view(float).reshape(c.shape + (2,)).tolist()
 
 
 def is_number(x) -> bool:
@@ -77,8 +68,7 @@ def qubit_from_obj(obj) -> tuple:
 
 
 def rows_to_obj(rows) -> list:
-    """Rows of complex (or real) numbers, each entry as ``[re, im]``: the
-    layout of `complex_array_to_obj`, read from Python numbers."""
+    """Rows of complex (or real) numbers, each entry as ``[re, im]``."""
     return [[[z.real, z.imag] for z in row] for row in rows]
 
 

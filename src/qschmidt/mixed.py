@@ -28,12 +28,11 @@ and when the positivity certificate fails.
 from __future__ import annotations
 
 import math
-import sys
 from cmath import isfinite
 
 from .errors import BadWeightsError, InvalidDensityError, NotOrthogonalError
-from .scalar import (DEFAULT_TOL, LazyNumpy, _length, _max_overlap, _number,
-                     _total, _unit_members)
+from .scalar import (DEFAULT_TOL, LazyNumpy, _is_bool, _length, _max_overlap,
+                     _number, _total, _unit_members)
 
 np = LazyNumpy(globals())
 
@@ -53,10 +52,8 @@ def _mix_rows(states, weights) -> list:
         raise BadWeightsError("need at least one state")
     if n != _length(weights, "weights", BadWeightsError):
         raise BadWeightsError(f"{n} states but {len(weights)} weights")
-    numpy = sys.modules.get("numpy")  # a numpy bool needs numpy loaded
-    not_numbers = (bool, str, bytes) + ((numpy.bool_,) if numpy else ())
     ws = [_number(float, w, "weights", BadWeightsError) for w in weights
-          if not isinstance(w, not_numbers)]
+          if not (_is_bool(w) or isinstance(w, (str, bytes)))]
     if len(ws) != n:
         raise BadWeightsError(f"weights must be numbers, got {list(weights)!r}")
     for w in ws:

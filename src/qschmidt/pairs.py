@@ -13,9 +13,8 @@ unchanged.
 
 The constructors here, in `triples` and in `bases` compute on Python
 complex numbers and return members and Schmidt data as tuples, so building
-and serializing a set imports no numpy.  Only `construct_ep` does, for the
-``np.linalg.norm`` whose rounding its sampled stream is pinned to, and an
-`OrthoSet` builds arrays only when ``states`` or ``schmidt`` is read.
+and serializing a set imports no numpy; an `OrthoSet` builds arrays only
+when ``states`` or ``schmidt`` is read.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ from .errors import (
     ZeroParameterError,
 )
 from .scalar import (DEFAULT_TOL, _KET00, LazyNumpy, _checked_complex,
-                     _checked_norm, _concurrence, _number, _qubit, _tensor,
-                     _total)
+                     _checked_norm, _concurrence, _is_bool, _number, _qubit,
+                     _qubit_nrm2, _tensor, _total, _unit)
 from .schmidt import _branch, _parts, _wrap
 
 np = LazyNumpy(globals())
@@ -214,20 +213,21 @@ def construct_ep(gamma: float, a, b, sign: int = 1) -> OrthoSet:
     b = _checked_complex(b, "b")
     if a == 0 and b == 0:
         raise DegenerateParametersError("a and b must not both be zero")
-    if isinstance(sign, (bool, np.bool_)) or sign not in (1, -1):
+    if _is_bool(sign) or sign not in (1, -1):
         raise InvalidArgumentError(f"sign must be +1 or -1, got {sign!r}")
     sign = 1 if sign == 1 else -1  # recorded as the int --params reads
     sa = cmath.sqrt(a)
     sb = cmath.sqrt(b)
     ratio_ab = (gamma / (1.0 - gamma)) ** 0.25
     ratio_ba = ((1.0 - gamma) / gamma) ** 0.25
-    factor_a = np.array([sa, -sign * 1j * ratio_ab * sb])
-    factor_b = np.array([sign * 1j * ratio_ba * sb, sa])
-    na = np.linalg.norm(factor_a)
-    nb = np.linalg.norm(factor_b)
-    if na <= 1e-150 or nb <= 1e-150:
+    factor_a = (sa, -sign * 1j * ratio_ab * sb)
+    factor_b = (sign * 1j * ratio_ba * sb, sa)
+    na2 = _qubit_nrm2(*factor_a)
+    nb2 = _qubit_nrm2(*factor_b)
+    if math.sqrt(na2) <= 1e-150 or math.sqrt(nb2) <= 1e-150:
         raise DegenerateParametersError("constructed factor has zero norm")
-    second = _tensor(factor_a / na, factor_b / nb)
+    second = _tensor(_unit(factor_a, na2, True, "", "factor a"),
+                     _unit(factor_b, nb2, True, "", "factor b"))
     return _ortho_set((_gamma_first(gamma), second), "EP",
                       {"gamma": gamma, "a": a, "b": b, "sign": sign})
 

@@ -7,12 +7,9 @@ verb both select from it.
 
 `sample` draws constructor parameters uniformly on each constructor's
 constraint manifold from a splitmix64 stream.  The integer stream is
-exactly reproducible from the seed, in any language; the sampled sets are
-bit-identical per seed on one machine and numpy build, not across
-machines: the pp, ppp and pppp samplers and the ep constructor normalize
-through ``np.linalg.norm``, whose BLAS rounding can depend on the CPU.
-Those four families are the only ones whose sampling imports numpy; the
-other 14 draw and construct on Python numbers alone.
+exactly reproducible from the seed, in any language.  Every family draws
+and constructs on Python numbers alone, so no `sample` call imports numpy
+and the sampled sets depend on CPython's float arithmetic only.
 """
 
 from __future__ import annotations
@@ -45,16 +42,13 @@ from .pairs import (
     construct_pe_nondiagonal,
     construct_pp,
 )
-from .scalar import LazyNumpy, _total
+from .scalar import _qubit_nrm2, _total, _unit
 from .triples import (
     construct_ppe_case1,
     construct_ppe_case2,
     construct_ppe_case3,
     construct_ppp,
 )
-
-
-np = LazyNumpy(globals())
 
 _MASK64 = (1 << 64) - 1
 _TWO_NEG53 = 2.0 ** -53
@@ -119,19 +113,17 @@ class SplitMix64:
         raise _rejected(f"simplex({k}, {floor!r})")
 
 
-def random_qubit(rng: SplitMix64) -> np.ndarray:
-    """Haar-random unit single-qubit vector."""
-    v = np.array([complex(rng.gauss(), rng.gauss()),
-                  complex(rng.gauss(), rng.gauss())])
-    return v / np.linalg.norm(v)
+def random_qubit(rng: SplitMix64) -> tuple:
+    """Haar-random unit single-qubit vector, as a 2-tuple of complex."""
+    v = (complex(rng.gauss(), rng.gauss()), complex(rng.gauss(), rng.gauss()))
+    return _unit(v, _qubit_nrm2(*v), True, "drawn qubit is zero", "qubit")
 
 
-def random_qubit_basis(rng: SplitMix64):
-    """Haar-random orthonormal single-qubit basis."""
+def random_qubit_basis(rng: SplitMix64) -> tuple:
+    """Haar-random orthonormal single-qubit basis, as two 2-tuples."""
     v0 = random_qubit(rng)
     phase = complex(math.cos(t := rng.angle()), math.sin(t))
-    v1 = np.array([-v0[1].conjugate(), v0[0].conjugate()]) * phase
-    return v0, v1
+    return v0, (-v0[1].conjugate() * phase, v0[0].conjugate() * phase)
 
 
 class SampleSpec(NamedTuple):

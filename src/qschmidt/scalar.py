@@ -61,6 +61,14 @@ def _total(values) -> float:
     return total
 
 
+def _is_bool(x) -> bool:
+    """True for a Python or numpy bool.  numpy is looked up, not imported:
+    a numpy bool cannot exist before numpy is loaded."""
+    numpy = _MODULES.get("numpy")
+    return isinstance(x, bool) or (numpy is not None
+                                   and isinstance(x, numpy.bool_))
+
+
 def _length(seq, name: str, error) -> int:
     """``len(seq)``; an object with no length raises ``error`` instead of
     `TypeError`."""
@@ -174,6 +182,13 @@ def _qubit(v, name: str, error=InvalidArgumentError, entries=None) -> tuple:
     v1 = _checked_complex(v[1], e1)
     return (v0, v1, v0.real * v0.real + v0.imag * v0.imag
             + v1.real * v1.real + v1.imag * v1.imag)
+
+
+def _qubit_nrm2(v0: complex, v1: complex) -> float:
+    """|v0|^2 + |v1|^2 with the real parts' squares added first, the
+    grouping of ``np.linalg.norm`` for a complex vector."""
+    return (v0.real * v0.real + v1.real * v1.real) \
+        + (v0.imag * v0.imag + v1.imag * v1.imag)
 
 
 def _check_unit(nrm: float, what: str) -> None:

@@ -41,6 +41,12 @@ def in_order(values) -> float:
     return reduce(add, values, 0.0)
 
 
+def state_obj(v) -> list:
+    """A state or qubit vector as the CLI reads it: each amplitude as
+    ``[re, im]``."""
+    return [[z.real, z.imag] for z in np.asarray(v, dtype=complex).tolist()]
+
+
 def states_of(obj):
     return list(obj.states)
 

@@ -102,15 +102,12 @@ def _decompositions():
 
 @pytest.mark.parametrize("d", _decompositions())
 def test_result_layout(d):
-    """float64 coefficients, complex128 bases with C-contiguous rows, so the
-    JSON encoder's ``.view(float)`` reads them without a copy."""
+    """float64 coefficients and complex128 bases with C-contiguous rows."""
     assert d.coeffs.dtype == np.float64 and d.coeffs.shape == (2,)
     for basis in (d.basis_a, d.basis_b):
         assert basis.dtype == np.complex128 and basis.shape == (2, 2)
         assert basis.flags.c_contiguous
         assert np.ascontiguousarray(basis, dtype=complex) is basis
-        assert jsonio.complex_array_to_obj(basis) == [
-            [[complex(z).real, complex(z).imag] for z in row] for row in basis]
 
 
 class TestToleranceChecks:

@@ -1,14 +1,12 @@
 """Every output bit of the scalar API is pinned.
 
-The decomposition and set digests were recorded before the numpy round
-trips at the API boundary (parsing, result wrapping, the mixed-state
-checks) were rewritten; any change to a coefficient, basis entry,
-reconstructed amplitude, sampled state or verification report changes
-them.  They come from CPython scalar arithmetic and exact numpy array
-builds (the pp, ppp and pppp sample streams, and the ep constructor, also
-pass through ``np.linalg.norm``).  Density matrices and reduced states are
-sums of CPython complex products rather than numpy's SIMD loops, which
-fuse the complex multiply (FMA) on some CPUs only, so `MIXED_DIGEST` pins
+Any change to a coefficient, basis entry, reconstructed amplitude, sampled
+state or verification report changes these digests.  They come from
+CPython scalar arithmetic and exact numpy array builds: every sampler and
+constructor computes on Python numbers, not through ``np.linalg.norm``,
+whose BLAS dot fuses (FMA) on some CPUs only.  Density matrices and reduced
+states are sums of CPython complex products rather than numpy's SIMD loops,
+which fuse the complex multiply on some CPUs only, so `MIXED_DIGEST` pins
 them as well; it holds wherever the sampled sets it mixes do.
 """
 
@@ -22,8 +20,8 @@ from qschmidt import SplitMix64
 from helpers import FAMILIES, in_order, states_of
 
 DECOMPOSE_DIGEST = "a524a71b8aa6817cf64a5a516f3bf96fceed950a1b4dc177f2e50ee5b2923604"
-SETS_DIGEST = "ddd582d7f2b628e2951c807a7b8547e725cc86450782427fd82d795c501a1cd1"
-MIXED_DIGEST = "9e948314ce1660fa7927352b68e1505476cd42e5b715f6004b717108ac75b18b"
+SETS_DIGEST = "a9f3a1c572a6498ba75c5665fed1a4c48bd0cdbeb0b15775f0898e0d2bcdd13b"
+MIXED_DIGEST = "82fefb5a067a319aaaa0cdc8fe78843c066a5ffdcace7a1529ff64d2f9d130cd"
 
 
 def _cplx(rng):

@@ -13,7 +13,7 @@ import pytest
 import qschmidt as q
 from qschmidt.cli import main
 from qschmidt import jsonio, sampling
-from helpers import FAMILIES, GOLD_PE, KET00, R12
+from helpers import FAMILIES, GOLD_PE, KET00, R12, state_obj
 
 
 def run(capsys, *argv):
@@ -51,7 +51,7 @@ class TestDecompose:
         assert json.loads(err)["error"] == "NotNormalizedError"
 
     def test_exact_state_round_trips(self, capsys):
-        state_json = json.dumps(jsonio.complex_array_to_obj(GOLD_PE))
+        state_json = json.dumps(state_obj(GOLD_PE))
         code, out, _ = run(capsys, "decompose", "--state", state_json)
         assert code == 0
         payload = json.loads(out)
@@ -164,8 +164,7 @@ class TestConstruct:
 
 class TestClassify:
     def test_pattern_and_refinement(self, capsys):
-        set_json = json.dumps([jsonio.complex_array_to_obj(KET00),
-                               jsonio.complex_array_to_obj(q.PSI_PLUS)])
+        set_json = json.dumps([state_obj(KET00), state_obj(q.PSI_PLUS)])
         code, out, _ = run(capsys, "classify", "--set", set_json)
         assert code == 0 and json.loads(out)["pattern"] == "PE"
         code, out, _ = run(capsys, "classify", "--refine-m", "--set", set_json)
@@ -255,8 +254,7 @@ _TRACE_EDGE_WEIGHTS = "[0.5780946061328242, 0.42190539386817577]"
 
 class TestMix:
     def test_full_density_and_reduction(self, capsys):
-        set_json = json.dumps([jsonio.complex_array_to_obj(KET00),
-                               jsonio.complex_array_to_obj(GOLD_PE)])
+        set_json = json.dumps([state_obj(KET00), state_obj(GOLD_PE)])
         code, out, _ = run(capsys, "mix", "--set", set_json,
                            "--weights", "[0.3, 0.7]")
         assert code == 0
@@ -278,7 +276,7 @@ class TestMix:
         np.testing.assert_allclose(ra, expect, atol=1e-12)
 
     def test_bad_weights_domain_error(self, capsys):
-        set_json = json.dumps([jsonio.complex_array_to_obj(KET00)])
+        set_json = json.dumps([state_obj(KET00)])
         code, _, err = run(capsys, "mix", "--set", set_json,
                            "--weights", "[0.5]")
         assert code == 1

@@ -21,7 +21,7 @@ import qschmidt as q
 from qschmidt import jsonio
 from qschmidt.cli import main
 from qschmidt.schmidt import _parts
-from helpers import FAMILIES, R12
+from helpers import FAMILIES, R12, state_obj
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
@@ -34,7 +34,7 @@ COUNT = 20
 # sets hash the same decompositions as `test_bit_identity.SETS_DIGEST`, so
 # the digest depends on the machine no more than that one does.
 SAMPLE_STDOUT_DIGEST = \
-    "ed8237942f0580944b4e8ba22169c510bf6757702ceffcbf1f50bb9e11ded0c6"
+    "3d45c70571a0b8f9ef7ac3dab9bc755cbeab5fceb07226dfe9e0a2bbdf7ffdda"
 
 # The same stream per family: sha256 of each ``sample`` call's exit code, a
 # newline and its stdout, at every seed in SEEDS, as
@@ -48,13 +48,13 @@ FAMILY_SAMPLE_DIGESTS = {
     "pe-nondiagonal":
         "2c0d5149af379972ac3f6a9e370ac1c08b11a4c55d4d8fa22f909075ef18e0b5",
     "ep":
-        "9912a71e9d7a8f0ea0031441e4c08d4a144ac238df11f68656934448c9bf4a79",
+        "6d716e541bd3a43c9e38839129601e79517227b7fd4ce703df3ba8b1cd1d7676",
     "ee-diagonal":
         "6468c8792c46fe3600465796c69083f7cfa1da1803a3987f2e557ac4601de8df",
     "ee-nondiagonal":
         "b0b572014540b9a19c34a2d26854d9aff5e4a318510c0c070c91da9d11ef5f02",
     "ppp":
-        "b4c18d2f2e0249b5748396789313b5ff431bfa524d7420d1154ea05229ef8984",
+        "bdb821ffaf8db5ab846c1a27e70efe9683e95910f4cc8e05a7639ec285296a78",
     "ppe-1":
         "36a2b33028c7beb49b06e5a210ed650228754eb2e8b50c54e324133cc2c235fd",
     "ppe-2":
@@ -62,7 +62,7 @@ FAMILY_SAMPLE_DIGESTS = {
     "ppe-3":
         "f30e7911b37dd842dc03eb3159d516544ad1307497f8b865a97848bd16ed9034",
     "pppp":
-        "2349be96cedcf4056e6c232a817af7340db069548d475ccd994b071f02b86029",
+        "d83dd3dfa43c19248b975fc336a9777cafe13efca12ae718b2c13a18a446c8c2",
     "ppee-1":
         "974ded76cdb9d1d7bb590ea18e21a8af2b0797ce1ceea9a520e625474da4e4b0",
     "ppee-2":
@@ -87,10 +87,6 @@ def old_complex_to_pair(z) -> list:
 
 def old_vector_to_obj(v) -> list:
     return [old_complex_to_pair(z) for z in v]
-
-
-def old_matrix_to_obj(m) -> list:
-    return [[old_complex_to_pair(z) for z in row] for row in np.asarray(m)]
 
 
 def old_schmidt_to_obj(d) -> dict:
@@ -286,26 +282,6 @@ def test_golden_transcript_bytes(capsys, monkeypatch, entry):
     assert captured.err == entry["stderr"]
 
 
-def test_non_contiguous_matrix_matches_reference():
-    rng = q.SplitMix64(5)
-    m = np.array([[complex(rng.gauss(), rng.gauss()) for _ in range(4)]
-                  for _ in range(4)])
-    for view in (m.T, m[::2, 1::2], m.T[:, ::-1]):
-        assert not view.flags.c_contiguous
-        assert jsonio.complex_array_to_obj(view) == old_matrix_to_obj(view)
-        assert json.dumps(jsonio.complex_array_to_obj(view)) == \
-            json.dumps(old_matrix_to_obj(view))
-
-
-def test_signed_zero_and_real_input_match_reference():
-    v = np.array([-0.0, 0.0, -0.0 - 0.0j, 1.0])
-    assert json.dumps(jsonio.complex_array_to_obj(v)) == \
-        json.dumps(old_vector_to_obj(v))
-    real = np.array([0.25, -0.5])
-    assert json.dumps(jsonio.complex_array_to_obj(real)) == \
-        json.dumps(old_vector_to_obj(real))
-
-
 def test_verify_report_bytes_match_reference():
     """Reports on every family's sets, on one state and on a failing set."""
     from test_bit_identity import family_sets
@@ -330,7 +306,7 @@ def test_decompose_stdout_matches_reference(capsys):
     states += [np.array([0.6, 0, 0, 0.8]), np.array([0, 0, 1, 0]),
                q.tensor([0.6, 0.8], [R12, 1j * R12])]
     for v in states:
-        obj = jsonio.complex_array_to_obj(v)
+        obj = state_obj(v)
         assert main(["decompose", "--state", json.dumps(obj)]) == 0
         parts = _parts(*jsonio.state_from_obj(obj, normalize=True))
         assert capsys.readouterr().out == \

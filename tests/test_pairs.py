@@ -150,6 +150,11 @@ class TestEP:
         with pytest.raises(q.DegenerateParametersError):
             q.construct_ep(0.5, 0, 0)
 
+    @pytest.mark.parametrize("a,b", [(1e-320, 0), (0, 1e-300j)], ids=repr)
+    def test_rejects_a_factor_of_underflowing_norm(self, a, b):
+        with pytest.raises(q.DegenerateParametersError, match="zero norm"):
+            q.construct_ep(0.5, a, b)
+
     @pytest.mark.parametrize("sign", (True, np.True_), ids=repr)
     def test_rejects_bool_sign(self, sign):
         with pytest.raises(q.InvalidArgumentError, match="sign must be"):
