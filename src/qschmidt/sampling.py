@@ -301,9 +301,12 @@ def family(set_type: str, case_id=None, variant=None) -> Family:
     refuse_pppe(set_type)
     t = set_type.strip().lower()
     v = variant.strip().lower() if variant else None
-    for key in ((t, None, None), (t, case_id, None), (t, None, v)):
-        if key in FAMILIES:
-            return FAMILIES[key]
+    try:  # the case lookup last, as an unhashable case_id raises
+        for key in ((t, None, None), (t, None, v), (t, case_id, None)):
+            if key in FAMILIES:
+                return FAMILIES[key]
+    except TypeError:
+        pass
     keys = [key for key in FAMILIES if key[0] == t]
     if not keys:
         raise UnknownTypeError(f"unknown set type {set_type!r}")

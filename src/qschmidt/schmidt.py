@@ -64,13 +64,20 @@ def _wrap(parts) -> SchmidtDecomposition:
 
 
 def _unwrap(d: SchmidtDecomposition) -> tuple:
-    """The Schmidt data `_wrap` was given, as lists of Python numbers."""
+    """The Schmidt data `_wrap` was given, as lists of Python numbers; any
+    fields but real coefficients of shape (2,) and numeric bases of shape
+    (2, 2) raise `InvalidArgumentError`."""
     try:
-        return d.coeffs.tolist(), d.basis_a.tolist(), d.basis_b.tolist(), \
-            d.degenerate
+        coeffs, basis_a, basis_b = d.coeffs, d.basis_a, d.basis_b
+        ok = coeffs.shape == (2,) and coeffs.dtype.kind in "iuf" \
+            and basis_a.shape == basis_b.shape == (2, 2) \
+            and basis_a.dtype.kind in "iufc" and basis_b.dtype.kind in "iufc"
     except AttributeError:
-        raise InvalidArgumentError(
-            f"need a SchmidtDecomposition of arrays, got {d!r}") from None
+        ok = False
+    if not ok:
+        raise InvalidArgumentError("need a SchmidtDecomposition of numeric "
+                                   f"(2,), (2, 2), (2, 2) arrays, got {d!r}")
+    return coeffs.tolist(), basis_a.tolist(), basis_b.tolist(), d.degenerate
 
 
 def _perp(v):

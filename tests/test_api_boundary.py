@@ -321,6 +321,21 @@ class TestContainerShapes:
             lambda: jsonio.schmidt_to_obj(q.SchmidtDecomposition(
                 [1, 0], [[1, 0], [0, 1]], [[1, 0], [0, 1]])),
             q.InvalidArgumentError),
+        "sample.unhashable_case": (
+            lambda: q.sample(q.SampleSpec("ppe", case_id=[2])),
+            q.UnknownTypeError),
+        "reconstruct.short_coeffs": (
+            lambda: q.reconstruct(q.SchmidtDecomposition(
+                np.array([1.0]), np.eye(2), np.eye(2))),
+            q.InvalidArgumentError),
+        "reconstruct.string_coeffs": (
+            lambda: q.reconstruct(q.SchmidtDecomposition(
+                np.array(["1", "0"]), np.eye(2), np.eye(2))),
+            q.InvalidArgumentError),
+        "schmidt_to_obj.3x3_basis": (
+            lambda: jsonio.schmidt_to_obj(q.SchmidtDecomposition(
+                np.array([1.0, 0.0]), np.eye(3), np.eye(2))),
+            q.InvalidArgumentError),
     }
 
     @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
@@ -329,6 +344,13 @@ class TestContainerShapes:
         with pytest.raises(q.QuantumStateError) as info:
             call()
         assert type(info.value) is error
+
+
+def test_unused_unhashable_case_is_ignored():
+    """A case the type does not use is ignored, hashable or not."""
+    spec = q.SampleSpec("pe", variant="diagonal", seed=3)
+    got = q.sample(spec._replace(case_id=[2]))
+    assert [s.members for s in got] == [s.members for s in q.sample(spec)]
 
 
 @pytest.mark.parametrize("call", [
