@@ -219,8 +219,8 @@ def entry() -> int:
     It freezes the garbage collector's view of everything imported so far,
     so full collections skip that heap, and freezes again after `main`,
     whose verb imported its own modules, so the collections that
-    interpreter shutdown runs skip that heap too.  `main` never freezes: tests and
-    benchmarks call it in-process.
+    interpreter shutdown runs skip that heap too.  `main` never freezes:
+    tests and benchmarks call it in-process.
     """
     gc.freeze()
     code = main()

@@ -51,8 +51,8 @@ def pair_to_complex(obj) -> complex:
 
 
 def state_from_obj(obj, *, normalize: bool = False) -> tuple:
-    """A state as a tuple of four Python complex numbers, unit norm as
-    `core.make_state` makes it (``np.array`` of it is that array)."""
+    """A state as a tuple of four Python complex numbers, unit norm: the
+    amplitudes `core.make_state` returns as an array."""
     if not isinstance(obj, (list, tuple)) or len(obj) != 4:
         raise QuantumStateError(
             f"expected a state as 4 complex pairs, got {obj!r}")

@@ -3,10 +3,10 @@
 Amplitudes are parsed, checked and normalized here as tuples of Python
 complex numbers, and the set constructors build their members from the
 product-basis kets, `_tensor` and `_concurrence` below, so the command
-line's ``decompose``, ``verify``, ``classify`` and most ``construct`` and
-``sample`` calls run without importing numpy.  The normalization rounds as
-numpy divides a complex array by a real scalar, so the tuples hold the
-bits the array constructors in `core` return.
+line's verbs, every ``construct`` and ``sample`` call included, run without
+importing numpy.  The normalization rounds as numpy divides a complex
+array by a real scalar, so the tuples hold the bits the array constructors
+in `core` return.
 """
 
 from __future__ import annotations
