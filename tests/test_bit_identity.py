@@ -14,6 +14,7 @@ import hashlib
 import math
 
 import numpy as np
+import pytest
 
 import qschmidt as q
 from qschmidt import SplitMix64
@@ -22,6 +23,51 @@ from helpers import FAMILIES, in_order, states_of
 DECOMPOSE_DIGEST = "a524a71b8aa6817cf64a5a516f3bf96fceed950a1b4dc177f2e50ee5b2923604"
 SETS_DIGEST = "a9f3a1c572a6498ba75c5665fed1a4c48bd0cdbeb0b15775f0898e0d2bcdd13b"
 MIXED_DIGEST = "82fefb5a067a319aaaa0cdc8fe78843c066a5ffdcace7a1529ff64d2f9d130cd"
+
+# Each family's stream, wide: sha256 of
+# ``repr((members, parts, params, case_id, variant))`` of every set `sample`
+# draws at each seed in WIDE_SEEDS with count WIDE_COUNT, 800 sets a family.
+# The stdout pins see 60 sets a family, which a moved stream can miss.
+WIDE_SEEDS = range(8)
+WIDE_COUNT = 100
+WIDE_SAMPLE_DIGESTS = {
+    "pp":
+        "5eba456544f9b029fb2f005250e11bc21ad1966b8b6f9996fcc1bea2a2fc67ef",
+    "pe-diagonal":
+        "da666374508d580e0b2e2b94dbdc58936c8a80173106a92764a091bf8ddd6ebe",
+    "pe-nondiagonal":
+        "fc4594953e6b4d18d69a32df2c0e2355f1ccf5b190a7e79097e70545202c8e6c",
+    "ep":
+        "43b4988bab3e6ae2d0511b701c5f24f9cc9d69f644a8639542b40e61763d2dbe",
+    "ee-diagonal":
+        "62bd6505de9abe01f0d1b4a85a8c5d667f7795d325578836373a5cc383623769",
+    "ee-nondiagonal":
+        "96221c38c0b5b8d42406c3734f26bee13a78d0500ca99960265033aea7beef19",
+    "ppp":
+        "5d9b4506fced0910192d8315bcbf3a941e2473925527d5053bb3c5403b5f1ee1",
+    "ppe-1":
+        "019b99d6bf33441b167cefd9e6f193b86485171e1735cbbfbaf540ab61c97771",
+    "ppe-2":
+        "a9d7a83a4d8150bd07e30e6ad08b7e650cd867de62914241dab28ec66fc8565a",
+    "ppe-3":
+        "9c54d93fb7ffb1eb8b2098ca4ef8adfcc6099391625a5d5d99e0503e06b36659",
+    "pppp":
+        "5889e3e8a554bb670b298bdee6817841d1b61efd1c9349d7f656e970e5cbbe57",
+    "ppee-1":
+        "e31eba771f31edf9ab3b2fb117719d6c8fd9a32284fabcc5ab2fa87e2d970769",
+    "ppee-2":
+        "7f427fea5d48b5ca328180d2778fc6ec182148453c35e106717ace38a3522725",
+    "ppee-3":
+        "65c9516ac417a8f592ef4d81e01f0232ee5685fc9c3285a485cbc3992163ea68",
+    "pm":
+        "212bdb512d5c872de3197165e3dd6e199c4224f7ff06b491bfcc0c9dbcda56b7",
+    "pmee":
+        "8c075d28c0ede562e59b32b507a9f2d6fa0e364e71d864a7ba7631b3b078816f",
+    "mmee-diagonal":
+        "f0741d9c6dcf8abdd5711b7cc4d8f20c6e703f799d3b157a2173fd7f0c48ffba",
+    "mmee-nondiagonal":
+        "9c9cd63368e0984e907328f4c7d3da832ad25f84373f2a79e31f787b0be7a587",
+}
 
 
 def _cplx(rng):
@@ -188,3 +234,21 @@ def test_mixed_states_match_previous_formulation():
 
 def test_mixed_states_are_bit_identical():
     assert mixed_digest() == MIXED_DIGEST
+
+
+def wide_sample_digest(set_type, case_id, variant) -> str:
+    h = hashlib.sha256()
+    for seed in WIDE_SEEDS:
+        spec = q.SampleSpec(set_type, case_id, variant, seed, WIDE_COUNT)
+        for s in q.sample(spec):
+            h.update(repr((s.members, s.parts, s.params, s.case_id,
+                           s.variant)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("set_type,case_id,variant", FAMILIES)
+def test_sample_streams_are_bit_identical(set_type, case_id, variant):
+    name = "-".join(str(x) for x in (set_type, case_id, variant)
+                    if x is not None)
+    assert wide_sample_digest(set_type, case_id, variant) \
+        == WIDE_SAMPLE_DIGESTS[name]
