@@ -29,7 +29,7 @@ from .pairs import (A_SIDE, OrthoSet, _diagonal_pair, _gamma_first, _ortho_set,
                     _rescale)
 from .scalar import (DEFAULT_TOL, _KET00, _KET01, _KET10, _KET11, LazyNumpy,
                      _checked_complex, _concurrence, _max_overlap, _total,
-                     _unit_members)
+                     _unit, _unit_members)
 from .schmidt import _reconstruct_parts
 from .triples import _ppe_triple, construct_ppp
 
@@ -100,8 +100,8 @@ def complete_ppp(triple):
         minor = [[row[c] for c in range(4) if c != k] for row in rows]
         comp.append((-1) ** k * _det3(minor))
     # Cauchy-Binet: nrm^2 is the rows' Gram determinant, near 1 by now.
-    nrm = math.sqrt(_total(z.real * z.real + z.imag * z.imag for z in comp))
-    comp = [z / nrm for z in comp]
+    comp = _unit(comp, _total(z.real * z.real + z.imag * z.imag for z in comp),
+                 True, "the completion is zero", "completion")
     for z in comp:
         if abs(z) > 1e-9:
             phase = z.conjugate() / abs(z)

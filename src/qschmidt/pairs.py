@@ -33,7 +33,7 @@ from .errors import (
 )
 from .scalar import (DEFAULT_TOL, _KET00, LazyNumpy, _checked_complex,
                      _checked_norm, _concurrence, _is_bool, _number, _qubit,
-                     _qubit_nrm2, _tensor, _total, _unit)
+                     _tensor, _total, _unit, _unit_qubit)
 from .schmidt import _branch, _parts, _wrap
 
 np = LazyNumpy(globals())
@@ -133,12 +133,6 @@ def _diagonal_pair(x, y, names: str, what, member):
     return x, y, state
 
 
-def _as_unit_qubit(v, name: str, error=InvalidArgumentError) -> tuple:
-    a, b, nrm2 = _qubit(v, name, error)
-    nrm = _checked_norm(nrm2, f"{name} is the zero vector")
-    return a / nrm, b / nrm
-
-
 def _gamma_first(gamma: float) -> tuple:
     """sqrt(gamma)|00> + sqrt(1-gamma)|11>, the first member of the EP and
     EE pairs (and, at gamma = 1/2, of the MMEE bases)."""
@@ -153,7 +147,7 @@ def construct_pp(variant: str, single) -> OrthoSet:
     ``"a-side"`` gives single (x) |1>, ``"b-side"`` gives |1> (x) single.
     """
     _check_variant(variant)
-    u = _as_unit_qubit(single, "single")
+    u = _unit_qubit(single, "single")
     e1 = (0.0j, 1.0 + 0.0j)
     second = _tensor(u, e1) if variant == A_SIDE else _tensor(e1, u)
     return _ortho_set((_KET00, second), "PP", {"single": u}, variant=variant)
@@ -222,8 +216,8 @@ def construct_ep(gamma: float, a, b, sign: int = 1) -> OrthoSet:
     ratio_ba = ((1.0 - gamma) / gamma) ** 0.25
     factor_a = (sa, -sign * 1j * ratio_ab * sb)
     factor_b = (sign * 1j * ratio_ba * sb, sa)
-    na2 = _qubit_nrm2(*factor_a)
-    nb2 = _qubit_nrm2(*factor_b)
+    na2 = _qubit(factor_a, "factor a")[2]
+    nb2 = _qubit(factor_b, "factor b")[2]
     if math.sqrt(na2) <= 1e-150 or math.sqrt(nb2) <= 1e-150:
         raise DegenerateParametersError("constructed factor has zero norm")
     second = _tensor(_unit(factor_a, na2, True, "", "factor a"),

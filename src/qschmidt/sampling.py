@@ -42,7 +42,7 @@ from .pairs import (
     construct_pe_nondiagonal,
     construct_pp,
 )
-from .scalar import _qubit_nrm2, _total, _unit
+from .scalar import _total, _unit_qubit
 from .triples import (
     construct_ppe_case1,
     construct_ppe_case2,
@@ -116,7 +116,7 @@ class SplitMix64:
 def random_qubit(rng: SplitMix64) -> tuple:
     """Haar-random unit single-qubit vector, as a 2-tuple of complex."""
     v = (complex(rng.gauss(), rng.gauss()), complex(rng.gauss(), rng.gauss()))
-    return _unit(v, _qubit_nrm2(*v), True, "drawn qubit is zero", "qubit")
+    return _unit_qubit(v, "drawn qubit")
 
 
 def random_qubit_basis(rng: SplitMix64) -> tuple:

@@ -184,11 +184,11 @@ def _qubit(v, name: str, error=InvalidArgumentError, entries=None) -> tuple:
             + v1.real * v1.real + v1.imag * v1.imag)
 
 
-def _qubit_nrm2(v0: complex, v1: complex) -> float:
-    """|v0|^2 + |v1|^2 with the real parts' squares added first, the
-    grouping of ``np.linalg.norm`` for a complex vector."""
-    return (v0.real * v0.real + v1.real * v1.real) \
-        + (v0.imag * v0.imag + v1.imag * v1.imag)
+def _unit_qubit(v, name: str, error=InvalidArgumentError) -> tuple:
+    """The qubit ``v`` from outside scaled to unit norm, as `make_qubit`
+    scales it; the one route every sampled or given qubit takes."""
+    v0, v1, nrm2 = _qubit(v, name, error)
+    return _unit((v0, v1), nrm2, True, f"{name} is the zero vector", name)
 
 
 def _check_unit(nrm: float, what: str) -> None:

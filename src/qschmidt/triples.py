@@ -18,10 +18,10 @@ decomposition, made by `pairs._ortho_set` with `schmidt._parts`.
 from __future__ import annotations
 
 from .errors import NotOrthonormalBasisError, ZeroParameterError
-from .pairs import (A_SIDE, OrthoSet, _as_unit_qubit, _check_variant,
-                    _diagonal_pair, _ortho_set, _require_nonzero, _rescale)
+from .pairs import (A_SIDE, OrthoSet, _check_variant, _diagonal_pair,
+                    _ortho_set, _require_nonzero, _rescale)
 from .scalar import (DEFAULT_TOL, VERIFY_TOL, _KET00, _KET11, _concurrence,
-                     _length)
+                     _length, _unit_qubit)
 from .schmidt import _branch
 
 
@@ -31,8 +31,8 @@ def orthonormal_qubit_basis(basis):
     2-tuples of Python complex numbers."""
     if _length(basis, "basis", NotOrthonormalBasisError) != 2:
         raise NotOrthonormalBasisError("a qubit basis needs exactly 2 vectors")
-    v0 = _as_unit_qubit(basis[0], "basis[0]", NotOrthonormalBasisError)
-    v1 = _as_unit_qubit(basis[1], "basis[1]", NotOrthonormalBasisError)
+    v0 = _unit_qubit(basis[0], "basis[0]", NotOrthonormalBasisError)
+    v1 = _unit_qubit(basis[1], "basis[1]", NotOrthonormalBasisError)
     (a0, a1), (b0, b1) = v0, v1
     overlap = abs(a0.conjugate() * b0 + a1.conjugate() * b1)
     if overlap > VERIFY_TOL:

@@ -21,8 +21,8 @@ from qschmidt import SplitMix64
 from helpers import FAMILIES, in_order, states_of
 
 DECOMPOSE_DIGEST = "a524a71b8aa6817cf64a5a516f3bf96fceed950a1b4dc177f2e50ee5b2923604"
-SETS_DIGEST = "a9f3a1c572a6498ba75c5665fed1a4c48bd0cdbeb0b15775f0898e0d2bcdd13b"
-MIXED_DIGEST = "82fefb5a067a319aaaa0cdc8fe78843c066a5ffdcace7a1529ff64d2f9d130cd"
+SETS_DIGEST = "2dce521f9b9de6b79a7a5e2d99a6f601a56b37116b1fecadefe9f3c753fa16d7"
+MIXED_DIGEST = "8880c810a37ddda899f288e694f15615961bd8700dce575d167b9f70c0a1e052"
 
 # Each family's stream, wide: sha256 of
 # ``repr((members, parts, params, case_id, variant))`` of every set `sample`
@@ -32,19 +32,19 @@ WIDE_SEEDS = range(8)
 WIDE_COUNT = 100
 WIDE_SAMPLE_DIGESTS = {
     "pp":
-        "5eba456544f9b029fb2f005250e11bc21ad1966b8b6f9996fcc1bea2a2fc67ef",
+        "6ffca2d9914cee4148209c0841fd9116da0803105d60380616b05942bc6ccbc0",
     "pe-diagonal":
         "da666374508d580e0b2e2b94dbdc58936c8a80173106a92764a091bf8ddd6ebe",
     "pe-nondiagonal":
         "fc4594953e6b4d18d69a32df2c0e2355f1ccf5b190a7e79097e70545202c8e6c",
     "ep":
-        "43b4988bab3e6ae2d0511b701c5f24f9cc9d69f644a8639542b40e61763d2dbe",
+        "e52a9f5cfe3b6e908b3f7a08aa08d4c3d4ab511492c69648d6522fb413f70279",
     "ee-diagonal":
         "62bd6505de9abe01f0d1b4a85a8c5d667f7795d325578836373a5cc383623769",
     "ee-nondiagonal":
         "96221c38c0b5b8d42406c3734f26bee13a78d0500ca99960265033aea7beef19",
     "ppp":
-        "5d9b4506fced0910192d8315bcbf3a941e2473925527d5053bb3c5403b5f1ee1",
+        "7a46d631237798faa7dff627a6c959b460a44980c191e6189ceefd3958a63c99",
     "ppe-1":
         "019b99d6bf33441b167cefd9e6f193b86485171e1735cbbfbaf540ab61c97771",
     "ppe-2":
@@ -52,7 +52,7 @@ WIDE_SAMPLE_DIGESTS = {
     "ppe-3":
         "9c54d93fb7ffb1eb8b2098ca4ef8adfcc6099391625a5d5d99e0503e06b36659",
     "pppp":
-        "5889e3e8a554bb670b298bdee6817841d1b61efd1c9349d7f656e970e5cbbe57",
+        "923f4da5d86c8dee11cad61d62c51043185a75cebb4e2367b9c09ebc4d86416c",
     "ppee-1":
         "e31eba771f31edf9ab3b2fb117719d6c8fd9a32284fabcc5ab2fa87e2d970769",
     "ppee-2":

@@ -34,7 +34,7 @@ COUNT = 20
 # sets hash the same decompositions as `test_bit_identity.SETS_DIGEST`, so
 # the digest depends on the machine no more than that one does.
 SAMPLE_STDOUT_DIGEST = \
-    "3d45c70571a0b8f9ef7ac3dab9bc755cbeab5fceb07226dfe9e0a2bbdf7ffdda"
+    "847fdeab1117aaede569adca85778a5bd63988e2bd191634f31c045420893037"
 
 # The same stream per family: sha256 of each ``sample`` call's exit code, a
 # newline and its stdout, at every seed in SEEDS, as
@@ -42,19 +42,19 @@ SAMPLE_STDOUT_DIGEST = \
 # its family and the script's lines compare with these.
 FAMILY_SAMPLE_DIGESTS = {
     "pp":
-        "ac6555e910646dba1856a1dbaf36db210a6f978ea934f06dbab2b2fb8669910c",
+        "5121bfd30129455efaf33fadd53ddc81a2f2a6f7eb6558606a8c37c0af0ad10a",
     "pe-diagonal":
         "a6f08cdd7a54b2a5d5fa884ecacd8aa564598947c713d1ae4fb15cbefd4b559a",
     "pe-nondiagonal":
         "2c0d5149af379972ac3f6a9e370ac1c08b11a4c55d4d8fa22f909075ef18e0b5",
     "ep":
-        "6d716e541bd3a43c9e38839129601e79517227b7fd4ce703df3ba8b1cd1d7676",
+        "d58ded65b2b794262f2f32bfdf4014a33b0d02a64f9ebedd00c8b45b730fb5e2",
     "ee-diagonal":
         "6468c8792c46fe3600465796c69083f7cfa1da1803a3987f2e557ac4601de8df",
     "ee-nondiagonal":
         "b0b572014540b9a19c34a2d26854d9aff5e4a318510c0c070c91da9d11ef5f02",
     "ppp":
-        "bdb821ffaf8db5ab846c1a27e70efe9683e95910f4cc8e05a7639ec285296a78",
+        "f10823014ecc0abce540c8a1981de1a811dbad0f6876e5dfd87efe19cc9cce6c",
     "ppe-1":
         "36a2b33028c7beb49b06e5a210ed650228754eb2e8b50c54e324133cc2c235fd",
     "ppe-2":
@@ -62,7 +62,7 @@ FAMILY_SAMPLE_DIGESTS = {
     "ppe-3":
         "f30e7911b37dd842dc03eb3159d516544ad1307497f8b865a97848bd16ed9034",
     "pppp":
-        "d83dd3dfa43c19248b975fc336a9777cafe13efca12ae718b2c13a18a446c8c2",
+        "a4323df8660dff5318e2f8a3356c09f2eef651249c22935e48dc44285999ac2d",
     "ppee-1":
         "974ded76cdb9d1d7bb590ea18e21a8af2b0797ce1ceea9a520e625474da4e4b0",
     "ppee-2":
