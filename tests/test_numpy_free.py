@@ -3,9 +3,10 @@
 ``decompose``, ``verify`` and ``classify`` parse and normalize states as
 tuples of Python complex numbers (`scalar.unit_state`).  These tests hold
 that path to the array path it replaced, bit for bit and error for error:
-``np.array(c) / norm``, then `schmidt` and `jsonio.schmidt_to_obj`.  Nothing
-here is a pinned digest; each comparison runs against the numpy build
-installed.
+``np.array(c) / norm``, then `schmidt` and `jsonio.schmidt_to_obj`.  Every
+qubit a constructor is given or a sampler draws is held to `make_qubit`, the
+one route to a unit qubit.  Nothing here is a pinned digest; each comparison
+runs against the numpy build installed.
 """
 
 import contextlib
@@ -108,6 +109,31 @@ class TestNormalization:
         for c in amplitude_rows(20_000, seed=2029):
             assert outcome(q.make_qubit, c[0], c[1], True) \
                 == outcome(old_make_qubit, c[0], c[1], True)
+
+    def test_given_qubits_take_make_qubits_route(self):
+        """`construct_pp` and `orthonormal_qubit_basis` scale a qubit bit
+        for bit as `make_qubit` does, and refuse the qubits it refuses (by
+        class: each message names its own argument)."""
+        def kind(got):
+            return got if isinstance(got, bytes) else got[0]
+
+        for c in amplitude_rows(5_000, seed=2031):
+            for v in (c[:2], c[2:]):
+                perp = [-v[1].conjugate(), v[0].conjugate()]
+                want = kind(outcome(q.make_qubit, *v, True))
+                assert kind(outcome(lambda: q.construct_pp(
+                    "a-side", v).params["single"])) == want
+                assert kind(outcome(lambda: q.orthonormal_qubit_basis(
+                    [v, perp])[0])) == want
+
+    def test_random_qubit_is_make_qubit_of_its_gaussians(self):
+        for seed in range(100):
+            rng, twin = q.SplitMix64(seed), q.SplitMix64(seed)
+            for _ in range(40):
+                g = [twin.gauss() for _ in range(4)]
+                assert outcome(q.random_qubit, rng) == outcome(
+                    q.make_qubit, complex(g[0], g[1]), complex(g[2], g[3]),
+                    True)
 
 
 def run(argv, stdin=""):
