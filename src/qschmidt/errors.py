@@ -35,7 +35,8 @@ class ZeroParameterError(QuantumStateError):
 
 
 class GammaOutOfRangeError(QuantumStateError):
-    """The Schmidt-weight parameter gamma lies outside the open interval (0, 1)."""
+    """The Schmidt-weight parameter gamma lies outside the open interval
+    (0, 1), or so near 0 that the EP factors would overflow."""
 
 
 class COutOfRangeError(QuantumStateError):

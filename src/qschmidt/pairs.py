@@ -214,6 +214,9 @@ def construct_ep(gamma: float, a, b, sign: int = 1) -> OrthoSet:
     sb = cmath.sqrt(b)
     ratio_ab = (gamma / (1.0 - gamma)) ** 0.25
     ratio_ba = ((1.0 - gamma) / gamma) ** 0.25
+    if not math.isfinite(ratio_ba):
+        raise GammaOutOfRangeError(f"gamma {gamma!r} is too small: "
+                                   "((1 - gamma) / gamma) overflows")
     factor_a = (sa, -sign * 1j * ratio_ab * sb)
     factor_b = (sign * 1j * ratio_ba * sb, sa)
     na2 = _qubit(factor_a, "factor a")[2]

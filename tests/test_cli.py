@@ -413,6 +413,9 @@ class TestDomainErrorsNotTracebacks:
         (["construct", "--type", "ep", "--params",
           f'{{"gamma": {_BIG}, "a": [1, 0], "b": [0.5, 0.5]}}'],
          "NotFiniteError"),
+        (["construct", "--type", "ep", "--params",
+          '{"gamma": 5e-324, "a": [1, 0], "b": [1, 0]}'],
+         "GammaOutOfRangeError"),
         (["construct", "--type", "pm",
           "--params", f'{{"theta": {_BIG}, "theta_prime": 0}}'],
          "NotFiniteError"),
@@ -437,7 +440,8 @@ class TestDomainErrorsNotTracebacks:
             "mix-boolean-weight", "mix-string-weight",
             "construct-boolean-sign", "decompose-huge-int-pair",
             "decompose-huge-int-real", "construct-huge-int-complex",
-            "construct-huge-int-gamma", "construct-huge-int-theta",
+            "construct-huge-int-gamma", "construct-subnormal-gamma",
+            "construct-huge-int-theta",
             "construct-nan-theta-dprime", "mix-huge-int-weight",
             "decompose-int-over-digit-limit", "verify-deep-nesting",
             "construct-scalar-single", "decompose-3-pair-state"])
@@ -446,6 +450,12 @@ class TestDomainErrorsNotTracebacks:
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"] == error
+
+    def test_tiny_gamma_with_a_finite_ratio_constructs(self, capsys):
+        code, out, err = run(capsys, "construct", "--type", "ep", "--params",
+                             '{"gamma": 5.6e-309, "a": [1, 0], "b": [1, 0]}')
+        assert (code, err) == (0, "")
+        assert json.loads(out)["params"]["gamma"] == 5.6e-309
 
     @pytest.mark.parametrize("text", [_DEEP, "[" + _HUGE + "]"],
                              ids=["deep-nesting", "int-over-digit-limit"])

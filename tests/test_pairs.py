@@ -146,6 +146,20 @@ class TestEP:
                 with pytest.raises(q.GammaOutOfRangeError, match=message):
                     construct(gamma)
 
+    @pytest.mark.parametrize("gamma", (5e-324, 1e-310), ids=repr)
+    def test_rejects_a_gamma_whose_ratio_overflows(self, gamma):
+        with pytest.raises(q.GammaOutOfRangeError,
+                           match=f"^gamma {gamma!r} is too small"):
+            q.construct_ep(gamma, 1, 1)
+
+    def test_tiny_gamma_with_a_finite_ratio_constructs(self):
+        # The first member is all but |11> here, so its concurrence is
+        # far below the entangled label's threshold.
+        pair = q.construct_ep(5.6e-309, 1, 1)
+        assert_orthonormal_set(pair.states)
+        assert_valid_decomposition(pair.schmidt[0], pair.states[1])
+        assert q.concurrence(pair.states[1]) <= 1e-10
+
     def test_rejects_double_zero(self):
         with pytest.raises(q.DegenerateParametersError):
             q.construct_ep(0.5, 0, 0)
