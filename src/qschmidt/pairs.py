@@ -68,8 +68,7 @@ class OrthoSet:
                  "variant", "_states", "_schmidt")
 
     def __init__(self, members: tuple, type_label: str, parts: tuple,
-                 params: dict, case_id: int | None = None,
-                 variant: str | None = None):
+                 params: dict, case_id: int | None, variant: str | None):
         self.members, self.type_label, self.parts = members, type_label, parts
         self.params, self.case_id, self.variant = params, case_id, variant
         self._states = self._schmidt = None

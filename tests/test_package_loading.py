@@ -54,7 +54,6 @@ PUBLIC_NAMES = (
 # Every defaulted parameter of a public callable, as (name, parameter): the
 # knobs the CI "Source size" step counts.  A new knob has to edit this pin.
 DEFAULTED_PARAMETERS = (
-    ("OrthoSet", "case_id"), ("OrthoSet", "variant"),
     ("SampleSpec", "case_id"), ("SampleSpec", "count"),
     ("SampleSpec", "seed"), ("SampleSpec", "variant"),
     ("SchmidtDecomposition", "degenerate"), ("classify", "refine_m"),
