@@ -451,12 +451,6 @@ class TestDomainErrorsNotTracebacks:
         assert out == ""
         assert json.loads(err)["error"] == error
 
-    def test_tiny_gamma_with_a_finite_ratio_constructs(self, capsys):
-        code, out, err = run(capsys, "construct", "--type", "ep", "--params",
-                             '{"gamma": 5.6e-309, "a": [1, 0], "b": [1, 0]}')
-        assert (code, err) == (0, "")
-        assert json.loads(out)["params"]["gamma"] == 5.6e-309
-
     @pytest.mark.parametrize("text", [_DEEP, "[" + _HUGE + "]"],
                              ids=["deep-nesting", "int-over-digit-limit"])
     def test_bad_json_on_stdin(self, capsys, monkeypatch, text):
