@@ -9,7 +9,8 @@ verb both select from it.
 constraint manifold from a splitmix64 stream.  The integer stream is
 exactly reproducible from the seed, in any language.  Every family draws
 and constructs on Python numbers alone, so no `sample` call imports numpy
-and the sampled sets depend on CPython's float arithmetic only.
+and the sampled sets depend on CPython's float arithmetic only.  A drawn
+qubit is scaled to unit norm once, as `make_qubit` scales it.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ product-basis kets, `_tensor` and `_concurrence` below, so the command
 line's verbs, every ``construct`` and ``sample`` call included, run without
 importing numpy.  The normalization rounds as numpy divides a complex
 array by a real scalar, so the tuples hold the bits the array constructors
-in `core` return.
+in `core` return.  Every unit qubit, given to a constructor or sampled,
+comes from `_unit_qubit`, the route `core.make_qubit` takes.
 """
 
 from __future__ import annotations
@@ -185,8 +186,7 @@ def _qubit(v, name: str, error=InvalidArgumentError, entries=None) -> tuple:
 
 
 def _unit_qubit(v, name: str, error=InvalidArgumentError) -> tuple:
-    """The qubit ``v`` from outside scaled to unit norm, as `make_qubit`
-    scales it; the one route every sampled or given qubit takes."""
+    """The qubit ``v`` from outside, scaled to unit norm as `make_qubit` is."""
     v0, v1, nrm2 = _qubit(v, name, error)
     return _unit((v0, v1), nrm2, True, f"{name} is the zero vector", name)
 
