@@ -22,7 +22,6 @@ from .errors import (
     AccidentallyDiagonalError,
     ConditionViolatedError,
     COutOfRangeError,
-    DegenerateParametersError,
     NotPPPError,
 )
 from .pairs import (A_SIDE, OrthoSet, _diagonal_pair, _gamma_first, _ortho_set,
@@ -340,9 +339,6 @@ def construct_mmee_nondiagonal(theta: float, theta_prime: float, a, b) -> OrthoS
     sig_half = sigma * ph_half.conjugate()
     c0 = sig_half * a + b
     c1 = sig_half * a - b
-    if abs(c0) <= 1e-150 or abs(c1) <= 1e-150:
-        raise DegenerateParametersError(
-            "phase coefficient C_j vanished; the A-side direction is undefined")
     alpha_col = -sig_half  # shared first component of the A-side vectors
     beta_col = sigma * ph_half
     a0 = (c0 / abs(c0)) * _SQRT_HALF
