@@ -24,8 +24,8 @@ from .errors import (
     COutOfRangeError,
     NotPPPError,
 )
-from .pairs import (A_SIDE, OrthoSet, _diagonal_pair, _gamma_first, _ortho_set,
-                    _rescale)
+from .pairs import (A_SIDE, OrthoSet, _diagonal_pair, _entangled, _gamma_first,
+                    _ortho_set, _rescale)
 from .scalar import (DEFAULT_TOL, _KET00, _KET01, _KET10, _KET11, LazyNumpy,
                      _checked_complex, _concurrence, _max_overlap, _total,
                      _unit, _unit_members)
@@ -260,7 +260,8 @@ def construct_pmee(theta: float, theta_prime: float, theta_dprime: float,
     dec4 = ((ups0, ups1), (z0, z1), (ws0, ws1), False)
 
     members = (_KET00, _pm_second(theta, theta_prime),
-               _reconstruct_parts(dec3), _reconstruct_parts(dec4))
+               _entangled(_reconstruct_parts(dec3), "an entangled third member"),
+               _reconstruct_parts(dec4))
     return _ortho_set(members, "PMEE",
                       {"theta": theta, "theta_prime": theta_prime,
                        "theta_dprime": theta_dprime, "c": c}, (dec3, dec4))

@@ -121,15 +121,23 @@ def _check_variant(variant: str) -> str:
     return variant
 
 
+def _entangled(state: tuple, member: str, nondiagonal: bool = False) -> tuple:
+    """``state``, refused with `ZeroParameterError` naming ``member`` where
+    `classify` reads it as a product (concurrence <= `DEFAULT_TOL`) or, with
+    ``nondiagonal``, where `schmidt._branch` gives it the diagonal branch."""
+    if _concurrence(*state) <= DEFAULT_TOL:
+        raise ZeroParameterError(f"parameters too small to yield {member}")
+    if nondiagonal and _branch(*state)[2] is None:
+        raise ZeroParameterError(f"parameters put {member} on the diagonal branch")
+    return state
+
+
 def _diagonal_pair(x, y, names: str, what, member):
     """Nonzero ``x``, ``y`` scaled to unit norm, and entangled x|01> + y|10>."""
     x = _require_nonzero(x, names[0])
     y = _require_nonzero(y, names[1])
     x, y = _rescale((x, y), (1.0, 1.0), 1.0, what)
-    state = (0.0j, x, y, 0.0j)
-    if _concurrence(*state) <= DEFAULT_TOL:
-        raise ZeroParameterError(f"parameters too small to yield {member}")
-    return x, y, state
+    return x, y, _entangled((0.0j, x, y, 0.0j), member)
 
 
 def _gamma_first(gamma: float) -> tuple:
@@ -137,6 +145,17 @@ def _gamma_first(gamma: float) -> tuple:
     EE pairs (and, at gamma = 1/2, of the MMEE bases)."""
     return (complex(math.sqrt(gamma)), 0.0j, 0.0j,
             complex(math.sqrt(1.0 - gamma)))
+
+
+def _gamma(gamma) -> float:
+    """``gamma`` checked to lie in (0, 1) with `_gamma_first(gamma)` entangled."""
+    gamma = _number(float, gamma, "gamma")
+    if not 0.0 < gamma < 1.0:
+        raise GammaOutOfRangeError(f"gamma must lie in (0, 1), got {gamma!r}")
+    if _concurrence(*_gamma_first(gamma)) <= DEFAULT_TOL:
+        raise GammaOutOfRangeError(f"gamma {gamma!r} is too small: "
+                                   "the first member is a product state")
+    return gamma
 
 
 def construct_pp(variant: str, single) -> OrthoSet:
@@ -175,13 +194,7 @@ def construct_pe_nondiagonal(a, b, c) -> OrthoSet:
     b = _require_nonzero(b, "b")
     c = _require_nonzero(c, "c")
     a, b, c = _rescale((a, b, c), (1.0, 1.0, 1.0), 1.0, "pe-nondiagonal")
-    second = (0.0j, a, b, c)
-    if _concurrence(*second) <= DEFAULT_TOL:
-        raise ZeroParameterError(
-            "parameters too small to yield an entangled member")
-    if _branch(*second)[2] is None:
-        raise ZeroParameterError(
-            "parameters land on the diagonal branch; use the diagonal constructor")
+    second = _entangled((0.0j, a, b, c), "an entangled member", True)
     return _ortho_set((_KET00, second), "PE", {"a": a, "b": b, "c": c},
                       variant="nondiagonal")
 
@@ -199,9 +212,7 @@ def construct_ep(gamma: float, a, b, sign: int = 1) -> OrthoSet:
     use the principal branch.  ``a`` and ``b`` may be any complex numbers
     that are not both zero.
     """
-    gamma = _number(float, gamma, "gamma")
-    if not 0.0 < gamma < 1.0:
-        raise GammaOutOfRangeError(f"gamma must lie in (0, 1), got {gamma!r}")
+    gamma = _gamma(gamma)
     a = _checked_complex(a, "a")
     b = _checked_complex(b, "b")
     if a == 0 and b == 0:
@@ -213,9 +224,6 @@ def construct_ep(gamma: float, a, b, sign: int = 1) -> OrthoSet:
     sb = cmath.sqrt(b)
     ratio_ab = (gamma / (1.0 - gamma)) ** 0.25
     ratio_ba = ((1.0 - gamma) / gamma) ** 0.25
-    if not math.isfinite(ratio_ba):
-        raise GammaOutOfRangeError(f"gamma {gamma!r} is too small: "
-                                   "((1 - gamma) / gamma) overflows")
     factor_a = (sa, -sign * 1j * ratio_ab * sb)
     factor_b = (sign * 1j * ratio_ba * sb, sa)
     na2 = _qubit(factor_a, "factor a")[2]
@@ -244,9 +252,7 @@ def _ee_conditions(gamma, a, b, c):
 
 def _ee_prepare(gamma, a, b, c, what):
     """Checked, rescaled EE parameters with an entangled second member."""
-    gamma = _number(float, gamma, "gamma")
-    if not 0.0 < gamma < 1.0:
-        raise GammaOutOfRangeError(f"gamma must lie in (0, 1), got {gamma!r}")
+    gamma = _gamma(gamma)
     a = _checked_complex(a, "a")
     b = _checked_complex(b, "b")
     c = _checked_complex(c, "c")

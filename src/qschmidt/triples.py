@@ -17,12 +17,10 @@ decomposition, made by `pairs._ortho_set` with `schmidt._parts`.
 
 from __future__ import annotations
 
-from .errors import NotOrthonormalBasisError, ZeroParameterError
+from .errors import NotOrthonormalBasisError
 from .pairs import (A_SIDE, OrthoSet, _check_variant, _diagonal_pair,
-                    _ortho_set, _require_nonzero, _rescale)
-from .scalar import (DEFAULT_TOL, VERIFY_TOL, _KET00, _KET11, _concurrence,
-                     _length, _unit_qubit)
-from .schmidt import _branch
+                    _entangled, _ortho_set, _require_nonzero, _rescale)
+from .scalar import VERIFY_TOL, _KET00, _KET11, _length, _unit_qubit
 
 
 def orthonormal_qubit_basis(basis):
@@ -88,12 +86,7 @@ def _ppe_triple(case_id, a, b, c, d, what) -> OrthoSet:
     else:
         second = (0.0j, 0.0j, a, b)
         third = (0.0j, c, d * b.conjugate(), -d * a.conjugate())
-    if _concurrence(*third) <= DEFAULT_TOL:
-        raise ZeroParameterError(
-            "parameters too small to yield an entangled third member")
-    if _branch(*third)[2] is None:
-        raise ZeroParameterError(
-            "parameters too small to keep the third member non-diagonal")
+    _entangled(third, "an entangled third member", True)
     return _ortho_set((_KET00, second, third), "PPE",
                       {"a": a, "b": b, "c": c, "d": d}, case_id=case_id)
 

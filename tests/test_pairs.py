@@ -153,9 +153,14 @@ class TestEP:
             q.construct_ep(gamma, 1, 1)
 
     def test_tiny_gamma_with_a_finite_ratio_constructs(self):
-        # The first member is all but |11> here, so its concurrence is
-        # far below the entangled label's threshold.
-        pair = q.construct_ep(5.6e-309, 1, 1)
+        # At 5.6e-309 the ratio is finite, but the first member is all but
+        # |11>, a product by the entangled label's threshold; just above
+        # gamma = 2.5e-21 its concurrence 2 sqrt(gamma (1 - gamma)) clears it.
+        with pytest.raises(q.GammaOutOfRangeError,
+                           match="^gamma 5.6e-309 is too small"):
+            q.construct_ep(5.6e-309, 1, 1)
+        pair = q.construct_ep(2.6e-21, 1, 1)
+        assert q.classify(pair.members) == "EP"
         assert_orthonormal_set(pair.states)
         assert_valid_decomposition(pair.schmidt[0], pair.states[1])
         assert q.concurrence(pair.states[1]) <= 1e-10
