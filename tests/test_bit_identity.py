@@ -10,6 +10,7 @@ which fuse the complex multiply on some CPUs only, so `MIXED_DIGEST` pins
 them as well; it holds wherever the sampled sets it mixes do.
 """
 
+import functools
 import hashlib
 import math
 
@@ -236,14 +237,25 @@ def test_mixed_states_are_bit_identical():
     assert mixed_digest() == MIXED_DIGEST
 
 
-def wide_sample_digest(set_type, case_id, variant) -> str:
+@functools.cache
+def wide_pool(set_type, case_id, variant) -> tuple:
+    """``(digest, mislabelled)`` of a family's wide pool, drawn once: the
+    sha256 of its sets and the params of each set whose members classify
+    other than its ``type_label`` with M read as E."""
     h = hashlib.sha256()
+    mislabelled = []
     for seed in WIDE_SEEDS:
         spec = q.SampleSpec(set_type, case_id, variant, seed, WIDE_COUNT)
         for s in q.sample(spec):
             h.update(repr((s.members, s.parts, s.params, s.case_id,
                            s.variant)).encode())
-    return h.hexdigest()
+            if q.classify(s.members) != s.type_label.replace("M", "E"):
+                mislabelled.append(s.params)
+    return h.hexdigest(), tuple(mislabelled)
+
+
+def wide_sample_digest(set_type, case_id, variant) -> str:
+    return wide_pool(set_type, case_id, variant)[0]
 
 
 @pytest.mark.parametrize("set_type,case_id,variant", FAMILIES)
@@ -252,3 +264,9 @@ def test_sample_streams_are_bit_identical(set_type, case_id, variant):
                     if x is not None)
     assert wide_sample_digest(set_type, case_id, variant) \
         == WIDE_SAMPLE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("set_type,case_id,variant", FAMILIES)
+def test_wide_pool_classifies_as_labelled(set_type, case_id, variant):
+    """Every set of the wide pool is the pattern its label names."""
+    assert wide_pool(set_type, case_id, variant)[1] == ()

@@ -7,7 +7,9 @@ threshold, `test_schmidt.TestDispatch.test_branches_split_states_at_tol`),
 and the PE and PPE constructors refuse parameters whose member would land on
 the diagonal branch or be a product.  The constructor tests put the member's
 g or concurrence within a few ulps of `DEFAULT_TOL`, where any second copy
-of the rule that rounds differently would disagree with the first.
+of the rule that rounds differently would disagree with the first.  The
+EP, EE and PMEE tests do the same for the member each family promises is
+entangled: a set that is built classifies as its own label.
 """
 
 import cmath
@@ -75,6 +77,45 @@ def check_guard(build, member, set_index) -> bool:
     assert bits(s.schmidt[-1]) == bits(q.schmidt_nondiagonal(member))
     assert s.parts[-1] == _parts(*member)
     return False
+
+
+def check_label(build, refusal, message) -> bool:
+    """Whether ``build()`` raised ``refusal`` with ``message``; a set it
+    returns classifies as its own label, M read as E."""
+    try:
+        s = build()
+    except refusal as e:
+        assert message in str(e)
+        return True
+    assert q.classify(s.members) == s.type_label.replace("M", "E"), s.params
+    return False
+
+
+@pytest.mark.parametrize("construct", [
+    lambda gamma: q.construct_ep(gamma, 1, 1),
+    lambda gamma: q.construct_ee_diagonal(gamma, 0, 0.6, 0.8),
+    lambda gamma: q.construct_ee_nondiagonal(gamma, 0.5, 0.5, 0.5),
+], ids=["ep", "ee-diagonal", "ee-nondiagonal"])
+def test_gamma_guard_follows_the_first_member(construct):
+    """gamma steps by ulps across (TOL / 2)^2, where the first member's
+    concurrence 2 sqrt(gamma (1 - gamma)) crosses `DEFAULT_TOL`."""
+    outcomes = {check_label(lambda: construct(ulps((TOL / 2) ** 2, k)),
+                            q.GammaOutOfRangeError, "is too small")
+                for k in range(-8, 9)}
+    assert outcomes == {True, False}
+
+
+def test_pmee_guard_follows_the_third_member():
+    """|c| steps by ulps across sqrt(TOL / 2), where the third member's
+    concurrence 2|c|^2 crosses `DEFAULT_TOL`."""
+    outcomes = set()
+    for phase in (0.0, 1.0, 2.5):
+        for k in range(-8, 9):
+            c = cmath.rect(ulps(math.sqrt(TOL / 2), k), phase)
+            outcomes.add(check_label(lambda: q.construct_pmee(0.1, 0.2, 0.3, c),
+                                     q.ZeroParameterError,
+                                     "too small to yield an entangled"))
+    assert outcomes == {True, False}
 
 
 def unit(*values):
