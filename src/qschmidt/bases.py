@@ -210,6 +210,7 @@ def construct_pmee(theta: float, theta_prime: float, theta_dprime: float,
     two are parametrized by a real angle ``theta_dprime`` and a complex
     number ``c`` with 0 < |c| < 1/sqrt(2), strictly: at either boundary the
     set degrades to a PPEE pattern and those constructors apply instead.
+    The third member has concurrence 2|c|^2, so |c| must exceed about 7.07e-6.
     Coefficients: xi_j = sqrt((1 +- sqrt(1 - 4|c|^4)) / 2) for the third
     member and ups_j = sqrt((1 +- 2|c| sqrt(1 - |c|^2)) / 2) for the fourth.
     """

@@ -36,7 +36,7 @@ class ZeroParameterError(QuantumStateError):
 
 class GammaOutOfRangeError(QuantumStateError):
     """The Schmidt-weight parameter gamma lies outside the open interval
-    (0, 1), or so near 0 that the EP factors would overflow."""
+    (0, 1), or so near 0 that the first member is a product state."""
 
 
 class COutOfRangeError(QuantumStateError):

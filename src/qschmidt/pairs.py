@@ -5,11 +5,11 @@ constructor builds its result with.
 Each constructor fixes the first member in a canonical form and produces the
 general second member orthogonal to it; `_ortho_set` decomposes the second
 member with `schmidt._parts`.  A guard that promises an entangled or a
-non-diagonal member tests the member it built (`scalar._concurrence`,
-`schmidt._branch`).  Pair patterns name the members in order: P product, E
-entangled (M maximally entangled).  Arbitrary pairs of a pattern follow by
-applying the same local unitaries to both members, which leaves the pattern
-unchanged.
+non-diagonal member tests the member it built with `_entangled`, and EP and
+EE read gamma with `_gamma`.  Pair patterns name the members in order: P
+product, E entangled (M maximally entangled).  Arbitrary pairs of a pattern
+follow by applying the same local unitaries to both members, which leaves
+the pattern unchanged.
 
 The constructors here, in `triples` and in `bases` compute on Python
 complex numbers and return members and Schmidt data as tuples, so building
@@ -210,7 +210,8 @@ def construct_ep(gamma: float, a, b, sign: int = 1) -> OrthoSet:
     each normalized before the product is taken (the raw factors are not
     generally unit).  ``sign`` selects the +-i branch; complex square roots
     use the principal branch.  ``a`` and ``b`` may be any complex numbers
-    that are not both zero.
+    that are not both zero.  gamma must exceed about 2.5e-21: below it the
+    first member is a product state.
     """
     gamma = _gamma(gamma)
     a = _checked_complex(a, "a")
@@ -268,9 +269,10 @@ def _ee_prepare(gamma, a, b, c, what):
 def construct_ee_diagonal(gamma: float, a, b, c) -> OrthoSet:
     """Entangled diagonal state orthogonal to sqrt(gamma)|00> + sqrt(1-gamma)|11>.
 
-    The second member is a|00> + b|01> + c|10> - sqrt(gamma/(1-gamma)) a |11>.
-    Parameters are scaled so |a|^2/(1-gamma) + |b|^2 + |c|^2 = 1 and must
-    satisfy, within `DEFAULT_TOL`:
+    The second member is a|00> + b|01> + c|10> - sqrt(gamma/(1-gamma)) a |11>;
+    gamma must exceed about 2.5e-21, as in `construct_ep`.  Parameters are
+    scaled so |a|^2/(1-gamma) + |b|^2 + |c|^2 = 1 and must satisfy, within
+    `DEFAULT_TOL`:
 
     * entanglement:  sqrt(gamma) a^2 + sqrt(1-gamma) b c != 0
     * diagonality:   sqrt(gamma) a c^* - sqrt(1-gamma) a^* b  = 0
@@ -291,9 +293,9 @@ def construct_ee_diagonal(gamma: float, a, b, c) -> OrthoSet:
 def construct_ee_nondiagonal(gamma: float, a, b, c) -> OrthoSet:
     """Entangled non-diagonal state orthogonal to the same first member.
 
-    Same state form and normalization as the diagonal variant, but the
-    diagonality residual must exceed `DEFAULT_TOL`; parameters that satisfy the
-    diagonal condition are rejected with AccidentallyDiagonalError.
+    Same state form, gamma bound and normalization as the diagonal variant,
+    but the diagonality residual must exceed `DEFAULT_TOL`; parameters that
+    satisfy the diagonal condition are rejected with AccidentallyDiagonalError.
     """
     gamma, a, b, c, diagonal = _ee_prepare(gamma, a, b, c, "ee-nondiagonal")
     if abs(diagonal) <= DEFAULT_TOL:

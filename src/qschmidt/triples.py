@@ -9,9 +9,9 @@ cases according to the shape of the second product member:
 * case 3: second member a|10> + b|11>, third c|01> + d(b^*|10> - a^*|11>)
 
 Cases 2 and 3 produce a non-diagonal third member whenever every parameter
-is nonzero, and refuse parameters whose third member `schmidt._branch` puts
-on the diagonal branch.  Each constructor returns an `OrthoSet` of three
-states whose ``parts`` (and ``schmidt``) hold the third member's
+is nonzero, and refuse (`pairs._entangled`) parameters whose third member is
+a product or on the diagonal branch.  Each constructor returns an `OrthoSet`
+of three states whose ``parts`` (and ``schmidt``) hold the third member's
 decomposition, made by `pairs._ortho_set` with `schmidt._parts`.
 """
 
