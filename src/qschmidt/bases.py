@@ -29,7 +29,7 @@ from .pairs import (A_SIDE, OrthoSet, _diagonal_pair, _entangled, _gamma_first,
 from .scalar import (DEFAULT_TOL, _KET00, _KET01, _KET10, _KET11, LazyNumpy,
                      _checked_complex, _concurrence, _max_overlap, _total,
                      _unit, _unit_members)
-from .schmidt import _reconstruct_parts
+from .schmidt import _branch, _reconstruct_parts
 from .triples import _ppe_triple, construct_ppp
 
 np = LazyNumpy(globals())
@@ -276,39 +276,40 @@ def _mmee_conditions(theta, theta_prime, a, b) -> tuple:
 
 
 def _mmee_prepare(theta, theta_prime, a, b, what):
-    """Checked, rescaled MMEE parameters with entangled members 3 and 4."""
+    """Checked angles, rescaled a and b, `_mmee_conditions`, the third
+    member if entangled, and its `_branch` Gram off-diagonal (None: diagonal)."""
     theta = _checked_complex(theta, "theta", float)
     theta_prime = _checked_complex(theta_prime, "theta_prime", float)
     a = _checked_complex(a, "a")
     b = _checked_complex(b, "b")
     a, b = _rescale((a, b), (1.0, 1.0), 0.5, what)
     ph_half, big_e, d_real = _mmee_conditions(theta, theta_prime, a, b)
-    if big_e <= DEFAULT_TOL:
-        raise ConditionViolatedError(
-            "entangled", "e^{i Delta} b^2 equals a^2; members 3 and 4 "
-            "would be product states")
-    return theta, theta_prime, a, b, ph_half, big_e, d_real
+    third = _entangled((a, b, -(ph_half * ph_half) * b, -a),
+                       "an entangled third member")
+    return theta, theta_prime, a, b, ph_half, big_e, d_real, third, \
+        _branch(*third)[2]
 
 
 def construct_mmee_diagonal(theta: float, theta_prime: float, a, b) -> OrthoSet:
     """Basis of two maximally entangled members plus two diagonal members.
 
     The first two members are (|00> + |11>)/sqrt(2) and
-    (e^{i theta}|01> + e^{i theta'}|10>)/sqrt(2).  Parameters are scaled so
-    |a|^2 + |b|^2 = 1/2 and must satisfy, with Delta = theta' - theta:
+    (e^{i theta}|01> + e^{i theta'}|10>)/sqrt(2).  With |a|^2 + |b|^2
+    scaled to 1/2 and Delta = theta' - theta, the third member
+    a|00> + b|01> - e^{i Delta} b|10> - a|11> must be entangled by
+    `classify`'s rule and diagonal by `schmidt._branch`'s (its |g| is |D|):
 
     * entanglement:  e^{i Delta} b^2 != a^2
     * diagonality:   D = e^{i Delta/2} a^* b + e^{-i Delta/2} a b^* = 0
 
     All four members then turn out maximally entangled.
     """
-    theta, theta_prime, a, b, ph_half, _, d_real = _mmee_prepare(
+    theta, theta_prime, a, b, ph_half, _, _, third, g = _mmee_prepare(
         theta, theta_prime, a, b, "mmee-diagonal")
-    if abs(d_real) > DEFAULT_TOL:
-        raise ConditionViolatedError("diagonal", "diagonality residual "
-                                     f"{abs(d_real)!r} exceeds {DEFAULT_TOL!r}")
+    if g is not None:
+        raise ConditionViolatedError("diagonal", "third member's Gram off-"
+                                     f"diagonal {abs(g)!r} exceeds {DEFAULT_TOL!r}")
     ph_full = ph_half * ph_half
-    third = (a, b, -ph_full * b, -a)
     fourth = (b.conjugate(), -a.conjugate(), ph_full * a.conjugate(),
               -b.conjugate())
     # math.sqrt(0.5) entries, one ulp above those of PHI_PLUS.
@@ -321,16 +322,17 @@ def construct_mmee_diagonal(theta: float, theta_prime: float, a, b) -> OrthoSet:
 def construct_mmee_nondiagonal(theta: float, theta_prime: float, a, b) -> OrthoSet:
     """Basis of two maximally entangled members plus two non-diagonal members.
 
-    Same first two members and normalization as the diagonal variant, but
-    the diagonality scalar D must be nonzero.  The last two members share
+    Same first two members, normalization and entanglement check as the
+    diagonal variant, but the third member must be non-diagonal (D != 0)
+    by `schmidt._branch`'s rule.  The last two members share
     the coefficients tau_j = sqrt((1 +- sqrt(1 - 4 E^2)) / 2) with
     E = |a^2 - e^{i Delta} b^2|, and the fourth member's Schmidt bases are
     the conjugates of the third's with the subsystems swapped and an
     alternating sign.
     """
-    theta, theta_prime, a, b, ph_half, big_e, d_real = _mmee_prepare(
+    theta, theta_prime, a, b, ph_half, big_e, d_real, _, g = _mmee_prepare(
         theta, theta_prime, a, b, "mmee-nondiagonal")
-    if abs(d_real) <= DEFAULT_TOL:
+    if g is None:
         raise AccidentallyDiagonalError(
             "diagonality scalar D vanishes; use construct_mmee_diagonal")
     sigma = 1.0 if d_real > 0.0 else -1.0

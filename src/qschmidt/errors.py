@@ -30,8 +30,9 @@ class DiagonalError(QuantumStateError):
 
 
 class ZeroParameterError(QuantumStateError):
-    """A constructor parameter that must be nonzero is zero (or too small to
-    produce a member of the promised kind)."""
+    """A constructor parameter that must be nonzero is zero, or the member
+    the parameters build is a product or on the wrong branch where the
+    family promises it entangled or non-diagonal."""
 
 
 class GammaOutOfRangeError(QuantumStateError):
@@ -49,9 +50,9 @@ class DegenerateParametersError(QuantumStateError):
 
 
 class ConditionViolatedError(QuantumStateError):
-    """One of a constructor's admissibility conditions fails.
+    """A diagonal constructor's member is not diagonal by the branch rule.
 
-    ``which`` names the failed condition: ``"entangled"`` or ``"diagonal"``.
+    ``which`` names the failed condition, always ``"diagonal"``.
     """
 
     def __init__(self, which: str, message: str):

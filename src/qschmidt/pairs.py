@@ -237,33 +237,18 @@ def construct_ep(gamma: float, a, b, sign: int = 1) -> OrthoSet:
                       {"gamma": gamma, "a": a, "b": b, "sign": sign})
 
 
-def _ee_second(gamma: float, a: complex, b: complex, c: complex) -> tuple:
-    ratio = math.sqrt(gamma / (1.0 - gamma))
-    return (a, b, c, -ratio * a)
-
-
-def _ee_conditions(gamma, a, b, c):
-    """The entanglement and diagonality scalars for the EE constructors."""
-    sg = math.sqrt(gamma)
-    s1g = math.sqrt(1.0 - gamma)
-    entangled = sg * a * a + s1g * b * c
-    diagonal = sg * a * c.conjugate() - s1g * a.conjugate() * b
-    return entangled, diagonal
-
-
 def _ee_prepare(gamma, a, b, c, what):
-    """Checked, rescaled EE parameters with an entangled second member."""
+    """Checked, rescaled EE parameters, the entangled second member they
+    build, and its Gram off-diagonal by `_branch` (None: diagonal branch)."""
     gamma = _gamma(gamma)
     a = _checked_complex(a, "a")
     b = _checked_complex(b, "b")
     c = _checked_complex(c, "c")
     weights = (1.0 / (1.0 - gamma), 1.0, 1.0)
     a, b, c = _rescale((a, b, c), weights, 1.0, what)
-    entangled, diagonal = _ee_conditions(gamma, a, b, c)
-    if abs(entangled) <= DEFAULT_TOL:
-        raise ConditionViolatedError(
-            "entangled", "second member would be a product state")
-    return gamma, a, b, c, diagonal
+    second = _entangled((a, b, c, -math.sqrt(gamma / (1.0 - gamma)) * a),
+                        "an entangled second member")
+    return gamma, a, b, c, second, _branch(*second)[2]
 
 
 def construct_ee_diagonal(gamma: float, a, b, c) -> OrthoSet:
@@ -271,8 +256,8 @@ def construct_ee_diagonal(gamma: float, a, b, c) -> OrthoSet:
 
     The second member is a|00> + b|01> + c|10> - sqrt(gamma/(1-gamma)) a |11>;
     gamma must exceed about 2.5e-21, as in `construct_ep`.  Parameters are
-    scaled so |a|^2/(1-gamma) + |b|^2 + |c|^2 = 1 and must satisfy, within
-    `DEFAULT_TOL`:
+    scaled so |a|^2/(1-gamma) + |b|^2 + |c|^2 = 1, and the member built must
+    be entangled by `classify`'s rule and diagonal by `schmidt._branch`'s:
 
     * entanglement:  sqrt(gamma) a^2 + sqrt(1-gamma) b c != 0
     * diagonality:   sqrt(gamma) a c^* - sqrt(1-gamma) a^* b  = 0
@@ -280,11 +265,10 @@ def construct_ee_diagonal(gamma: float, a, b, c) -> OrthoSet:
     The Schmidt coefficients are sqrt(|a|^2 + |c|^2) and
     sqrt(|b|^2 + gamma/(1-gamma) |a|^2), sorted.
     """
-    gamma, a, b, c, diagonal = _ee_prepare(gamma, a, b, c, "ee-diagonal")
-    if abs(diagonal) > DEFAULT_TOL:
-        raise ConditionViolatedError("diagonal", "diagonality residual "
-                                     f"{abs(diagonal)!r} exceeds {DEFAULT_TOL!r}")
-    second = _ee_second(gamma, a, b, c)
+    gamma, a, b, c, second, g = _ee_prepare(gamma, a, b, c, "ee-diagonal")
+    if g is not None:
+        raise ConditionViolatedError("diagonal", "second member's Gram off-"
+                                     f"diagonal {abs(g)!r} exceeds {DEFAULT_TOL!r}")
     return _ortho_set((_gamma_first(gamma), second), "EE",
                       {"gamma": gamma, "a": a, "b": b, "c": c},
                       variant="diagonal")
@@ -293,16 +277,15 @@ def construct_ee_diagonal(gamma: float, a, b, c) -> OrthoSet:
 def construct_ee_nondiagonal(gamma: float, a, b, c) -> OrthoSet:
     """Entangled non-diagonal state orthogonal to the same first member.
 
-    Same state form, gamma bound and normalization as the diagonal variant,
-    but the diagonality residual must exceed `DEFAULT_TOL`; parameters that
-    satisfy the diagonal condition are rejected with AccidentallyDiagonalError.
+    Same state form, gamma bound, normalization and entanglement check as
+    the diagonal variant, but `schmidt._branch` must find the member
+    non-diagonal; otherwise it raises AccidentallyDiagonalError.
     """
-    gamma, a, b, c, diagonal = _ee_prepare(gamma, a, b, c, "ee-nondiagonal")
-    if abs(diagonal) <= DEFAULT_TOL:
+    gamma, a, b, c, second, g = _ee_prepare(gamma, a, b, c, "ee-nondiagonal")
+    if g is None:
         raise AccidentallyDiagonalError(
             "parameters satisfy the diagonal condition; "
             "use construct_ee_diagonal")
-    second = _ee_second(gamma, a, b, c)
     return _ortho_set((_gamma_first(gamma), second), "EE",
                       {"gamma": gamma, "a": a, "b": b, "c": c},
                       variant="nondiagonal")

@@ -35,7 +35,6 @@ from .errors import (InvalidArgumentError, RejectionLimitError, UnknownTypeError
 from .pairs import (
     A_SIDE,
     B_SIDE,
-    _ee_conditions,
     construct_ee_diagonal,
     construct_ee_nondiagonal,
     construct_ep,
@@ -201,8 +200,10 @@ def _draw_ee_nondiagonal(rng: SplitMix64) -> tuple:
         a = _complex_from(rng, w[0] * (1.0 - gamma))
         b = _complex_from(rng, w[1])
         c = _complex_from(rng, w[2])
-        entangled, diagonal = _ee_conditions(gamma, a, b, c)
-        if abs(entangled) < 1e-2 or abs(diagonal) < 1e-2:
+        # The paper's entanglement and diagonality scalars, kept off zero.
+        sg, s1g = math.sqrt(gamma), math.sqrt(1.0 - gamma)
+        if abs(sg * a * a + s1g * b * c) < 1e-2 \
+                or abs(sg * a * c.conjugate() - s1g * a.conjugate() * b) < 1e-2:
             continue
         return gamma, a, b, c
     raise _rejected("ee-nondiagonal")

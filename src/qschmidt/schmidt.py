@@ -10,7 +10,7 @@ Gram matrix is diagonal:
   bases from the Gram-matrix eigenvectors written in closed form.
 
 `_branch` alone decides the diagonal condition, for `schmidt`'s dispatch,
-both single-branch functions and the PE and PPE constructors' guards;
+both single-branch functions and every constructor's diagonal guard;
 `reconstruct` inverts any valid decomposition exactly.
 
 The branches compute on tuples of Python complex numbers.  Importing this

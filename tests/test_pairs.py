@@ -240,17 +240,20 @@ class TestEEDiagonal:
 
     def test_entanglement_guard(self):
         # b or c zero with a = 0 leaves a product second member.
-        with pytest.raises(q.ConditionViolatedError) as err:
+        with pytest.raises(q.ZeroParameterError):
             q.construct_ee_diagonal(0.5, 0, 1, 0)
-        assert err.value.which == "entangled"
 
     def test_admitted_member_off_the_diagonal_branch(self):
-        # The diagonality residual is within tol, but the member's Gram
-        # off-diagonal is 1.29e-10: the diagonal formula would return
-        # A-side vectors that overlap by 4.3e-10.
-        pair = q.construct_ee_diagonal(
-            0.9, 0.2 + 0.1j, 0.48000000127000014 + 1.1400000000000003j,
-            0.4 - 0.1j)
+        # The paper's diagonality residual is sqrt(1 - gamma) |g| = 4.1e-11,
+        # within tol, but the member's Gram off-diagonal g is 1.29e-10: the
+        # diagonal formula would return A-side vectors that overlap by
+        # 4.3e-10.  So the member is non-diagonal, by the branch rule.
+        params = (0.9, 0.2 + 0.1j, 0.48000000127000014 + 1.1400000000000003j,
+                  0.4 - 0.1j)
+        with pytest.raises(q.ConditionViolatedError) as err:
+            q.construct_ee_diagonal(*params)
+        assert err.value.which == "diagonal"
+        pair = q.construct_ee_nondiagonal(*params)
         m = np.reshape(pair.states[1], (2, 2))
         assert abs(np.vdot(m[:, 0], m[:, 1])) > 1e-10
         basis_a = pair.schmidt[0].basis_a
@@ -282,10 +285,9 @@ class TestEENondiagonal:
             q.construct_ee_nondiagonal(0.5, 0, R12, R12)
 
     def test_entanglement_guard(self):
-        with pytest.raises(q.ConditionViolatedError, match="^second member "
-                           "would be a product state$") as err:
+        with pytest.raises(q.ZeroParameterError, match="^parameters too small "
+                           "to yield an entangled second member$"):
             q.construct_ee_nondiagonal(0.5, 0, 1, 0)
-        assert err.value.which == "entangled"
 
 
 class TestTypeInvariance:
