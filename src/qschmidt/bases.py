@@ -181,6 +181,11 @@ def construct_ppee_case3(a, b, c, d) -> OrthoSet:
     return _ortho_set(members, "PPEE", triple.params, (dec3, dec4), case_id=3)
 
 
+def _angle(value, name: str) -> float:
+    """``value`` as a finite float modulo 2 pi; `math.fmod` is exact."""
+    return math.fmod(_checked_complex(value, name, float), 2.0 * math.pi)
+
+
 def _pm_second(theta: float, theta_prime: float) -> tuple:
     """(e^{i theta}|01> + e^{i theta'}|10>)/sqrt(2), the second member of the
     PM pair and of the PMEE and MMEE bases."""
@@ -192,10 +197,10 @@ def construct_pm(theta: float, theta_prime: float) -> OrthoSet:
     """Pair (|00>, (e^{i theta}|01> + e^{i theta'}|10>)/sqrt(2)).
 
     Every maximally entangled state orthogonal to |00> has this form; the
-    second member's concurrence is exactly 1.
+    second member's concurrence is exactly 1.  Angles are read modulo 2 pi.
     """
-    theta = _checked_complex(theta, "theta", float)
-    theta_prime = _checked_complex(theta_prime, "theta_prime", float)
+    theta = _angle(theta, "theta")
+    theta_prime = _angle(theta_prime, "theta_prime")
     second = _pm_second(theta, theta_prime)
     return _ortho_set((_KET00, second), "PM",
                       {"theta": theta, "theta_prime": theta_prime})
@@ -206,17 +211,17 @@ def construct_pmee(theta: float, theta_prime: float, theta_dprime: float,
     """Basis with one product member, one maximally entangled member and two
     entangled members.
 
-    The first two members are those of :func:`construct_pm`.  The remaining
-    two are parametrized by a real angle ``theta_dprime`` and a complex
-    number ``c`` with 0 < |c| < 1/sqrt(2), strictly: at either boundary the
+    The first two members are those of :func:`construct_pm`.  The other two
+    take an angle ``theta_dprime`` (all angles are read modulo 2 pi) and
+    ``c`` with 0 < |c| < 1/sqrt(2), strictly: at either boundary the
     set degrades to a PPEE pattern and those constructors apply instead.
     The third member has concurrence 2|c|^2, so |c| must exceed about 7.07e-6.
     Coefficients: xi_j = sqrt((1 +- sqrt(1 - 4|c|^4)) / 2) for the third
     member and ups_j = sqrt((1 +- 2|c| sqrt(1 - |c|^2)) / 2) for the fourth.
     """
-    theta = _checked_complex(theta, "theta", float)
-    theta_prime = _checked_complex(theta_prime, "theta_prime", float)
-    theta_dprime = _checked_complex(theta_dprime, "theta_dprime", float)
+    theta = _angle(theta, "theta")
+    theta_prime = _angle(theta_prime, "theta_prime")
+    theta_dprime = _angle(theta_dprime, "theta_dprime")
     c = _checked_complex(c, "c")
     mag = abs(c)
     if mag <= DEFAULT_TOL or mag >= _SQRT_HALF - DEFAULT_TOL:
@@ -276,10 +281,10 @@ def _mmee_conditions(theta, theta_prime, a, b) -> tuple:
 
 
 def _mmee_prepare(theta, theta_prime, a, b, what):
-    """Checked angles, rescaled a and b, `_mmee_conditions`, the third
+    """Angles modulo 2 pi, rescaled a and b, `_mmee_conditions`, the third
     member if entangled, and its `_branch` Gram off-diagonal (None: diagonal)."""
-    theta = _checked_complex(theta, "theta", float)
-    theta_prime = _checked_complex(theta_prime, "theta_prime", float)
+    theta = _angle(theta, "theta")
+    theta_prime = _angle(theta_prime, "theta_prime")
     a = _checked_complex(a, "a")
     b = _checked_complex(b, "b")
     a, b = _rescale((a, b), (1.0, 1.0), 0.5, what)
@@ -294,8 +299,8 @@ def construct_mmee_diagonal(theta: float, theta_prime: float, a, b) -> OrthoSet:
     """Basis of two maximally entangled members plus two diagonal members.
 
     The first two members are (|00> + |11>)/sqrt(2) and
-    (e^{i theta}|01> + e^{i theta'}|10>)/sqrt(2).  With |a|^2 + |b|^2
-    scaled to 1/2 and Delta = theta' - theta, the third member
+    (e^{i theta}|01> + e^{i theta'}|10>)/sqrt(2), angles modulo 2 pi.  With
+    |a|^2 + |b|^2 scaled to 1/2 and Delta = theta' - theta, the third member
     a|00> + b|01> - e^{i Delta} b|10> - a|11> must be entangled by
     `classify`'s rule and diagonal by `schmidt._branch`'s (its |g| is |D|):
 

@@ -319,3 +319,23 @@ class TestTypeInvariance:
             after = q.classify([np.kron(ua, ub) @ s for s in obj.states],
                                refine_m=True)
             assert before == after
+
+
+@pytest.mark.parametrize("construct, args", [
+    (q.construct_pm, (1e308, -1e308)),
+    (q.construct_pmee, (0.3, -1, 1e5, 0.3 - 0.2j)),
+    (q.construct_pmee, (0.3, -1, 1e200, 0.3 - 0.2j)),
+    (q.construct_pmee, (-1e308, 1e-21, -1e308, 0.5)),
+    (q.construct_mmee_diagonal, (1e-10, 1e200, 1e-12, 0)),
+    (q.construct_mmee_diagonal, (-1e308, 1e308, 1, 0)),
+    (q.construct_mmee_nondiagonal, (1, 1e308, 1, 0.3 - 0.2j)),
+    (q.construct_mmee_nondiagonal, (1e308, -1e308, 1, 0.3)),
+])
+def test_angles_are_read_modulo_two_pi(construct, args):
+    # A large angle once swamped the small ones in a sum of angles, or the
+    # sum overflowed: the set was not orthonormal, or its members NaN.
+    s = construct(*args)
+    assert q.verify_set(s.members).passed
+    for name, value in zip(("theta", "theta_prime", "theta_dprime"), args):
+        if name in s.params:
+            assert s.params[name] == math.fmod(value, 2.0 * math.pi)
