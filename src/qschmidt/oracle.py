@@ -49,6 +49,9 @@ def _oracle_parts(c00, c01, c10, c11):
     else:
         v = (complex(d1), g01.conjugate())
     nv = math.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2)
+    if 0.0 < nv < 1e-140:  # too few bits in a subnormal sum for a unit v/nv
+        v = (v[0] * 2.0 ** 600, v[1] * 2.0 ** 600)  # scaled exactly
+        nv = math.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2)
     if nv <= _ZERO_FLOOR:
         phi0 = (1.0 + 0.0j, 0.0 + 0.0j)
     else:

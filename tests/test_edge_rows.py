@@ -18,6 +18,10 @@ ROWS = {
     "subnormal-image-normalized": q.make_state(
         0, 2.20789156e-311 * (1 + 1j), 0.12403473495843921j,
         0.9922778766675138j, normalize=True),
+    # The Gram off-diagonal is 2.5e-161, so the oracle's eigenvector seed v
+    # has a subnormal |v|^2, and v/|v| was not unit: the oracle's B-side
+    # error was 3.9e-3 on this unit, maximally entangled state.
+    "subnormal-eigenvector-seed": [0.5, 0.5j, -5e-161 - 0.5j, -0.5],
 }
 
 
