@@ -13,13 +13,16 @@ entangled: a set that is built classifies as its own label.
 """
 
 import cmath
+import inspect
 import math
+import random
 
 import pytest
 
 import qschmidt as q
 from qschmidt.pairs import _rescale
-from qschmidt.schmidt import _parts
+from qschmidt.sampling import FAMILIES
+from qschmidt.schmidt import _branch, _parts
 
 TOL = q.DEFAULT_TOL
 ULP = math.ulp(TOL)
@@ -189,3 +192,99 @@ def test_diagonal_pair_guard_follows_the_member():
             assert fired == product, (x, y)
         outcomes.add(product)
     assert outcomes == {True, False}
+
+
+def test_ee_variants_split_at_the_branch_rule():
+    """At gamma = 0.9, b = 3 (a / a^*) c^* + delta makes the paper's
+    diagonality residual vanish at delta = 0; the second member's |g| is
+    then |a| delta / 2.2 after scaling, a factor 1 / sqrt(1 - gamma) above
+    that residual.  delta steps |g| across `DEFAULT_TOL`: exactly one
+    variant builds, the diagonal one where `_branch` finds the member
+    diagonal, and the set classifies as EE."""
+    a, c = 0.2 + 0.1j, 0.4 - 0.1j
+    b = 3.0 * (a / a.conjugate()) * c.conjugate()
+    edge = 2.2 * TOL / abs(a)
+    seen = set()
+    for k in range(-20, 61):
+        params = (0.9, a, b + edge * (1.0 + k / 40.0), c)
+        built = {}
+        for construct in (q.construct_ee_diagonal, q.construct_ee_nondiagonal):
+            try:
+                s = construct(*params)
+            except (q.ConditionViolatedError, q.AccidentallyDiagonalError):
+                continue
+            built[s.variant] = s
+        assert len(built) == 1, params
+        (variant, s), = built.items()
+        assert (_branch(*s.members[1])[2] is None) == (variant == "diagonal")
+        assert q.classify(s.members) == "EE", params
+        seen.add(variant)
+    assert seen == {"diagonal", "nondiagonal"}
+
+
+def test_mmee_guard_follows_the_third_member():
+    """With theta = theta' = 0 and real a > b, the third member
+    (a, b, -b, -a) has concurrence 2E, E = a^2 - b^2; E steps across
+    3e-11..2e-10.  Both variants refuse it exactly when `classify` reads it
+    as a product; otherwise the diagonal variant refuses it as non-diagonal
+    (D = 2ab) and the non-diagonal variant builds its label."""
+    outcomes = set()
+    for k in range(-8, 61):
+        e = 5e-11 + k * 2.5e-12
+        a, b = math.sqrt((0.5 + e) / 2.0), math.sqrt((0.5 - e) / 2.0)
+        an, bn = _rescale((a, b), (1.0, 1.0), 0.5, "test")
+        product = q.classify([(an, bn, -bn, -an)]) == "P"
+        refused = check_label(lambda: q.construct_mmee_nondiagonal(0, 0, a, b),
+                              q.ZeroParameterError,
+                              "too small to yield an entangled third member")
+        assert refused == product, e
+        with pytest.raises(q.ZeroParameterError if product
+                           else q.ConditionViolatedError):
+            q.construct_mmee_diagonal(0, 0, a, b)
+        outcomes.add(product)
+    assert outcomes == {True, False}
+
+
+# Zeros, subnormals, the tolerance scale, huge and non-finite numbers, bools
+# and ordinary values; the angles include those large enough to swamp the
+# others in a sum, or to overflow it.
+EDGES = (0, 0.0, -0.0, 1e-320, -1e-320, 1e-12, 1e-10, 1e-10j, 1e-200, 1e200,
+         1e308, -1e308, math.nan, math.inf, -math.inf, True, False, 1, -1,
+         0.5, 0.9, 0.3, 0.3 - 0.2j, 0.8j, -0.4j, 0.2 + 0.1j, 1e-6, 1e5, 1e-21)
+ANGLES = (0, 0.3, -1, 1e-21, 1e5, 1e200, 1e308, -1e308, math.nan, math.inf,
+          True)
+BASES = (((1, 0), (0, 1)), ((0.6, 0.8j), (0.8, -0.6j)), ((1e-320, 1), (1, 0)))
+
+
+def edge_argument(rng, name):
+    if name == "variant":
+        return rng.choice(("a-side", "b-side"))
+    if name.startswith("theta"):
+        return rng.choice(ANGLES)
+    if name == "sign":
+        return rng.choice((1, -1, True, 0))
+    if name == "single":
+        return (rng.choice(EDGES), rng.choice(EDGES))
+    if name == "basis":
+        return rng.choice(BASES + ((edge_argument(rng, "single"),) * 2,))
+    return rng.choice(EDGES)
+
+
+@pytest.mark.parametrize("key", list(FAMILIES),
+                         ids=["-".join(map(str, filter(None, k)))
+                              for k in FAMILIES])
+def test_edge_grid_refuses_or_builds_the_label(key):
+    """About 500 seeded calls of each family's constructor on edge values:
+    each raises a `QuantumStateError` or returns finite members that
+    classify as the set's label, M read as E."""
+    construct = FAMILIES[key].construct
+    names = list(inspect.signature(construct).parameters)
+    rng = random.Random(list(FAMILIES).index(key))
+    for _ in range(500):
+        args = [edge_argument(rng, name) for name in names]
+        try:
+            s = construct(*args)
+        except q.QuantumStateError:
+            continue
+        assert all(cmath.isfinite(z) for m in s.members for z in m), args
+        assert q.classify(s.members) == s.type_label.replace("M", "E"), args
