@@ -31,8 +31,8 @@ class DiagonalError(QuantumStateError):
 
 class ZeroParameterError(QuantumStateError):
     """A constructor parameter that must be nonzero is zero, or the member
-    the parameters build is a product or on the wrong branch where the
-    family promises it entangled or non-diagonal."""
+    the parameters build is a product where the family promises it
+    entangled, or diagonal where it promises it non-diagonal."""
 
 
 class GammaOutOfRangeError(QuantumStateError):

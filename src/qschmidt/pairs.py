@@ -279,7 +279,7 @@ def construct_ee_nondiagonal(gamma: float, a, b, c) -> OrthoSet:
 
     Same state form, gamma bound, normalization and entanglement check as
     the diagonal variant, but `schmidt._branch` must find the member
-    non-diagonal; otherwise it raises AccidentallyDiagonalError.
+    non-diagonal, or the call raises AccidentallyDiagonalError.
     """
     gamma, a, b, c, second, g = _ee_prepare(gamma, a, b, c, "ee-nondiagonal")
     if g is None:

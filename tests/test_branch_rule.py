@@ -4,12 +4,13 @@ The diagonal condition on the Gram off-diagonal g selects the paper's
 formula.  `schmidt` dispatches on it, `schmidt_diagonal` and
 `schmidt_nondiagonal` refuse the states the other one takes (near the
 threshold, `test_schmidt.TestDispatch.test_branches_split_states_at_tol`),
-and the PE and PPE constructors refuse parameters whose member would land on
-the diagonal branch or be a product.  The constructor tests put the member's
-g or concurrence within a few ulps of `DEFAULT_TOL`, where any second copy
-of the rule that rounds differently would disagree with the first.  The
-EP, EE and PMEE tests do the same for the member each family promises is
-entangled: a set that is built classifies as its own label.
+and the PE, EE, PPE and MMEE constructors decide with it, and with
+`classify`'s product rule, whether the member they build may stand.  The
+constructor tests put the member's g or concurrence at or within a few ulps
+of `DEFAULT_TOL`, where any second copy of the rule that rounds or scales
+differently would disagree with the first.  The EP, EE and PMEE tests do the
+same for the member each family promises is entangled: a set that is built
+classifies as its own label, also on the edge-value grid of every family.
 """
 
 import cmath
