@@ -20,10 +20,12 @@ import pytest
 import qschmidt as q
 from qschmidt import SplitMix64
 from helpers import FAMILIES, in_order, states_of
+from test_edge_rows import ROWS
 
 DECOMPOSE_DIGEST = "a524a71b8aa6817cf64a5a516f3bf96fceed950a1b4dc177f2e50ee5b2923604"
 SETS_DIGEST = "2dce521f9b9de6b79a7a5e2d99a6f601a56b37116b1fecadefe9f3c753fa16d7"
 MIXED_DIGEST = "8880c810a37ddda899f288e694f15615961bd8700dce575d167b9f70c0a1e052"
+EDGE_DIGEST = "f52d8501770f22a10754ff9dbe6fe6fa5c1902173625f10bd4dd8c51e12157f8"
 
 # Each family's stream, wide: sha256 of
 # ``repr((members, parts, params, case_id, variant))`` of every set `sample`
@@ -204,6 +206,55 @@ def _same_bits(a, b) -> bool:
 
 def test_decompositions_are_bit_identical():
     assert decompose_digest() == DECOMPOSE_DIGEST
+
+
+# Unit shapes of the edge lattice.  Scaled by 2**k, g moves by 4**k, so the
+# lattice crosses the branch rule, the oracle's subnormal eigenvector seed
+# and its zero seed, the subnormal image vector and the rank-1 completion,
+# none of which the Haar and band states of `decompose_pool` reach.
+EDGE_SHAPES = (
+    [0.168, 0.576, 0.224j, 0.768j],  # product
+    [0.6, 3e-11, 0.0, 0.8],  # near-diagonal, |g| = 1.8e-11
+    [0.5, 0.5, 0.5j, 2e-170 - 0.5j],  # equal column norms, |g| = 1e-170
+    [0.0, 0.6, 0.0, 0.8j],  # one vanishing column
+)
+# Every result is finite from 2**-497 to 2**255 on every shape; below, the
+# squared norm falls under the zero floor, and above, squares overflow.
+EDGE_EXPONENTS = (-497, -400, -300, -160, -40, 0, 40, 160, 255)
+
+
+def edge_states() -> list:
+    """`test_edge_rows.ROWS`, the four Bell states, and each lattice shape
+    at every scale in `EDGE_EXPONENTS`, its second column times each
+    fourth root of unity.  Each entry is built component by component,
+    which is exact, so no complex multiply rounds or signs a zero."""
+    r = math.sqrt(0.5)
+    states = list(ROWS.values())
+    states += [[r, 0, 0, r], [r, 0, 0, -r], [0, r, r, 0], [0, r, -r, 0]]
+    turns = (lambda x, y: (x, y), lambda x, y: (-y, x),
+             lambda x, y: (-x, -y), lambda x, y: (y, -x))
+    for shape in EDGE_SHAPES:
+        for k in EDGE_EXPONENTS:
+            c00, c01, c10, c11 = (complex(z.real * 2.0 ** k, z.imag * 2.0 ** k)
+                                  for z in map(complex, shape))
+            for turn in turns:
+                states.append([c00, complex(*turn(c01.real, c01.imag)),
+                               c10, complex(*turn(c11.real, c11.imag))])
+    return states
+
+
+def edge_digest() -> str:
+    h = hashlib.sha256()
+    for s in edge_states():
+        for d in (q.schmidt(s), q.oracle_schmidt(s)):
+            _feed_decomposition(h, d)
+            _feed(h, q.reconstruct(d))
+        h.update(repr(q.verify_set([s])).encode())
+    return h.hexdigest()
+
+
+def test_edges_are_bit_identical():
+    assert edge_digest() == EDGE_DIGEST
 
 
 def test_sets_are_bit_identical():
