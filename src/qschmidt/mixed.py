@@ -16,9 +16,10 @@ positive does ``np.linalg.eigvalsh`` decide.  The certificate accepts only
 matrices whose ``eigvalsh`` spectrum starts at -1e-12 or above, so the
 verdict is the one ``eigvalsh`` alone would give.
 
-The densities are computed on Python numbers, one entry at a time, in the
-order `_mix_rows` states, so they are exactly Hermitian and do not depend
-on numpy's SIMD loops, which fuse the complex multiply on some CPUs only.
+The densities are computed on Python numbers in the order `_mix_rows`
+states, each entry below the diagonal as the exact conjugate of its mirror,
+so they are exactly Hermitian and do not depend on numpy's SIMD loops,
+which fuse the complex multiply on some CPUs only.
 `spectral_mix`, `reduce_a` and `reduce_b` wrap the result in arrays; the
 command line's ``mix`` writes the Python numbers themselves and never
 imports numpy.  The checks need numpy only to read an array-like density
@@ -41,11 +42,15 @@ def _mix_rows(states, weights) -> list:
     """The four rows of sum_i w_i |s_i><s_i| as lists of Python complex,
     after the checks `spectral_mix` documents.
 
-    Entry (r, c) is summed over the states in order from ``0j`` as
-    ``acc + w * (a[r] * a[c].conjugate())``.  Entry (c, r) then rounds to
-    the conjugate of entry (r, c), so the matrix is exactly Hermitian with
-    a real diagonal, and its bits depend on CPython's complex arithmetic
-    only, not on numpy's loops.
+    Entry (r, c), r <= c, is summed over the states in order from ``0j`` as
+    ``acc + w * (a[r] * a[c].conjugate())``, and entry (c, r) is that sum u
+    mirrored, ``complex(u.real, 0.0 - u.imag)``, which is the sum over (c, r)
+    bit for bit: per term the real parts are the same two products and the
+    imaginary parts fl(A - B) and fl(B - A), opposite; a real w scales both
+    alike, as ``w + 0j`` up to CPython 3.13 or by 3.14's mixed-mode rule,
+    and opposite sums stay opposite.  A zero's sign alone could differ, but
+    a sum from ``0j`` never has an imaginary -0.0, so ``0.0 - u.imag`` gives
+    its +0.0.  The bits depend on CPython's complex arithmetic only.
     """
     n = _length(states, "states", BadWeightsError)
     if n == 0:
@@ -66,29 +71,29 @@ def _mix_rows(states, weights) -> list:
     if ov > DEFAULT_TOL:
         raise NotOrthogonalError(
             f"states {i} and {j} overlap by {ov!r} (> {DEFAULT_TOL!r})")
-    # Summed in place, so few complex objects are alive at once: more, laid
-    # between small results a caller keeps, fragment the allocator's pools.
-    rho = [0j] * 16
+    # One local per entry, so few complex objects are alive at once: more,
+    # laid between small results a caller keeps, fragment the allocator.
+    r00 = r01 = r02 = r03 = r11 = r12 = r13 = r22 = r23 = r33 = 0j
     for w, (a0, a1, a2, a3) in zip(ws, amps):
         b0, b1, b2, b3 = (a0.conjugate(), a1.conjugate(), a2.conjugate(),
                           a3.conjugate())
-        rho[0] += w * (a0 * b0)
-        rho[1] += w * (a0 * b1)
-        rho[2] += w * (a0 * b2)
-        rho[3] += w * (a0 * b3)
-        rho[4] += w * (a1 * b0)
-        rho[5] += w * (a1 * b1)
-        rho[6] += w * (a1 * b2)
-        rho[7] += w * (a1 * b3)
-        rho[8] += w * (a2 * b0)
-        rho[9] += w * (a2 * b1)
-        rho[10] += w * (a2 * b2)
-        rho[11] += w * (a2 * b3)
-        rho[12] += w * (a3 * b0)
-        rho[13] += w * (a3 * b1)
-        rho[14] += w * (a3 * b2)
-        rho[15] += w * (a3 * b3)
-    return [rho[0:4], rho[4:8], rho[8:12], rho[12:16]]
+        r00 += w * (a0 * b0)
+        r01 += w * (a0 * b1)
+        r02 += w * (a0 * b2)
+        r03 += w * (a0 * b3)
+        r11 += w * (a1 * b1)
+        r12 += w * (a1 * b2)
+        r13 += w * (a1 * b3)
+        r22 += w * (a2 * b2)
+        r23 += w * (a2 * b3)
+        r33 += w * (a3 * b3)
+    return [[r00, r01, r02, r03],
+            [complex(r01.real, 0.0 - r01.imag), r11, r12, r13],
+            [complex(r02.real, 0.0 - r02.imag),
+             complex(r12.real, 0.0 - r12.imag), r22, r23],
+            [complex(r03.real, 0.0 - r03.imag),
+             complex(r13.real, 0.0 - r13.imag),
+             complex(r23.real, 0.0 - r23.imag), r33]]
 
 
 def spectral_mix(states, weights) -> np.ndarray:
