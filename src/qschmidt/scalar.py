@@ -206,14 +206,6 @@ def _tensor(a, b) -> tuple:
     return (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
 
 
-def _dot(a, b) -> complex:
-    """Inner product of two amplitude 4-tuples, conjugate linear in ``a``."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (a0.conjugate() * b0 + a1.conjugate() * b1
-            + a2.conjugate() * b2 + a3.conjugate() * b3)
-
-
 def _norm(a) -> float:
     """Euclidean norm of an amplitude 4-tuple, squares summed in order."""
     c00, c01, c10, c11 = a
@@ -237,12 +229,17 @@ def _unit_members(states, error=NotNormalizedError, limit: float = 1e-10) -> lis
 
 def _max_overlap(amps) -> tuple:
     """``(overlap, i, j)``: the largest |<amps[i]|amps[j]>|, i < j, and the
-    first pair that reaches it; ``(0.0, 0, 0)`` when there is no pair."""
+    first pair that reaches it; ``(0.0, 0, 0)`` when there is no pair.  Each
+    row is conjugated once, and each inner product summed from its first
+    term to its last."""
     worst, wi, wj = 0.0, 0, 0
     n = len(amps)
-    for i in range(n):
+    for i, (a0, a1, a2, a3) in enumerate(amps[:-1]):
+        a0, a1, a2, a3 = (a0.conjugate(), a1.conjugate(), a2.conjugate(),
+                          a3.conjugate())
         for j in range(i + 1, n):
-            ov = abs(_dot(amps[i], amps[j]))
+            b0, b1, b2, b3 = amps[j]
+            ov = abs(a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3)
             if ov > worst:
                 worst, wi, wj = ov, i, j
     return worst, wi, wj
