@@ -40,46 +40,45 @@ def _oracle_parts(c00, c01, c10, c11):
     l0 = math.sqrt(m0)
     l1 = math.sqrt(m1)
 
-    # Eigenvector of the larger eigenvalue, seeded from whichever row of
-    # (G - m0 I) has the larger residual entry.
+    # Eigenvector phi0 = (p0, p1) of the larger eigenvalue, seeded from
+    # whichever row of (G - m0 I) has the larger residual entry.
     d0 = m0 - g00
     d1 = m0 - g11
     if d0 >= d1:
-        v = (g01, complex(d0))
+        v0, v1 = g01, complex(d0)
     else:
-        v = (complex(d1), g01.conjugate())
-    nv = math.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2)
+        v0, v1 = complex(d1), g01.conjugate()
+    nv = math.sqrt(abs(v0) ** 2 + abs(v1) ** 2)
     if 0.0 < nv < 1e-140:  # too few bits in a subnormal sum for a unit v/nv
-        v = (v[0] * 2.0 ** 600, v[1] * 2.0 ** 600)  # scaled exactly
-        nv = math.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2)
+        v0, v1 = v0 * 2.0 ** 600, v1 * 2.0 ** 600  # scaled exactly
+        nv = math.sqrt(abs(v0) ** 2 + abs(v1) ** 2)
     if nv <= _ZERO_FLOOR:
-        phi0 = (1.0 + 0.0j, 0.0 + 0.0j)
+        p0, p1 = 1.0 + 0.0j, 0.0 + 0.0j
     else:
-        phi0 = (v[0] / nv, v[1] / nv)
-    phi1 = (-phi0[1].conjugate(), phi0[0].conjugate())
+        p0, p1 = v0 / nv, v1 / nv
+    q0, q1 = -p1.conjugate(), p0.conjugate()  # phi1
 
-    x00 = c00 * phi0[0] + c01 * phi0[1]
-    x01 = c10 * phi0[0] + c11 * phi0[1]
+    x00 = c00 * p0 + c01 * p1
+    x01 = c10 * p0 + c11 * p1
     nx = math.sqrt(x00.real * x00.real + x00.imag * x00.imag
                    + x01.real * x01.real + x01.imag * x01.imag)
     if nx <= _ZERO_FLOOR:
-        a0 = (1.0 + 0.0j, 0.0 + 0.0j)
+        e0, e1 = 1.0 + 0.0j, 0.0 + 0.0j
     else:
-        a0 = (x00 / nx, x01 / nx)
-    w = (-a0[1].conjugate(), a0[0].conjugate())
-    x10 = c00 * phi1[0] + c01 * phi1[1]
-    x11 = c10 * phi1[0] + c11 * phi1[1]
-    z = w[0].conjugate() * x10 + w[1].conjugate() * x11
+        e0, e1 = x00 / nx, x01 / nx
+    # The A side is (e0, e1) and (w0, w1) times a phase; -e1 and e0 are the
+    # conjugates of w0 and w1, as are -p1 and p0 of q0 and q1, bit for bit.
+    w0, w1 = -e1.conjugate(), e0.conjugate()
+    x10 = c00 * q0 + c01 * q1
+    x11 = c10 * q0 + c11 * q1
+    z = -e1 * x10 + e0 * x11
     az = abs(z)
     if 0.0 < az < 1e-280:  # too few bits in a subnormal |z| for a unit z/|z|
         z *= 2.0 ** 600  # a power of two scales exactly
         az = abs(z)
     phase = z / az if az > 0.0 else 1.0 + 0.0j
-    a1 = (phase * w[0], phase * w[1])
-
-    b0 = (phi0[0].conjugate(), phi0[1].conjugate())
-    b1 = (phi1[0].conjugate(), phi1[1].conjugate())
-    return (l0, l1), (a0, a1), (b0, b1), False
+    return ((l0, l1), ((e0, e1), (phase * w0, phase * w1)),
+            ((p0.conjugate(), p1.conjugate()), (-p1, p0)), False)
 
 
 def oracle_schmidt(state) -> SchmidtDecomposition:

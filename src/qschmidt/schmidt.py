@@ -140,28 +140,27 @@ def _nondiag_parts(c00, c01, c10, c11, n0, n1, g):
         s0 = -g2 / s1
     ny0 = math.sqrt(g2 + s0 * s0)
     ny1 = math.sqrt(g2 + s1 * s1)
-    gc = g.conjugate()
-    b0 = (gc / ny0, s0 / ny0)
-    b1 = (gc / ny1, s1 / ny1)
 
     x00 = c00 * g + c01 * s0
     x01 = c10 * g + c11 * s0
     nx0 = math.sqrt(x00.real * x00.real + x00.imag * x00.imag
                     + x01.real * x01.real + x01.imag * x01.imag)
-    a0 = (x00 / nx0, x01 / nx0)
-    # The second A-side vector is the exact orthogonal complement of the
-    # first, phase aligned with the formula's (possibly tiny) image vector.
-    w = _perp(a0)
+    e0, e1 = x00 / nx0, x01 / nx0
+    # The second A-side vector is the exact orthogonal complement (w0, w1)
+    # of the first, (e0, e1), phase aligned with the formula's (possibly
+    # tiny) image vector; -e1 and e0 are w0's and w1's conjugates exactly.
+    w0, w1 = -e1.conjugate(), e0.conjugate()
     x10 = c00 * g + c01 * s1
     x11 = c10 * g + c11 * s1
-    z = w[0].conjugate() * x10 + w[1].conjugate() * x11
+    z = -e1 * x10 + e0 * x11
     az = abs(z)
     if 0.0 < az < 1e-280:  # too few bits in a subnormal |z| for a unit z/|z|
         z *= 2.0 ** 600  # a power of two scales exactly
         az = abs(z)
     phase = z / az if az > 0.0 else 1.0 + 0.0j
-    a1 = (phase * w[0], phase * w[1])
-    return (lam0, lam1), (a0, a1), (b0, b1), False
+    gc = g.conjugate()
+    return ((lam0, lam1), ((e0, e1), (phase * w0, phase * w1)),
+            ((gc / ny0, s0 / ny0), (gc / ny1, s1 / ny1)), False)
 
 
 def _parts(c00, c01, c10, c11):
