@@ -77,16 +77,20 @@ _VERBS = {
 }
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(argv: list) -> argparse.ArgumentParser:
+    """The parser of ``argv``: every verb is a choice, but only the one
+    ``argv[0]`` names, or all when it names none, get their arguments."""
     p = argparse.ArgumentParser(
         prog="qschmidt",
         description="Schmidt decompositions and orthogonal-set construction "
                     "for two-qubit states (JSON in, JSON out).")
     sub = p.add_subparsers(dest="verb", required=True)
+    chosen = argv[0] if argv and argv[0] in _VERBS else None
     for verb, (help_, arguments) in _VERBS.items():
         v = sub.add_parser(verb, help=help_)
-        for flag, kwargs in arguments:
-            v.add_argument(flag, **kwargs)
+        if chosen in (None, verb):
+            for flag, kwargs in arguments:
+                v.add_argument(flag, **kwargs)
     return p
 
 
@@ -170,7 +174,8 @@ def _sets(args) -> Iterable[str]:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser(argv).parse_args(argv)
     try:
         if args.verb == "decompose":
             state = jsonio.state_from_obj(
