@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import qschmidt as q
-from qschmidt.cli import main
+from qschmidt.cli import _VERBS, _parser, main
 from qschmidt import jsonio, sampling
 from helpers import FAMILIES, GOLD_PE, KET00, R12, state_obj
 
@@ -331,6 +331,20 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["decompose"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [[verb, "--help"] for verb in _VERBS] + [
+        ["--help"], ["frobnicate"], ["decompose"],
+        ["sample", "--type", "pp", "--case", "7"],
+        ["classify", "--set", "[]", "--nope"]])
+    def test_one_verb_parser_reads_as_the_full_one(self, capsys, argv):
+        """`main` builds only the named verb's arguments; its help and its
+        usage errors are byte for byte those of the parser of every verb."""
+        seen = []
+        for parser in (_parser(argv), _parser([])):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            seen.append((exc.value.code, capsys.readouterr()))
+        assert seen[0] == seen[1]
 
 
 _STATE = "[[0.5,0],[0.5,0],[0.5,0],[0.5,0]]"
