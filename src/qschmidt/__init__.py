@@ -5,9 +5,7 @@ spectral mixed-state building, and a JSON command-line front end."""
 from importlib import import_module as _import_module
 
 from .errors import (
-    AccidentallyDiagonalError,
     BadWeightsError,
-    ConditionViolatedError,
     COutOfRangeError,
     DegenerateParametersError,
     DiagonalError,

@@ -18,18 +18,13 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import (
-    AccidentallyDiagonalError,
-    ConditionViolatedError,
-    COutOfRangeError,
-    NotPPPError,
-)
+from .errors import COutOfRangeError, NotPPPError, ZeroParameterError
 from .pairs import (A_SIDE, OrthoSet, _diagonal_pair, _entangled, _gamma_first,
                     _ortho_set, _rescale)
 from .scalar import (DEFAULT_TOL, _KET00, _KET01, _KET10, _KET11, LazyNumpy,
                      _checked_complex, _concurrence, _max_overlap, _total,
                      _unit, _unit_members)
-from .schmidt import _branch, _reconstruct_parts
+from .schmidt import _promised_branch, _reconstruct_parts
 from .triples import _ppe_triple, construct_ppp
 
 np = LazyNumpy(globals())
@@ -224,11 +219,13 @@ def construct_pmee(theta: float, theta_prime: float, theta_dprime: float,
     theta_dprime = _angle(theta_dprime, "theta_dprime")
     c = _checked_complex(c, "c")
     mag = abs(c)
-    if mag <= DEFAULT_TOL or mag >= _SQRT_HALF - DEFAULT_TOL:
+    if mag >= _SQRT_HALF - DEFAULT_TOL:
         raise COutOfRangeError(
-            f"|c| must lie strictly inside (0, 1/sqrt(2)), got {mag!r}; "
-            "at the boundaries the basis degrades to a PPEE pattern, "
-            "use the PPEE constructors")
+            f"|c| must lie below 1/sqrt(2), got {mag!r}; at the bound the "
+            "basis degrades to a PPEE pattern, use the PPEE constructors")
+    if mag <= DEFAULT_TOL:  # c^2 may underflow; the third member is a product
+        raise ZeroParameterError(
+            "parameters too small to yield an entangled third member")
     c2 = mag * mag
     # sqrt(1 - 4|c|^4) as a product, avoiding cancellation near the boundary.
     h_xi = math.sqrt((1.0 - 2.0 * c2) * (1.0 + 2.0 * c2))
@@ -281,8 +278,8 @@ def _mmee_conditions(theta, theta_prime, a, b) -> tuple:
 
 
 def _mmee_prepare(theta, theta_prime, a, b, what):
-    """Angles modulo 2 pi, rescaled a and b, `_mmee_conditions`, the third
-    member if entangled, and its `_branch` Gram off-diagonal (None: diagonal)."""
+    """Angles modulo 2 pi, rescaled a and b, `_mmee_conditions` and the
+    third member, if entangled."""
     theta = _angle(theta, "theta")
     theta_prime = _angle(theta_prime, "theta_prime")
     a = _checked_complex(a, "a")
@@ -291,8 +288,7 @@ def _mmee_prepare(theta, theta_prime, a, b, what):
     ph_half, big_e, d_real = _mmee_conditions(theta, theta_prime, a, b)
     third = _entangled((a, b, -(ph_half * ph_half) * b, -a),
                        "an entangled third member")
-    return theta, theta_prime, a, b, ph_half, big_e, d_real, third, \
-        _branch(*third)[2]
+    return theta, theta_prime, a, b, ph_half, big_e, d_real, third
 
 
 def construct_mmee_diagonal(theta: float, theta_prime: float, a, b) -> OrthoSet:
@@ -309,11 +305,9 @@ def construct_mmee_diagonal(theta: float, theta_prime: float, a, b) -> OrthoSet:
 
     All four members then turn out maximally entangled.
     """
-    theta, theta_prime, a, b, ph_half, _, _, third, g = _mmee_prepare(
+    theta, theta_prime, a, b, ph_half, _, _, third = _mmee_prepare(
         theta, theta_prime, a, b, "mmee-diagonal")
-    if g is not None:
-        raise ConditionViolatedError("diagonal", "third member's Gram off-"
-                                     f"diagonal {abs(g)!r} exceeds {DEFAULT_TOL!r}")
+    _promised_branch(third, True, "the third member")
     ph_full = ph_half * ph_half
     fourth = (b.conjugate(), -a.conjugate(), ph_full * a.conjugate(),
               -b.conjugate())
@@ -335,15 +329,13 @@ def construct_mmee_nondiagonal(theta: float, theta_prime: float, a, b) -> OrthoS
     the conjugates of the third's with the subsystems swapped and an
     alternating sign.
     """
-    theta, theta_prime, a, b, ph_half, big_e, d_real, _, g = _mmee_prepare(
+    theta, theta_prime, a, b, ph_half, big_e, d_real, third = _mmee_prepare(
         theta, theta_prime, a, b, "mmee-nondiagonal")
-    if g is None:
-        raise AccidentallyDiagonalError(
-            "diagonality scalar D vanishes; use construct_mmee_diagonal")
+    _promised_branch(third, False, "the third member")
     sigma = 1.0 if d_real > 0.0 else -1.0
     h = math.sqrt(max(1.0 - 4.0 * big_e * big_e, 0.0))
     tau0 = math.sqrt(0.5 * (1.0 + h))
-    tau1 = big_e / tau0
+    tau1 = min(big_e / tau0, tau0)  # E / tau0 can round one ulp above tau0
 
     sig_half = sigma * ph_half.conjugate()
     c0 = sig_half * a + b

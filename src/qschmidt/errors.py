@@ -20,19 +20,20 @@ class NotNormalizedError(QuantumStateError):
 
 
 class NotDiagonalError(QuantumStateError):
-    """The diagonal-branch decomposition was applied to a state whose
-    coefficient-matrix columns are not orthogonal."""
+    """A state or constructor member promised the diagonal branch takes the
+    non-diagonal one by `schmidt._branch`."""
 
 
 class DiagonalError(QuantumStateError):
-    """The non-diagonal-branch decomposition was applied to a state with
-    orthogonal coefficient-matrix columns; its internal vectors vanish there."""
+    """A state or constructor member promised the non-diagonal branch takes
+    the diagonal one by `schmidt._branch`; that formula's internal vectors
+    vanish there."""
 
 
 class ZeroParameterError(QuantumStateError):
     """A constructor parameter that must be nonzero is zero, or the member
     the parameters build is a product where the family promises it
-    entangled, or diagonal where it promises it non-diagonal."""
+    entangled."""
 
 
 class GammaOutOfRangeError(QuantumStateError):
@@ -41,28 +42,12 @@ class GammaOutOfRangeError(QuantumStateError):
 
 
 class COutOfRangeError(QuantumStateError):
-    """The complex parameter's magnitude lies outside its required open interval."""
+    """PMEE's complex parameter c has |c| at or above its upper bound."""
 
 
 class DegenerateParametersError(QuantumStateError):
     """Parameters collapse an intermediate vector to zero, leaving a direction
     undefined."""
-
-
-class ConditionViolatedError(QuantumStateError):
-    """A diagonal constructor's member is not diagonal by the branch rule.
-
-    ``which`` names the failed condition, always ``"diagonal"``.
-    """
-
-    def __init__(self, which: str, message: str):
-        super().__init__(message)
-        self.which = which
-
-
-class AccidentallyDiagonalError(QuantumStateError):
-    """Parameters meant for a non-diagonal constructor satisfy the diagonal
-    condition; the diagonal constructor applies instead."""
 
 
 class NotOrthonormalBasisError(QuantumStateError):

@@ -4,8 +4,9 @@ constructor builds its result with.
 
 Each constructor fixes the first member in a canonical form and produces the
 general second member orthogonal to it; `_ortho_set` decomposes the second
-member with `schmidt._parts`.  A guard that promises an entangled or a
-non-diagonal member tests the member it built with `_entangled`, and EP and
+member with `schmidt._parts`.  A guard that promises an entangled member
+tests the member it built with `_entangled`, one that promises a diagonal or
+a non-diagonal member tests it with `schmidt._promised_branch`, and EP and
 EE read gamma with `_gamma`.  Pair patterns name the members in order: P
 product, E entangled (M maximally entangled).  Arbitrary pairs of a pattern
 follow by applying the same local unitaries to both members, which leaves
@@ -23,8 +24,6 @@ import cmath
 import math
 
 from .errors import (
-    AccidentallyDiagonalError,
-    ConditionViolatedError,
     DegenerateParametersError,
     GammaOutOfRangeError,
     InvalidArgumentError,
@@ -34,7 +33,7 @@ from .errors import (
 from .scalar import (DEFAULT_TOL, _KET00, LazyNumpy, _checked_complex,
                      _checked_norm, _concurrence, _is_bool, _number, _qubit,
                      _tensor, _total, _unit, _unit_qubit)
-from .schmidt import _branch, _parts, _wrap
+from .schmidt import _parts, _promised_branch, _wrap
 
 np = LazyNumpy(globals())
 
@@ -121,14 +120,11 @@ def _check_variant(variant: str) -> str:
     return variant
 
 
-def _entangled(state: tuple, member: str, nondiagonal: bool = False) -> tuple:
+def _entangled(state: tuple, member: str) -> tuple:
     """``state``, refused with `ZeroParameterError` naming ``member`` where
-    `classify` reads it as a product (concurrence <= `DEFAULT_TOL`) or, with
-    ``nondiagonal``, where `schmidt._branch` gives it the diagonal branch."""
+    `classify` reads it as a product (concurrence <= `DEFAULT_TOL`)."""
     if _concurrence(*state) <= DEFAULT_TOL:
         raise ZeroParameterError(f"parameters too small to yield {member}")
-    if nondiagonal and _branch(*state)[2] is None:
-        raise ZeroParameterError(f"parameters put {member} on the diagonal branch")
     return state
 
 
@@ -194,7 +190,8 @@ def construct_pe_nondiagonal(a, b, c) -> OrthoSet:
     b = _require_nonzero(b, "b")
     c = _require_nonzero(c, "c")
     a, b, c = _rescale((a, b, c), (1.0, 1.0, 1.0), 1.0, "pe-nondiagonal")
-    second = _entangled((0.0j, a, b, c), "an entangled member", True)
+    second = _entangled((0.0j, a, b, c), "an entangled member")
+    _promised_branch(second, False, "the second member")
     return _ortho_set((_KET00, second), "PE", {"a": a, "b": b, "c": c},
                       variant="nondiagonal")
 
@@ -238,8 +235,8 @@ def construct_ep(gamma: float, a, b, sign: int = 1) -> OrthoSet:
 
 
 def _ee_prepare(gamma, a, b, c, what):
-    """Checked, rescaled EE parameters, the entangled second member they
-    build, and its Gram off-diagonal by `_branch` (None: diagonal branch)."""
+    """Checked, rescaled EE parameters and the entangled second member they
+    build."""
     gamma = _gamma(gamma)
     a = _checked_complex(a, "a")
     b = _checked_complex(b, "b")
@@ -248,7 +245,7 @@ def _ee_prepare(gamma, a, b, c, what):
     a, b, c = _rescale((a, b, c), weights, 1.0, what)
     second = _entangled((a, b, c, -math.sqrt(gamma / (1.0 - gamma)) * a),
                         "an entangled second member")
-    return gamma, a, b, c, second, _branch(*second)[2]
+    return gamma, a, b, c, second
 
 
 def construct_ee_diagonal(gamma: float, a, b, c) -> OrthoSet:
@@ -265,10 +262,8 @@ def construct_ee_diagonal(gamma: float, a, b, c) -> OrthoSet:
     The Schmidt coefficients are sqrt(|a|^2 + |c|^2) and
     sqrt(|b|^2 + gamma/(1-gamma) |a|^2), sorted.
     """
-    gamma, a, b, c, second, g = _ee_prepare(gamma, a, b, c, "ee-diagonal")
-    if g is not None:
-        raise ConditionViolatedError("diagonal", "second member's Gram off-"
-                                     f"diagonal {abs(g)!r} exceeds {DEFAULT_TOL!r}")
+    gamma, a, b, c, second = _ee_prepare(gamma, a, b, c, "ee-diagonal")
+    _promised_branch(second, True, "the second member")
     return _ortho_set((_gamma_first(gamma), second), "EE",
                       {"gamma": gamma, "a": a, "b": b, "c": c},
                       variant="diagonal")
@@ -279,13 +274,10 @@ def construct_ee_nondiagonal(gamma: float, a, b, c) -> OrthoSet:
 
     Same state form, gamma bound, normalization and entanglement check as
     the diagonal variant, but `schmidt._branch` must find the member
-    non-diagonal, or the call raises AccidentallyDiagonalError.
+    non-diagonal, or the call raises `DiagonalError`.
     """
-    gamma, a, b, c, second, g = _ee_prepare(gamma, a, b, c, "ee-nondiagonal")
-    if g is None:
-        raise AccidentallyDiagonalError(
-            "parameters satisfy the diagonal condition; "
-            "use construct_ee_diagonal")
+    gamma, a, b, c, second = _ee_prepare(gamma, a, b, c, "ee-nondiagonal")
+    _promised_branch(second, False, "the second member")
     return _ortho_set((_gamma_first(gamma), second), "EE",
                       {"gamma": gamma, "a": a, "b": b, "c": c},
                       variant="nondiagonal")

@@ -9,9 +9,10 @@ Gram matrix is diagonal:
 * non-diagonal branch: the coefficients follow from the concurrence and the
   bases from the Gram-matrix eigenvectors written in closed form.
 
-`_branch` alone decides the diagonal condition, for `schmidt`'s dispatch,
-both single-branch functions and every constructor's diagonal guard;
-`reconstruct` inverts any valid decomposition exactly.
+`_branch` alone decides the diagonal condition: for `schmidt`'s dispatch,
+and through `_promised_branch` for both single-branch functions and every
+constructor's diagonal guard.  `reconstruct` inverts any valid
+decomposition exactly.
 
 The branches compute on tuples of Python complex numbers.  Importing this
 module does not import numpy: the first `SchmidtDecomposition` built or
@@ -94,6 +95,25 @@ def _branch(c00, c01, c10, c11):
         + c11.real * c11.real + c11.imag * c11.imag
     g = c00.conjugate() * c01 + c10.conjugate() * c11
     return n0, n1, (None if abs(g) <= DEFAULT_TOL else g)
+
+
+def _promised_branch(c, diagonal: bool, member: str = ""):
+    """`_branch`'s ``(n0, n1, g)`` of the amplitudes ``c``, promised the
+    diagonal branch or, if not ``diagonal``, the other one.  The branch not
+    promised raises `NotDiagonalError` or `DiagonalError`, naming
+    ``member``, a constructor's member, or else the state given."""
+    n0, n1, g = _branch(*c)
+    if diagonal and g is not None:
+        raise NotDiagonalError(
+            (f"parameters put {member} off the diagonal branch: " if member
+             else "") + f"Gram off-diagonal magnitude {abs(g)!r} exceeds "
+            f"tol {DEFAULT_TOL!r}")
+    if not diagonal and g is None:
+        raise DiagonalError(
+            f"parameters put {member} on the diagonal branch" if member else
+            "state satisfies the diagonal condition; the non-diagonal "
+            "formula's internal vectors vanish (use the diagonal branch)")
+    return n0, n1, g
 
 
 def _diag_parts(c00, c01, c10, c11, n0, n1):
@@ -192,10 +212,7 @@ def schmidt_diagonal(state, *, check: bool = True) -> SchmidtDecomposition:
     failure mode in which the returned A-side vectors are not orthogonal.
     """
     c = amplitudes(state)
-    n0, n1, g = _branch(*c)
-    if check and g is not None:
-        raise NotDiagonalError(f"Gram off-diagonal magnitude {abs(g)!r} "
-                               f"exceeds tol {DEFAULT_TOL!r}")
+    n0, n1, _ = _promised_branch(c, True) if check else _branch(*c)
     return _wrap(_diag_parts(*c, n0, n1))
 
 
@@ -206,12 +223,7 @@ def schmidt_nondiagonal(state) -> SchmidtDecomposition:
     eigenvector seeds are zero vectors.
     """
     c = amplitudes(state)
-    n0, n1, g = _branch(*c)
-    if g is None:
-        raise DiagonalError(
-            "state satisfies the diagonal condition; the non-diagonal "
-            "formula's internal vectors vanish (use the diagonal branch)")
-    return _wrap(_nondiag_parts(*c, n0, n1, g))
+    return _wrap(_nondiag_parts(*c, *_promised_branch(c, False)))
 
 
 def schmidt(state) -> SchmidtDecomposition:

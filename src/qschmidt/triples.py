@@ -9,10 +9,11 @@ cases according to the shape of the second product member:
 * case 3: second member a|10> + b|11>, third c|01> + d(b^*|10> - a^*|11>)
 
 Cases 2 and 3 produce a non-diagonal third member whenever every parameter
-is nonzero, and refuse (`pairs._entangled`) parameters whose third member is
-a product or on the diagonal branch.  Each constructor returns an `OrthoSet`
-of three states whose ``parts`` (and ``schmidt``) hold the third member's
-decomposition, made by `pairs._ortho_set` with `schmidt._parts`.
+is nonzero, and refuse parameters whose third member is a product
+(`pairs._entangled`, `ZeroParameterError`) or on the diagonal branch
+(`schmidt._promised_branch`, `DiagonalError`).  Each constructor returns an
+`OrthoSet` of three states whose ``parts`` (and ``schmidt``) hold the third
+member's decomposition, made by `pairs._ortho_set` with `schmidt._parts`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .errors import NotOrthonormalBasisError
 from .pairs import (A_SIDE, OrthoSet, _check_variant, _diagonal_pair,
                     _entangled, _ortho_set, _require_nonzero, _rescale)
 from .scalar import VERIFY_TOL, _KET00, _KET11, _length, _unit_qubit
+from .schmidt import _promised_branch
 
 
 def orthonormal_qubit_basis(basis):
@@ -86,7 +88,8 @@ def _ppe_triple(case_id, a, b, c, d, what) -> OrthoSet:
     else:
         second = (0.0j, 0.0j, a, b)
         third = (0.0j, c, d * b.conjugate(), -d * a.conjugate())
-    _entangled(third, "an entangled third member", True)
+    _entangled(third, "an entangled third member")
+    _promised_branch(third, False, "the third member")
     return _ortho_set((_KET00, second, third), "PPE",
                       {"a": a, "b": b, "c": c, "d": d}, case_id=case_id)
 

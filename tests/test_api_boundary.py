@@ -336,6 +336,14 @@ class TestContainerShapes:
             lambda: jsonio.schmidt_to_obj(q.SchmidtDecomposition(
                 np.array([1.0, 0.0]), np.eye(3), np.eye(2))),
             q.InvalidArgumentError),
+        "spectral_mix.no_states": (lambda: q.spectral_mix([], []),
+                                   q.BadWeightsError),
+        "complete_ppp.two_states": (
+            lambda: q.complete_ppp([(1, 0, 0, 0), (0, 0, 0, 1)]),
+            q.NotPPPError),
+        "orthonormal_qubit_basis.one_vector": (
+            lambda: q.orthonormal_qubit_basis([(1, 0)]),
+            q.NotOrthonormalBasisError),
     }
 
     @pytest.mark.parametrize("entry", list(ENTRY_POINTS))

@@ -215,7 +215,13 @@ class TestPMEE:
             assert abs(abs(vec[1]) * scale - xi_j) <= 1e-12
 
     def test_boundary_rejection(self):
-        for c in (0.0, 1e-12, R12, 0.9):
+        # Every |c| too small for an entangled third member is one refusal,
+        # also where c^2 underflows; only the upper bound is out of range.
+        for c in (0.0, 1e-170, 1e-12, 5e-11, 2e-10, 7e-6j):
+            with pytest.raises(q.ZeroParameterError, match="^parameters too "
+                               "small to yield an entangled third member$"):
+                q.construct_pmee(0, 0, 0, c)
+        for c in (R12, 0.9):
             with pytest.raises(q.COutOfRangeError):
                 q.construct_pmee(0, 0, 0, c)
 
@@ -242,9 +248,8 @@ class TestMMEEDiagonal:
         assert_basis_invariants(b, "MMMM")
 
     def test_diagonal_guard(self):
-        with pytest.raises(q.ConditionViolatedError) as err:
+        with pytest.raises(q.NotDiagonalError):
             q.construct_mmee_diagonal(0, 0, 0.5, 0.4 + 0.3j)
-        assert err.value.which == "diagonal"
 
     def test_entangled_guard(self):
         with pytest.raises(q.ZeroParameterError):
@@ -262,13 +267,21 @@ class TestMMEENondiagonal:
         np.testing.assert_allclose(b.schmidt[2].coeffs, expect, atol=1e-14)
         np.testing.assert_allclose(b.schmidt[3].coeffs, expect, atol=1e-14)
         assert_basis_invariants(b, "MMEE")
+        # A maximally entangled third member, where E / tau0 once rounded
+        # one ulp above tau0: the carried coefficients still descend.
+        b = q.construct_mmee_nondiagonal(
+            0.0059691131538082585, 0.6798855383252025,
+            -0.28920350187481597 - 0.2608862199119887j,
+            -0.2281951822893584 + 0.5442670976122875j)
+        for coeffs, *_ in b.parts[2:]:
+            assert coeffs[0] >= coeffs[1]
 
     def test_entangled_guard(self):
         with pytest.raises(q.ZeroParameterError):
             q.construct_mmee_nondiagonal(0, 0, 0.5, 0.5)
 
     def test_diagonal_guard(self):
-        with pytest.raises(q.AccidentallyDiagonalError):
+        with pytest.raises(q.DiagonalError):
             q.construct_mmee_nondiagonal(0, 0, 0.5, 0.5j)
 
     def test_coefficient_identity_sweep(self):

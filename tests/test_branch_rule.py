@@ -58,10 +58,11 @@ def test_nan_offdiagonal_is_not_diagonal():
 
 
 def check_guard(build, member, set_index) -> bool:
-    """Whether ``build()`` raised `ZeroParameterError`, which it must do
-    exactly when ``member``, the member it builds, is a product or takes the
-    diagonal branch.  A built set must carry that member and its
-    non-diagonal decomposition."""
+    """Whether ``build()`` refused ``member``, the member it builds, which it
+    must do with `ZeroParameterError` exactly when the member is a product,
+    and otherwise with `DiagonalError` exactly when it takes the diagonal
+    branch, as `schmidt_nondiagonal` does.  A built set must carry that
+    member and its non-diagonal decomposition."""
     c00, c01, c10, c11 = member
     g = abs(c00.conjugate() * c01 + c10.conjugate() * c11)
     assert min(abs(g - TOL), abs(q.concurrence(member) - TOL)) <= 16 * ULP
@@ -70,11 +71,12 @@ def check_guard(build, member, set_index) -> bool:
     try:
         s = build()
     except q.ZeroParameterError as e:
-        assert product or diagonal, member
-        if product:
-            assert "too small to yield an entangled" in str(e)
-        else:
-            assert "diagonal" in str(e)
+        assert product, member
+        assert "too small to yield an entangled" in str(e)
+        return True
+    except q.DiagonalError as e:
+        assert diagonal and not product, member
+        assert "on the diagonal branch" in str(e)
         return True
     assert not (product or diagonal), member
     assert s.members[set_index] == member
@@ -212,7 +214,7 @@ def test_ee_variants_split_at_the_branch_rule():
         for construct in (q.construct_ee_diagonal, q.construct_ee_nondiagonal):
             try:
                 s = construct(*params)
-            except (q.ConditionViolatedError, q.AccidentallyDiagonalError):
+            except (q.NotDiagonalError, q.DiagonalError):
                 continue
             built[s.variant] = s
         assert len(built) == 1, params
@@ -240,7 +242,7 @@ def test_mmee_guard_follows_the_third_member():
                               "too small to yield an entangled third member")
         assert refused == product, e
         with pytest.raises(q.ZeroParameterError if product
-                           else q.ConditionViolatedError):
+                           else q.NotDiagonalError):
             q.construct_mmee_diagonal(0, 0, a, b)
         outcomes.add(product)
     assert outcomes == {True, False}

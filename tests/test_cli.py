@@ -465,6 +465,33 @@ class TestDomainErrorsNotTracebacks:
         assert out == ""
         assert json.loads(err)["error"] == error
 
+    @pytest.mark.parametrize("argv,error,message", [
+        (["construct", "--type", "pe", "--variant", "diagonal",
+          "--params", '{"a": [1, 0]}'], "QuantumStateError",
+         "params missing required key 'b'"),
+        (["construct", "--type", "ppp", "--variant", "a-side",
+          "--params", '{"basis": [[[1, 0], [0, 0]]]}'], "QuantumStateError",
+         "params['basis'] must hold two qubit vectors"),
+        (["construct", "--type", "pm", "--params", "[0, 0]"],
+         "QuantumStateError", "--params must be a JSON object"),
+        (["verify", "--set", '{"state": [[1, 0], [0, 0], [0, 0], [0, 0]]}'],
+         "QuantumStateError",
+         "object form needs a 'states' key or 'first'/'second' keys"),
+        (["verify", "--set", "[]"], "QuantumStateError",
+         "expected a non-empty list of states"),
+        # Read as one bare state, not as four states of two amplitudes.
+        (["verify", "--set", "[[0, 0], [0, 0], [0, 0], [0, 0]]"],
+         "ZeroVectorError", "all four amplitudes are zero"),
+    ], ids=["params-missing-key", "params-basis-one-vector",
+            "params-not-object", "set-object-without-states", "set-empty",
+            "set-bare-zero-state"])
+    def test_refusal_writes_one_error_line(self, capsys, argv, error,
+                                           message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert json.loads(err) == {"error": error, "message": message}
+
     @pytest.mark.parametrize("text", [_DEEP, "[" + _HUGE + "]"],
                              ids=["deep-nesting", "int-over-digit-limit"])
     def test_bad_json_on_stdin(self, capsys, monkeypatch, text):

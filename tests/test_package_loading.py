@@ -27,8 +27,7 @@ GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text())
 # Every public name `import qschmidt` bound before its submodules loaded
 # lazily (the names `from qschmidt import *` bound, submodules included).
 PUBLIC_NAMES = (
-    "A_SIDE", "AccidentallyDiagonalError", "B_SIDE", "BadWeightsError",
-    "COutOfRangeError", "ConditionViolatedError", "DEFAULT_TOL",
+    "A_SIDE", "B_SIDE", "BadWeightsError", "COutOfRangeError", "DEFAULT_TOL",
     "DegenerateParametersError", "DiagonalError", "GammaOutOfRangeError",
     "InvalidArgumentError", "InvalidDensityError", "KET0", "KET1", "MINUS",
     "NotDiagonalError", "NotFiniteError", "NotNormalizedError",
@@ -73,10 +72,6 @@ ADDED_MODULES = {
     "sample": ["bases", "pairs", "sampling", "triples"],
     "sample-refused": [],
 }
-
-# The golden calls that never import numpy.
-NUMPY_FREE = ("decompose", "construct", "classify", "mix", "verify", "sample",
-              "sample-refused")
 
 VERB_PROBE = """
 import contextlib, io, json, sys
@@ -142,7 +137,7 @@ def test_each_verb_loads_only_its_modules(entry):
     assert got["before"] == BASE_MODULES
     assert not got["numpy_before"]
     assert got["added"] == ADDED_MODULES[entry["name"]]
-    assert got["numpy"] == (entry["name"] not in NUMPY_FREE)
+    assert not got["numpy"]  # no golden call imports numpy
     # The result records are NamedTuples; numpy does not load dataclasses
     # either, so no call, with or without site-packages, pays for it.
     assert not got["dataclasses"]
@@ -179,10 +174,9 @@ def family_id(key) -> str:
     return "-".join(str(x) for x in key if x is not None)
 
 
-@pytest.mark.parametrize("entry", [e for e in GOLDEN if e["name"] in NUMPY_FREE],
-                         ids=lambda e: e["name"])
+@pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: e["name"])
 def test_numpy_free_call_runs_without_site_packages(entry):
-    """These calls give their golden bytes with no numpy to import."""
+    """Every golden call gives its golden bytes with no numpy to import."""
     assert without_site_packages(entry["argv"], entry["stdin"]) == (
         entry["exit"], entry["stdout"], entry["stderr"])
 
