@@ -5,19 +5,13 @@ spectral mixed-state building, and a JSON command-line front end."""
 from importlib import import_module as _import_module
 
 from .errors import (
-    BadWeightsError,
-    COutOfRangeError,
-    DegenerateParametersError,
     DiagonalError,
-    GammaOutOfRangeError,
     InvalidArgumentError,
     InvalidDensityError,
     NotDiagonalError,
     NotFiniteError,
     NotNormalizedError,
     NotOrthogonalError,
-    NotOrthonormalBasisError,
-    NotPPPError,
     QuantumStateError,
     RejectionLimitError,
     UnknownTypeError,

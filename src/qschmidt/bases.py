@@ -18,7 +18,8 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import COutOfRangeError, NotPPPError, ZeroParameterError
+from .errors import (InvalidArgumentError, NotOrthogonalError,
+                     ZeroParameterError)
 from .pairs import (A_SIDE, OrthoSet, _diagonal_pair, _entangled, _gamma_first,
                     _ortho_set, _rescale)
 from .scalar import (DEFAULT_TOL, _KET00, _KET01, _KET10, _KET11, LazyNumpy,
@@ -76,17 +77,18 @@ def complete_ppp(triple):
     try:
         states = list(getattr(triple, "members", triple))
     except TypeError:
-        raise NotPPPError(f"need a sequence of 3 states, got {triple!r}") \
-            from None
+        raise InvalidArgumentError(
+            f"need a sequence of 3 states, got {triple!r}") from None
     if len(states) != 3:
-        raise NotPPPError(f"need exactly 3 states, got {len(states)}")
-    amps = _unit_members(states, NotPPPError, 1e-8)
+        raise InvalidArgumentError(f"need exactly 3 states, got {len(states)}")
+    amps = _unit_members(states, 1e-8)
     for i, a in enumerate(amps):
         if _concurrence(*a) > DEFAULT_TOL:
-            raise NotPPPError(f"states[{i}] is entangled; the triple is not PPP")
+            raise InvalidArgumentError(
+                f"states[{i}] is entangled; the triple is not PPP")
     ov, i, j = _max_overlap(amps)
     if ov > 1e-8:
-        raise NotPPPError(f"states {i} and {j} are not orthogonal")
+        raise NotOrthogonalError(f"states {i} and {j} are not orthogonal")
 
     rows = [[z.conjugate() for z in a] for a in amps]
     comp = []
@@ -220,7 +222,7 @@ def construct_pmee(theta: float, theta_prime: float, theta_dprime: float,
     c = _checked_complex(c, "c")
     mag = abs(c)
     if mag >= _SQRT_HALF - DEFAULT_TOL:
-        raise COutOfRangeError(
+        raise InvalidArgumentError(
             f"|c| must lie below 1/sqrt(2), got {mag!r}; at the bound the "
             "basis degrades to a PPEE pattern, use the PPEE constructors")
     if mag <= DEFAULT_TOL:  # c^2 may underflow; the third member is a product

@@ -1,4 +1,14 @@
-"""Domain errors raised at the package's public boundaries."""
+"""Domain errors raised at the package's public boundaries.
+
+Each refusal raises the class of its fault, whichever call finds it: a
+scalar that is not a finite number, `NotFiniteError`; a value outside its
+interval, or a wrong count or shape, `InvalidArgumentError`; a zero
+parameter, or parameters that make a promised entangled member a product,
+`ZeroParameterError`; a norm off 1, `NotNormalizedError`; an overlap,
+`NotOrthogonalError`; a member on the wrong branch, `NotDiagonalError` or
+`DiagonalError`.  The command line's refusals of JSON text and JSON shape
+raise `QuantumStateError` itself.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +18,10 @@ class QuantumStateError(ValueError):
 
 
 class NotFiniteError(QuantumStateError):
-    """An amplitude or parameter is NaN or infinite."""
+    """A scalar is not a finite number: an amplitude, parameter or mixing
+    weight that is NaN, infinite, an integer too large for a float, or not
+    a number at all (a string, ``None``, a bool weight), or amplitudes
+    whose squared norm overflows."""
 
 
 class ZeroVectorError(QuantumStateError):
@@ -16,7 +29,9 @@ class ZeroVectorError(QuantumStateError):
 
 
 class NotNormalizedError(QuantumStateError):
-    """A vector that must be unit norm is not, and normalization was not requested."""
+    """A vector that must be unit norm is not: `make_state` or `make_qubit`
+    input without ``normalize``, a `tensor` factor, or a member of
+    `classify`, `spectral_mix` or `complete_ppp`."""
 
 
 class NotDiagonalError(QuantumStateError):
@@ -31,39 +46,15 @@ class DiagonalError(QuantumStateError):
 
 
 class ZeroParameterError(QuantumStateError):
-    """A constructor parameter that must be nonzero is zero, or the member
-    the parameters build is a product where the family promises it
-    entangled."""
-
-
-class GammaOutOfRangeError(QuantumStateError):
-    """The Schmidt-weight parameter gamma lies outside the open interval
-    (0, 1), or so near 0 that the first member is a product state."""
-
-
-class COutOfRangeError(QuantumStateError):
-    """PMEE's complex parameter c has |c| at or above its upper bound."""
-
-
-class DegenerateParametersError(QuantumStateError):
-    """Parameters collapse an intermediate vector to zero, leaving a direction
-    undefined."""
-
-
-class NotOrthonormalBasisError(QuantumStateError):
-    """The supplied single-qubit vectors do not form an orthonormal basis."""
-
-
-class NotPPPError(QuantumStateError):
-    """The supplied triple is not a set of three orthonormal product states."""
+    """A parameter that must be nonzero is zero, or parameters make a member
+    the family promises entangled a product: EP's a = b = 0 or a factor of
+    zero norm, a gamma so small that EP's or EE's first member is a
+    product, or PMEE's |c| or other parameters too small."""
 
 
 class NotOrthogonalError(QuantumStateError):
-    """States that must be mutually orthogonal are not."""
-
-
-class BadWeightsError(QuantumStateError):
-    """Mixing weights must be strictly positive and sum to one."""
+    """States that must be mutually orthogonal overlap: those of
+    `spectral_mix` or `complete_ppp`, or the two vectors of a qubit basis."""
 
 
 class InvalidDensityError(QuantumStateError):
@@ -76,9 +67,12 @@ class UnknownTypeError(QuantumStateError):
 
 
 class InvalidArgumentError(QuantumStateError):
-    """An argument lies outside its allowed values: a state without 4
-    amplitudes, a set of other than 1..4 states, a sample count below 1, or
-    a sign other than +1 or -1."""
+    """An argument outside its allowed values, or of the wrong count or
+    shape: a state without 4 amplitudes, a qubit without 2, a qubit basis
+    not of 2 vectors, a set of other than 1..4 states, a `complete_ppp`
+    triple not of 3 product states, unequal numbers of states and weights,
+    weights not positive or not summing to 1, gamma outside (0, 1), PMEE's
+    |c| at or above 1/sqrt(2), a sample count below 1, a sign not +-1."""
 
 
 class RejectionLimitError(QuantumStateError):

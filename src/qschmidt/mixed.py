@@ -31,7 +31,8 @@ from __future__ import annotations
 import math
 from cmath import isfinite
 
-from .errors import BadWeightsError, InvalidDensityError, NotOrthogonalError
+from .errors import (InvalidArgumentError, InvalidDensityError, NotFiniteError,
+                     NotOrthogonalError)
 from .scalar import (DEFAULT_TOL, LazyNumpy, _is_bool, _length, _max_overlap,
                      _number, _total, _unit_members)
 
@@ -52,20 +53,23 @@ def _mix_rows(states, weights) -> list:
     a sum from ``0j`` never has an imaginary -0.0, so ``0.0 - u.imag`` gives
     its +0.0.  The bits depend on CPython's complex arithmetic only.
     """
-    n = _length(states, "states", BadWeightsError)
+    n = _length(states, "states")
     if n == 0:
-        raise BadWeightsError("need at least one state")
-    if n != _length(weights, "weights", BadWeightsError):
-        raise BadWeightsError(f"{n} states but {len(weights)} weights")
-    ws = [_number(float, w, "weights", BadWeightsError) for w in weights
+        raise InvalidArgumentError("need at least one state")
+    if n != _length(weights, "weights"):
+        raise InvalidArgumentError(f"{n} states but {len(weights)} weights")
+    ws = [_number(float, w, "weights") for w in weights
           if not (_is_bool(w) or isinstance(w, (str, bytes)))]
     if len(ws) != n:
-        raise BadWeightsError(f"weights must be numbers, got {list(weights)!r}")
+        raise NotFiniteError(f"weights must be numbers, got {list(weights)!r}")
     for w in ws:
         if not math.isfinite(w) or w <= 0.0:
-            raise BadWeightsError(f"weights must be positive, got {w!r}")
-    if abs(_total(ws) - 1.0) > 1e-12:
-        raise BadWeightsError(f"weights sum to {_total(ws)!r}, expected 1")
+            error = (InvalidArgumentError if math.isfinite(w)
+                     else NotFiniteError)
+            raise error(f"weights must be positive, got {w!r}")
+    total = _total(ws)
+    if abs(total - 1.0) > 1e-12:
+        raise InvalidArgumentError(f"weights sum to {total!r}, expected 1")
     amps = _unit_members(states)
     ov, i, j = _max_overlap(amps)
     if ov > DEFAULT_TOL:
@@ -100,11 +104,12 @@ def spectral_mix(states, weights) -> np.ndarray:
     """Density matrix sum_i w_i |s_i><s_i| from orthogonal unit states.
 
     ``states`` and ``weights`` must be sequences of the same non-zero
-    length, and weights must be numbers, not bools or strings, strictly
-    positive (a zero weight silently drops rank, which is treated as caller
-    error) and sum to 1 within 1e-12 (all `BadWeightsError`); states must
-    have unit norm within 1e-10 (`NotNormalizedError`) and be pairwise
-    orthogonal within `DEFAULT_TOL` (`NotOrthogonalError`).
+    length (`InvalidArgumentError`), and weights must be finite numbers,
+    not bools or strings (`NotFiniteError`), strictly positive (a zero
+    weight silently drops rank, which is treated as caller error) and sum
+    to 1 within 1e-12 (`InvalidArgumentError`); states must have unit norm
+    within 1e-10 (`NotNormalizedError`) and be pairwise orthogonal within
+    `DEFAULT_TOL` (`NotOrthogonalError`).
     """
     return np.array(_mix_rows(states, weights))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import InvalidArgumentError, ZeroVectorError
+from .errors import InvalidArgumentError, NotFiniteError, ZeroVectorError
 from .scalar import (DEFAULT_TOL, VERIFY_TOL, _ZERO_FLOOR, _concurrence, _length,
                      _max_overlap, _norm, _unit_members, amplitudes)
 from .schmidt import SchmidtDecomposition, _parts, _reconstruct_parts, _wrap
@@ -48,7 +48,11 @@ def _oracle_parts(c00, c01, c10, c11):
         v0, v1 = g01, complex(d0)
     else:
         v0, v1 = complex(d1), g01.conjugate()
-    nv = math.sqrt(abs(v0) ** 2 + abs(v1) ** 2)
+    try:
+        nv = math.sqrt(abs(v0) ** 2 + abs(v1) ** 2)
+    except OverflowError:  # float ** raises where * would give inf
+        raise NotFiniteError("squared norm overflows: amplitudes too large") \
+            from None
     if 0.0 < nv < 1e-140:  # too few bits in a subnormal sum for a unit v/nv
         v0, v1 = v0 * 2.0 ** 600, v1 * 2.0 ** 600  # scaled exactly
         nv = math.sqrt(abs(v0) ** 2 + abs(v1) ** 2)
@@ -94,7 +98,7 @@ def _reconstruction_error(parts, a) -> float:
 
 
 def _check_size(states, verb: str) -> None:
-    n = _length(states, "states", InvalidArgumentError)
+    n = _length(states, "states")
     if not 1 <= n <= 4:
         raise InvalidArgumentError(f"{verb} takes 1..4 states, got {n}")
 

@@ -23,13 +23,8 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import (
-    DegenerateParametersError,
-    GammaOutOfRangeError,
-    InvalidArgumentError,
-    UnknownTypeError,
-    ZeroParameterError,
-)
+from .errors import (InvalidArgumentError, NotFiniteError, UnknownTypeError,
+                     ZeroParameterError)
 from .scalar import (DEFAULT_TOL, _KET00, LazyNumpy, _checked_complex,
                      _checked_norm, _concurrence, _is_bool, _number, _qubit,
                      _tensor, _total, _unit, _unit_qubit)
@@ -147,10 +142,12 @@ def _gamma(gamma) -> float:
     """``gamma`` checked to lie in (0, 1) with `_gamma_first(gamma)` entangled."""
     gamma = _number(float, gamma, "gamma")
     if not 0.0 < gamma < 1.0:
-        raise GammaOutOfRangeError(f"gamma must lie in (0, 1), got {gamma!r}")
+        error = (InvalidArgumentError if math.isfinite(gamma)
+                 else NotFiniteError)
+        raise error(f"gamma must lie in (0, 1), got {gamma!r}")
     if _concurrence(*_gamma_first(gamma)) <= DEFAULT_TOL:
-        raise GammaOutOfRangeError(f"gamma {gamma!r} is too small: "
-                                   "the first member is a product state")
+        raise ZeroParameterError(f"gamma {gamma!r} is too small: "
+                                 "the first member is a product state")
     return gamma
 
 
@@ -214,7 +211,7 @@ def construct_ep(gamma: float, a, b, sign: int = 1) -> OrthoSet:
     a = _checked_complex(a, "a")
     b = _checked_complex(b, "b")
     if a == 0 and b == 0:
-        raise DegenerateParametersError("a and b must not both be zero")
+        raise ZeroParameterError("a and b must not both be zero")
     if _is_bool(sign) or sign not in (1, -1):
         raise InvalidArgumentError(f"sign must be +1 or -1, got {sign!r}")
     sign = 1 if sign == 1 else -1  # recorded as the int --params reads
@@ -227,7 +224,7 @@ def construct_ep(gamma: float, a, b, sign: int = 1) -> OrthoSet:
     na2 = _qubit(factor_a, "factor a")[2]
     nb2 = _qubit(factor_b, "factor b")[2]
     if math.sqrt(na2) <= 1e-150 or math.sqrt(nb2) <= 1e-150:
-        raise DegenerateParametersError("constructed factor has zero norm")
+        raise ZeroParameterError("constructed factor has zero norm")
     second = _tensor(_unit(factor_a, na2, True, "", "factor a"),
                      _unit(factor_b, nb2, True, "", "factor b"))
     return _ortho_set((_gamma_first(gamma), second), "EP",

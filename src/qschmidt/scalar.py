@@ -39,18 +39,18 @@ _KET10 = (0.0j, 0.0j, 1.0 + 0.0j, 0.0j)
 _KET11 = (0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
 
 
-def _number(kind, value, name: str, error=NotFiniteError):
+def _number(kind, value, name: str):
     """``kind(value)`` for ``kind`` float or complex.  An integer too large
-    for a float, and a value that is not a number, raise ``error`` instead
-    of `OverflowError`, `TypeError` or `ValueError`; every scalar input
-    conversion goes through here."""
+    for a float, and a value that is not a number, raise `NotFiniteError`
+    instead of `OverflowError`, `TypeError` or `ValueError`; every scalar
+    input conversion goes through here."""
     try:
         return kind(value)
     except OverflowError:
-        raise error(f"{name} must be finite, got an integer too large "
-                    "for a float") from None
+        must = "finite, got an integer too large for a float"
     except (TypeError, ValueError):
-        raise error(f"{name} must be a number, got {value!r}") from None
+        must = f"a number, got {value!r}"
+    raise NotFiniteError(f"{name} must be {must}")
 
 
 def _total(values) -> float:
@@ -70,13 +70,14 @@ def _is_bool(x) -> bool:
                                    and isinstance(x, numpy.bool_))
 
 
-def _length(seq, name: str, error) -> int:
-    """``len(seq)``; an object with no length raises ``error`` instead of
-    `TypeError`."""
+def _length(seq, name: str) -> int:
+    """``len(seq)``; an object with no length raises `InvalidArgumentError`
+    instead of `TypeError`."""
     try:
         return len(seq)
     except TypeError:
-        raise error(f"{name} must be a sequence, got {seq!r}") from None
+        raise InvalidArgumentError(f"{name} must be a sequence, got {seq!r}") \
+            from None
 
 
 def _checked_complex(value, name: str, kind=complex):
@@ -173,11 +174,12 @@ def concurrence(state) -> float:
     return _concurrence(*amplitudes(state))
 
 
-def _qubit(v, name: str, error=InvalidArgumentError, entries=None) -> tuple:
-    """``(v0, v1, |v|^2)`` of a qubit from outside; not a pair raises ``error``."""
-    n = _length(v, name, error)
+def _qubit(v, name: str, entries=None) -> tuple:
+    """``(v0, v1, |v|^2)`` of a qubit from outside, a sequence of 2 numbers."""
+    n = _length(v, name)
     if n != 2:
-        raise error(f"{name} is a single-qubit vector of 2 amplitudes, got {n}")
+        raise InvalidArgumentError(
+            f"{name} is a single-qubit vector of 2 amplitudes, got {n}")
     e0, e1 = entries or (name + "[0]", name + "[1]")
     v0 = _checked_complex(v[0], e0)
     v1 = _checked_complex(v[1], e1)
@@ -185,9 +187,9 @@ def _qubit(v, name: str, error=InvalidArgumentError, entries=None) -> tuple:
             + v1.real * v1.real + v1.imag * v1.imag)
 
 
-def _unit_qubit(v, name: str, error=InvalidArgumentError) -> tuple:
+def _unit_qubit(v, name: str) -> tuple:
     """The qubit ``v`` from outside, scaled to unit norm as `make_qubit` is."""
-    v0, v1, nrm2 = _qubit(v, name, error)
+    v0, v1, nrm2 = _qubit(v, name)
     return _unit((v0, v1), nrm2, True, f"{name} is the zero vector", name)
 
 
@@ -215,14 +217,14 @@ def _norm(a) -> float:
                      + (c11.real * c11.real + c11.imag * c11.imag))
 
 
-def _unit_members(states, error=NotNormalizedError, limit: float = 1e-10) -> list:
+def _unit_members(states, limit: float = 1e-10) -> list:
     """Each state read by `amplitudes`, its norm checked to within ``limit``."""
     amps = []
     for i, s in enumerate(states):
         a = amplitudes(s)
         nrm = _norm(a)
         if abs(nrm - 1.0) > limit:
-            raise error(f"states[{i}] has norm {nrm!r}")
+            raise NotNormalizedError(f"states[{i}] has norm {nrm!r}")
         amps.append(a)
     return amps
 

@@ -18,7 +18,7 @@ member's decomposition, made by `pairs._ortho_set` with `schmidt._parts`.
 
 from __future__ import annotations
 
-from .errors import NotOrthonormalBasisError
+from .errors import InvalidArgumentError, NotOrthogonalError
 from .pairs import (A_SIDE, OrthoSet, _check_variant, _diagonal_pair,
                     _entangled, _ortho_set, _require_nonzero, _rescale)
 from .scalar import VERIFY_TOL, _KET00, _KET11, _length, _unit_qubit
@@ -29,14 +29,14 @@ def orthonormal_qubit_basis(basis):
     """Rescale each of two nonzero single-qubit vectors to unit norm, check
     that they are orthogonal to within `VERIFY_TOL` and return them as
     2-tuples of Python complex numbers."""
-    if _length(basis, "basis", NotOrthonormalBasisError) != 2:
-        raise NotOrthonormalBasisError("a qubit basis needs exactly 2 vectors")
-    v0 = _unit_qubit(basis[0], "basis[0]", NotOrthonormalBasisError)
-    v1 = _unit_qubit(basis[1], "basis[1]", NotOrthonormalBasisError)
+    if _length(basis, "basis") != 2:
+        raise InvalidArgumentError("a qubit basis needs exactly 2 vectors")
+    v0 = _unit_qubit(basis[0], "basis[0]")
+    v1 = _unit_qubit(basis[1], "basis[1]")
     (a0, a1), (b0, b1) = v0, v1
     overlap = abs(a0.conjugate() * b0 + a1.conjugate() * b1)
     if overlap > VERIFY_TOL:
-        raise NotOrthonormalBasisError(
+        raise NotOrthogonalError(
             f"basis vectors overlap by {overlap!r} (> {VERIFY_TOL!r})")
     return v0, v1
 

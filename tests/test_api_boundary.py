@@ -8,7 +8,7 @@ import pytest
 
 import qschmidt as q
 from qschmidt import core, jsonio, sampling, scalar
-from helpers import GOLD_NONDIAG, KET00, KET11
+from helpers import GOLD_NONDIAG, KET00, KET01, KET10, KET11
 
 BAD_TOLS = (math.nan, math.inf, 0.0, -1e-10)
 NAMES = ("c00", "c01", "c10", "c11")
@@ -202,7 +202,7 @@ class TestHugeIntegers:
             lambda: q.construct_mmee_diagonal(_BIG, 0, 0.3, 0.4),
             q.NotFiniteError),
         "spectral_mix.weights": (lambda: q.spectral_mix([KET00], [_BIG]),
-                                 q.BadWeightsError),
+                                 q.NotFiniteError),
         "spectral_mix.states": (lambda: q.spectral_mix([[_BIG, 0, 0, 0]], [1]),
                                 q.NotFiniteError),
         "pair_to_complex": (lambda: jsonio.pair_to_complex([0, _BIG]),
@@ -240,7 +240,7 @@ class TestNonNumericScalars:
         "construct_pp.single": (lambda: q.construct_pp("a-side", ["a", 1]),
                                 q.NotFiniteError),
         "spectral_mix.weights": (
-            lambda: q.spectral_mix([[1, 0, 0, 0]], [None]), q.BadWeightsError),
+            lambda: q.spectral_mix([[1, 0, 0, 0]], [None]), q.NotFiniteError),
         "reduce_a.str": (lambda: q.reduce_a("abc"), q.InvalidDensityError),
         "reduce_a.ragged": (lambda: q.reduce_a(_RAGGED),
                             q.InvalidDensityError),
@@ -266,14 +266,16 @@ class TestContainerShapes:
         "verify_set": (lambda: q.verify_set(5), q.InvalidArgumentError),
         "classify": (lambda: q.classify(5), q.InvalidArgumentError),
         "spectral_mix.states": (lambda: q.spectral_mix(5, [1.0]),
-                                q.BadWeightsError),
+                                q.InvalidArgumentError),
         "spectral_mix.weights": (lambda: q.spectral_mix([(1, 0, 0, 0)], 5),
-                                 q.BadWeightsError),
+                                 q.InvalidArgumentError),
         "spectral_mix.weights_none": (
-            lambda: q.spectral_mix([(1, 0, 0, 0)], None), q.BadWeightsError),
+            lambda: q.spectral_mix([(1, 0, 0, 0)], None),
+            q.InvalidArgumentError),
         "construct_ppp": (lambda: q.construct_ppp("a-side", 5),
-                          q.NotOrthonormalBasisError),
-        "complete_ppp": (lambda: q.bases.complete_ppp(5), q.NotPPPError),
+                          q.InvalidArgumentError),
+        "complete_ppp": (lambda: q.bases.complete_ppp(5),
+                         q.InvalidArgumentError),
         "sample.count": (lambda: q.sample(q.SampleSpec("pp", count="x")),
                          q.InvalidArgumentError),
         "complete_ppp.member": (lambda: q.complete_ppp([5, 5, 5]),
@@ -282,7 +284,7 @@ class TestContainerShapes:
             lambda: q.complete_ppp([[1, 0, 0]] * 3), q.InvalidArgumentError),
         "construct_ppp.basis_member": (
             lambda: q.construct_ppp("a-side", [5, 5]),
-            q.NotOrthonormalBasisError),
+            q.InvalidArgumentError),
         "construct_pp.single": (lambda: q.construct_pp("a-side", 5),
                                 q.InvalidArgumentError),
         "construct_pp.short_single": (lambda: q.construct_pp("a-side", [1]),
@@ -337,13 +339,13 @@ class TestContainerShapes:
                 np.array([1.0, 0.0]), np.eye(3), np.eye(2))),
             q.InvalidArgumentError),
         "spectral_mix.no_states": (lambda: q.spectral_mix([], []),
-                                   q.BadWeightsError),
+                                   q.InvalidArgumentError),
         "complete_ppp.two_states": (
             lambda: q.complete_ppp([(1, 0, 0, 0), (0, 0, 0, 1)]),
-            q.NotPPPError),
+            q.InvalidArgumentError),
         "orthonormal_qubit_basis.one_vector": (
             lambda: q.orthonormal_qubit_basis([(1, 0)]),
-            q.NotOrthonormalBasisError),
+            q.InvalidArgumentError),
     }
 
     @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
@@ -352,6 +354,89 @@ class TestContainerShapes:
         with pytest.raises(q.QuantumStateError) as info:
             call()
         assert type(info.value) is error
+
+
+_OFF_NORM = [1.001, 0, 0, 0]
+
+# Each fault, the one class it raises, and every entry point that finds it.
+FAULTS = {
+    "not-finite": (q.NotFiniteError, {
+        "classify": lambda: q.classify([[math.nan, 0, 0, 1]]),
+        "complete_ppp": lambda: q.complete_ppp([[math.inf, 0, 0, 0],
+                                                KET01, KET10]),
+        "spectral_mix.nan_weight": lambda: q.spectral_mix([KET00],
+                                                          [math.nan]),
+        "spectral_mix.huge_weight": lambda: q.spectral_mix([KET00], [_BIG]),
+        "spectral_mix.bool_weight": lambda: q.spectral_mix([KET00], [True]),
+        "orthonormal_qubit_basis": lambda: q.orthonormal_qubit_basis(
+            [[math.nan, 0], [0, 1]]),
+        "verify_set": lambda: q.verify_set([[1e78, 3e78, 1e78j, 3e78j]]),
+        "construct_ep": lambda: q.construct_ep(math.nan, 1, 1),
+        "construct_ee_diagonal": lambda: q.construct_ee_diagonal(
+            math.inf, 0, 0.6, 0.8),
+        "construct_ee_nondiagonal": lambda: q.construct_ee_nondiagonal(
+            0.5, math.nan, 0.5, 0.5),
+        "construct_pmee": lambda: q.construct_pmee(0, 0, 0, math.nan),
+    }),
+    "out-of-range": (q.InvalidArgumentError, {
+        "spectral_mix.zero_weight": lambda: q.spectral_mix(
+            [KET00, KET01], [1.0, 0.0]),
+        "spectral_mix.weight_sum": lambda: q.spectral_mix(
+            [KET00, KET01], [0.5, 0.6]),
+        "construct_ep": lambda: q.construct_ep(1.5, 1, 1),
+        "construct_ee_diagonal": lambda: q.construct_ee_diagonal(
+            0.0, 0, 0.6, 0.8),
+        "construct_ee_nondiagonal": lambda: q.construct_ee_nondiagonal(
+            1.0, 0.5, 0.5, 0.5),
+        "construct_pmee": lambda: q.construct_pmee(0, 0, 0, 0.9),
+    }),
+    "wrong-count-or-shape": (q.InvalidArgumentError, {
+        "classify": lambda: q.classify([]),
+        "verify_set": lambda: q.verify_set([KET00] * 5),
+        "complete_ppp.count": lambda: q.complete_ppp([KET00, KET11]),
+        "complete_ppp.entangled": lambda: q.complete_ppp(
+            [KET00, q.PSI_PLUS, KET10]),
+        "spectral_mix.counts": lambda: q.spectral_mix([KET00, KET01], [1.0]),
+        "orthonormal_qubit_basis": lambda: q.orthonormal_qubit_basis(
+            [(1, 0)]),
+        "construct_ep.sign": lambda: q.construct_ep(0.5, 1, 1, 2),
+    }),
+    "zero-parameter": (q.ZeroParameterError, {
+        "construct_ep.a_b": lambda: q.construct_ep(0.5, 0, 0),
+        "construct_ep.factor": lambda: q.construct_ep(0.5, 1e-320, 0),
+        "construct_ep.gamma": lambda: q.construct_ep(1e-30, 1, 1),
+        "construct_ee_diagonal.gamma": lambda: q.construct_ee_diagonal(
+            1e-30, 0, 0.6, 0.8),
+        "construct_ee_nondiagonal.gamma": lambda: q.construct_ee_nondiagonal(
+            1e-30, 0.5, 0.5, 0.5),
+        "construct_ee_diagonal.product": lambda: q.construct_ee_diagonal(
+            0.5, 0, 1, 0),
+        "construct_pmee": lambda: q.construct_pmee(0, 0, 0, 1e-7),
+    }),
+    "norm": (q.NotNormalizedError, {
+        "classify": lambda: q.classify([_OFF_NORM]),
+        "complete_ppp": lambda: q.complete_ppp([_OFF_NORM, KET01, KET10]),
+        "spectral_mix": lambda: q.spectral_mix([_OFF_NORM], [1.0]),
+    }),
+    "overlap": (q.NotOrthogonalError, {
+        "complete_ppp": lambda: q.complete_ppp([KET00, KET00, KET01]),
+        "spectral_mix": lambda: q.spectral_mix([KET00, q.PHI_PLUS],
+                                               [0.5, 0.5]),
+        "orthonormal_qubit_basis": lambda: q.orthonormal_qubit_basis(
+            [(1, 0), (0.6, 0.8)]),
+    }),
+}
+
+
+@pytest.mark.parametrize("row", [f"{fault}/{entry}" for fault, (_, calls)
+                                 in FAULTS.items() for entry in calls])
+def test_each_fault_raises_one_class(row):
+    """A fault raises the same class whichever entry point finds it."""
+    fault, entry = row.split("/")
+    error, calls = FAULTS[fault]
+    with pytest.raises(q.QuantumStateError) as info:
+        calls[entry]()
+    assert type(info.value) is error
 
 
 def test_unused_unhashable_case_is_ignored():

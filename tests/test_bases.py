@@ -89,16 +89,16 @@ class TestCompletePPP:
         assert 1.0 - abs(np.vdot(null, state)) <= 1e-12
 
     def test_rejects_entangled_member(self):
-        with pytest.raises(q.NotPPPError):
+        with pytest.raises(q.InvalidArgumentError):
             q.complete_ppp([KET00, q.PSI_PLUS, KET10])
 
     def test_rejects_member_off_unit_norm(self):
-        with pytest.raises(q.NotPPPError,
+        with pytest.raises(q.NotNormalizedError,
                            match=r"^states\[0\] has norm 1\.001$"):
             q.complete_ppp([[1.001, 0, 0, 0], KET01, KET10])
 
     def test_rejects_overlapping_members(self):
-        with pytest.raises(q.NotPPPError,
+        with pytest.raises(q.NotOrthogonalError,
                            match="^states 0 and 1 are not orthogonal$"):
             q.complete_ppp([KET00, KET00, KET10])
 
@@ -222,7 +222,7 @@ class TestPMEE:
                                "small to yield an entangled third member$"):
                 q.construct_pmee(0, 0, 0, c)
         for c in (R12, 0.9):
-            with pytest.raises(q.COutOfRangeError):
+            with pytest.raises(q.InvalidArgumentError):
                 q.construct_pmee(0, 0, 0, c)
 
 

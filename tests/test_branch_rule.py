@@ -106,7 +106,7 @@ def test_gamma_guard_follows_the_first_member(construct):
     """gamma steps by ulps across (TOL / 2)^2, where the first member's
     concurrence 2 sqrt(gamma (1 - gamma)) crosses `DEFAULT_TOL`."""
     outcomes = {check_label(lambda: construct(ulps((TOL / 2) ** 2, k)),
-                            q.GammaOutOfRangeError, "is too small")
+                            q.ZeroParameterError, "is too small")
                 for k in range(-8, 9)}
     assert outcomes == {True, False}
 

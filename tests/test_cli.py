@@ -111,7 +111,7 @@ class TestConstruct:
                              "--variant", "a-side", "--params",
                              '{"basis": [[[1,0],[0,0]], [[0.6,0],[0.8,0]]]}')
         assert (code, out) == (1, "")
-        assert err == ('{"error": "NotOrthonormalBasisError", "message": '
+        assert err == ('{"error": "NotOrthogonalError", "message": '
                        '"basis vectors overlap by 0.6 (> 1e-12)"}\n')
 
     def test_missing_variant_is_domain_error(self, capsys):
@@ -280,15 +280,15 @@ class TestMix:
         code, _, err = run(capsys, "mix", "--set", set_json,
                            "--weights", "[0.5]")
         assert code == 1
-        assert json.loads(err)["error"] == "BadWeightsError"
+        assert json.loads(err)["error"] == "InvalidArgumentError"
 
     @pytest.mark.parametrize("argv,error,message", [
         (["--set", f"[{_K00}, {_K01}]", "--weights", "[0.5, 0.6]"],
-         "BadWeightsError", "weights sum to 1.1, expected 1"),
+         "InvalidArgumentError", "weights sum to 1.1, expected 1"),
         (["--set", f"[{_K00}, {_K01}]", "--weights", "[1.0, 0.0]"],
-         "BadWeightsError", "weights must be positive, got 0.0"),
+         "InvalidArgumentError", "weights must be positive, got 0.0"),
         (["--set", f"[{_K00}, {_K01}]", "--weights", "[1.0]"],
-         "BadWeightsError", "2 states but 1 weights"),
+         "InvalidArgumentError", "2 states but 1 weights"),
         (["--set", f"[{_K00}]", "--weights", '{"w": 1}'],
          "QuantumStateError", "--weights must be a JSON list of numbers"),
         (["--set", f"[{_K00}, [[1,0],[0,0],[0,0],[1,0]]]",
@@ -429,7 +429,7 @@ class TestDomainErrorsNotTracebacks:
          "NotFiniteError"),
         (["construct", "--type", "ep", "--params",
           '{"gamma": 5e-324, "a": [1, 0], "b": [1, 0]}'],
-         "GammaOutOfRangeError"),
+         "ZeroParameterError"),
         (["construct", "--type", "pm",
           "--params", f'{{"theta": {_BIG}, "theta_prime": 0}}'],
          "NotFiniteError"),
@@ -437,7 +437,7 @@ class TestDomainErrorsNotTracebacks:
           '{"theta": 0, "theta_prime": 0, "theta_dprime": NaN, "c": 0.3}'],
          "NotFiniteError"),
         (["mix", "--set", "[" + _STATE + "]", "--weights", f"[{_BIG}]"],
-         "BadWeightsError"),
+         "NotFiniteError"),
         (["decompose", "--state", f"[[{_HUGE},0],[0,0],[0,0],[1,0]]"],
          "QuantumStateError"),
         (["verify", "--set", _DEEP], "QuantumStateError"),

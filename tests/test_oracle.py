@@ -66,6 +66,20 @@ class TestOracleSchmidt:
                 refused += outcomes[0] is not None
         assert refused == 13  # 1e-150 squared is not above the floor
 
+    @pytest.mark.parametrize("route", [
+        q.oracle_schmidt, lambda state: q.verify_set([state])],
+        ids=["oracle_schmidt", "verify_set"])
+    def test_overflowing_eigenvector_norm_is_not_finite(self, route):
+        """The eigenvector seed's squared norm, taken with float ``**``,
+        overflows for this state, which raises `OverflowError` where ``*``
+        would give inf; the oracle refuses it as `_checked_norm` refuses
+        an overflowing squared norm.  The closed form returns coefficients
+        ``[inf, 0]`` for it, a hole ROADMAP item 1a leaves open."""
+        with pytest.raises(q.NotFiniteError,
+                           match="^squared norm overflows: amplitudes too "
+                                 "large$"):
+            route([1e78, 3e78, 1e78j, 3e78j])
+
 
 class TestVerifySet:
     def test_bell_basis(self):

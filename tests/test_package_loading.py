@@ -27,27 +27,25 @@ GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text())
 # Every public name `import qschmidt` bound before its submodules loaded
 # lazily (the names `from qschmidt import *` bound, submodules included).
 PUBLIC_NAMES = (
-    "A_SIDE", "B_SIDE", "BadWeightsError", "COutOfRangeError", "DEFAULT_TOL",
-    "DegenerateParametersError", "DiagonalError", "GammaOutOfRangeError",
-    "InvalidArgumentError", "InvalidDensityError", "KET0", "KET1", "MINUS",
-    "NotDiagonalError", "NotFiniteError", "NotNormalizedError",
-    "NotOrthogonalError", "NotOrthonormalBasisError", "NotPPPError",
-    "OrthoSet", "PHI_MINUS", "PHI_PLUS", "PLUS", "PSI_MINUS", "PSI_PLUS",
-    "QuantumStateError", "SampleSpec", "SchmidtDecomposition", "SplitMix64",
-    "StateReport", "UnknownTypeError", "VERIFY_TOL", "VerificationReport",
-    "ZeroParameterError", "ZeroVectorError", "bases", "classify",
-    "complete_ppp", "concurrence", "construct_ee_diagonal",
-    "construct_ee_nondiagonal", "construct_ep", "construct_mmee_diagonal",
-    "construct_mmee_nondiagonal", "construct_pe_diagonal",
-    "construct_pe_nondiagonal", "construct_pm", "construct_pmee",
-    "construct_pp", "construct_ppe_case1", "construct_ppe_case2",
-    "construct_ppe_case3", "construct_ppee_case1", "construct_ppee_case2",
-    "construct_ppee_case3", "construct_ppp", "construct_pppp", "core",
-    "errors", "make_qubit", "make_state", "mixed", "oracle", "oracle_schmidt",
-    "orthonormal_qubit_basis", "pairs", "random_qubit", "random_qubit_basis",
-    "reconstruct", "reduce_a", "reduce_b", "sample", "schmidt",
-    "schmidt_diagonal", "schmidt_nondiagonal", "spectral_mix", "tensor",
-    "triples", "verify_set",
+    "A_SIDE", "B_SIDE", "DEFAULT_TOL", "DiagonalError", "InvalidArgumentError",
+    "InvalidDensityError", "KET0", "KET1", "MINUS", "NotDiagonalError",
+    "NotFiniteError", "NotNormalizedError", "NotOrthogonalError", "OrthoSet",
+    "PHI_MINUS", "PHI_PLUS", "PLUS", "PSI_MINUS", "PSI_PLUS",
+    "QuantumStateError", "RejectionLimitError", "SampleSpec",
+    "SchmidtDecomposition", "SplitMix64", "StateReport", "UnknownTypeError",
+    "VERIFY_TOL", "VerificationReport", "ZeroParameterError",
+    "ZeroVectorError", "bases", "classify", "complete_ppp", "concurrence",
+    "construct_ee_diagonal", "construct_ee_nondiagonal", "construct_ep",
+    "construct_mmee_diagonal", "construct_mmee_nondiagonal",
+    "construct_pe_diagonal", "construct_pe_nondiagonal", "construct_pm",
+    "construct_pmee", "construct_pp", "construct_ppe_case1",
+    "construct_ppe_case2", "construct_ppe_case3", "construct_ppee_case1",
+    "construct_ppee_case2", "construct_ppee_case3", "construct_ppp",
+    "construct_pppp", "core", "errors", "make_qubit", "make_state", "mixed",
+    "oracle", "oracle_schmidt", "orthonormal_qubit_basis", "pairs",
+    "random_qubit", "random_qubit_basis", "reconstruct", "reduce_a",
+    "reduce_b", "sample", "sampling", "scalar", "schmidt", "schmidt_diagonal",
+    "schmidt_nondiagonal", "spectral_mix", "tensor", "triples", "verify_set",
 )
 
 # Every defaulted parameter of a public callable, as (name, parameter): the
@@ -58,6 +56,21 @@ DEFAULTED_PARAMETERS = (
     ("SchmidtDecomposition", "degenerate"), ("classify", "refine_m"),
     ("construct_ep", "sign"), ("make_qubit", "normalize"),
     ("make_state", "normalize"), ("schmidt_diagonal", "check"),
+)
+
+# Every `QuantumStateError` subclass, one per fault: the error classes the
+# CI "Source size" step counts.  A new class has to edit this pin.
+ERROR_CLASSES = (
+    "DiagonalError", "InvalidArgumentError", "InvalidDensityError",
+    "NotDiagonalError", "NotFiniteError", "NotNormalizedError",
+    "NotOrthogonalError", "QuantumStateError", "RejectionLimitError",
+    "UnknownTypeError", "ZeroParameterError", "ZeroVectorError",
+)
+
+# Names the package exported before each fault got one error class.
+REMOVED_ERROR_CLASSES = (
+    "BadWeightsError", "COutOfRangeError", "DegenerateParametersError",
+    "GammaOutOfRangeError", "NotOrthonormalBasisError", "NotPPPError",
 )
 
 BASE_MODULES = ["cli", "errors", "jsonio", "scalar", "schmidt"]
@@ -222,6 +235,26 @@ def test_defaulted_public_parameters_are_pinned():
         got += [(name, p.name) for p in params.values()
                 if p.default is not p.empty]
     assert sorted(got) == sorted(DEFAULTED_PARAMETERS)
+
+
+def test_error_classes_are_pinned():
+    """Read as the CI "Source size" step reads them; the base class is
+    counted with its subclasses."""
+    got = [name for name in q.__all__
+           if isinstance(getattr(q, name), type)
+           and issubclass(getattr(q, name), q.QuantumStateError)]
+    assert sorted(got) == sorted(ERROR_CLASSES)
+    defined = [name for name, value in vars(q.errors).items()
+               if isinstance(value, type)
+               and issubclass(value, q.QuantumStateError)]
+    assert sorted(defined) == sorted(ERROR_CLASSES)
+    assert len(q.__all__) == len(PUBLIC_NAMES) == 76
+
+
+@pytest.mark.parametrize("name", REMOVED_ERROR_CLASSES)
+def test_removed_error_classes_do_not_resolve(name):
+    assert not hasattr(q, name)
+    assert not hasattr(q.errors, name)
 
 
 def test_schmidt_stays_the_function_after_submodule_imports():

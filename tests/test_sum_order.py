@@ -115,7 +115,7 @@ def test_ppp_completion_holds(compensated):
 
 def test_weight_total_holds(compensated):
     def message():
-        with pytest.raises(q.BadWeightsError) as err:
+        with pytest.raises(q.InvalidArgumentError) as err:
             q.spectral_mix([KET00] * 11, [0.1] * 10 + [1e-11])
         return str(err.value)
 

@@ -43,7 +43,7 @@ class TestPPP:
         np.testing.assert_array_equal(t.states[2], KET11)
 
     def test_rejects_non_orthonormal_basis(self):
-        with pytest.raises(q.NotOrthonormalBasisError):
+        with pytest.raises(q.NotOrthogonalError):
             q.construct_ppp("a-side", (q.KET0, q.PLUS))
 
 
